@@ -4,18 +4,25 @@ Exit codes: 0 ok, 2 usage or invalid parameters, 3 internal inconsistency,
 4 I/O failure, 5 selftest failure.  All emitted data files are deterministic:
 identical invocations produce byte-identical bytes, metadata lives in '#'
 comment lines and floats carry 17 significant digits.
+
+Sweeps and figure presets evaluate their grids through the columnar report
+kernels of :mod:`rindlercv.entanglement_analysis`, SWEEP_CHUNK points per
+call, and write each chunk as it is done, so memory stays bounded whatever
+the grid size.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# not used by the sweep; benchmarks/tracing.py subclasses cli.ThreadPoolExecutor when it instruments a pass
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -23,13 +30,16 @@ from . import __version__
 from . import entanglement_analysis as ea
 from . import rindler_frames as rf
 from . import selftest as st
-from .info_measures import InconsistencyError, contangle_from_m
+from .info_measures import InconsistencyError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 EXIT_IO = 4
 EXIT_SELFTEST = 5
+
+# grid points evaluated and written per kernel call: bounds a sweep's memory
+SWEEP_CHUNK = 4096
 
 SWEEP_PARAMS = {
     "single": ("s", "r"),
@@ -69,7 +79,11 @@ def _dump_json(obj) -> str:
 
 
 class _Output:
-    """stdout or a file opened for writing; I/O errors surface as exit code 4."""
+    """stdout or a file opened for writing; I/O errors surface as exit code 4.
+
+    A file whose writing is cut short by an error is removed, so a failed
+    sweep leaves no partial table behind.
+    """
 
     def __init__(self, path: Optional[str]):
         self.path = path
@@ -80,22 +94,50 @@ class _Output:
         self._fh = open(self.path, "w", encoding="utf-8", newline="")
         return self._fh
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
         if self.path is not None:
             self._fh.close()
+            if exc_type is not None:
+                os.remove(self.path)
         return False
 
 
-def _write_table(stream, meta: list[str], columns: list[str], rows: list[dict], fmt: str) -> None:
+def _cells(col: np.ndarray, fmt: str) -> tuple[str, list]:
+    """One column's %-conversion and values, rendered as _fmt and _dump_json render cells.
+
+    '%.17g' already prints inf, -inf, nan and -0 as _fmt does, and '%r' a
+    finite float as JSON does; booleans, masked cells (empty in CSV, null in
+    JSON) and non-finite JSON cells are rendered here.
+    """
+    if col.dtype == bool:
+        return "%s", np.where(col, "true", "false").tolist()
+    values = col.tolist()  # masked cells become None
+    masked = np.any(getattr(col, "mask", False))
+    if fmt == "csv":
+        if masked:
+            return "%s", ["" if v is None else "%.17g" % v for v in values]
+        return "%.17g", values
+    if not masked and np.isfinite(col).all():
+        return "%r", values
+    return "%s", ["null" if v is None else repr(v) if math.isfinite(v) else f'"{_fmt(v)}"'
+                  for v in values]
+
+
+def _write_table(stream, meta: list[str], columns: list[str], chunks: Iterable[dict], fmt: str) -> None:
+    """Write '#' meta lines, then each chunk of columns as CSV rows or JSON lines, in row order."""
     for line in meta:
         stream.write(f"# {line}\n")
     if fmt == "csv":
         stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-    else:  # json-lines
-        for row in rows:
-            stream.write(_dump_json({c: row[c] for c in columns}) + "\n")
+    else:  # json-lines, keys unique and sorted as _dump_json writes them
+        columns = sorted(set(columns))
+    for chunk in chunks:
+        convs, cells = zip(*(_cells(chunk[c], fmt) for c in columns))
+        if fmt == "csv":
+            template = ",".join(convs) + "\n"
+        else:
+            template = "{" + ", ".join(f"{json.dumps(c)}: {v}" for c, v in zip(columns, convs)) + "}\n"
+        stream.write("".join([template % row for row in zip(*cells)]))
 
 
 # ---------------------------------------------------------------------------
@@ -135,32 +177,14 @@ def _point_report(args) -> tuple[str, dict]:
     # frequency
     if args.lam is None or args.nu is None or args.accel is None:
         raise ValueError("point frequency needs --lam, --nu and --accel")
-    return "frequency", _frequency_row(args.lam, args.nu, args.accel, args.s)
+    columns = ea.frequency_report_columns(args.lam, args.nu, args.accel, args.s)
+    return "frequency", {name: np.asarray(col).tolist() for name, col in columns.items()}
 
 
-def _frequency_row(lam: float, nu: float, accel: float, s: Optional[float] = None) -> dict:
-    l = rf.accel_to_squeezing(accel, lam)
-    n = rf.accel_to_squeezing(accel, nu)
-    w = 2.0 * math.pi / accel
-    condition = math.exp(w * lam) + math.exp(w * nu) - math.exp(w * (lam + nu))
-    margin = math.exp(-w * lam) + math.exp(-w * nu) - 1.0
-    separable = ea.frequency_separability(lam, nu, accel)
-    if l == 0.0 and n == 0.0:
-        m_inf = math.inf
-    else:
-        m_inf = ea.m_ln_infinite_squeezing(l, n)
-    row = {
-        "lam": lam, "nu": nu, "accel": accel, "l": l, "n": n,
-        "condition_value": condition, "separability_margin": margin,
-        "separable": separable,
-        "m_ln_infinite": m_inf,
-        "tau_ln_infinite": contangle_from_m(m_inf) if math.isfinite(m_inf) else math.inf,
-    }
-    if s is not None:
-        row["s"] = s
-        row["m_l_n"] = ea.m_leo_nadia(s, l, n)
-        row["tau_l_n"] = contangle_from_m(row["m_l_n"])
-    return row
+def _row_chunk(row: dict) -> dict:
+    """One row of cells as a chunk of one-element columns, None as a masked cell."""
+    return {name: np.ma.masked_array([0.0 if v is None else v], mask=[v is None])
+            for name, v in row.items()}
 
 
 def _cmd_point(args) -> int:
@@ -170,8 +194,7 @@ def _cmd_point(args) -> int:
         if args.format == "json":
             stream.write(_dump_json(payload) + "\n")
         elif args.format == "csv":
-            cols = list(report)
-            _write_table(stream, [f"rindlercv point {scenario}"], cols, [report], "csv")
+            _write_table(stream, [f"rindlercv point {scenario}"], list(report), [_row_chunk(report)], "csv")
         else:  # default: human text followed by the JSON payload
             stream.write(f"scenario: {scenario}\n")
             for key in report:
@@ -191,8 +214,13 @@ class SweepAxis:
     hi: float
     steps: int
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.steps)
+    def values(self, index: np.ndarray) -> np.ndarray:
+        """np.linspace(lo, hi, steps)[index], computed without building the whole axis."""
+        div = self.steps - 1
+        delta = self.hi - self.lo
+        step = delta / div
+        grid = index / div * delta if step == 0 else index * step  # as linspace for denormal steps
+        return np.where(index == div, self.hi, grid + self.lo)
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -219,16 +247,30 @@ def _parse_fix(items: Sequence[str]) -> dict[str, float]:
 
 
 def _sweep_evaluator(scenario: str, params: dict) -> dict:
+    """The scenario's report columns over one chunk of grid points (fixed values broadcast)."""
     if scenario == "single":
-        rep = ea.single_observer_report(params["s"], params["r"])
-        return rep.to_dict()
+        return ea.single_report_columns(params["s"], params["r"])
     if scenario == "double":
         if "a" in params:
             l = n = params["a"]
         else:
             l, n = params["l"], params["n"]
-        return ea.double_observer_report(params["s"], l, n).to_dict()
-    return _frequency_row(params["lam"], params["nu"], params["accel"], params.get("s"))
+        return ea.double_report_columns(params["s"], l, n)
+    return ea.frequency_report_columns(params["lam"], params["nu"], params["accel"], params.get("s"))
+
+
+def _sweep_chunks(scenario: str, axes: list[SweepAxis], fixed: dict):
+    """Axis and report columns of the grid, outer axis major, SWEEP_CHUNK points at a time."""
+    inner = axes[-1].steps
+    total = math.prod(axis.steps for axis in axes)
+    for start in range(0, total, SWEEP_CHUNK):
+        index = np.arange(start, min(start + SWEEP_CHUNK, total))
+        if len(axes) == 1:
+            point = {axes[0].name: axes[0].values(index)}
+        else:
+            point = {axes[0].name: axes[0].values(index // inner),
+                     axes[1].name: axes[1].values(index % inner)}
+        yield {**point, **_sweep_evaluator(scenario, {**point, **fixed})}
 
 
 def _cmd_sweep(args) -> int:
@@ -261,32 +303,19 @@ def _cmd_sweep(args) -> int:
     if missing:
         raise ValueError(f"unswept parameters need --fix values: {sorted(missing)}")
 
-    grids = [axis.values() for axis in axes]
-    points = []
-    if len(axes) == 1:
-        for v in grids[0]:
-            points.append({axes[0].name: float(v), **fixed})
-    else:
-        for v0 in grids[0]:  # outer axis major
-            for v1 in grids[1]:
-                points.append({axes[0].name: float(v0), axes[1].name: float(v1), **fixed})
-
-    workers = args.threads or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda p: _sweep_evaluator(args.scenario, p), points))
-
+    chunks = _sweep_chunks(args.scenario, axes, fixed)
+    first = next(chunks)  # evaluated before the output opens, so its errors leave no file
     axis_cols = [a.name for a in axes]
-    all_quantities = [k for k in reports[0] if k not in axis_cols]
+    all_quantities = [k for k in first if k not in axis_cols]
     if args.quantities:
         wanted = [q.strip() for q in args.quantities.split(",")]
-        unknown = [q for q in wanted if q not in reports[0]]
+        unknown = [q for q in wanted if q not in first]
         if unknown:
             raise ValueError(f"unknown quantities {unknown}; available: {all_quantities}")
         quantities = wanted
     else:
         quantities = all_quantities
     columns = axis_cols + quantities
-    rows = [{**pt, **rep} for pt, rep in zip(points, reports)]
     meta = [
         f"rindlercv sweep scenario={args.scenario}",
         "axes: " + "; ".join(f"{a.name}={_fmt(a.lo)}:{_fmt(a.hi)}:{a.steps}" for a in axes),
@@ -294,7 +323,7 @@ def _cmd_sweep(args) -> int:
         "columns: " + ",".join(columns),
     ]
     with _Output(args.out) as stream:
-        _write_table(stream, meta, columns, rows, args.format)
+        _write_table(stream, meta, columns, itertools.chain([first], chunks), args.format)
     return EXIT_OK
 
 
@@ -311,94 +340,72 @@ class FigurePreset:
     preset_id: str
     description: str
     columns: list[str]
-    build: Callable[[], list[dict]]
+    build: Callable[[], dict]  # the preset's columns, a superset of ``columns``
     plot: str  # gnuplot fragment; {data} is replaced with the csv filename
 
 
+def _surface(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of every (outer, inner) grid point, outer axis major."""
+    return np.repeat(outer, len(inner)), np.tile(inner, len(outer))
+
+
+def _normalized(tau: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """tau / 4s^2, the share of the inertial contangle; nan at s = 0."""
+    return tau / np.where(s > 0, 4 * s * s, np.nan)
+
+
 def _fig2_rows():
-    rows = []
-    for r in _AXIS61:
-        m_a, m_r, m_rbar = ea.one_vs_rest_m_single(1.0, float(r))
-        rows.append({"r": float(r), "m_a_vs_rest": m_a, "m_r_vs_rest": m_r,
-                     "m_rbar_vs_rest": m_rbar})
-    return rows
+    return ea.single_report_columns(1.0, _AXIS61)
 
 
 def _fig3_rows():
-    rows = []
-    for r in _AXIS61:
-        for s in _AXIS61:
-            tau = ea.contangle_ar(float(s), float(r)).contangle
-            norm = tau / (4 * s * s) if s > 0 else math.nan
-            rows.append({"r": float(r), "s": float(s), "tau_ar": tau,
-                         "tau_ar_normalized": norm})
-    return rows
+    r, s = _surface(_AXIS61, _AXIS61)
+    columns = ea.single_report_columns(s, r)
+    return {**columns, "tau_ar_normalized": _normalized(columns["tau_ar"], s)}
 
 
 def _fig4_rows():
-    rows = []
-    for r in _AXIS61:
-        row = {"r": float(r)}
-        for s in (0.25, 0.5, 1.0, 2.0):
-            row[f"sqrt_tau_ar_s{_fmt(s)}"] = math.sqrt(ea.contangle_ar(s, float(r)).contangle)
-        row["sqrt_tau_r_rbar"] = 2.0 * float(r)
-        rows.append(row)
-    return rows
+    columns = {"r": _AXIS61, "sqrt_tau_r_rbar": 2.0 * _AXIS61}
+    for s in (0.25, 0.5, 1.0, 2.0):
+        columns[f"sqrt_tau_ar_s{_fmt(s)}"] = np.sqrt(ea.single_report_columns(s, _AXIS61)["tau_ar"])
+    return columns
 
 
 def _fig5_rows():
-    return [{"r": float(r), "s": float(s),
-             "residual_tripartite": ea.residual_tripartite(float(s), float(r))}
-            for r in _AXIS61 for s in _AXIS61]
+    r, s = _surface(_AXIS61, _AXIS61)
+    return ea.single_report_columns(s, r)
 
 
 def _fig6_rows():
-    rows = []
-    for lam in _FREQ61:
-        for nu in _FREQ61:
-            row = {"lam": float(lam), "nu": float(nu)}
-            for label, accel in (("2pi", 2 * math.pi), ("10pi", 10 * math.pi)):
-                w = 2.0 * math.pi / accel
-                row[f"condition_value_{label}"] = (math.exp(w * lam) + math.exp(w * nu)
-                                                   - math.exp(w * (lam + nu)))
-                row[f"separable_{label}"] = ea.frequency_separability(lam, nu, accel)
-            rows.append(row)
-    return rows
+    lam, nu = _surface(_FREQ61, _FREQ61)
+    columns = {"lam": lam, "nu": nu}
+    for label, accel in (("2pi", 2 * math.pi), ("10pi", 10 * math.pi)):
+        condition, _, separable = ea.frequency_condition(lam, nu, accel)
+        columns[f"condition_value_{label}"] = condition
+        columns[f"separable_{label}"] = separable
+    return columns
 
 
 def _fig7_rows():
-    accel = 2 * math.pi
-    rows = []
-    for lam in _FREQ61:
-        for nu in _FREQ61:
-            row = _frequency_row(float(lam), float(nu), accel)
-            rows.append({k: row[k] for k in ("lam", "nu", "l", "n", "m_ln_infinite",
-                                             "tau_ln_infinite")})
-    return rows
+    lam, nu = _surface(_FREQ61, _FREQ61)
+    return ea.frequency_report_columns(lam, nu, 2 * math.pi)
 
 
 def _fig8_rows():
-    return [{"s": float(s), "a": float(a),
-             "residual_multipartite": ea.residual_multipartite(float(s), float(a))}
-            for s in _AXIS61 for a in _AXIS61]
+    s, a = _surface(_AXIS61, _AXIS61)
+    return {**ea.double_report_columns(s, a, a), "a": a}
 
 
 def _fig9_rows():
-    rows = []
-    for a in _AXIS61:
-        for s in _AXIS61:
-            m = ea.m_ln_equal_accel(float(s), float(a))
-            tau = contangle_from_m(m)
-            rows.append({"a": float(a), "s": float(s), "tau_ln": tau,
-                         "tau_ln_normalized": tau / (4 * s * s) if s > 0 else math.nan,
-                         "a_star": ea.a_star(float(s))})
-    return rows
+    a, s = _surface(_AXIS61, _AXIS61)
+    columns = ea.double_report_columns(s, a, a)
+    tau = columns["tau_l_n"]
+    return {**columns, "a": a, "tau_ln": tau, "tau_ln_normalized": _normalized(tau, s)}
 
 
 def _fig10_rows():
-    return [{"a": float(a), "s": float(s),
-             "deficit": ea.classical_deficit(float(a), float(s))}
-            for a in _AXIS61 for s in _AXIS61]
+    a, s = _surface(_AXIS61, _AXIS61)
+    return {**ea.double_report_columns(s, a, a), "a": a}
 
 
 _SURFACE_PLOT = """set datafile separator ','
@@ -453,7 +460,7 @@ def _cmd_figure(args) -> int:
         raise ValueError(f"unknown preset {args.preset!r}; available: {sorted(FIGURE_PRESETS)}")
     os.makedirs(args.out_dir, exist_ok=True)
     data_name = f"{preset.preset_id}.csv"
-    rows = preset.build()
+    columns = preset.build()
     meta = [
         f"rindlercv figure {preset.preset_id}: {preset.description}",
         "axis ranges follow the source captions where stated; otherwise [0, 3] "
@@ -462,7 +469,7 @@ def _cmd_figure(args) -> int:
     ]
     path = os.path.join(args.out_dir, data_name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_table(fh, meta, preset.columns, rows, "csv")
+        _write_table(fh, meta, preset.columns, [columns], "csv")
     written = [path]
     if args.plot_script:
         script_path = os.path.join(args.out_dir, f"{preset.preset_id}.gp")
@@ -502,7 +509,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                         help="numerical tolerance (default 1e-9)")
     parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for sweeps (default: available parallelism)")
+                        help="accepted for compatibility; has no effect (sweeps evaluate "
+                             "whole chunks of the grid in one thread)")
     parser.add_argument("--quick", action="store_true", default=argparse.SUPPRESS,
                         help="coarse selftest grid")
 
@@ -552,6 +560,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.format is None and args.verb == "sweep":
         args.format = "csv"
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

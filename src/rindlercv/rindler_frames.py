@@ -30,23 +30,32 @@ _Z2 = np.diag([1.0, -1.0])
 _I2 = np.eye(2)
 
 
-def accel_to_squeezing(acceleration: float, frequency: float) -> float:
+def _require_positive(message: str, *values) -> None:
+    for value in values:
+        if value <= 0 if isinstance(value, float) else np.any(np.less_equal(value, 0)):
+            raise ValueError(message)
+
+
+def accel_to_squeezing(acceleration, frequency):
     """Squeezing parameter r of the Rindler-wedge pair for a given proper acceleration.
 
-    Inverts ``cosh r = (1 - exp(-2 pi frequency / acceleration))^(-1/2)``;
-    evaluated through sinh for accuracy in the near-inertial regime.
+    Inverts ``cosh r = (1 - q)^(-1/2)`` with ``q = exp(-2 pi frequency / acceleration)``
+    as ``sinh r = sqrt(q) / sqrt(1 - q)``.  ``sqrt(q)`` and ``1 - q`` are each
+    formed directly (the latter with expm1), so r stays accurate where q
+    itself would be subnormal and where q is close to 1.  Takes broadcastable
+    arrays as well as floats (for which it returns a float).
     """
-    if acceleration <= 0 or frequency <= 0:
-        raise ValueError("acceleration and mode frequency must be positive")
-    q = math.exp(-2.0 * math.pi * frequency / acceleration)
-    return math.asinh(math.sqrt(q / (1.0 - q)))
+    _require_positive("acceleration and mode frequency must be positive", acceleration, frequency)
+    x = math.pi * np.divide(frequency, acceleration)
+    r = np.arcsinh(np.exp(-x) / np.sqrt(-np.expm1(-2.0 * x)))
+    return float(r) if np.ndim(r) == 0 else r
 
 
 def squeezing_to_ratio(r: float) -> float:
     """Frequency-to-acceleration ratio producing squeezing r (inverse of the map above)."""
     if r <= 0:
         raise ValueError("squeezing must be positive to invert the acceleration map")
-    return -math.log(math.tanh(r) ** 2) / (2.0 * math.pi)
+    return -math.log(math.tanh(r)) / math.pi
 
 
 def unruh_temperature(acceleration: float) -> float:

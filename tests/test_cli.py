@@ -1,10 +1,14 @@
 import json
 import math
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from rindlercv.cli import EXIT_INCONSISTENT, EXIT_IO, EXIT_SELFTEST, EXIT_USAGE, FIGURE_PRESETS, main
+from rindlercv import entanglement_analysis as ea
+from rindlercv.cli import (EXIT_INCONSISTENT, EXIT_IO, EXIT_SELFTEST, EXIT_USAGE, FIGURE_PRESETS,
+                           SweepAxis, _jsonable, main)
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +198,104 @@ class TestSweep:
         assert main(args + ["--threads", "4", "--out", str(p2)]) == 0
         capsys.readouterr()
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_threads_below_one_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "single", "--sweep", "r=0:1:3",
+                                 "--fix", "s=1", "--threads", "0")
+        assert code == EXIT_USAGE
+        assert out == "" and len(err.strip().splitlines()) == 1 and "--threads" in err
+
+    def test_zero_acceleration_out_to_s20(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--scenario", "double", "--sweep", "s=0:20:81",
+                               "--fix", "l=0", "--fix", "n=0")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 81
+        for row in rows:
+            assert float(row["m_l_n"]) == pytest.approx(math.cosh(2 * float(row["s"])), rel=1e-12)
+
+    def test_non_finite_cell_exit_3_names_point(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", "--scenario", "single", "--sweep", "s=0:400:5001",
+                               "--fix", "r=0.5", "--out", str(path))
+        assert code == EXIT_INCONSISTENT
+        assert len(err.strip().splitlines()) == 1 and "r=0.5" in err and "s=" in err
+        assert not path.exists()  # the chunk that failed came after the first was written
+
+    def test_memory_stays_bounded(self, tmp_path):
+        # one row dict per point would take some 90 MB for these 90 000 points
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--scenario", "single", "--sweep", "s=0:3:300", "--sweep", "r=0:3:300",
+                         "--out", str(tmp_path / "big.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("lo,hi,steps", [(0.0, 3.0, 16), (0.1, 5.0, 50), (-1.0, 1.0, 7),
+                                             (2.0, 2.0, 3), (0.0, 5e-324, 4), (1e-300, 3.0, 10001)])
+    def test_axis_values_are_linspace(self, lo, hi, steps):
+        axis = SweepAxis("s", lo, hi, steps)
+        assert axis.values(np.arange(steps)).tolist() == np.linspace(lo, hi, steps).tolist()
+
+
+def json_rows(out):
+    return [json.loads(line) for line in out.splitlines() if line and not line.startswith("#")]
+
+
+class TestSweepMatchesPointReports:
+    """Every row of a grid sweep holds the bits of the per-point report at its grid point."""
+
+    def check(self, capsys, scenario, axes, fixed, report_at):
+        argv = ["--scenario", scenario]
+        for name, lo, hi, steps in axes:
+            argv += ["--sweep", f"{name}={lo}:{hi}:{steps}"]
+        for name, value in fixed.items():
+            argv += ["--fix", f"{name}={value}"]
+        code, out, _ = run_cli(capsys, "--format", "json", "sweep", *argv)
+        assert code == 0
+        rows = json_rows(out)
+        (outer, *outer_grid), (inner, *inner_grid) = axes
+        assert [(row[outer], row[inner]) for row in rows] == [
+            (x, y) for x in np.linspace(*outer_grid).tolist() for y in np.linspace(*inner_grid).tolist()]
+        for row in rows:
+            report = report_at(row)
+            assert {k: row[k] for k in report} == {k: _jsonable(v) for k, v in report.items()}
+        return rows
+
+    def test_single(self, capsys):
+        self.check(capsys, "single", [("s", 0, 3, 7), ("r", 0, 2.5, 6)], {},
+                   lambda row: ea.single_observer_report(row["s"], row["r"]).to_dict())
+
+    def test_double_equal(self, capsys):
+        rows = self.check(capsys, "double", [("a", 0, 3, 7), ("s", 0, 4, 6)], {},
+                          lambda row: ea.double_observer_report(row["s"], row["a"], row["a"]).to_dict())
+        assert all(row["deficit"] is not None for row in rows)
+
+    @pytest.mark.parametrize("n,equal_points", [(1.0, 4), (0.777, 0)])
+    def test_double_unequal(self, capsys, n, equal_points):
+        rows = self.check(capsys, "double", [("s", 0.5, 2, 4), ("l", 0, 3, 4)], {"n": n},
+                          lambda row: ea.double_observer_report(row["s"], row["l"], n).to_dict())
+        for row in rows:
+            equal_only = (row["tripartite_upper_bound"], row["deficit"])
+            if row["l"] == n:
+                assert None not in equal_only
+            else:
+                assert equal_only == (None, None)
+        assert sum(row["l"] == n for row in rows) == equal_points
+
+    @pytest.mark.parametrize("fixed", [{"accel": 6.3}, {"accel": 6.3, "s": 1.2}])
+    def test_frequency(self, capsys, fixed):
+        def point_report(row):
+            argv = ["--format", "json", "point", "frequency", "--lam", repr(row["lam"]),
+                    "--nu", repr(row["nu"])] + [arg for k, v in fixed.items() for arg in (f"--{k}", str(v))]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            return json.loads(out)["report"]
+        rows = self.check(capsys, "frequency", [("lam", 0.1, 3, 5), ("nu", 0.2, 4, 4)], fixed, point_report)
+        assert ("m_l_n" in rows[0]) == ("s" in fixed)
 
 
 class TestFigures:

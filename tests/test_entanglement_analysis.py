@@ -490,3 +490,78 @@ class TestClosedFormNumericDuality:
             sigma = build_double_observer_cm(s, 0.75, 1.25)
             for pair in ((1, 3), (0, 2), (0, 3)):
                 assert ppt_separable(reduce(sigma, pair), (0,))
+
+
+def mp_m_leo_nadia(s, l, n):
+    """The Leo-Nadia m-parameter in 40-digit arithmetic, from the uncancelled closed form."""
+    s, l, n = mp.mpf(s), mp.mpf(l), mp.mpf(n)
+    if mp.tanh(s) <= mp.sinh(l) * mp.sinh(n):
+        return mp.mpf(1)
+    num = (2 * mp.cosh(2 * l) * mp.cosh(2 * n) * mp.cosh(s) ** 2 + 3 * mp.cosh(2 * s)
+           - 4 * mp.sinh(l) * mp.sinh(n) * mp.sinh(2 * s) - 1)
+    den = 2 * ((mp.cosh(2 * l) + mp.cosh(2 * n)) * mp.cosh(s) ** 2 - 2 * mp.sinh(s) ** 2
+               + 2 * mp.sinh(l) * mp.sinh(n) * mp.sinh(2 * s))
+    return num / den
+
+
+class TestLargeSqueezing:
+    """The closed forms hold out to s = 20, at exactly zero acceleration too."""
+
+    @pytest.mark.parametrize("s,l,n", [(12.0, 0.0, 0.0), (20.0, 0.0, 0.0), (12.0, 0.0, 1e-6),
+                                       (20.0, 0.05, 0.1), (8.0, 0.3, 0.3)])
+    def test_m_leo_nadia_mpmath_oracle(self, s, l, n):
+        assert ea.m_leo_nadia(s, l, n) == pytest.approx(float(mp_m_leo_nadia(s, l, n)), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [8.0, 12.0, 20.0])
+    def test_tripartite_bound_vanishes_at_zero_acceleration(self, s):
+        assert abs(ea.tripartite_upper_bound(s, 0.0)) <= 1e-12
+
+    @pytest.mark.parametrize("s", [7.0, 8.0, 12.0, 20.0])
+    @pytest.mark.parametrize("l,n", [(0.0, 0.0), (0.0, 0.5)])
+    def test_zero_acceleration_reports_validate(self, s, l, n):
+        rep = ea.double_observer_report(s, l, n)
+        rep.validate()
+        if l == n == 0.0:
+            assert rep.m_l_n == pytest.approx(math.cosh(2 * s), rel=1e-12)
+
+
+class TestArrayForms:
+    """Array arguments give, element by element, the bits of the scalar calls."""
+
+    S = np.array([0.0, 0.3, 1.0, 2.5, 12.0])
+    A = np.array([0.0, 0.2, 0.79, 1.5, 4.0])
+
+    @pytest.mark.parametrize("name", ["m_alice_rob", "residual_tripartite", "mutual_info_ar",
+                                      "m_ln_equal_accel", "residual_multipartite",
+                                      "tripartite_upper_bound", "mutual_info_ln"])
+    def test_two_parameter_forms(self, name):
+        fn = getattr(ea, name)
+        s, a = np.meshgrid(self.S, self.A, indexing="ij")
+        expected = [[fn(float(x), float(y)) for y in self.A] for x in self.S]
+        assert fn(s, a).tolist() == expected
+
+    @pytest.mark.parametrize("name", ["m_leo_nadia", "mutual_info_ln_general", "r_effective"])
+    def test_three_parameter_forms(self, name):
+        fn = getattr(ea, name)
+        s = self.S[1:, None, None]
+        out = fn(s, self.A[None, :, None], self.A[None, None, ::-1])
+        assert out.shape == (4, 5, 5)
+        for (i, j, k), value in np.ndenumerate(out):
+            assert value == fn(float(s[i, 0, 0]), float(self.A[j]), float(self.A[::-1][k]))
+
+    def test_deficit_argument_order(self):
+        assert ea.classical_deficit(self.A, 1.5).tolist() == [ea.classical_deficit(a, 1.5) for a in self.A]
+
+    def test_negative_element_named(self):
+        with pytest.raises(ValueError, match="-0.5"):
+            ea.m_alice_rob(np.array([1.0, -0.5]), 0.3)
+
+    def test_report_columns_match_reports(self):
+        cols = ea.single_report_columns(self.S[:, None], self.A[None, :])
+        for (i, j), _ in np.ndenumerate(cols["tau_ar"]):
+            rep = ea.single_observer_report(float(self.S[i]), float(self.A[j])).to_dict()
+            assert {k: v[i, j] for k, v in cols.items()} == rep
+
+    def test_report_columns_reject_non_finite(self):
+        with pytest.raises(ea.InconsistencyError, match=r"at s=400\.0, r=0\.5"):
+            ea.single_report_columns(np.array([1.0, 400.0]), 0.5)

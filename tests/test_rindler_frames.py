@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rindlercv.info_measures import contangle_from_m, two_mode_m
@@ -40,11 +40,28 @@ class TestUnruhMap:
 
     @given(st.floats(0.05, 50.0), st.floats(0.05, 50.0))
     @settings(max_examples=60, deadline=None)
+    @example(accel=0.32421875, freq=38.0)  # exp(-2 pi freq / accel) is subnormal here
     def test_round_trip(self, accel, freq):
         r = accel_to_squeezing(accel, freq)
         if r == 0.0:  # underflow for very small accel/freq ratios
             return
         assert squeezing_to_ratio(r) == pytest.approx(freq / accel, rel=1e-10)
+
+    @pytest.mark.parametrize("accel,freq", [(0.32421875, 38.0), (1.0, 100.0), (6.0, 1e-6), (2.0, 1.0)])
+    def test_mpmath_oracle(self, accel, freq):
+        # the oracle takes the same double pi * freq / accel, so only the map itself is tested
+        x = mp.mpf(math.pi * (freq / accel))
+        oracle = mp.asinh(mp.exp(-x) / mp.sqrt(1 - mp.exp(-2 * x)))
+        assert accel_to_squeezing(accel, freq) == pytest.approx(float(oracle), rel=4e-16)
+
+    def test_array_form_is_the_scalar_form(self):
+        freqs = np.array([1e-6, 0.3, 1.0, 38.0, 200.0])
+        rs = accel_to_squeezing(np.array([[0.32421875], [6.0]]), freqs)
+        assert rs.shape == (2, 5)
+        for row, accel in zip(rs, (0.32421875, 6.0)):
+            assert row.tolist() == [accel_to_squeezing(accel, f) for f in freqs]
+        with pytest.raises(ValueError):
+            accel_to_squeezing(1.0, np.array([1.0, 0.0]))
 
     def test_monotone_in_acceleration(self):
         rs = [accel_to_squeezing(a, 1.0) for a in (0.5, 1.0, 2.0, 10.0)]
