@@ -30,7 +30,7 @@ import numpy as np
 
 from .info_measures import M_CLAMP_TOL, InconsistencyError, MeasureReport, contangle_from_m
 from .phase_space import CovMatrix, apply_congruence, two_mode_squeezer, vacuum_cm
-from .rindler_frames import _require_positive, accel_to_squeezing
+from .rindler_frames import _require_domain, accel_to_squeezing
 
 logger = logging.getLogger(__name__)
 
@@ -47,42 +47,11 @@ def _point_at(params: dict, shape: tuple, index: int) -> str:
                      for name, value in params.items())
 
 
-def _require_nonnegative(**params) -> None:
-    for name, value in params.items():
-        if isinstance(value, float):
-            negative = value < 0
-        else:
-            below = np.ravel(np.less(value, 0))
-            negative = below.any()
-            if negative:
-                value = np.ravel(value)[np.argmax(below)]
-        if negative:
-            raise ValueError(f"{name} must be nonnegative, got {float(value)!r}")
-
-
 def _where(condition, if_true, if_false):
     """np.where, without its cost at a single point."""
     if isinstance(condition, (bool, np.bool_)):
         return if_true if condition else if_false
     return np.where(condition, if_true, if_false)
-
-
-def _piecewise(mask, if_true, if_false, *args):
-    """The tuples if_true(*args) where mask holds and if_false(*args) elsewhere.
-
-    Each function is evaluated only at the points it is chosen for.
-    """
-    if isinstance(mask, (bool, np.bool_)):
-        return (if_true if mask else if_false)(*args)
-    if mask.all():
-        return if_true(*args)
-    if not mask.any():
-        return if_false(*args)
-    left, right = if_true(*(a[mask] for a in args)), if_false(*(a[~mask] for a in args))
-    out = tuple(np.empty(mask.shape) for _ in left)
-    for column, x, y in zip(out, left, right):
-        column[mask], column[~mask] = x, y
-    return out
 
 
 def _grid(*values) -> list:
@@ -97,14 +66,15 @@ def _grid(*values) -> list:
     return [np.array(v) for v in np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))]
 
 
-def _evaluate(kernel, **params):
-    """Evaluate an array kernel at nonnegative, broadcastable parameters.
+def _evaluate(kernel, name=None, /, **params):
+    """Evaluate an array kernel at finite, nonnegative, broadcastable parameters.
 
     Warnings from the branches the masks discard are silenced.  A NaN
-    result is an inconsistency, reported at the first point that produced
-    it; 0-d results come back as floats.
+    result is an inconsistency, reported under ``name`` (default: the
+    kernel's) at the first point that produced it; 0-d results come back
+    as floats.
     """
-    _require_nonnegative(**params)
+    _require_domain(**params)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = kernel(*_grid(*params.values()))
     values = tuple(v if isinstance(v, np.ndarray) and v.ndim else float(v)
@@ -113,7 +83,7 @@ def _evaluate(kernel, **params):
         nan = value != value
         if nan if isinstance(nan, bool) else nan.any():
             where = _point_at(params, np.shape(nan), int(np.argmax(nan)))
-            raise InconsistencyError(f"{kernel.__name__.lstrip('_')} undefined at {where}")
+            raise InconsistencyError(f"{name or kernel.__name__.lstrip('_')} undefined at {where}")
     return values if isinstance(out, tuple) else values[0]
 
 
@@ -205,7 +175,7 @@ def contangle_ar(s: float, r: float) -> MeasureReport:
 
 def contangle_r_rbar(r: float) -> MeasureReport:
     """Contangle between the two Rindler wedges: m = cosh 2r, independent of s."""
-    _require_nonnegative(r=r)
+    _require_domain(r=r)
     return MeasureReport.from_m(math.cosh(2 * r), source="closed_form")
 
 
@@ -353,7 +323,7 @@ def frequency_condition(freq_1, freq_2, acceleration):
     whether the margin is nonnegative, that is whether the two modes are
     seen separable.  Where the condition value overflows it is +-inf or nan.
     """
-    _require_positive("frequencies and acceleration must be positive", freq_1, freq_2, acceleration)
+    _require_domain(positive=True, freq_1=freq_1, freq_2=freq_2, acceleration=acceleration)
     w = 2.0 * math.pi / acceleration
     decay = np.exp(-w * freq_1) + np.exp(-w * freq_2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -401,44 +371,44 @@ def a_star(s):
     return _evaluate(_a_star, s=s)
 
 
-def _m_ln_equal_accel(s, a):
-    sha2 = np.sinh(a) ** 2
-    num = (2.0 * np.cosh(2 * a) ** 2 * np.cosh(s) ** 2 + 3.0 * np.cosh(2 * s)
-           - 4.0 * sha2 * np.sinh(2 * s) - 1.0)
-    den = 4.0 * (np.cosh(a) ** 2 + np.exp(2 * s) * sha2)
-    return _where(sha2 >= np.tanh(s), 1.0, _clamp_separable(num / den))
-
-
 def m_ln_equal_accel(s, a):
-    """Leo-Nadia m at equal accelerations; exactly 1 for a >= a*(s).
+    """Leo-Nadia m at equal accelerations, m_leo_nadia(s, a, a); exactly 1 for a >= a*(s).
 
     The branch is decided on the analytic condition sinh^2 a >= tanh s.
     """
-    return _evaluate(_m_ln_equal_accel, s=s, a=a)
+    return _evaluate(lambda s, a: _m_leo_nadia(s, a, a), "m_ln_equal_accel", s=s, a=a)
 
 
-def _residual_multipartite(s, a):
-    m_lbar, m_l, _, _ = _one_vs_rest_m_double(s, a, a)
-    probe_lbar = _contangle(m_lbar) - 4.0 * a * a
-    probe_l = _contangle(m_l) - 4.0 * a * a - _contangle(_m_ln_equal_accel(s, a))
-    switched = probe_l < probe_lbar - _MIN_SLACK
-    if np.any(switched):
+def _residual_multipartite(s, l, n, m_lbar, m_l, m_n, m_nbar, tau_l_lbar, tau_n_nbar, tau_l_n):
+    """The smallest one-vs-rest residual over the probes anti-Leo, anti-Nadia, Leo and Nadia.
+
+    Takes the one-vs-rest m values and pairwise contangles at (s, l, n).
+    An anti-observer probe is expected minimal; an observer probe beating
+    both is logged, and the true minimum is returned.
+    """
+    anti = np.minimum(_contangle(m_lbar) - tau_l_lbar, _contangle(m_nbar) - tau_n_nbar)
+    observer = np.minimum(_contangle(m_l) - tau_l_lbar - tau_l_n, _contangle(m_n) - tau_n_nbar - tau_l_n)
+    switched = observer < anti - _MIN_SLACK
+    if switched.any():
         i = int(np.argmax(switched))
-        logger.warning("probe Leo beat probe anti-Leo at %s (%r < %r); returning the true minimum",
-                       _point_at({"s": s, "a": a}, np.shape(switched), i),
-                       float(np.ravel(probe_l)[i]), float(np.ravel(probe_lbar)[i]))
-    return _where(switched, probe_l, probe_lbar)
+        logger.warning("an observer probe beat the anti-observer probes at %s (%r < %r); "
+                       "returning the true minimum", _point_at({"s": s, "l": l, "n": n}, np.shape(switched), i),
+                       float(np.ravel(observer)[i]), float(np.ravel(anti)[i]))
+    return np.minimum(anti, observer)
 
 
 def residual_multipartite(s, a):
-    """Residual contangle of the four-mode state not stored in pairwise form.
+    """Residual contangle of the four-mode state not stored in pairwise form, at l = n = a.
 
-    For the minimizing probe (an anti-observer):
-    arcsinh^2 sqrt([cosh^2 a + cosh 2s sinh^2 a]^2 - 1) - 4a^2.  The
-    competing probe-Leo candidate is evaluated as well; the anti-observer
-    one is expected minimal, and a violation is logged and honored.
+    The four-probe residual of the double-observer report evaluated at equal
+    accelerations.  Its minimizing probe is an anti-observer, giving
+    arcsinh^2 sqrt([cosh^2 a + cosh 2s sinh^2 a]^2 - 1) - 4a^2; the observer
+    probes are evaluated as well, and a violation is logged and honored.
     """
-    return _evaluate(_residual_multipartite, s=s, a=a)
+    def kernel(s, a):
+        taus = map(_contangle, _pairwise_m_double(s, a, a))
+        return _residual_multipartite(s, a, a, *_one_vs_rest_m_double(s, a, a), *taus)
+    return _evaluate(kernel, "residual_multipartite", s=s, a=a)
 
 
 def _bound_ansatz_k(s, a):
@@ -464,7 +434,7 @@ def tripartite_bound_ansatz_cm(s: float, a: float) -> CovMatrix:
 def _tripartite_upper_bound(s, a):
     k = _bound_ansatz_k(s, a)
     cand_lbar = _contangle(np.cosh(a) ** 2 + k * np.sinh(a) ** 2) - 4.0 * a * a
-    cand_n = _contangle(k) - _contangle(_m_ln_equal_accel(s, a))
+    cand_n = _contangle(k) - _contangle(_m_leo_nadia(s, a, a))
     return np.minimum(cand_lbar, cand_n)
 
 
@@ -479,50 +449,52 @@ def tripartite_upper_bound(s, a):
     return _evaluate(_tripartite_upper_bound, s=s, a=a)
 
 
-def _mutual_info_ln(s, a):
-    ch2s, cha2, sha2 = np.cosh(2 * s), np.cosh(a) ** 2, np.sinh(a) ** 2
-    d = ch2s * cha2 + sha2
-    eta = np.sqrt(cha2 * cha2 + 2.0 * ch2s * cha2 * sha2 + sha2 * sha2)
-    return 2.0 * _entropy_f(d) - 2.0 * _entropy_f(eta)
-
-
-def mutual_info_ln(s, a):
-    """Mutual information between Leo and Nadia at equal accelerations.
-
-    f(d) + f(d) - 2 f((det sigma_LN)^(1/4)) with the degenerate symplectic
-    eigenvalue computed from the cancellation-free determinant expansion
-    cosh^4 a + 2 cosh 2s cosh^2 a sinh^2 a + sinh^4 a.
-    """
-    return _evaluate(_mutual_info_ln, s=s, a=a)
-
-
 def _mutual_info_ln_general(s, l, n):
-    ch2s = np.cosh(2 * s)
+    chs2, ch2s = np.cosh(s) ** 2, np.cosh(2 * s)
     chl, chn = np.cosh(l), np.cosh(n)
     chl2, shl2 = chl ** 2, np.sinh(l) ** 2
     chn2, shn2 = chn ** 2, np.sinh(n) ** 2
-    da = ch2s * chl2 + shl2
-    db = ch2s * chn2 + shn2
+    a = ch2s * chl2 + shl2
+    b = ch2s * chn2 + shn2
     c = np.sinh(2 * s) * chl * chn
     det_root = chl2 * chn2 + ch2s * (chl2 * shn2 + shl2 * chn2) + shl2 * shn2
-    # seralian a^2 + b^2 - 2c^2 in factored form to survive large squeezing
-    diff_a = chl * (ch2s * (chl - chn) + chn * np.exp(-2 * s)) + shl2
-    diff_b = chn * (ch2s * (chn - chl) + chl * np.exp(-2 * s)) + shn2
-    delta = diff_a * (da + c) + diff_b * (db + c)
-    gap = np.maximum(delta * delta - 4.0 * det_root * det_root, 0.0)
-    eta_minus_sq = 2.0 * det_root * det_root / (delta + np.sqrt(gap))
-    eta_plus_sq = 0.5 * (delta + np.sqrt(gap))
-    return (_entropy_f(da) + _entropy_f(db)
+    # a - b and a + b - 2c in factored form: no cancellation near l = n or at large s
+    d = 2.0 * chs2 * np.sinh(l - n) * np.sinh(l + n)
+    a_b_2c = (ch2s * (2.0 * np.sinh(0.5 * (l + n)) * np.sinh(0.5 * (l - n))) ** 2
+              + 2.0 * np.exp(-2 * s) * chl * chn + shl2 + shn2)
+    eta_plus_sq = det_root + 0.5 * d * d + 0.5 * np.abs(d) * np.sqrt(a_b_2c * (a + b + 2.0 * c))
+    eta_minus_sq = det_root / eta_plus_sq * det_root
+    return (_entropy_f(a) + _entropy_f(b)
             - _entropy_f(np.sqrt(eta_minus_sq)) - _entropy_f(np.sqrt(eta_plus_sq)))
 
 
 def mutual_info_ln_general(s, l, n):
-    """Mutual information between Leo and Nadia for independent accelerations."""
+    """Mutual information between Leo and Nadia for independent accelerations.
+
+    f(a) + f(b) - f(eta_-) - f(eta_+) on the marginal roots
+    a = cosh 2s cosh^2 l + sinh^2 l, b likewise in n, and the symplectic
+    eigenvalues of sigma_LN (correlation c = sinh 2s cosh l cosh n).  With
+    d = a - b = 2 cosh^2 s sinh(l - n) sinh(l + n),
+    eta_+^2 = sqrt(det sigma_LN) + d^2/2 + |d| sqrt((a + b - 2c)(a + b + 2c))/2
+    and eta_-^2 = det sigma_LN / eta_+^2, where sqrt(det sigma_LN) = ab - c^2
+    is a sum of positive terms and a + b - 2c is the factored
+    cosh 2s (cosh l - cosh n)^2 + 2 e^{-2s} cosh l cosh n + sinh^2 l + sinh^2 n,
+    so nothing cancels near l = n, at zero acceleration or at large s.
+    """
     return _evaluate(_mutual_info_ln_general, s=s, l=l, n=n)
 
 
+def mutual_info_ln(s, a):
+    """Mutual information between Leo and Nadia at equal accelerations: mutual_info_ln_general(s, a, a).
+
+    There d = 0, and both symplectic eigenvalues equal the fourth root of
+    det sigma_LN = (cosh^4 a + 2 cosh 2s cosh^2 a sinh^2 a + sinh^4 a)^2.
+    """
+    return _evaluate(lambda s, a: _mutual_info_ln_general(s, a, a), "mutual_info_ln", s=s, a=a)
+
+
 def _classical_deficit(a, s):
-    return _mutual_info_ar(s, a) - _mutual_info_ln(s, a)
+    return _mutual_info_ar(s, a) - _mutual_info_ln_general(s, a, a)
 
 
 def classical_deficit(a, s):
@@ -545,7 +517,7 @@ def single_report_columns(s, r) -> dict:
     or an m-parameter below the separability floor, raises
     InconsistencyError at the first grid point holding one.
     """
-    _require_nonnegative(s=s, r=r)
+    _require_domain(s=s, r=r)
     s, r = _grid(s, r)
     with np.errstate(all="ignore"):
         m_a, m_r, m_rbar = _one_vs_rest_m_single(s, r)
@@ -563,27 +535,14 @@ def single_report_columns(s, r) -> dict:
     return _check_columns(columns, ("s", "r"), {"tau_max_ar": True})
 
 
-def _equal_accel_fields(s, l, n, *_):
-    """(residual, tripartite bound, mutual information, deficit) where l = n.
-
-    Takes the arguments of _unequal_accel_fields and needs only (s, l, n).
-    """
-    mutual_info = _mutual_info_ln(s, l)
-    return (_residual_multipartite(s, l), _tripartite_upper_bound(s, l), mutual_info,
-            _mutual_info_ar(s, l) - mutual_info)
-
-
-def _unequal_accel_fields(s, l, n, m_lbar, m_l, m_n, m_nbar, tau_l_lbar, tau_n_nbar, tau_l_n):
-    """The same fields where l != n; the bound and the deficit are undefined there.
-
-    The residual is the smallest one-vs-rest residual over the probes
-    anti-Leo, anti-Nadia, Leo and Nadia.
-    """
-    residual = np.minimum(
-        np.minimum(_contangle(m_lbar) - tau_l_lbar, _contangle(m_nbar) - tau_n_nbar),
-        np.minimum(_contangle(m_l) - tau_l_lbar - tau_l_n, _contangle(m_n) - tau_n_nbar - tau_l_n))
-    undefined = np.full(np.shape(s), np.nan)
-    return residual, undefined, _mutual_info_ln_general(s, l, n), undefined
+def _where_equal(equal, kernel, s, a):
+    """kernel(s, a), evaluated only where equal holds; nan (to be masked) elsewhere."""
+    if isinstance(equal, np.bool_):
+        return kernel(s, a) if equal else math.nan
+    out = np.full(equal.shape, np.nan)
+    if equal.any():
+        out[equal] = kernel(s[equal], a[equal])
+    return out
 
 
 def double_report_columns(s, l, n) -> dict:
@@ -596,16 +555,17 @@ def double_report_columns(s, l, n) -> dict:
     separability floor, raises InconsistencyError at the first grid point
     holding one.
     """
-    _require_nonnegative(s=s, l=l, n=n)
+    _require_domain(s=s, l=l, n=n)
     s, l, n = _grid(s, l, n)
     equal = np.equal(l, n)
     with np.errstate(all="ignore"):
         m_lbar, m_l, m_n, m_nbar = _one_vs_rest_m_double(s, l, n)
         m_l_lbar, m_n_nbar, m_l_n = _pairwise_m_double(s, l, n)
         tau_l_lbar, tau_n_nbar, tau_l_n = _contangle(m_l_lbar), _contangle(m_n_nbar), _contangle(m_l_n)
-        residual, bound, mutual_info, deficit = _piecewise(
-            equal, _equal_accel_fields, _unequal_accel_fields,
-            s, l, n, m_lbar, m_l, m_n, m_nbar, tau_l_lbar, tau_n_nbar, tau_l_n)
+        residual = _residual_multipartite(s, l, n, m_lbar, m_l, m_n, m_nbar, tau_l_lbar, tau_n_nbar, tau_l_n)
+        mutual_info = _mutual_info_ln_general(s, l, n)
+        bound = _where_equal(equal, _tripartite_upper_bound, s, l)
+        deficit = _where_equal(equal, _mutual_info_ar, s, l) - mutual_info
         ones = np.ones(np.shape(s))
         columns = {
             "s": s, "l": l, "n": n,
@@ -634,8 +594,9 @@ def frequency_report_columns(lam, nu, accel, s=None) -> dict:
     the first grid point holding one.
     """
     params = {"lam": lam, "nu": nu, "accel": accel} | ({} if s is None else {"s": s})
+    _require_domain(positive=True, lam=lam, nu=nu, accel=accel)
     if s is not None:
-        _require_nonnegative(s=s)
+        _require_domain(s=s)
     grid = dict(zip(params, _grid(*params.values())))
     lam, nu, accel = grid["lam"], grid["nu"], grid["accel"]
     with np.errstate(all="ignore"):

@@ -30,10 +30,24 @@ _Z2 = np.diag([1.0, -1.0])
 _I2 = np.eye(2)
 
 
-def _require_positive(message: str, *values) -> None:
-    for value in values:
-        if value <= 0 if isinstance(value, float) else np.any(np.less_equal(value, 0)):
-            raise ValueError(message)
+def _require_domain(positive: bool = False, **params) -> None:
+    """Reject a parameter that is NaN, infinite or negative (zero too, if positive).
+
+    The ValueError names the parameter and its first offending value.
+    Floats take a plain comparison; arrays are checked element by element.
+    """
+    for name, value in params.items():
+        if isinstance(value, (int, float)):
+            if (value > 0 if positive else value >= 0) and value < math.inf:
+                continue
+        else:
+            value = np.ravel(np.asarray(value, dtype=float))
+            ok = (value > 0 if positive else value >= 0) & (value < math.inf)
+            if ok.all():
+                continue
+            value = value[np.argmin(ok)]
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {float(value)!r}")
 
 
 def accel_to_squeezing(acceleration, frequency):
@@ -45,7 +59,7 @@ def accel_to_squeezing(acceleration, frequency):
     itself would be subnormal and where q is close to 1.  Takes broadcastable
     arrays as well as floats (for which it returns a float).
     """
-    _require_positive("acceleration and mode frequency must be positive", acceleration, frequency)
+    _require_domain(positive=True, acceleration=acceleration, frequency=frequency)
     x = math.pi * np.divide(frequency, acceleration)
     r = np.arcsinh(np.exp(-x) / np.sqrt(-np.expm1(-2.0 * x)))
     return float(r) if np.ndim(r) == 0 else r
@@ -53,15 +67,13 @@ def accel_to_squeezing(acceleration, frequency):
 
 def squeezing_to_ratio(r: float) -> float:
     """Frequency-to-acceleration ratio producing squeezing r (inverse of the map above)."""
-    if r <= 0:
-        raise ValueError("squeezing must be positive to invert the acceleration map")
+    _require_domain(positive=True, squeezing=r)
     return -math.log(math.tanh(r)) / math.pi
 
 
 def unruh_temperature(acceleration: float) -> float:
     """Temperature accel / (2 pi) perceived by the accelerated observer (k_B = c = 1)."""
-    if acceleration <= 0:
-        raise ValueError("acceleration must be positive")
+    _require_domain(positive=True, acceleration=acceleration)
     return acceleration / (2.0 * math.pi)
 
 
@@ -81,8 +93,7 @@ class AccelSpec:
     temperature: Optional[float] = None
 
     def __post_init__(self):
-        if self.squeezing < 0:
-            raise ValueError("squeezing must be nonnegative")
+        _require_domain(squeezing=self.squeezing)
         if (self.acceleration is None) != (self.frequency is None):
             raise ValueError("acceleration and frequency must be given together")
         if self.acceleration is not None:
@@ -124,19 +135,13 @@ SINGLE_LAYOUT = ScenarioLayout(("A", "R", "Rbar"))
 DOUBLE_LAYOUT = ScenarioLayout(("Lbar", "L", "N", "Nbar"))
 
 
-def _check_nonnegative(**params: float) -> None:
-    for name, value in params.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value!r}")
-
-
 def build_single_observer_cm(s: float, r: float) -> CovMatrix:
     """Three-mode state seen with one accelerated observer, by squeezer composition.
 
     The inertial two-mode squeezer (s) entangles Alice with the wedge-I mode,
     then the acceleration squeezer (r) entangles the two Rindler wedges.
     """
-    _check_nonnegative(s=s, r=r)
+    _require_domain(s=s, r=r)
     inertial = two_mode_squeezer(s, 0, 1, 3)
     rindler = two_mode_squeezer(r, 1, 2, 3)
     return apply_congruence(rindler, apply_congruence(inertial, vacuum_cm(3)))
@@ -144,7 +149,7 @@ def build_single_observer_cm(s: float, r: float) -> CovMatrix:
 
 def single_observer_blocks(s: float, r: float) -> CovMatrix:
     """The same three-mode state assembled from its closed-form 2x2 blocks."""
-    _check_nonnegative(s=s, r=r)
+    _require_domain(s=s, r=r)
     ch2s, sh2s = math.cosh(2 * s), math.sinh(2 * s)
     chr2, shr2 = math.cosh(r) ** 2, math.sinh(r) ** 2
     sig_a = ch2s * _I2
@@ -173,7 +178,7 @@ def build_double_observer_cm(s: float, l: float, n: float) -> CovMatrix:
     acts on (Leo, Nadia); the acceleration squeezers (l, n) then couple each
     observer to the respective wedge-II partner.
     """
-    _check_nonnegative(s=s, l=l, n=n)
+    _require_domain(s=s, l=l, n=n)
     inertial = two_mode_squeezer(s, 1, 2, 4)
     leo = two_mode_squeezer(l, 1, 0, 4)
     nadia = two_mode_squeezer(n, 2, 3, 4)
@@ -183,7 +188,7 @@ def build_double_observer_cm(s: float, l: float, n: float) -> CovMatrix:
 
 def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
     """The same four-mode state assembled from its closed-form 2x2 blocks."""
-    _check_nonnegative(s=s, l=l, n=n)
+    _require_domain(s=s, l=l, n=n)
     ch2s, sh2s, chs2 = math.cosh(2 * s), math.sinh(2 * s), math.cosh(s) ** 2
 
     def local_bar(x):  # anti-observer marginal

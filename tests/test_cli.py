@@ -99,6 +99,39 @@ class TestPoint:
         assert "inconsistency" in err
 
 
+class TestInputDomain:
+    """Non-finite inputs are usage errors; the Leo-Nadia forms hold near l = n = 0."""
+
+    @pytest.mark.parametrize("argv", [
+        "point single --s nan --r 0.5",
+        "point single --s inf --r 0.5",
+        "point single --s 1 --r nan",
+        "point double --s 1 --a nan",
+        "point frequency --lam nan --nu 1 --accel 1",
+        "point frequency --lam 1 --nu 1 --accel inf",
+        "point single --s 1 --accel nan --freq 1",
+        "sweep --scenario single --sweep s=0:nan:3 --fix r=1",
+        "sweep --scenario single --sweep s=0:1:3 --fix r=inf",
+    ])
+    def test_non_finite_input_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "finite" in err and ("nan" in err or "inf" in err)
+
+    def test_near_zero_unequal_accelerations_point(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "point", "double",
+                               "--s", "3.75", "--l", "0", "--n", "1e-12")
+        assert code == 0
+        assert json.loads(out)["report"]["mutual_info_ln"] > 0
+
+    def test_near_zero_unequal_accelerations_sweep(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--scenario", "double", "--sweep", "s=0:20:41",
+                               "--fix", "l=0", "--fix", "n=1e-6")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 41
+
+
 class TestSweep:
     def test_single_axis_row_count_and_monotonicity(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--scenario", "single",

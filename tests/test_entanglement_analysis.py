@@ -504,8 +504,47 @@ def mp_m_leo_nadia(s, l, n):
     return num / den
 
 
+def mp_entropy_f(x):
+    """f(x) = ((x+1)/2) log((x+1)/2) - ((x-1)/2) log((x-1)/2), 0 at x = 1."""
+    if x <= 1:
+        return mp.mpf(0)
+    return (x + 1) / 2 * mp.log((x + 1) / 2) - (x - 1) / 2 * mp.log((x - 1) / 2)
+
+
+def mp_mutual_info_ln(s, l, n):
+    """The Leo-Nadia mutual information from the uncancelled Seralian formula."""
+    s, l, n = mp.mpf(s), mp.mpf(l), mp.mpf(n)
+    a = mp.cosh(2 * s) * mp.cosh(l) ** 2 + mp.sinh(l) ** 2
+    b = mp.cosh(2 * s) * mp.cosh(n) ** 2 + mp.sinh(n) ** 2
+    c = mp.sinh(2 * s) * mp.cosh(l) * mp.cosh(n)
+    seralian, det = a * a + b * b - 2 * c * c, (a * b - c * c) ** 2
+    root = mp.sqrt(seralian ** 2 - 4 * det)
+    eta_plus, eta_minus = mp.sqrt((seralian + root) / 2), mp.sqrt((seralian - root) / 2)
+    return mp_entropy_f(a) + mp_entropy_f(b) - mp_entropy_f(eta_minus) - mp_entropy_f(eta_plus)
+
+
+ORACLE_ACCELS = [0.0, 1e-6, 1e-3, 0.1, 1.0, 4.0]
+# every ordered pair, plus the near-equal pairs (a, a(1 + 1e-7)) and (0, 1e-12),
+# where a - b and a + b - 2c cancel if formed by subtraction
+ORACLE_PAIRS = ([(l, n) for l in ORACLE_ACCELS for n in ORACLE_ACCELS]
+                + [(a, a * (1 + 1e-7)) for a in ORACLE_ACCELS[1:]] + [(0.0, 1e-12)])
+
+
 class TestLargeSqueezing:
     """The closed forms hold out to s = 20, at exactly zero acceleration too."""
+
+    @pytest.mark.parametrize("name,oracle", [("mutual_info_ln_general", mp_mutual_info_ln),
+                                             ("m_leo_nadia", mp_m_leo_nadia)],
+                             ids=["mutual_info_ln_general", "m_leo_nadia"])
+    def test_leo_nadia_mpmath_oracle_grid(self, name, oracle):
+        fn, worst = getattr(ea, name), (0.0, None)
+        with mp.workdps(80):
+            for s in np.linspace(0.0, 20.0, 41).tolist():
+                for l, n in ORACLE_PAIRS:
+                    ref = oracle(s, l, n)
+                    error = float(abs(fn(s, l, n) - ref) / max(1, abs(ref)))
+                    worst = max(worst, (error, (s, l, n)), key=lambda w: w[0])
+        assert worst[0] <= 1e-13, worst
 
     @pytest.mark.parametrize("s,l,n", [(12.0, 0.0, 0.0), (20.0, 0.0, 0.0), (12.0, 0.0, 1e-6),
                                        (20.0, 0.05, 0.1), (8.0, 0.3, 0.3)])
@@ -531,14 +570,23 @@ class TestArrayForms:
     S = np.array([0.0, 0.3, 1.0, 2.5, 12.0])
     A = np.array([0.0, 0.2, 0.79, 1.5, 4.0])
 
-    @pytest.mark.parametrize("name", ["m_alice_rob", "residual_tripartite", "mutual_info_ar",
-                                      "m_ln_equal_accel", "residual_multipartite",
-                                      "tripartite_upper_bound", "mutual_info_ln"])
-    def test_two_parameter_forms(self, name):
+    TWO_PARAMETER_FORMS = [
+        ("m_alice_rob", None), ("residual_tripartite", None), ("mutual_info_ar", None),
+        ("m_ln_equal_accel", "m_l_n"), ("residual_multipartite", "residual_multipartite"),
+        ("tripartite_upper_bound", "tripartite_upper_bound"), ("mutual_info_ln", "mutual_info_ln"),
+        ("classical_deficit", "deficit")]
+
+    @pytest.mark.parametrize("name,column", TWO_PARAMETER_FORMS, ids=[name for name, _ in TWO_PARAMETER_FORMS])
+    def test_two_parameter_forms(self, name, column):
+        """Also, at l = n = a, the double report's column holds the bits of the public function."""
         fn = getattr(ea, name)
+        if name == "classical_deficit":  # takes (a, s)
+            fn = lambda s, a, deficit=fn: deficit(a, s)
         s, a = np.meshgrid(self.S, self.A, indexing="ij")
         expected = [[fn(float(x), float(y)) for y in self.A] for x in self.S]
         assert fn(s, a).tolist() == expected
+        if column is not None:
+            assert ea.double_report_columns(s, a, a)[column].tolist() == expected
 
     @pytest.mark.parametrize("name", ["m_leo_nadia", "mutual_info_ln_general", "r_effective"])
     def test_three_parameter_forms(self, name):
