@@ -22,7 +22,7 @@ import sys
 # not used by the sweep; benchmarks/tracing.py subclasses cli.ThreadPoolExecutor when it instruments a pass
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,11 +41,53 @@ EXIT_SELFTEST = 5
 # grid points evaluated and written per kernel call: bounds a sweep's memory
 SWEEP_CHUNK = 4096
 
-SWEEP_PARAMS = {
-    "single": ("s", "r"),
-    "double": ("s", "l", "n", "a"),
-    "frequency": ("lam", "nu", "accel"),
+
+class Scenario(NamedTuple):
+    """What a scenario takes, and its evaluators on ``ea`` by name (looked up when called)."""
+
+    kernel: str  # columnar report kernel
+    params: tuple[str, ...]  # its arguments, in kernel order
+    optional: tuple[str, ...] = ()
+    # a name standing for several parameters set equal, and those parameters
+    alias: tuple[Optional[str], tuple[str, ...]] = (None, ())
+    report: Optional[str] = None  # per-point report, which point validates
+
+
+SCENARIOS = {
+    "single": Scenario("single_report_columns", ("s", "r"), report="single_observer_report"),
+    "double": Scenario("double_report_columns", ("s", "l", "n"), alias=("a", ("l", "n")),
+                       report="double_observer_report"),
+    "frequency": Scenario("frequency_report_columns", ("lam", "nu", "accel", "s"), optional=("s",)),
 }
+
+
+def _kernel_args(scenario: str, given: dict, flag: str) -> dict:
+    """The scenario kernel's keyword arguments from the parameters a user gave (name -> value).
+
+    Rejects a name the scenario does not take, the alias together with a
+    parameter it stands for, and a missing parameter (named as
+    ``flag.format(name)``).  The alias value is validated under its own name
+    before it stands for its parameters.
+    """
+    spec = SCENARIOS[scenario]
+    alias, targets = spec.alias
+    allowed = {*spec.params, alias} - {None}
+    unknown = sorted(given.keys() - allowed)
+    if unknown:
+        raise ValueError(f"parameter {unknown[0]!r} not valid for scenario {scenario!r} "
+                         f"(allowed: {sorted(allowed)})")
+    if alias in given:
+        if given.keys() & set(targets):
+            raise ValueError(f"give either {alias}, or {' and '.join(targets)}, not both")
+        rf._require_domain(**{alias: given[alias]})
+        given = {**given, **dict.fromkeys(targets, given[alias])}
+    missing = [p for p in spec.params if p not in given and p not in spec.optional]
+    if missing:
+        needs = " and ".join(flag.format(p) for p in missing)
+        if alias and set(targets) <= set(missing):
+            needs += f" (or {flag.format(alias)} for {' = '.join(targets)} = {alias})"
+        raise ValueError(f"scenario {scenario!r} needs {needs}")
+    return {p: given[p] for p in spec.params if p in given}
 
 
 def _fmt(value) -> str:
@@ -144,41 +186,27 @@ def _write_table(stream, meta: list[str], columns: list[str], chunks: Iterable[d
 # point
 # ---------------------------------------------------------------------------
 
+POINT_FLAGS = ("s", "r", "l", "n", "a", "lam", "nu", "accel", "freq")
+
+
 def _point_report(args) -> tuple[str, dict]:
-    if args.scenario == "single":
-        r = args.r
-        extra = {}
-        if r is None:
-            if args.accel is None or args.freq is None:
-                raise ValueError("point single needs --r, or --accel together with --freq")
-            spec = rf.AccelSpec.from_physical(args.accel, args.freq)
-            r = spec.squeezing
-            extra = {"accel": args.accel, "freq": args.freq,
-                     "unruh_temperature": spec.temperature}
-        if args.s is None:
-            raise ValueError("point single needs --s")
-        rep = ea.single_observer_report(args.s, r)
-        rep.validate(args.tol)
-        return "single", {**rep.to_dict(), **extra}
-    if args.scenario == "double":
-        if args.s is None:
-            raise ValueError("point double needs --s")
-        if args.a is not None:
-            if args.l is not None or args.n is not None:
-                raise ValueError("give either --a or --l/--n, not both")
-            l = n = args.a
-        else:
-            if args.l is None or args.n is None:
-                raise ValueError("point double needs --a, or both --l and --n")
-            l, n = args.l, args.n
-        rep = ea.double_observer_report(args.s, l, n)
-        rep.validate(args.tol)
-        return "double", rep.to_dict()
-    # frequency
-    if args.lam is None or args.nu is None or args.accel is None:
-        raise ValueError("point frequency needs --lam, --nu and --accel")
-    columns = ea.frequency_report_columns(args.lam, args.nu, args.accel, args.s)
-    return "frequency", {name: np.asarray(col).tolist() for name, col in columns.items()}
+    given = {name: getattr(args, name) for name in POINT_FLAGS if getattr(args, name) is not None}
+    extra = {}
+    if args.scenario == "single" and "r" not in given and given.keys() & {"accel", "freq"}:
+        if not {"accel", "freq"} <= given.keys():
+            raise ValueError("point single needs --accel together with --freq")
+        accel, freq = given.pop("accel"), given.pop("freq")
+        rf._require_domain(positive=True, accel=accel, freq=freq)
+        observer = rf.AccelSpec.from_physical(accel, freq)
+        given["r"] = observer.squeezing
+        extra = {"accel": accel, "freq": freq, "unruh_temperature": observer.temperature}
+    scenario, kwargs = SCENARIOS[args.scenario], _kernel_args(args.scenario, given, "--{}")
+    if scenario.report is None:
+        columns = getattr(ea, scenario.kernel)(**kwargs)
+        return args.scenario, {name: np.asarray(col).tolist() for name, col in columns.items()}
+    report = getattr(ea, scenario.report)(**kwargs)
+    report.validate(args.tol)
+    return args.scenario, {**report.to_dict(), **extra}
 
 
 def _row_chunk(row: dict) -> dict:
@@ -247,16 +275,8 @@ def _parse_fix(items: Sequence[str]) -> dict[str, float]:
 
 
 def _sweep_evaluator(scenario: str, params: dict) -> dict:
-    """The scenario's report columns over one chunk of grid points (fixed values broadcast)."""
-    if scenario == "single":
-        return ea.single_report_columns(params["s"], params["r"])
-    if scenario == "double":
-        if "a" in params:
-            l = n = params["a"]
-        else:
-            l, n = params["l"], params["n"]
-        return ea.double_report_columns(params["s"], l, n)
-    return ea.frequency_report_columns(params["lam"], params["nu"], params["accel"], params.get("s"))
+    """The scenario's report columns over one chunk of grid points, from its kernel arguments."""
+    return getattr(ea, SCENARIOS[scenario].kernel)(**params)
 
 
 def _sweep_chunks(scenario: str, axes: list[SweepAxis], fixed: dict):
@@ -270,7 +290,8 @@ def _sweep_chunks(scenario: str, axes: list[SweepAxis], fixed: dict):
         else:
             point = {axes[0].name: axes[0].values(index // inner),
                      axes[1].name: axes[1].values(index % inner)}
-        yield {**point, **_sweep_evaluator(scenario, {**point, **fixed})}
+        params = _kernel_args(scenario, {**point, **fixed}, "--fix {}=VALUE")
+        yield {**point, **_sweep_evaluator(scenario, params)}
 
 
 def _cmd_sweep(args) -> int:
@@ -282,29 +303,11 @@ def _cmd_sweep(args) -> int:
     if len(axes) == 2 and axes[0].name == axes[1].name:
         raise ValueError(f"axis {axes[0].name!r} swept twice")
     fixed = _parse_fix(args.fix or [])
-    allowed = set(SWEEP_PARAMS[args.scenario]) | ({"s"} if args.scenario == "frequency" else set())
-    for name in [a.name for a in axes] + list(fixed):
-        if name not in allowed:
-            raise ValueError(f"parameter {name!r} not valid for scenario {args.scenario!r} "
-                             f"(allowed: {sorted(allowed)})")
-    swept = {a.name for a in axes}
-    if swept & set(fixed):
+    if {a.name for a in axes} & set(fixed):
         raise ValueError("a parameter cannot be both swept and fixed")
-    if args.scenario == "double":
-        have = swept | set(fixed)
-        if "a" in have and ({"l", "n"} & have):
-            raise ValueError("give either a, or l and n, not both")
-        needed = {"s", "a"} if "a" in have else {"s", "l", "n"}
-    elif args.scenario == "single":
-        needed = {"s", "r"}
-    else:
-        needed = {"lam", "nu", "accel"}
-    missing = needed - swept - set(fixed)
-    if missing:
-        raise ValueError(f"unswept parameters need --fix values: {sorted(missing)}")
 
     chunks = _sweep_chunks(args.scenario, axes, fixed)
-    first = next(chunks)  # evaluated before the output opens, so its errors leave no file
+    first = next(chunks)  # checked and evaluated before the output opens, so its errors leave no file
     axis_cols = [a.name for a in axes]
     all_quantities = [k for k in first if k not in axis_cols]
     if args.quantities:
@@ -371,11 +374,6 @@ def _fig4_rows():
     return columns
 
 
-def _fig5_rows():
-    r, s = _surface(_AXIS61, _AXIS61)
-    return ea.single_report_columns(s, r)
-
-
 def _fig6_rows():
     lam, nu = _surface(_FREQ61, _FREQ61)
     columns = {"lam": lam, "nu": nu}
@@ -401,11 +399,6 @@ def _fig9_rows():
     columns = ea.double_report_columns(s, a, a)
     tau = columns["tau_l_n"]
     return {**columns, "a": a, "tau_ln": tau, "tau_ln_normalized": _normalized(tau, s)}
-
-
-def _fig10_rows():
-    a, s = _surface(_AXIS61, _AXIS61)
-    return {**ea.double_report_columns(s, a, a), "a": a}
 
 
 _SURFACE_PLOT = """set datafile separator ','
@@ -439,7 +432,7 @@ _register(FigurePreset("fig4", "sqrt contangle curves vs r for s in {0.25,0.5,1,
                         "sqrt_tau_ar_s2", "sqrt_tau_r_rbar"], _fig4_rows,
                        _CURVES_PLOT.replace("{ncols}", "6")))
 _register(FigurePreset("fig5", "residual tripartite contangle surface over (r, s)",
-                       ["r", "s", "residual_tripartite"], _fig5_rows, _SURFACE_PLOT))
+                       ["r", "s", "residual_tripartite"], _fig3_rows, _SURFACE_PLOT))
 _register(FigurePreset("fig6", "frequency-domain separability condition at accel = 2pi and 10pi",
                        ["lam", "nu", "condition_value_2pi", "separable_2pi",
                         "condition_value_10pi", "separable_10pi"], _fig6_rows, _SURFACE_PLOT))
@@ -451,7 +444,7 @@ _register(FigurePreset("fig8", "residual multipartite contangle surface over (s,
 _register(FigurePreset("fig9", "Leo-Nadia contangle surface over (a, s) with the a*(s) death line",
                        ["a", "s", "tau_ln", "tau_ln_normalized", "a_star"], _fig9_rows, _SURFACE_PLOT))
 _register(FigurePreset("fig10", "classical-correlation deficit surface over (a, s)",
-                       ["a", "s", "deficit"], _fig10_rows, _SURFACE_PLOT))
+                       ["a", "s", "deficit"], _fig9_rows, _SURFACE_PLOT))
 
 
 def _cmd_figure(args) -> int:
@@ -468,12 +461,12 @@ def _cmd_figure(args) -> int:
         "columns: " + ",".join(preset.columns),
     ]
     path = os.path.join(args.out_dir, data_name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _Output(path) as fh:
         _write_table(fh, meta, preset.columns, [columns], "csv")
     written = [path]
     if args.plot_script:
         script_path = os.path.join(args.out_dir, f"{preset.preset_id}.gp")
-        with open(script_path, "w", encoding="utf-8") as fh:
+        with _Output(script_path) as fh:
             fh.write(f"# gnuplot commands for {preset.preset_id}; data: {data_name}\n")
             fh.write(preset.plot.replace("{data}", data_name))
         written.append(script_path)
@@ -527,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_point = sub.add_parser("point", help="full report at one parameter point")
     _common_flags(p_point)
     p_point.add_argument("scenario", choices=("single", "double", "frequency"))
-    for flag in ("--s", "--r", "--l", "--n", "--a", "--lam", "--nu", "--accel", "--freq"):
-        p_point.add_argument(flag, type=float)
+    for name in POINT_FLAGS:
+        p_point.add_argument(f"--{name}", type=float)
     p_point.set_defaults(func=_cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="tabulate report quantities over a parameter grid")

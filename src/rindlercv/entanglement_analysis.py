@@ -298,9 +298,11 @@ def one_vs_rest_m_double(s, l, n):
 
 
 def _r_effective(s, l, n):
-    den = np.sinh(s) - np.cosh(s) * np.sinh(l) * np.sinh(n)
-    ratio = np.cosh(l) * np.cosh(n) * np.sinh(s) / den
-    return _where(den <= 0, np.inf, np.arccosh(np.maximum(ratio, 1.0)))  # den <= 0: tanh s <= sinh l sinh n
+    shs, chs, shl_shn = np.sinh(s), np.cosh(s), np.sinh(l) * np.sinh(n)
+    den = shs - chs * shl_shn
+    # ratio - 1, with cosh l cosh n - 1 written as a sum of squares: no cancellation at small l, n
+    delta = (shs * (np.sinh(0.5 * (l + n)) ** 2 + np.sinh(0.5 * (l - n)) ** 2) + chs * shl_shn) / den
+    return _where(den <= 0, np.inf, 2.0 * np.arcsinh(np.sqrt(0.5 * delta)))  # den <= 0: tanh s <= sinh l sinh n
 
 
 def r_effective(s, l, n):
@@ -308,6 +310,9 @@ def r_effective(s, l, n):
 
     arccosh[cosh l cosh n sinh s / (sinh s - cosh s sinh l sinh n)] when the
     entanglement survives, inf past the death threshold.  Undefined at s = 0.
+    Evaluated as 2 arcsinh sqrt(delta / 2), delta the ratio minus 1,
+    [sinh s (sinh^2((l+n)/2) + sinh^2((l-n)/2)) + cosh s sinh l sinh n]
+    over the same denominator, so it keeps its digits at small accelerations.
     """
     if np.any(np.less_equal(s, 0)):
         raise ValueError("r_effective needs s > 0 (any acceleration matches at s = 0)")

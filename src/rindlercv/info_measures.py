@@ -42,7 +42,6 @@ from .phase_space import (
     check_mode_set,
     is_pure,
     partial_transpose,
-    reduce,
     symplectic_eigenvalues,
 )
 
@@ -296,11 +295,3 @@ def contangle_from_cm(sigma: MatrixLike) -> MeasureReport:
     """Contangle of a two-mode state evaluated from its covariance matrix."""
     return MeasureReport.from_m(two_mode_m(sigma), source="numeric_cm")
 
-
-def reduced_contangle(sigma: MatrixLike, pair: Iterable[int]) -> MeasureReport:
-    """Contangle of the reduced two-mode state on the given pair of modes."""
-    cov = _as_cov(sigma)
-    modes = check_mode_set(pair, cov.n_modes)
-    if len(modes) != 2:
-        raise ValueError("pair must contain exactly two modes")
-    return contangle_from_cm(reduce(cov, modes))

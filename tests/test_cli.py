@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -78,6 +79,15 @@ class TestPoint:
         code, _, _ = run_cli(capsys, "point", "double", "--s", "1", "--a", "1", "--l", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", ["point double --s 1 --a 0.5 --r 2",
+                                      "point single --s 1 --r 0.5 --accel 3",
+                                      "point single --s 1 --r 1 --freq 1"])
+    def test_parameter_of_another_scenario_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert repr(argv.split()[-2].lstrip("-")) in err
+
     def test_negative_parameter_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "point", "single", "--s", "-1", "--r", "0")
         assert code == EXIT_USAGE
@@ -112,12 +122,16 @@ class TestInputDomain:
         "point single --s 1 --accel nan --freq 1",
         "sweep --scenario single --sweep s=0:nan:3 --fix r=1",
         "sweep --scenario single --sweep s=0:1:3 --fix r=inf",
+        "sweep --scenario double --sweep a=0:nan:3 --fix s=1",
     ])
     def test_non_finite_input_exit_2(self, capsys, argv):
+        """The message names the parameter as given: a, not the l and n it stands for."""
         code, out, err = run_cli(capsys, *argv.split())
         assert code == EXIT_USAGE
         assert out == "" and len(err.strip().splitlines()) == 1
         assert "finite" in err and ("nan" in err or "inf" in err)
+        given = re.search(r"(\w+)[ =][\d.:]*(nan|inf)", argv).group(1)  # the name given the bad value
+        assert err.startswith(f"error: {given} must be finite")
 
     def test_near_zero_unequal_accelerations_point(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "point", "double",

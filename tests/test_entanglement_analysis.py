@@ -511,16 +511,95 @@ def mp_entropy_f(x):
     return (x + 1) / 2 * mp.log((x + 1) / 2) - (x - 1) / 2 * mp.log((x - 1) / 2)
 
 
-def mp_mutual_info_ln(s, l, n):
-    """The Leo-Nadia mutual information from the uncancelled Seralian formula."""
-    s, l, n = mp.mpf(s), mp.mpf(l), mp.mpf(n)
-    a = mp.cosh(2 * s) * mp.cosh(l) ** 2 + mp.sinh(l) ** 2
-    b = mp.cosh(2 * s) * mp.cosh(n) ** 2 + mp.sinh(n) ** 2
-    c = mp.sinh(2 * s) * mp.cosh(l) * mp.cosh(n)
+def mp_two_mode_mutual_info(a, b, c):
+    """Mutual information of the two-mode state with local roots a, b and correlation c (Seralian form)."""
     seralian, det = a * a + b * b - 2 * c * c, (a * b - c * c) ** 2
     root = mp.sqrt(seralian ** 2 - 4 * det)
     eta_plus, eta_minus = mp.sqrt((seralian + root) / 2), mp.sqrt((seralian - root) / 2)
     return mp_entropy_f(a) + mp_entropy_f(b) - mp_entropy_f(eta_minus) - mp_entropy_f(eta_plus)
+
+
+def mp_mutual_info_ln(s, l, n):
+    """The Leo-Nadia mutual information from the uncancelled Seralian formula."""
+    s, l, n = mp.mpf(s), mp.mpf(l), mp.mpf(n)
+    return mp_two_mode_mutual_info(mp.cosh(2 * s) * mp.cosh(l) ** 2 + mp.sinh(l) ** 2,
+                                   mp.cosh(2 * s) * mp.cosh(n) ** 2 + mp.sinh(n) ** 2,
+                                   mp.sinh(2 * s) * mp.cosh(l) * mp.cosh(n))
+
+
+def mp_contangle(m):
+    """arccosh^2 m, 0 for a separable m <= 1."""
+    return mp.acosh(m) ** 2 if m > 1 else mp.mpf(0)
+
+
+def mp_m_alice_rob(s, r):
+    s, r = mp.mpf(s), mp.mpf(r)
+    return ((2 * mp.sinh(r) ** 2 + (mp.cosh(2 * r) + 3) * mp.cosh(2 * s))
+            / (2 * mp.cosh(2 * s) * mp.sinh(r) ** 2 + mp.cosh(2 * r) + 3))
+
+
+def mp_mutual_info_ar(s, r):
+    """Alice-Rob mutual information from their two-mode covariance matrix, Seralian form."""
+    s, r = mp.mpf(s), mp.mpf(r)
+    return mp_two_mode_mutual_info(mp.cosh(2 * s), mp.cosh(2 * s) * mp.cosh(r) ** 2 + mp.sinh(r) ** 2,
+                                   mp.sinh(2 * s) * mp.cosh(r))
+
+
+def mp_residual_tripartite(s, r):
+    """The smallest one-vs-rest residual over all three probes: Alice, Rob and anti-Rob."""
+    s, r = mp.mpf(s), mp.mpf(r)
+    tau_ar, tau_r_rbar = mp_contangle(mp_m_alice_rob(s, r)), 4 * r * r
+    m_r = mp.cosh(2 * s) * mp.cosh(r) ** 2 + mp.sinh(r) ** 2
+    m_rbar = mp.cosh(r) ** 2 + mp.cosh(2 * s) * mp.sinh(r) ** 2
+    return min(4 * s * s - tau_ar, mp_contangle(m_r) - tau_ar - tau_r_rbar, mp_contangle(m_rbar) - tau_r_rbar)
+
+
+def mp_tau_max_ar(r):
+    """The Alice-Rob contangle as s -> inf, where m_AR -> 1 + 2 / sinh^2 r; inf at r = 0."""
+    r = mp.mpf(r)
+    return mp.inf if r == 0 else mp_contangle(1 + 2 / mp.sinh(r) ** 2)
+
+
+def mp_tripartite_upper_bound(s, a):
+    """The smaller pure-ansatz candidate, with K = (1 + x) / (1 - x) and x = tanh^2 s / cosh^2 a."""
+    s, a = mp.mpf(s), mp.mpf(a)
+    x = mp.tanh(s) ** 2 / mp.cosh(a) ** 2
+    k = (1 + x) / (1 - x)
+    return min(mp_contangle(mp.cosh(a) ** 2 + k * mp.sinh(a) ** 2) - 4 * a * a,
+               mp_contangle(k) - mp_contangle(mp_m_leo_nadia(s, a, a)))
+
+
+def mp_residual_multipartite(s, a):
+    """The smallest one-vs-rest residual over the probes anti-Leo and Leo (Nadia's mirror them) at l = n = a."""
+    s, a = mp.mpf(s), mp.mpf(a)
+    tau_l_lbar, tau_l_n = 4 * a * a, mp_contangle(mp_m_leo_nadia(s, a, a))
+    m_lbar = mp.cosh(a) ** 2 + mp.cosh(2 * s) * mp.sinh(a) ** 2
+    m_l = mp.sinh(a) ** 2 + mp.cosh(2 * s) * mp.cosh(a) ** 2
+    return min(mp_contangle(m_lbar) - tau_l_lbar, mp_contangle(m_l) - tau_l_lbar - tau_l_n)
+
+
+def mp_r_effective(s, l, n):
+    """arccosh[cosh l cosh n sinh s / (sinh s - cosh s sinh l sinh n)], inf past the death threshold."""
+    s, l, n = mp.mpf(s), mp.mpf(l), mp.mpf(n)
+    den = mp.sinh(s) - mp.cosh(s) * mp.sinh(l) * mp.sinh(n)
+    return mp.inf if den <= 0 else mp.acosh(mp.cosh(l) * mp.cosh(n) * mp.sinh(s) / den)
+
+
+def worst_oracle_error(fn, oracle, points):
+    """The largest |fn - oracle| / max(1, |oracle|) over the points in 80-digit arithmetic, and where.
+
+    Where the oracle diverges, fn must return inf.
+    """
+    worst = (0.0, None)
+    with mp.workdps(80):
+        for point in points:
+            value, ref = fn(*point), oracle(*point)
+            if mp.isinf(ref):
+                error = 0.0 if value == math.inf else math.inf
+            else:
+                error = float(abs(value - ref) / max(1, abs(ref)))
+            worst = max(worst, (error, point), key=lambda w: w[0])
+    return worst
 
 
 ORACLE_ACCELS = [0.0, 1e-6, 1e-3, 0.1, 1.0, 4.0]
@@ -528,6 +607,15 @@ ORACLE_ACCELS = [0.0, 1e-6, 1e-3, 0.1, 1.0, 4.0]
 # where a - b and a + b - 2c cancel if formed by subtraction
 ORACLE_PAIRS = ([(l, n) for l in ORACLE_ACCELS for n in ORACLE_ACCELS]
                 + [(a, a * (1 + 1e-7)) for a in ORACLE_ACCELS[1:]] + [(0.0, 1e-12)])
+ORACLE_S = np.linspace(0.0, 20.0, 41).tolist()
+ORACLE_S_ACCEL = [(s, a) for s in ORACLE_S for a in ORACLE_ACCELS]
+ORACLE_FORMS = [  # name, oracle, points
+    ("r_effective", mp_r_effective, [(s, l, n) for s in ORACLE_S[1:] for l, n in ORACLE_PAIRS]),  # undefined at s = 0
+    ("m_alice_rob", mp_m_alice_rob, ORACLE_S_ACCEL), ("mutual_info_ar", mp_mutual_info_ar, ORACLE_S_ACCEL),
+    ("residual_tripartite", mp_residual_tripartite, ORACLE_S_ACCEL),
+    ("tau_max_ar", mp_tau_max_ar, [(a,) for a in ORACLE_ACCELS]),
+    ("tripartite_upper_bound", mp_tripartite_upper_bound, ORACLE_S_ACCEL),
+    ("residual_multipartite", mp_residual_multipartite, ORACLE_S_ACCEL)]
 
 
 class TestLargeSqueezing:
@@ -537,13 +625,12 @@ class TestLargeSqueezing:
                                              ("m_leo_nadia", mp_m_leo_nadia)],
                              ids=["mutual_info_ln_general", "m_leo_nadia"])
     def test_leo_nadia_mpmath_oracle_grid(self, name, oracle):
-        fn, worst = getattr(ea, name), (0.0, None)
-        with mp.workdps(80):
-            for s in np.linspace(0.0, 20.0, 41).tolist():
-                for l, n in ORACLE_PAIRS:
-                    ref = oracle(s, l, n)
-                    error = float(abs(fn(s, l, n) - ref) / max(1, abs(ref)))
-                    worst = max(worst, (error, (s, l, n)), key=lambda w: w[0])
+        worst = worst_oracle_error(getattr(ea, name), oracle, [(s, l, n) for s in ORACLE_S for l, n in ORACLE_PAIRS])
+        assert worst[0] <= 1e-13, worst
+
+    @pytest.mark.parametrize("name,oracle,points", ORACLE_FORMS, ids=[form[0] for form in ORACLE_FORMS])
+    def test_mpmath_oracle_grid(self, name, oracle, points):
+        worst = worst_oracle_error(getattr(ea, name), oracle, points)
         assert worst[0] <= 1e-13, worst
 
     @pytest.mark.parametrize("s,l,n", [(12.0, 0.0, 0.0), (20.0, 0.0, 0.0), (12.0, 0.0, 1e-6),
