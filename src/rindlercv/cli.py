@@ -14,6 +14,7 @@ the grid size.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -197,9 +198,11 @@ def _point_report(args) -> tuple[str, dict]:
             raise ValueError("point single needs --accel together with --freq")
         accel, freq = given.pop("accel"), given.pop("freq")
         rf._require_domain(positive=True, accel=accel, freq=freq)
-        observer = rf.AccelSpec.from_physical(accel, freq)
-        given["r"] = observer.squeezing
-        extra = {"accel": accel, "freq": freq, "unruh_temperature": observer.temperature}
+        given["r"] = rf.accel_to_squeezing(accel, freq)
+        if given["r"] == math.inf:
+            raise ValueError(f"--accel {accel!r} and --freq {freq!r} give an infinite squeezing r "
+                             "(freq / accel underflows to 0)")
+        extra = {"accel": accel, "freq": freq, "unruh_temperature": rf.unruh_temperature(accel)}
     scenario, kwargs = SCENARIOS[args.scenario], _kernel_args(args.scenario, given, "--{}")
     if scenario.report is None:
         columns = getattr(ea, scenario.kernel)(**kwargs)
@@ -547,9 +550,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses for the life of the process.
+
+    ``parse_args`` reads each call's defaults into a fresh namespace, so one
+    call leaves nothing behind for the next.  ``build_parser`` itself stays
+    uncached: each of its callers gets a parser of its own.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.format is None and args.verb == "sweep":
         args.format = "csv"
     try:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -640,7 +640,7 @@ class SingleObserverReport:
     tau_max_ar: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     def monogamy_residuals(self) -> dict[str, float]:
         """Monogamy residual (one-vs-rest minus pairwise sum) per probe mode."""
@@ -699,7 +699,7 @@ class DoubleObserverReport:
     deficit: Optional[float]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     def monogamy_residuals(self) -> dict[str, float]:
         """Monogamy residual per probe mode."""

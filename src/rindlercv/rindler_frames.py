@@ -61,7 +61,8 @@ def accel_to_squeezing(acceleration, frequency):
     """
     _require_domain(positive=True, acceleration=acceleration, frequency=frequency)
     x = math.pi * np.divide(frequency, acceleration)
-    r = np.arcsinh(np.exp(-x) / np.sqrt(-np.expm1(-2.0 * x)))
+    with np.errstate(divide="ignore"):  # a ratio that underflows to 0 gives r = inf
+        r = np.arcsinh(np.exp(-x) / np.sqrt(-np.expm1(-2.0 * x)))
     return float(r) if np.ndim(r) == 0 else r
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rindlercv import cli
 from rindlercv import entanglement_analysis as ea
 from rindlercv.cli import (EXIT_INCONSISTENT, EXIT_IO, EXIT_SELFTEST, EXIT_USAGE, FIGURE_PRESETS,
                            SweepAxis, _jsonable, main)
@@ -133,6 +134,13 @@ class TestInputDomain:
         given = re.search(r"(\w+)[ =][\d.:]*(nan|inf)", argv).group(1)  # the name given the bad value
         assert err.startswith(f"error: {given} must be finite")
 
+    def test_unruh_map_underflow_exit_2(self, capsys):
+        """freq / accel underflowing to 0 gives r = inf: a usage error naming accel, no warning."""
+        code, out, err = run_cli(capsys, "point", "single", "--s", "1", "--accel", "1e300", "--freq", "1e-300")
+        assert code == EXIT_USAGE
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "Warning" not in err and "--accel" in err and "--freq" in err
+
     def test_near_zero_unequal_accelerations_point(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "point", "double",
                                "--s", "3.75", "--l", "0", "--n", "1e-12")
@@ -144,6 +152,56 @@ class TestInputDomain:
                                "--fix", "l=0", "--fix", "n=1e-6")
         assert code == 0
         assert len(parse_csv(out)[1]) == 41
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and reusing it carries nothing from call to call."""
+
+    SEQUENCE = [
+        "--format json point double --s 1 --l 0.4 --n 1.7",
+        "point double --s 1 --l 0.4 --n 1.7",
+        "sweep --scenario frequency --sweep lam=0.5:2:3 --sweep nu=0.5:2:4 --fix accel=6.3 --fix s=1",
+        "sweep --scenario frequency --sweep lam=0.5:2:3 --sweep nu=0.5:2:4 --fix accel=6.3 --fix s=1",
+        "point single --s x",
+        "point single --s 1 --r 0.5",
+        "point double --s 1 --a 0.5 --r 2",
+        "--version",
+    ]
+
+    @staticmethod
+    def outcomes(capsys, sequence):
+        results = []
+        for line in sequence:
+            try:
+                code = main(line.split())
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        reused = self.outcomes(capsys, self.SEQUENCE)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outcomes(capsys, self.SEQUENCE)
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, EXIT_USAGE, 0, EXIT_USAGE, 0]
+        for line, got, want in zip(self.SEQUENCE, reused, fresh):
+            assert got == want, line
+
+    def test_parser_built_at_most_once(self, capsys, monkeypatch):
+        builds = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for argv in ("point single --s 1 --r 0.5", "--format json point double --s 1 --a 0.5",
+                     "sweep --scenario single --sweep s=0:1:3 --fix r=1",
+                     "sweep --scenario double --sweep s=0:1:3 --fix a=1", "selftest --quick",
+                     "point frequency --lam 1 --nu 1 --accel 6.3"):
+            assert run_cli(capsys, *argv.split())[0] == 0
+        assert len(builds) <= 1
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -454,6 +455,18 @@ class TestReports:
     def test_report_dict_round_trip(self):
         d = ea.single_observer_report(1.0, 0.5).to_dict()
         assert d["s"] == 1.0 and "tau_ar" in d
+
+    @pytest.mark.parametrize("report", [ea.single_observer_report(1.0, 0.5),
+                                        ea.double_observer_report(1.0, 0.8, 0.8),
+                                        ea.double_observer_report(1.0, 0.4, 1.7)],
+                             ids=["single", "double-equal", "double-unequal"])
+    def test_to_dict_is_a_fresh_copy_of_the_fields(self, report):
+        d = report.to_dict()
+        reference = dataclasses.asdict(report)
+        assert d == reference and list(d) == list(reference)
+        assert all(type(v) in (float, bool, type(None)) for v in d.values())
+        d["s"] = -1.0
+        assert report.s == 1.0 and report.to_dict() == reference
 
 
 class TestClosedFormNumericDuality:
