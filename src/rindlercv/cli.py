@@ -44,20 +44,18 @@ SWEEP_CHUNK = 4096
 
 
 class Scenario(NamedTuple):
-    """What a scenario takes, and its evaluators on ``ea`` by name (looked up when called)."""
+    """What a scenario takes, and its report kernel on ``ea`` by name (looked up when called)."""
 
     kernel: str  # columnar report kernel
     params: tuple[str, ...]  # its arguments, in kernel order
     optional: tuple[str, ...] = ()
     # a name standing for several parameters set equal, and those parameters
     alias: tuple[Optional[str], tuple[str, ...]] = (None, ())
-    report: Optional[str] = None  # per-point report, which point validates
 
 
 SCENARIOS = {
-    "single": Scenario("single_report_columns", ("s", "r"), report="single_observer_report"),
-    "double": Scenario("double_report_columns", ("s", "l", "n"), alias=("a", ("l", "n")),
-                       report="double_observer_report"),
+    "single": Scenario("single_report_columns", ("s", "r")),
+    "double": Scenario("double_report_columns", ("s", "l", "n"), alias=("a", ("l", "n"))),
     "frequency": Scenario("frequency_report_columns", ("lam", "nu", "accel", "s"), optional=("s",)),
 }
 
@@ -203,13 +201,9 @@ def _point_report(args) -> tuple[str, dict]:
             raise ValueError(f"--accel {accel!r} and --freq {freq!r} give an infinite squeezing r "
                              "(freq / accel underflows to 0)")
         extra = {"accel": accel, "freq": freq, "unruh_temperature": rf.unruh_temperature(accel)}
-    scenario, kwargs = SCENARIOS[args.scenario], _kernel_args(args.scenario, given, "--{}")
-    if scenario.report is None:
-        columns = getattr(ea, scenario.kernel)(**kwargs)
-        return args.scenario, {name: np.asarray(col).tolist() for name, col in columns.items()}
-    report = getattr(ea, scenario.report)(**kwargs)
-    report.validate(args.tol)
-    return args.scenario, {**report.to_dict(), **extra}
+    kwargs = _kernel_args(args.scenario, given, "--{}")
+    columns = getattr(ea, SCENARIOS[args.scenario].kernel)(**kwargs, tol=args.tol)
+    return args.scenario, {**ea._report_fields(columns), **extra}
 
 
 def _row_chunk(row: dict) -> dict:
@@ -250,8 +244,9 @@ class SweepAxis:
         div = self.steps - 1
         delta = self.hi - self.lo
         step = delta / div
-        grid = index / div * delta if step == 0 else index * step  # as linspace for denormal steps
-        return np.where(index == div, self.hi, grid + self.lo)
+        with np.errstate(invalid="ignore"):  # an infinite bound gives non-finite points, which exit 2
+            grid = index / div * delta if step == 0 else index * step  # as linspace for denormal steps
+            return np.where(index == div, self.hi, grid + self.lo)
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -277,12 +272,12 @@ def _parse_fix(items: Sequence[str]) -> dict[str, float]:
     return fixed
 
 
-def _sweep_evaluator(scenario: str, params: dict) -> dict:
+def _sweep_evaluator(scenario: str, params: dict, tol: float) -> dict:
     """The scenario's report columns over one chunk of grid points, from its kernel arguments."""
-    return getattr(ea, SCENARIOS[scenario].kernel)(**params)
+    return getattr(ea, SCENARIOS[scenario].kernel)(**params, tol=tol)
 
 
-def _sweep_chunks(scenario: str, axes: list[SweepAxis], fixed: dict):
+def _sweep_chunks(scenario: str, axes: list[SweepAxis], fixed: dict, tol: float):
     """Axis and report columns of the grid, outer axis major, SWEEP_CHUNK points at a time."""
     inner = axes[-1].steps
     total = math.prod(axis.steps for axis in axes)
@@ -294,7 +289,7 @@ def _sweep_chunks(scenario: str, axes: list[SweepAxis], fixed: dict):
             point = {axes[0].name: axes[0].values(index // inner),
                      axes[1].name: axes[1].values(index % inner)}
         params = _kernel_args(scenario, {**point, **fixed}, "--fix {}=VALUE")
-        yield {**point, **_sweep_evaluator(scenario, params)}
+        yield {**point, **_sweep_evaluator(scenario, params, tol)}
 
 
 def _cmd_sweep(args) -> int:
@@ -309,7 +304,7 @@ def _cmd_sweep(args) -> int:
     if {a.name for a in axes} & set(fixed):
         raise ValueError("a parameter cannot be both swept and fixed")
 
-    chunks = _sweep_chunks(args.scenario, axes, fixed)
+    chunks = _sweep_chunks(args.scenario, axes, fixed, args.tol)
     first = next(chunks)  # checked and evaluated before the output opens, so its errors leave no file
     axis_cols = [a.name for a in axes]
     all_quantities = [k for k in first if k not in axis_cols]
@@ -503,7 +498,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="output format for data payloads")
     parser.add_argument("--out", default=argparse.SUPPRESS, help="output file (default stdout)")
     parser.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="numerical tolerance (default 1e-9)")
+                        help="invariant tolerance of point and sweep, selftest bound (default 1e-9)")
     parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                         help="accepted for compatibility; has no effect (sweeps evaluate "
                              "whole chunks of the grid in one thread)")
@@ -568,6 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.threads is not None and args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        rf._require_domain(tol=args.tol)
         return args.func(args)
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

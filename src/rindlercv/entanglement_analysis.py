@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .info_measures import M_CLAMP_TOL, InconsistencyError, MeasureReport, contangle_from_m
+from .info_measures import M_CLAMP_TOL, InconsistencyError, MeasureReport
 from .phase_space import CovMatrix, apply_congruence, two_mode_squeezer, vacuum_cm
 from .rindler_frames import _require_domain, accel_to_squeezing
 
@@ -87,32 +87,59 @@ def _evaluate(kernel, name=None, /, **params):
     return values if isinstance(out, tuple) else values[0]
 
 
-def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict) -> dict:
-    """Return a report grid's columns once no cell holds a value no closed form should give.
+# Per scenario, probe mode -> (its one-vs-rest m, the pairwise contangles it holds); one-vs-rest
+# minus pairwise contangle is nonnegative (Adesso & Illuminati, PRA 73, 032345 (2006)).
+MONOGAMY_PROBES = {
+    "single": {"A": ("m_a_vs_rest", ("tau_ar",)), "R": ("m_r_vs_rest", ("tau_ar", "tau_r_rbar")),
+               "Rbar": ("m_rbar_vs_rest", ("tau_r_rbar",))},
+    "double": {"Lbar": ("m_lbar_vs_rest", ("tau_l_lbar",)), "L": ("m_l_vs_rest", ("tau_l_lbar", "tau_l_n")),
+               "N": ("m_n_vs_rest", ("tau_n_nbar", "tau_l_n")), "Nbar": ("m_nbar_vs_rest", ("tau_n_nbar",))},
+}
+# Per report: the parameters naming a point, the fields that may diverge, the probes to check
+# (residual_multipartite is the minimum over the double-observer probes: its sign covers them).
+_REPORT_CHECKS = {"single": (("s", "r"), {"tau_max_ar": True}, MONOGAMY_PROBES["single"]),
+                  "double": (("s", "l", "n"), {"r_eff": True}, {})}
+_NONNEGATIVE = ("residual_tripartite", "residual_multipartite", "tripartite_upper_bound")
+
+
+def _monogamy_residuals(columns: dict, probes: dict) -> dict:
+    """Each probe's one-vs-rest contangle minus, one by one, the pairwise contangles it holds."""
+    with np.errstate(all="ignore"):  # as in the kernels; an m below 1 or overflowing is the check's to report
+        return {probe: sum((-columns[tau] for tau in taus), _contangle(columns[m]))
+                for probe, (m, taus) in probes.items()}
+
+
+def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, probes: dict,
+                   tol: float = RESIDUAL_TOL) -> dict:
+    """Return a report's columns (a grid, or floats at one point) once every report invariant holds.
 
     Cells may be non-finite only in the fields of ``may_diverge`` (name ->
-    where), masked (or None) cells are skipped, and no m-parameter may fall
-    below the separability floor.  Otherwise InconsistencyError names the
-    first grid point holding an offending cell.
+    where).  No m-parameter may fall below 1 - min(tol, M_CLAMP_TOL), and no
+    residual, tripartite bound or monogamy residual of ``probes`` below -tol.
+    Masked (or None) cells are skipped.  Otherwise InconsistencyError names
+    the field, its value and the first grid point holding an offending cell.
     """
-    floor = 1.0 - M_CLAMP_TOL
+    residuals = _monogamy_residuals(columns, probes) if probes else {}
+    cells = {**columns, **{f"monogamy residual at probe {probe}": r for probe, r in residuals.items()}}
     single = isinstance(columns[point[0]], float)
     first = None
-    for name, col in columns.items():
+    for name, col in cells.items():
         if col is None or getattr(col, "dtype", None) == bool:
             continue
         allowed = may_diverge.get(name, False)
+        floor = (1.0 - min(tol, M_CLAMP_TOL) if name.startswith("m_") else
+                 -tol if name in _NONNEGATIVE or name.startswith("monogamy") else -math.inf)
         mask = getattr(col, "mask", None)  # a masked array (np.ma stays unimported otherwise)
         if mask is not None:
             allowed, col = allowed | mask, col.data
         if single:  # plain float tests cost far less than numpy calls at one point
             value = float(col)
-            if not (math.isfinite(value) or allowed) or (name.startswith("m_") and value < floor):
+            if not (math.isfinite(value) or allowed) or value < floor:
                 first = (0, name, value)
                 break
             continue
         wrong = ~(np.isfinite(col) | allowed)
-        if name.startswith("m_"):
+        if floor > -math.inf:
             wrong |= col < floor
         if wrong.any():
             index = int(np.argmax(wrong))
@@ -120,7 +147,7 @@ def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict) -> 
                 first = (index, name, float(col.flat[index]))
     if first is not None:
         index, name, value = first
-        where = _point_at({p: columns[p] for p in point}, np.shape(columns[name]), index)
+        where = _point_at({p: columns[p] for p in point}, np.shape(cells[name]), index)
         raise InconsistencyError(f"{name} = {value!r} at {where}")
     return columns
 
@@ -133,13 +160,18 @@ def _masked(values, mask):
 
 
 def _report_fields(columns: dict) -> dict:
-    """The cells of a single-point report grid: floats, None where undefined."""
-    return {name: None if col is None else float(col) for name, col in columns.items()}
+    """The cells of a single-point report: floats and bools, None where undefined."""
+    return {name: None if col is None else bool(col) if isinstance(col, np.bool_) else float(col)
+            for name, col in columns.items()}
 
 
 def _contangle(m):
     """Array form of :func:`info_measures.contangle_from_m`: 0 for m <= 1, NaN below the floor."""
     tau = np.arcsinh(np.sqrt((m - 1.0) * (m + 1.0))) ** 2
+    # (m - 1)(m + 1) overflows past m ~ 1.3e154, where arccosh m is log 2m to double precision
+    overflow = tau == np.inf
+    if overflow if isinstance(overflow, (bool, np.bool_)) else overflow.any():
+        tau = _where(overflow, (np.log(m) + math.log(2.0)) ** 2, tau)
     return _where(m <= 1.0, _where(m < 1.0 - M_CLAMP_TOL, np.nan, 0.0), tau)
 
 
@@ -326,14 +358,16 @@ def frequency_condition(freq_1, freq_2, acceleration):
     e^{2 pi f1/accel} + e^{2 pi f2/accel} - e^{2 pi (f1+f2)/accel}, its
     overflow-free margin e^{-2 pi f1/accel} + e^{-2 pi f2/accel} - 1, and
     whether the margin is nonnegative, that is whether the two modes are
-    seen separable.  Where the condition value overflows it is +-inf or nan.
+    seen separable.  The condition is evaluated as e^{2 pi (f1+f2)/accel}
+    times the margin (0 where the margin is), so it overflows to +-inf, never nan.
     """
     _require_domain(positive=True, freq_1=freq_1, freq_2=freq_2, acceleration=acceleration)
     w = 2.0 * math.pi / acceleration
     decay = np.exp(-w * freq_1) + np.exp(-w * freq_2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        condition = np.exp(w * freq_1) + np.exp(w * freq_2) - np.exp(w * (freq_1 + freq_2))
-    return condition, decay - 1.0, decay >= 1.0
+    margin = decay - 1.0
+    with np.errstate(over="ignore"):
+        condition = _where(margin == 0.0, 0.0, np.exp(w * (freq_1 + freq_2)) * margin)
+    return condition, margin, decay >= 1.0
 
 
 def frequency_separability(freq_1, freq_2, acceleration):
@@ -393,7 +427,8 @@ def _residual_multipartite(s, l, n, m_lbar, m_l, m_n, m_nbar, tau_l_lbar, tau_n_
     """
     anti = np.minimum(_contangle(m_lbar) - tau_l_lbar, _contangle(m_nbar) - tau_n_nbar)
     observer = np.minimum(_contangle(m_l) - tau_l_lbar - tau_l_n, _contangle(m_n) - tau_n_nbar - tau_l_n)
-    switched = observer < anti - _MIN_SLACK
+    # a non-finite probe (an overflowed m) is the report check's to reject
+    switched = (observer < anti - _MIN_SLACK) & np.isfinite(observer) & np.isfinite(anti)
     if switched.any():
         i = int(np.argmax(switched))
         logger.warning("an observer probe beat the anti-observer probes at %s (%r < %r); "
@@ -515,12 +550,11 @@ def classical_deficit(a, s):
 # Scenario reports: columnar kernels and their per-point dataclasses.
 # ---------------------------------------------------------------------------
 
-def single_report_columns(s, r) -> dict:
+def single_report_columns(s, r, tol: float = RESIDUAL_TOL) -> dict:
     """Every single-observer closed form over broadcast (s, r), in SingleObserverReport field order.
 
-    Only ``tau_max_ar`` may diverge (at r = 0); any other non-finite cell,
-    or an m-parameter below the separability floor, raises
-    InconsistencyError at the first grid point holding one.
+    Only ``tau_max_ar`` may diverge (at r = 0); a cell breaking an invariant
+    of :func:`_check_columns` at ``tol`` raises InconsistencyError.
     """
     _require_domain(s=s, r=r)
     s, r = _grid(s, r)
@@ -537,7 +571,7 @@ def single_report_columns(s, r) -> dict:
             "r_star": _r_star(s),
             "tau_max_ar": _tau_max_ar(r),
         }
-    return _check_columns(columns, ("s", "r"), {"tau_max_ar": True})
+    return _check_columns(columns, *_REPORT_CHECKS["single"], tol)
 
 
 def _where_equal(equal, kernel, s, a):
@@ -550,15 +584,14 @@ def _where_equal(equal, kernel, s, a):
     return out
 
 
-def double_report_columns(s, l, n) -> dict:
+def double_report_columns(s, l, n, tol: float = RESIDUAL_TOL) -> dict:
     """Every double-observer closed form over broadcast (s, l, n), in DoubleObserverReport field order.
 
     ``tripartite_upper_bound`` and ``deficit`` are undefined where l != n:
     masked cells of a grid, None at a single point.
     Only ``r_eff`` may be non-finite (nan at s = 0, inf past the death
-    threshold); any other non-finite cell, or an m-parameter below the
-    separability floor, raises InconsistencyError at the first grid point
-    holding one.
+    threshold); a cell breaking an invariant of :func:`_check_columns` at
+    ``tol`` raises InconsistencyError.
     """
     _require_domain(s=s, l=l, n=n)
     s, l, n = _grid(s, l, n)
@@ -585,18 +618,18 @@ def double_report_columns(s, l, n) -> dict:
             "a_star": _a_star(s),
             "deficit": _masked(deficit, ~equal),
         }
-    return _check_columns(columns, ("s", "l", "n"), {"r_eff": True})
+    return _check_columns(columns, *_REPORT_CHECKS["double"], tol)
 
 
-def frequency_report_columns(lam, nu, accel, s=None) -> dict:
+def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) -> dict:
     """Frequency-domain quantities over broadcast (lam, nu, accel[, s]).
 
     Columns lam, nu, accel, the squeezing parameters l and n of the two
-    modes, the death condition of :func:`frequency_condition`, the
-    infinite-squeezing Leo-Nadia m and contangle (inf where l = n = 0), and
-    with s also s, m_l_n and tau_l_n.  Any other non-finite cell, or an
-    m-parameter below the separability floor, raises InconsistencyError at
-    the first grid point holding one.
+    modes, the death condition of :func:`frequency_condition` (+-inf where
+    it overflows), the infinite-squeezing Leo-Nadia m and contangle (inf
+    where l = n = 0), and with s also s, m_l_n and tau_l_n.  A cell breaking
+    an invariant of :func:`_check_columns` at ``tol`` raises
+    InconsistencyError, an infinite squeezing l or n ValueError.
     """
     params = {"lam": lam, "nu": nu, "accel": accel} | ({} if s is None else {"s": s})
     _require_domain(positive=True, lam=lam, nu=nu, accel=accel)
@@ -606,6 +639,10 @@ def frequency_report_columns(lam, nu, accel, s=None) -> dict:
     lam, nu, accel = grid["lam"], grid["nu"], grid["accel"]
     with np.errstate(all="ignore"):
         l, n = accel_to_squeezing(accel, lam), accel_to_squeezing(accel, nu)
+        infinite = np.isinf(l) | np.isinf(n)
+        if infinite if isinstance(infinite, np.bool_) else infinite.any():
+            where = _point_at(params, np.shape(infinite), int(np.argmax(infinite)))
+            raise ValueError(f"lam or nu / accel underflows to 0 (an infinite squeezing) at {where}")
         condition, margin, separable = frequency_condition(lam, nu, accel)
         both_zero = np.equal(l, 0.0) & np.equal(n, 0.0)
         m_inf = _where(both_zero, np.inf, _m_ln_infinite_squeezing(l, n))
@@ -617,13 +654,30 @@ def frequency_report_columns(lam, nu, accel, s=None) -> dict:
         if s is not None:
             m_l_n = _m_leo_nadia(grid["s"], l, n)
             columns.update(s=grid["s"], m_l_n=m_l_n, tau_l_n=_contangle(m_l_n))
-    return _check_columns(columns, tuple(params),
-                          {"m_ln_infinite": both_zero, "tau_ln_infinite": both_zero})
+    may_diverge = {"condition_value": True, "m_ln_infinite": both_zero, "tau_ln_infinite": both_zero}
+    return _check_columns(columns, tuple(params), may_diverge, {}, tol)
+
+
+class _PointReport:
+    """A report's fields at one point, checked as its kernel checks its columns."""
+
+    def to_dict(self) -> dict:
+        return dict(vars(self))
+
+    def monogamy_residuals(self) -> dict[str, float]:
+        """Monogamy residual (one-vs-rest minus pairwise contangles) per probe mode."""
+        return _monogamy_residuals(vars(self), MONOGAMY_PROBES[self._scenario])
+
+    def validate(self, tol: float = RESIDUAL_TOL) -> None:
+        """Raise InconsistencyError when an invariant of :func:`_check_columns` fails."""
+        _check_columns(vars(self), *_REPORT_CHECKS[self._scenario], tol)
 
 
 @dataclass(frozen=True)
-class SingleObserverReport:
+class SingleObserverReport(_PointReport):
     """All single-observer quantities at one parameter point."""
+
+    _scenario = "single"
 
     s: float
     r: float
@@ -639,28 +693,6 @@ class SingleObserverReport:
     r_star: float
     tau_max_ar: float
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    def monogamy_residuals(self) -> dict[str, float]:
-        """Monogamy residual (one-vs-rest minus pairwise sum) per probe mode."""
-        return {
-            "A": contangle_from_m(self.m_a_vs_rest) - self.tau_ar,
-            "R": contangle_from_m(self.m_r_vs_rest) - self.tau_ar - self.tau_r_rbar,
-            "Rbar": contangle_from_m(self.m_rbar_vs_rest) - self.tau_r_rbar,
-        }
-
-    def validate(self, tol: float = RESIDUAL_TOL) -> None:
-        """Raise InconsistencyError when an internal invariant fails."""
-        for name in ("m_a_vs_rest", "m_r_vs_rest", "m_rbar_vs_rest", "m_ar", "m_r_rbar"):
-            if getattr(self, name) < 1.0 - tol:
-                raise InconsistencyError(f"{name} = {getattr(self, name)!r} below 1")
-        if self.residual_tripartite < -tol:
-            raise InconsistencyError(f"negative tripartite residual {self.residual_tripartite!r}")
-        for probe, value in self.monogamy_residuals().items():
-            if value < -tol:
-                raise InconsistencyError(f"monogamy violated at probe {probe}: {value!r}")
-
 
 def single_observer_report(s: float, r: float) -> SingleObserverReport:
     """Evaluate every single-observer closed form at (s, r)."""
@@ -668,12 +700,14 @@ def single_observer_report(s: float, r: float) -> SingleObserverReport:
 
 
 @dataclass(frozen=True)
-class DoubleObserverReport:
+class DoubleObserverReport(_PointReport):
     """All double-observer quantities at one parameter point.
 
     Fields defined only at equal accelerations (the tripartite bound and the
     classical deficit) are None when l != n.
     """
+
+    _scenario = "double"
 
     s: float
     l: float
@@ -697,33 +731,6 @@ class DoubleObserverReport:
     r_eff: float
     a_star: float
     deficit: Optional[float]
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    def monogamy_residuals(self) -> dict[str, float]:
-        """Monogamy residual per probe mode."""
-        return {
-            "Lbar": contangle_from_m(self.m_lbar_vs_rest) - self.tau_l_lbar,
-            "L": contangle_from_m(self.m_l_vs_rest) - self.tau_l_lbar - self.tau_l_n,
-            "N": contangle_from_m(self.m_n_vs_rest) - self.tau_n_nbar - self.tau_l_n,
-            "Nbar": contangle_from_m(self.m_nbar_vs_rest) - self.tau_n_nbar,
-        }
-
-    def validate(self, tol: float = RESIDUAL_TOL) -> None:
-        """Raise InconsistencyError when an internal invariant fails."""
-        for name in ("m_l_nbar", "m_n_lbar", "m_lbar_nbar", "m_l_lbar",
-                     "m_n_nbar", "m_l_n", "m_lbar_vs_rest", "m_l_vs_rest",
-                     "m_n_vs_rest", "m_nbar_vs_rest"):
-            if getattr(self, name) < 1.0 - tol:
-                raise InconsistencyError(f"{name} = {getattr(self, name)!r} below 1")
-        if self.residual_multipartite < -tol:
-            raise InconsistencyError(f"negative multipartite residual {self.residual_multipartite!r}")
-        if self.tripartite_upper_bound is not None and self.tripartite_upper_bound < -tol:
-            raise InconsistencyError(f"negative tripartite bound {self.tripartite_upper_bound!r}")
-        for probe, value in self.monogamy_residuals().items():
-            if value < -tol:
-                raise InconsistencyError(f"monogamy violated at probe {probe}: {value!r}")
 
 
 def double_observer_report(s: float, l: float, n: float) -> DoubleObserverReport:

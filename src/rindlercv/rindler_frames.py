@@ -60,8 +60,8 @@ def accel_to_squeezing(acceleration, frequency):
     arrays as well as floats (for which it returns a float).
     """
     _require_domain(positive=True, acceleration=acceleration, frequency=frequency)
-    x = math.pi * np.divide(frequency, acceleration)
-    with np.errstate(divide="ignore"):  # a ratio that underflows to 0 gives r = inf
+    with np.errstate(divide="ignore", over="ignore"):  # a ratio that under- or overflows gives r = inf or 0
+        x = math.pi * np.divide(frequency, acceleration)
         r = np.arcsinh(np.exp(-x) / np.sqrt(-np.expm1(-2.0 * x)))
     return float(r) if np.ndim(r) == 0 else r
 

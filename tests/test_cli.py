@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import logging
 import math
 import re
 import time
@@ -6,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rindlercv import cli
 from rindlercv import entanglement_analysis as ea
@@ -99,15 +104,29 @@ class TestPoint:
         assert json.dumps(parsed, sort_keys=True, separators=(", ", ": ")) == out.strip()
 
     def test_internal_inconsistency_exit_3(self, capsys, monkeypatch):
-        import dataclasses
-        import rindlercv.cli as cli_mod
-
-        original = cli_mod.ea.single_observer_report
-        monkeypatch.setattr(cli_mod.ea, "single_observer_report",
-                            lambda s, r: dataclasses.replace(original(s, r), m_ar=0.5))
+        original = ea._one_vs_rest_m_single
+        monkeypatch.setattr(ea, "_one_vs_rest_m_single", lambda s, r: (0.5, *original(s, r)[1:]))
         code, _, err = run_cli(capsys, "point", "single", "--s", "1", "--r", "1")
         assert code == EXIT_INCONSISTENT
         assert "inconsistency" in err
+
+    @pytest.mark.parametrize("point,sweep", [
+        ("point double --s 0 --a 1.55 --tol 0",
+         "sweep --scenario double --sweep a=1.5:1.6:3 --fix s=0 --tol 0"),
+        ("point single --s 0 --r 1.55 --tol 0",
+         "sweep --scenario single --sweep r=1.5:1.6:3 --fix s=0 --tol 0"),
+        ("point single --s 13.9 --r 0 --tol 1e-14",
+         "sweep --scenario single --sweep r=0:1:2 --fix s=13.9 --tol 1e-14"),
+        ("point double --s 0 --a 1.55", "sweep --scenario double --sweep a=1.5:1.6:3 --fix s=0"),
+    ])
+    def test_tolerance_means_the_same_for_point_and_sweep(self, capsys, point, sweep):
+        """point and sweep run one check at --tol: the same row gets the same verdict and message."""
+        point_code, _, point_err = run_cli(capsys, *point.split())
+        sweep_code, _, sweep_err = run_cli(capsys, *sweep.split())
+        assert point_code == sweep_code and point_err == sweep_err
+        if point_code:
+            assert point_code == EXIT_INCONSISTENT and len(point_err.strip().splitlines()) == 1
+            assert "residual" in point_err and "at s=0.0, " in point_err
 
 
 class TestInputDomain:
@@ -124,6 +143,8 @@ class TestInputDomain:
         "sweep --scenario single --sweep s=0:nan:3 --fix r=1",
         "sweep --scenario single --sweep s=0:1:3 --fix r=inf",
         "sweep --scenario double --sweep a=0:nan:3 --fix s=1",
+        "point single --s 1 --r 0.5 --tol nan",
+        "sweep --scenario single --sweep s=0:1:3 --fix r=1 --tol inf",
     ])
     def test_non_finite_input_exit_2(self, capsys, argv):
         """The message names the parameter as given: a, not the l and n it stands for."""
@@ -141,6 +162,27 @@ class TestInputDomain:
         assert out == "" and len(err.strip().splitlines()) == 1
         assert "Warning" not in err and "--accel" in err and "--freq" in err
 
+    def test_unruh_map_overflow_is_zero_squeezing(self, capsys):
+        """freq / accel overflowing gives r = 0, the limit, without a numpy warning."""
+        code, out, err = run_cli(capsys, "--format", "json", "point", "single",
+                                 "--s", "1", "--accel", "1e-300", "--freq", "1e300")
+        assert code == 0 and err == ""
+        assert json.loads(out)["report"]["r"] == 0.0
+
+    def test_frequency_squeezing_underflow_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "point", "frequency", "--lam", "1e-300", "--nu", "354", "--accel", "1e300")
+        assert code == EXIT_USAGE
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error: lam or nu / accel") and "lam=1e-300" in err and "accel=1e+300" in err
+
+    @pytest.mark.parametrize("argv", ["--lam 1 --nu 1 --accel 0.01", "--lam 1 --nu 1 --accel 1e-300",
+                                      "--lam 200 --nu 354 --accel 0.5"])
+    def test_frequency_condition_overflow_is_minus_inf(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--format", "json", "point", "frequency", *argv.split())
+        assert code == 0 and err == ""
+        report = json.loads(out)["report"]
+        assert report["condition_value"] == "-inf" and report["separable"] is False
+
     def test_near_zero_unequal_accelerations_point(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "point", "double",
                                "--s", "3.75", "--l", "0", "--n", "1e-12")
@@ -152,6 +194,76 @@ class TestInputDomain:
                                "--fix", "l=0", "--fix", "n=1e-6")
         assert code == 0
         assert len(parse_csv(out)[1]) == 41
+
+
+FUZZ_VALUES = ("0", "1e-300", "1e-12", "0.5", "3", "20", "200", "354", "400", "1e300", "inf", "nan", "-1")
+FUZZ_POINTS = ("single s r", "single s accel freq", "double s a", "double s l n",
+               "frequency lam nu accel", "frequency lam nu accel s")
+FUZZ_SWEEPS = ("single s r", "double s a", "double l n s", "frequency lam nu accel", "frequency lam nu accel s")
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A point form (scenario, then its flags), or a sweep form (scenario, two swept names, then the fixed)."""
+    value = st.sampled_from(FUZZ_VALUES)
+    argv = draw(st.sampled_from([[], ["--format", "csv"], ["--format", "json"]]))
+    if draw(st.booleans()):
+        scenario, *names = draw(st.sampled_from(FUZZ_POINTS)).split()
+        return argv + ["point", scenario] + [arg for name in names for arg in (f"--{name}", draw(value))]
+    scenario, *names = draw(st.sampled_from(FUZZ_SWEEPS)).split()
+    swept, fixed = names[:2], names[2:]
+    argv += ["sweep", "--scenario", scenario]
+    for name in swept:
+        argv += ["--sweep", f"{name}={draw(value)}:{draw(value)}:{draw(st.integers(2, 3))}"]
+    for name in fixed:
+        argv += ["--fix", f"{name}={draw(value)}"]
+    return argv
+
+
+def output_rows(argv, out):
+    """The report rows of a successful point or sweep call, as field -> CSV token or JSON value."""
+    lines = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+    if "csv" in argv or ("sweep" in argv and "json" not in argv):
+        header, *rows = (ln.split(",") for ln in lines)
+        return [dict(zip(header, row)) for row in rows]
+    if "point" in argv:
+        return [json.loads(lines[-1])["report"]]
+    return [json.loads(ln) for ln in lines]
+
+
+class TestArgvFuzz:
+    """Every point and sweep input ends in a report or a documented exit code with one line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=fuzz_argv())
+    @example(argv="point single --s 1 --accel 1e-300 --freq 1e300".split())  # Unruh map overflow
+    @example(argv="sweep --scenario single --sweep s=inf:0:2 --sweep r=0:inf:2".split())  # infinite axis bound
+    # 1e-300 / 20 leaves a zero separability margin at an overflowing condition factor
+    @example(argv="sweep --scenario frequency --sweep lam=1e-300:1e300:2 --sweep nu=1e300:1e-300:3 "
+                  "--fix accel=20".split())
+    # overflowed probes at s = 354: the check's one line, not an observer-probe log line too
+    @example(argv="sweep --scenario double --sweep l=20:1e-12:2 --sweep n=1e-12:3:3 --fix s=354".split())
+    def test_every_input_ends_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        # as logging's last-resort handler prints warnings in a shell, where nothing configures logging
+        log = logging.StreamHandler(err)
+        logging.getLogger("rindlercv").addHandler(log)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        finally:
+            logging.getLogger("rindlercv").removeHandler(log)
+        assert code in (0, EXIT_USAGE, EXIT_INCONSISTENT), argv
+        if code:
+            assert len(err.getvalue().splitlines()) == 1, argv
+            return
+        assert err.getvalue() == "", argv
+        for row in output_rows(argv, out.getvalue()):
+            for name, value in row.items():
+                if value == "nan":  # only r_eff at s = 0 may be undefined
+                    assert name == "r_eff" and float(row["s"]) == 0.0, (argv, name)
 
 
 class TestParserReuse:

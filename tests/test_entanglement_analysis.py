@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -233,6 +234,19 @@ class TestFrequencySeparability:
         with pytest.raises(ValueError):
             ea.frequency_separability(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("lam,nu,accel", [(1.0, 1.0, 0.01), (1.0, 1.0, 1e-300), (200.0, 354.0, 0.5),
+                                              (1e300, 1.0, 1e-300), (2.0, 3.0, 2 * math.pi)])
+    def test_condition_is_the_margin_scaled_never_nan(self, lam, nu, accel):
+        """e^{w(lam+nu)} times the margin: the closed-form condition, +-inf with the margin's sign past overflow."""
+        condition, margin, separable = ea.frequency_condition(lam, nu, accel)
+        assert not math.isnan(condition) and (condition >= 0) == (margin >= 0) == separable
+        w = 2 * math.pi / accel
+        if w * (lam + nu) < 700:
+            exact = math.exp(w * lam) + math.exp(w * nu) - math.exp(w * (lam + nu))
+            assert condition == pytest.approx(exact, rel=1e-13)
+        else:
+            assert condition == -math.inf
+
     def test_consistent_with_pairwise_at_large_squeezing(self):
         accel = 2 * math.pi
         from rindlercv.rindler_frames import accel_to_squeezing
@@ -451,6 +465,42 @@ class TestReports:
     def test_equal_acceleration_general_residual_matches(self):
         rep_eq = ea.double_observer_report(1.0, 0.8, 0.8)
         assert rep_eq.residual_multipartite == pytest.approx(ea.residual_multipartite(1.0, 0.8), rel=1e-12)
+
+    def test_residual_multipartite_is_the_smallest_probe_residual(self):
+        """The double-observer check needs no probe residuals: its residual is their minimum, bit for bit."""
+        s, l, n = np.meshgrid(np.linspace(0, 6, 13), np.linspace(0, 3, 13), np.array([0.0, 1e-6, 0.4, 2.5]),
+                              indexing="ij")
+        columns = ea.double_report_columns(s, l, n)
+        probes = ea._monogamy_residuals(columns, ea.MONOGAMY_PROBES["double"])
+        assert np.array_equal(np.minimum.reduce(list(probes.values())), columns["residual_multipartite"])
+        rep = ea.double_observer_report(1.0, 0.4, 1.7)
+        assert min(rep.monogamy_residuals().values()) == rep.residual_multipartite
+
+    @pytest.mark.parametrize("report,field,value,message", [
+        (ea.single_observer_report(1.0, 1.0), "m_ar", 0.5, "m_ar = 0.5 at s=1.0, r=1.0"),
+        (ea.single_observer_report(1.0, 1.0), "tau_ar", 100.0, "monogamy residual at probe A = "),
+        (ea.double_observer_report(1.0, 0.8, 0.8), "tripartite_upper_bound", -1.0,
+         "tripartite_upper_bound = -1.0 at s=1.0, l=0.8, n=0.8"),
+        (ea.double_observer_report(1.0, 0.4, 1.7), "r_eff", math.nan, None),
+    ])
+    def test_validate_is_the_kernel_check(self, report, field, value, message):
+        """validate runs the kernels' check on the report's fields: same invariants, same message."""
+        report = dataclasses.replace(report, **{field: value})
+        if message is None:  # r_eff may diverge
+            report.validate()
+            return
+        with pytest.raises(ea.InconsistencyError, match=re.escape(message)):
+            report.validate()
+
+    def test_validate_tolerance_is_the_kernels(self):
+        """At s = 0, r = 1.55 the probe R residual is -3.6e-15: tol = 0 rejects it, in validate and kernel alike."""
+        rep = ea.single_observer_report(0.0, 1.55)
+        assert -1e-14 < rep.monogamy_residuals()["R"] < 0
+        rep.validate()
+        for check in (lambda: rep.validate(0.0), lambda: ea.single_report_columns(0.0, 1.55, tol=0.0),
+                      lambda: ea.single_report_columns(np.array([0.0, 0.0]), np.array([1.0, 1.55]), tol=0.0)):
+            with pytest.raises(ea.InconsistencyError, match=r"probe R = -3\.5\d*e-15 at s=0\.0, r=1\.55"):
+                check()
 
     def test_report_dict_round_trip(self):
         d = ea.single_observer_report(1.0, 0.5).to_dict()
