@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .info_measures import M_CLAMP_TOL, InconsistencyError, MeasureReport
+from .info_measures import M_CLAMP_TOL, InconsistencyError, MeasureReport, _contangle, _entropy_f, _where
 from .phase_space import CovMatrix, apply_congruence, two_mode_squeezer, vacuum_cm
 from .rindler_frames import _require_domain, accel_to_squeezing
 
@@ -45,13 +45,6 @@ def _point_at(params: dict, shape: tuple, index: int) -> str:
     """'name=value, ...' of the parameters, broadcast to shape, at a flat index."""
     return ", ".join(f"{name}={float(np.broadcast_to(value, shape).flat[index])!r}"
                      for name, value in params.items())
-
-
-def _where(condition, if_true, if_false):
-    """np.where, without its cost at a single point."""
-    if isinstance(condition, (bool, np.bool_)):
-        return if_true if condition else if_false
-    return np.where(condition, if_true, if_false)
 
 
 def _grid(*values) -> list:
@@ -95,10 +88,10 @@ MONOGAMY_PROBES = {
     "double": {"Lbar": ("m_lbar_vs_rest", ("tau_l_lbar",)), "L": ("m_l_vs_rest", ("tau_l_lbar", "tau_l_n")),
                "N": ("m_n_vs_rest", ("tau_n_nbar", "tau_l_n")), "Nbar": ("m_nbar_vs_rest", ("tau_n_nbar",))},
 }
-# Per report: the parameters naming a point, the fields that may diverge, the probes to check
-# (residual_multipartite is the minimum over the double-observer probes: its sign covers them).
-_REPORT_CHECKS = {"single": (("s", "r"), {"tau_max_ar": True}, MONOGAMY_PROBES["single"]),
-                  "double": (("s", "l", "n"), {"r_eff": True}, {})}
+# Per report: the point's parameters, the fields that may diverge to +-inf, those undefined (NaN) and
+# where, and the probes (residual_multipartite is the double-observer probes' minimum: its sign covers them).
+_REPORT_CHECKS = {"single": (("s", "r"), {"tau_max_ar": True}, {}, MONOGAMY_PROBES["single"]),
+                  "double": (("s", "l", "n"), {"r_eff": True}, {"r_eff": lambda c: np.equal(c["s"], 0.0)}, {})}
 _NONNEGATIVE = ("residual_tripartite", "residual_multipartite", "tripartite_upper_bound")
 
 
@@ -109,15 +102,16 @@ def _monogamy_residuals(columns: dict, probes: dict) -> dict:
                 for probe, (m, taus) in probes.items()}
 
 
-def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, probes: dict,
+def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, undefined: dict, probes: dict,
                    tol: float = RESIDUAL_TOL) -> dict:
     """Return a report's columns (a grid, or floats at one point) once every report invariant holds.
 
-    Cells may be non-finite only in the fields of ``may_diverge`` (name ->
-    where).  No m-parameter may fall below 1 - min(tol, M_CLAMP_TOL), and no
-    residual, tripartite bound or monogamy residual of ``probes`` below -tol.
-    Masked (or None) cells are skipped.  Otherwise InconsistencyError names
-    the field, its value and the first grid point holding an offending cell.
+    Cells may be +-inf only in the fields of ``may_diverge`` (name -> where),
+    NaN only in those of ``undefined`` (name -> columns -> where).  No
+    m-parameter may fall below 1 - min(tol, M_CLAMP_TOL), and no residual,
+    tripartite bound or monogamy residual of ``probes`` below -tol.  Masked
+    (or None) cells are skipped.  Otherwise InconsistencyError names the
+    field, its value and the first grid point holding an offending cell.
     """
     residuals = _monogamy_residuals(columns, probes) if probes else {}
     cells = {**columns, **{f"monogamy residual at probe {probe}": r for probe, r in residuals.items()}}
@@ -126,19 +120,21 @@ def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, pro
     for name, col in cells.items():
         if col is None or getattr(col, "dtype", None) == bool:
             continue
-        allowed = may_diverge.get(name, False)
+        infinite = may_diverge.get(name, False)
+        nan = undefined[name](columns) if name in undefined else False
         floor = (1.0 - min(tol, M_CLAMP_TOL) if name.startswith("m_") else
                  -tol if name in _NONNEGATIVE or name.startswith("monogamy") else -math.inf)
-        mask = getattr(col, "mask", None)  # a masked array (np.ma stays unimported otherwise)
-        if mask is not None:
-            allowed, col = allowed | mask, col.data
         if single:  # plain float tests cost far less than numpy calls at one point
             value = float(col)
-            if not (math.isfinite(value) or allowed) or value < floor:
+            if not (nan if value != value else value >= floor and (infinite or math.isfinite(value))):
                 first = (0, name, value)
                 break
             continue
-        wrong = ~(np.isfinite(col) | allowed)
+        mask = getattr(col, "mask", False)  # a masked array (np.ma stays unimported otherwise)
+        col = np.asarray(col)
+        wrong = ~(np.isfinite(col) | mask)
+        if wrong.any():  # only the documented infinities and NaNs may stay
+            wrong &= ~(np.logical_and(infinite, np.isinf(col)) | np.logical_and(nan, np.isnan(col)))
         if floor > -math.inf:
             wrong |= col < floor
         if wrong.any():
@@ -163,22 +159,6 @@ def _report_fields(columns: dict) -> dict:
     """The cells of a single-point report: floats and bools, None where undefined."""
     return {name: None if col is None else bool(col) if isinstance(col, np.bool_) else float(col)
             for name, col in columns.items()}
-
-
-def _contangle(m):
-    """Array form of :func:`info_measures.contangle_from_m`: 0 for m <= 1, NaN below the floor."""
-    tau = np.arcsinh(np.sqrt((m - 1.0) * (m + 1.0))) ** 2
-    # (m - 1)(m + 1) overflows past m ~ 1.3e154, where arccosh m is log 2m to double precision
-    overflow = tau == np.inf
-    if overflow if isinstance(overflow, (bool, np.bool_)) else overflow.any():
-        tau = _where(overflow, (np.log(m) + math.log(2.0)) ** 2, tau)
-    return _where(m <= 1.0, _where(m < 1.0 - M_CLAMP_TOL, np.nan, 0.0), tau)
-
-
-def _entropy_f(x):
-    """Array form of :func:`info_measures.entropy_term_f`: 0 for x <= 1, NaN below the floor."""
-    f = np.log(0.5 * (x + 1.0)) + 0.5 * (x - 1.0) * np.log1p(2.0 / (x - 1.0))
-    return _where(x <= 1.0, _where(x < 1.0 - M_CLAMP_TOL, np.nan, 0.0), f)
 
 
 def _clamp_separable(m):
@@ -354,28 +334,26 @@ def r_effective(s, l, n):
 def frequency_condition(freq_1, freq_2, acceleration):
     """The frequency-domain death condition of equally accelerated observers at infinite s.
 
-    Returns (condition, margin, separable): the closed-form condition value
-    e^{2 pi f1/accel} + e^{2 pi f2/accel} - e^{2 pi (f1+f2)/accel}, its
-    overflow-free margin e^{-2 pi f1/accel} + e^{-2 pi f2/accel} - 1, and
-    whether the margin is nonnegative, that is whether the two modes are
-    seen separable.  The condition is evaluated as e^{2 pi (f1+f2)/accel}
+    Returns (condition, margin, separable), with w = 2 pi / accel: the
+    closed-form condition value e^{w f1} + e^{w f2} - e^{w (f1+f2)}, its
+    margin e^{-w f1} + e^{-w f2} - 1 as e^{-w max(f1, f2)} + expm1(-w min(f1, f2))
+    (no overflow, and no lost digits where w f1 or w f2 is tiny), and whether the
+    margin is nonnegative (the modes seen separable).  The condition is e^{w (f1+f2)}
     times the margin (0 where the margin is), so it overflows to +-inf, never nan.
     """
     _require_domain(positive=True, freq_1=freq_1, freq_2=freq_2, acceleration=acceleration)
     w = 2.0 * math.pi / acceleration
-    decay = np.exp(-w * freq_1) + np.exp(-w * freq_2)
-    margin = decay - 1.0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = np.exp(-w * np.maximum(freq_1, freq_2)) + np.expm1(-w * np.minimum(freq_1, freq_2))
         condition = _where(margin == 0.0, 0.0, np.exp(w * (freq_1 + freq_2)) * margin)
-    return condition, margin, decay >= 1.0
+    return condition, margin, margin >= 0.0
 
 
 def frequency_separability(freq_1, freq_2, acceleration):
     """Whether equally accelerated observers see the two modes separable at infinite s.
 
     The closed-form condition e^{2 pi f1/accel} + e^{2 pi f2/accel}
-    >= e^{2 pi (f1+f2)/accel} is evaluated in the overflow-free form
-    e^{-2 pi f1/accel} + e^{-2 pi f2/accel} >= 1.
+    >= e^{2 pi (f1+f2)/accel}, decided on the margin of :func:`frequency_condition`.
     """
     separable = frequency_condition(freq_1, freq_2, acceleration)[2]
     return bool(separable) if np.ndim(separable) == 0 else separable
@@ -502,10 +480,9 @@ def _mutual_info_ln_general(s, l, n):
     d = 2.0 * chs2 * np.sinh(l - n) * np.sinh(l + n)
     a_b_2c = (ch2s * (2.0 * np.sinh(0.5 * (l + n)) * np.sinh(0.5 * (l - n))) ** 2
               + 2.0 * np.exp(-2 * s) * chl * chn + shl2 + shn2)
-    eta_plus_sq = det_root + 0.5 * d * d + 0.5 * np.abs(d) * np.sqrt(a_b_2c * (a + b + 2.0 * c))
-    eta_minus_sq = det_root / eta_plus_sq * det_root
-    return (_entropy_f(a) + _entropy_f(b)
-            - _entropy_f(np.sqrt(eta_minus_sq)) - _entropy_f(np.sqrt(eta_plus_sq)))
+    root, h, q = np.sqrt(det_root), 0.5 * np.abs(d), np.sqrt(a_b_2c) * np.sqrt(a + b + 2.0 * c)
+    eta_plus = np.hypot(root, np.sqrt(h) * np.sqrt(2.0 * h + q))
+    return _entropy_f(a) + _entropy_f(b) - _entropy_f(root * (root / eta_plus)) - _entropy_f(eta_plus)
 
 
 def mutual_info_ln_general(s, l, n):
@@ -514,12 +491,11 @@ def mutual_info_ln_general(s, l, n):
     f(a) + f(b) - f(eta_-) - f(eta_+) on the marginal roots
     a = cosh 2s cosh^2 l + sinh^2 l, b likewise in n, and the symplectic
     eigenvalues of sigma_LN (correlation c = sinh 2s cosh l cosh n).  With
-    d = a - b = 2 cosh^2 s sinh(l - n) sinh(l + n),
-    eta_+^2 = sqrt(det sigma_LN) + d^2/2 + |d| sqrt((a + b - 2c)(a + b + 2c))/2
-    and eta_-^2 = det sigma_LN / eta_+^2, where sqrt(det sigma_LN) = ab - c^2
-    is a sum of positive terms and a + b - 2c is the factored
-    cosh 2s (cosh l - cosh n)^2 + 2 e^{-2s} cosh l cosh n + sinh^2 l + sinh^2 n,
-    so nothing cancels near l = n, at zero acceleration or at large s.
+    h = |a - b|/2 = cosh^2 s |sinh(l - n) sinh(l + n)| and q = sqrt((a + b - 2c)(a + b + 2c)),
+    eta_+ = hypot(sqrt(ab - c^2), sqrt(h (2h + q))) and eta_- = (ab - c^2) / eta_+,
+    where ab - c^2 = sqrt(det sigma_LN) is a sum of positive terms and a + b - 2c
+    the factored cosh 2s (cosh l - cosh n)^2 + 2 e^{-2s} cosh l cosh n + sinh^2 l + sinh^2 n,
+    so nothing cancels near l = n, at zero acceleration or at large s, and nothing is squared.
     """
     return _evaluate(_mutual_info_ln_general, s=s, l=l, n=n)
 
@@ -655,7 +631,7 @@ def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) 
             m_l_n = _m_leo_nadia(grid["s"], l, n)
             columns.update(s=grid["s"], m_l_n=m_l_n, tau_l_n=_contangle(m_l_n))
     may_diverge = {"condition_value": True, "m_ln_infinite": both_zero, "tau_ln_infinite": both_zero}
-    return _check_columns(columns, tuple(params), may_diverge, {}, tol)
+    return _check_columns(columns, tuple(params), may_diverge, {}, {}, tol)
 
 
 class _PointReport:

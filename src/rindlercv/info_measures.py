@@ -1,11 +1,11 @@
 """Scalar information quantities on covariance matrices.
 
-Entanglement is quantified by the contangle ``tau = g[m^2]`` with
-``g[x] = arcsinh^2 sqrt(x - 1)``; total correlations by the mutual
-information built from the entropy kernel ``f``.  All entropic quantities
-use the natural logarithm (this convention is pinned by the acceptance
-suite: the classical-correlation deficit between one and two accelerated
-observers saturates at exactly 1 only in base e).
+Entanglement is quantified by the contangle ``tau = g[m^2] = arccosh^2 m``;
+total correlations by the mutual information built from the entropy kernel
+``f``.  g and f are each written once, as kernels for floats and arrays.
+All entropic quantities use the natural logarithm (this convention is
+pinned by the acceptance suite: the classical-correlation deficit between
+one and two accelerated observers saturates at exactly 1 only in base e).
 
 Mixed-state contangles are evaluated only for the two families that occur
 in this package, for which closed forms exist:
@@ -44,6 +44,7 @@ from .phase_space import (
     partial_transpose,
     symplectic_eigenvalues,
 )
+from .rindler_frames import _require_domain
 
 M_CLAMP_TOL = 1e-9
 GMEMMS_SPECTRUM_TOL = 1e-6
@@ -58,36 +59,57 @@ class InconsistencyError(ValueError):
     """
 
 
-def contangle_from_m(m: float) -> float:
-    """Contangle g[m^2] = arcsinh^2 sqrt(m^2 - 1) of a state with parameter m.
-
-    Values in [1 - 1e-9, 1) are clamped to 1 (separable); smaller values raise
-    :class:`InconsistencyError`.
-    """
-    if m < 1.0 - M_CLAMP_TOL:
-        raise InconsistencyError(f"m-parameter {m!r} below the separability floor")
-    if m <= 1.0:
-        return 0.0
-    return math.asinh(math.sqrt((m - 1.0) * (m + 1.0))) ** 2
+def _where(condition, if_true, if_false):
+    """np.where, without its cost at a single point."""
+    if isinstance(condition, (bool, np.bool_)):
+        return if_true if condition else if_false
+    return np.where(condition, if_true, if_false)
 
 
-def entropy_term_f(x: float) -> float:
-    """Entropy kernel f(x) = (x+1)/2 ln((x+1)/2) - (x-1)/2 ln((x-1)/2).
+# g and f take numpy floats or arrays (in f, a Python float 1.0 would divide by zero);
+# the warnings of the branch a mask discards are the caller's to silence.
+def _above_one(x, value):
+    """value where x > 1, 0 on [1 - M_CLAMP_TOL, 1], NaN below: the floor rule of g and f."""
+    return _where(x <= 1.0, _where(x < 1.0 - M_CLAMP_TOL, np.nan, 0.0), value)
 
-    Evaluated in the cancellation-free form
-    ``ln((x+1)/2) + (x-1)/2 * log1p(2/(x-1))`` so that differences of large
-    arguments (squeezing ~ 20 and beyond) stay accurate.
-    """
-    if x < 1.0 - M_CLAMP_TOL:
-        raise ValueError(f"entropy kernel needs x >= 1, got {x!r}")
-    if x <= 1.0:
-        return 0.0
-    return math.log(0.5 * (x + 1.0)) + 0.5 * (x - 1.0) * math.log1p(2.0 / (x - 1.0))
+
+def _contangle(m):
+    """g[m^2] = arccosh^2 m as (2 arcsinh sqrt((m - 1)/2))^2: no square, no cancellation, no overflow."""
+    return _above_one(m, (2.0 * np.arcsinh(np.sqrt(0.5 * (m - 1.0)))) ** 2)
+
+
+def _entropy_f(x):
+    """f(x) as ln((x+1)/2) + (x-1)/2 log1p(2/(x-1)): differences of large arguments stay accurate."""
+    return _above_one(x, np.log(0.5 * (x + 1.0)) + 0.5 * (x - 1.0) * np.log1p(2.0 / (x - 1.0)))
+
+
+def _checked(kernel, x, name: str, below_floor):
+    """kernel(x), a float for a float; a non-finite x raises ValueError, one below 1 - M_CLAMP_TOL below_floor(x)."""
+    x = np.asarray(x, dtype=float)[()]  # a float becomes an np.float64: its tests cost far less than a 0-d array's
+    ok = (x >= 1.0 - M_CLAMP_TOL) & (x < math.inf)
+    if not (ok if isinstance(ok, np.bool_) else ok.all()):
+        value = float(np.ravel(x)[np.argmin(ok)])
+        raise below_floor(value) if math.isfinite(value) else ValueError(f"{name} must be finite, got {value!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = kernel(x)
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
+def contangle_from_m(m):
+    """Contangle arccosh^2 m (a float or an array); m in [1 - 1e-9, 1] gives 0, a smaller m InconsistencyError."""
+    return _checked(_contangle, m, "m-parameter",
+                    lambda m: InconsistencyError(f"m-parameter {m!r} below the separability floor"))
+
+
+def entropy_term_f(x):
+    """Entropy kernel f(x) = (x+1)/2 ln((x+1)/2) - (x-1)/2 ln((x-1)/2) (a float or an array), 0 on [1 - 1e-9, 1]."""
+    return _checked(_entropy_f, x, "entropy kernel argument",
+                    lambda x: ValueError(f"entropy kernel needs x >= 1, got {x!r}"))
 
 
 def von_neumann_entropy(sigma: MatrixLike) -> float:
     """Von Neumann entropy of a Gaussian state: sum of f over the symplectic spectrum."""
-    return float(sum(entropy_term_f(eta) for eta in _clamped_spectrum(sigma)))
+    return float(np.sum(entropy_term_f(_clamped_spectrum(sigma))))
 
 
 def _clamped_spectrum(sigma: MatrixLike) -> np.ndarray:
@@ -114,8 +136,8 @@ def mutual_information(sigma: MatrixLike, split: Iterable[int]) -> float:
         raise ValueError("split must select exactly one of the two modes")
     a = math.sqrt(np.linalg.det(cov.block(0, 0)))
     b = math.sqrt(np.linalg.det(cov.block(1, 1)))
-    total = sum(entropy_term_f(eta) for eta in _clamped_spectrum(cov))
-    return entropy_term_f(a) + entropy_term_f(b) - total
+    f_a, f_b, f_minus, f_plus = entropy_term_f(np.array([a, b, *_clamped_spectrum(cov)]))
+    return float(f_a + f_b - (f_minus + f_plus))
 
 
 def _check_one_vs_rest(cov: CovMatrix, transposed: Iterable[int]) -> tuple[int, ...]:
@@ -149,8 +171,7 @@ def log_negativity(sigma: MatrixLike, transposed: Iterable[int]) -> float:
 
 def entropy_of_entanglement(s: float) -> float:
     """Entropy of entanglement f(cosh 2s) of a pure two-mode squeezed state."""
-    if s < 0:
-        raise ValueError("squeezing must be nonnegative")
+    _require_domain(s=s)
     return entropy_term_f(math.cosh(2.0 * s))
 
 

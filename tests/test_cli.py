@@ -183,6 +183,47 @@ class TestInputDomain:
         report = json.loads(out)["report"]
         assert report["condition_value"] == "-inf" and report["separable"] is False
 
+    @pytest.mark.parametrize("argv", ["--s 200 --l 0.5 --n 0.6", "--s 300 --l 0 --n 1e-6"])
+    def test_unequal_accelerations_far_past_s_20(self, capsys, argv):
+        """The Leo-Nadia mutual information no longer overflows past s ~ 178 where l != n."""
+        code, out, err = run_cli(capsys, "--format", "json", "point", "double", *argv.split())
+        assert code == 0 and err == ""
+        report = json.loads(out)["report"]
+        assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
+
+    def test_separability_margin_keeps_its_digits(self, capsys):
+        """lam or nu tiny: the margin is -w min(lam, nu) + e^{-w max(lam, nu)}, not 0 - so not separable."""
+        code, out, _ = run_cli(capsys, "sweep", "--scenario", "frequency", "--sweep", "lam=1e-300:1e300:2",
+                               "--sweep", "nu=1e300:1e-300:3", "--fix", "accel=20")
+        assert code == 0
+        rows = {(row["lam"], row["nu"]): row for row in parse_csv(out)[1]}
+        for point in (("1e-300", "1.0000000000000001e+300"), ("1e-300", "5.0000000000000003e+299"),
+                      ("1.0000000000000001e+300", "1e-300")):
+            assert rows[point]["separable"] == "false"
+            assert float(rows[point]["separability_margin"]) == pytest.approx(-math.pi * 1e-301, rel=1e-15)
+
+    @pytest.mark.parametrize("target,argv,field", [
+        ("_tau_max_ar", "point single --s 1 --r 1", "tau_max_ar"),
+        ("_tau_max_ar", "sweep --scenario single --sweep r=0.5:1:3 --fix s=1", "tau_max_ar"),
+        ("frequency_condition", "point frequency --lam 1 --nu 2 --accel 3", "condition_value"),
+        ("frequency_condition", "sweep --scenario frequency --sweep lam=1:2:3 --fix nu=2 --fix accel=3",
+         "condition_value"),
+    ])
+    def test_nan_in_a_field_that_may_diverge_exit_3(self, capsys, monkeypatch, target, argv, field):
+        """A field that may diverge may be +-inf, never NaN."""
+        original = getattr(ea, target)
+        if target == "_tau_max_ar":
+            monkeypatch.setattr(ea, target, lambda r: r * math.nan)
+        else:
+            monkeypatch.setattr(ea, target, lambda *args: (args[0] * math.nan, *original(*args)[1:]))
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_INCONSISTENT and out == ""
+        assert err.startswith(f"internal inconsistency: {field} = nan at ")
+
+    def test_r_eff_undefined_at_zero_squeezing(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "point", "double", "--s", "0", "--a", "0.5")
+        assert code == 0 and json.loads(out)["report"]["r_eff"] == "nan"
+
     def test_near_zero_unequal_accelerations_point(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "point", "double",
                                "--s", "3.75", "--l", "0", "--n", "1e-12")

@@ -481,12 +481,14 @@ class TestReports:
         (ea.single_observer_report(1.0, 1.0), "tau_ar", 100.0, "monogamy residual at probe A = "),
         (ea.double_observer_report(1.0, 0.8, 0.8), "tripartite_upper_bound", -1.0,
          "tripartite_upper_bound = -1.0 at s=1.0, l=0.8, n=0.8"),
-        (ea.double_observer_report(1.0, 0.4, 1.7), "r_eff", math.nan, None),
+        (ea.double_observer_report(1.0, 0.4, 1.7), "r_eff", math.inf, None),
+        (ea.double_observer_report(1.0, 0.4, 1.7), "r_eff", math.nan, "r_eff = nan at s=1.0, l=0.4, n=1.7"),
+        (ea.double_observer_report(0.0, 0.4, 1.7), "r_eff", math.nan, None),
     ])
     def test_validate_is_the_kernel_check(self, report, field, value, message):
         """validate runs the kernels' check on the report's fields: same invariants, same message."""
         report = dataclasses.replace(report, **{field: value})
-        if message is None:  # r_eff may diverge
+        if message is None:  # r_eff may diverge, and is undefined at s = 0
             report.validate()
             return
         with pytest.raises(ea.InconsistencyError, match=re.escape(message)):
@@ -648,13 +650,13 @@ def mp_r_effective(s, l, n):
     return mp.inf if den <= 0 else mp.acosh(mp.cosh(l) * mp.cosh(n) * mp.sinh(s) / den)
 
 
-def worst_oracle_error(fn, oracle, points):
-    """The largest |fn - oracle| / max(1, |oracle|) over the points in 80-digit arithmetic, and where.
+def worst_oracle_error(fn, oracle, points, dps=80):
+    """The largest |fn - oracle| / max(1, |oracle|) over the points in dps-digit arithmetic, and where.
 
     Where the oracle diverges, fn must return inf.
     """
     worst = (0.0, None)
-    with mp.workdps(80):
+    with mp.workdps(dps):
         for point in points:
             value, ref = fn(*point), oracle(*point)
             if mp.isinf(ref):
@@ -696,6 +698,12 @@ class TestLargeSqueezing:
         worst = worst_oracle_error(getattr(ea, name), oracle, points)
         assert worst[0] <= 1e-13, worst
 
+    @pytest.mark.parametrize("s,l,n", [(200.0, 0.5, 0.6), (300.0, 0.0, 1e-6)])
+    def test_mutual_info_ln_general_far_out(self, s, l, n):
+        """eta_+ is formed without squaring it, so unequal accelerations hold past s ~ 178 (400 digits)."""
+        worst = worst_oracle_error(ea.mutual_info_ln_general, mp_mutual_info_ln, [(s, l, n)], dps=400)
+        assert worst[0] <= 1e-13, worst
+
     @pytest.mark.parametrize("s,l,n", [(12.0, 0.0, 0.0), (20.0, 0.0, 0.0), (12.0, 0.0, 1e-6),
                                        (20.0, 0.05, 0.1), (8.0, 0.3, 0.3)])
     def test_m_leo_nadia_mpmath_oracle(self, s, l, n):
@@ -712,6 +720,82 @@ class TestLargeSqueezing:
         rep.validate()
         if l == n == 0.0:
             assert rep.m_l_n == pytest.approx(math.cosh(2 * s), rel=1e-12)
+
+
+CONTANGLE_ACCELS = [0.0, 1e-6, 1e-3, 0.5, 1.0]
+CONTANGLE_S = [0.0, 0.5, 1.0, 3.0, 8.0, 20.0, 50.0, 100.0, 200.0, 300.0, 350.0]
+# report kernel -> (tau column, m column, its 420-digit oracle in the kernel's parameters)
+CONTANGLE_COLUMNS = {
+    "single": [("tau_ar", "m_ar", lambda s, r: mp_contangle(mp_m_alice_rob(s, r))),
+               ("tau_r_rbar", "m_r_rbar", lambda s, r: 4 * mp.mpf(r) ** 2)],
+    "double": [("tau_l_lbar", "m_l_lbar", lambda s, l, n: 4 * mp.mpf(l) ** 2),
+               ("tau_n_nbar", "m_n_nbar", lambda s, l, n: 4 * mp.mpf(n) ** 2),
+               ("tau_l_n", "m_l_n", lambda s, l, n: mp_contangle(mp_m_leo_nadia(s, l, n)))],
+}
+
+
+def contangle_grids():
+    """The single and double report columns over CONTANGLE_S x CONTANGLE_ACCELS (x CONTANGLE_ACCELS)."""
+    s, r = (g.ravel() for g in np.meshgrid(CONTANGLE_S, CONTANGLE_ACCELS, indexing="ij"))
+    s3, l, n = (g.ravel() for g in np.meshgrid(CONTANGLE_S, CONTANGLE_ACCELS, CONTANGLE_ACCELS, indexing="ij"))
+    return {"single": ((s, r), ea.single_report_columns(s, r)),
+            "double": ((s3, l, n), ea.double_report_columns(s3, l, n))}
+
+
+class TestOneContangle:
+    """Every report contangle is contangle_from_m of its m column, and holds out to s = 350."""
+
+    def test_tau_columns_are_contangle_from_m_bit_for_bit(self):
+        for scenario, (_, columns) in contangle_grids().items():
+            for tau, m, _ in CONTANGLE_COLUMNS[scenario]:
+                assert columns[tau].tolist() == contangle_from_m(columns[m]).tolist(), tau
+        lam, nu = np.meshgrid(np.geomspace(0.01, 50.0, 23), np.geomspace(0.01, 50.0, 19))
+        columns = ea.frequency_report_columns(lam, nu, 2 * math.pi, s=np.linspace(0.0, 30.0, 23)[None, :])
+        for tau, m in (("tau_ln_infinite", "m_ln_infinite"), ("tau_l_n", "m_l_n")):
+            assert columns[tau].tolist() == contangle_from_m(columns[m]).tolist(), tau
+
+    def test_contangle_columns_mpmath_oracle_to_s_350(self):
+        """The uncancelled oracle m_leo_nadia needs some 400 digits at s = 350."""
+        with mp.workdps(420):
+            for scenario, (params, columns) in contangle_grids().items():
+                for tau, _, oracle in CONTANGLE_COLUMNS[scenario]:
+                    for i, point in enumerate(zip(*params)):
+                        ref = oracle(*(mp.mpf(float(p)) for p in point))
+                        assert abs(columns[tau][i] - ref) <= 1e-13 * max(1, abs(ref)), (tau, point)
+
+    def test_wedge_contangle_past_overflow(self):
+        """m = cosh 400: (m - 1)(m + 1) overflows, (2 arcsinh sqrt((m - 1)/2))^2 does not."""
+        assert ea.contangle_r_rbar(200.0).contangle == 160000.0
+        assert ea.single_observer_report(1.0, 200.0).tau_r_rbar == 160000.0
+
+
+def mp_margin(lam, nu, accel):
+    """e^{-w lam} + e^{-w nu} - 1 with w = 2 pi / accel, the 1 taken with expm1."""
+    lam, nu, w = mp.mpf(lam), mp.mpf(nu), 2 * mp.pi / mp.mpf(accel)
+    return mp.exp(-w * max(lam, nu)) + mp.expm1(-w * min(lam, nu))
+
+
+MARGIN_FREQS = [1e-300, 1e-20, 1e-8, 0.01, 0.5, 3.0, 1e300]
+
+
+class TestSeparabilityMargin:
+    @pytest.mark.parametrize("accel", [20.0, 2 * math.pi, 0.5])
+    def test_mpmath_oracle_with_mirrored_points(self, accel):
+        """Relative to the margin itself: e^{-w lam} + e^{-w nu} - 1 lost every digit where w lam was tiny."""
+        lam, nu = (g.ravel() for g in np.meshgrid(MARGIN_FREQS, MARGIN_FREQS))
+        _, margin, separable = ea.frequency_condition(lam, nu, accel)
+        _, mirrored, _ = ea.frequency_condition(nu, lam, accel)
+        assert margin.tolist() == mirrored.tolist()
+        with mp.workdps(60):
+            for x, y, value, verdict in zip(lam, nu, margin, separable):
+                ref = mp_margin(x, y, accel)
+                assert abs(value - ref) <= 1e-13 * abs(ref), (x, y)
+                assert verdict == (ref >= 0)
+
+    def test_no_warning_at_the_zero_margin_product(self):
+        condition, margin, separable = ea.frequency_condition(1e-300, 1e300, 20.0)
+        assert margin == pytest.approx(-2 * math.pi / 20.0 * 1e-300, rel=1e-15)
+        assert condition == -math.inf and not separable
 
 
 class TestArrayForms:

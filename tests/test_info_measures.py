@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -92,6 +93,57 @@ class TestEntropyKernel:
     def test_domain(self):
         with pytest.raises(ValueError):
             entropy_term_f(0.5)
+
+
+def mp_g(m):
+    """arccosh^2 m, 0 at m = 1."""
+    return mp.acosh(m) ** 2 if m > 1 else mp.mpf(0)
+
+
+# m from 1 + 1e-15 to 1e300: where m - 1 cancels, and where (m - 1)(m + 1) would overflow
+ONE_KERNEL_ARGS = np.concatenate([1.0 + np.geomspace(1e-15, 1.0, 60), np.geomspace(2.0, 1e300, 90)])
+
+
+class TestOneKernel:
+    """g and f exist once: the checked faces of one kernel each, for floats and arrays alike."""
+
+    @pytest.mark.parametrize("face,oracle", [(contangle_from_m, mp_g), (entropy_term_f, mp_f)],
+                             ids=["contangle_from_m", "entropy_term_f"])
+    def test_mpmath_oracle(self, face, oracle):
+        """Within 1e-15 x max(1, |ref|) from 1 + 1e-15 to 1e300; f cancels some 300 digits at 1e300."""
+        worst = 0.0
+        with mp.workdps(420):
+            for x in ONE_KERNEL_ARGS:
+                ref = oracle(mp.mpf(float(x)))
+                worst = max(worst, float(abs(face(float(x)) - ref) / max(1, abs(ref))))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("face", [contangle_from_m, entropy_term_f], ids=["contangle_from_m", "entropy_term_f"])
+    def test_float_and_array_calls_agree_bit_for_bit(self, face):
+        values = [face(float(x)) for x in ONE_KERNEL_ARGS]
+        assert all(type(v) is float for v in values)
+        out = face(ONE_KERNEL_ARGS)
+        assert isinstance(out, np.ndarray) and out.tolist() == values
+        assert face(np.array([1.0 - 5e-10, 1.0])).tolist() == [0.0, 0.0]
+
+    def test_array_below_floor_names_the_first_value(self):
+        with pytest.raises(InconsistencyError, match=r"m-parameter 0\.5 below the separability floor"):
+            contangle_from_m(np.array([2.0, 0.5, 0.25]))
+        with pytest.raises(ValueError, match=r"needs x >= 1, got 0\.5"):
+            entropy_term_f(np.array([2.0, 0.5]))
+
+
+@pytest.mark.parametrize("fn,value", [
+    (entropy_of_entanglement, math.nan), (entropy_of_entanglement, math.inf),
+    (contangle_from_m, math.nan), (contangle_from_m, math.inf), (contangle_from_m, -math.inf),
+    (entropy_term_f, math.nan), (entropy_term_f, math.inf),
+    (contangle_from_m, np.array([2.0, math.nan])), (entropy_term_f, np.array([2.0, math.inf])),
+], ids=lambda v: getattr(v, "__name__", None) or str(v).replace(" ", ""))
+def test_information_functions_reject_non_finite_input(fn, value):
+    """A ValueError that names the bad value, where a NaN used to come back."""
+    bad = float(value if np.ndim(value) == 0 else value[1])
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        fn(value)
 
 
 class TestMutualInformation:
