@@ -475,12 +475,15 @@ def _mutual_info_ln_general(s, l, n):
     a = ch2s * chl2 + shl2
     b = ch2s * chn2 + shn2
     c = np.sinh(2 * s) * chl * chn
-    det_root = chl2 * chn2 + ch2s * (chl2 * shn2 + shl2 * chn2) + shl2 * shn2
     # a - b and a + b - 2c in factored form: no cancellation near l = n or at large s
     d = 2.0 * chs2 * np.sinh(l - n) * np.sinh(l + n)
     a_b_2c = (ch2s * (2.0 * np.sinh(0.5 * (l + n)) * np.sinh(0.5 * (l - n))) ** 2
               + 2.0 * np.exp(-2 * s) * chl * chn + shl2 + shn2)
-    root, h, q = np.sqrt(det_root), 0.5 * np.abs(d), np.sqrt(a_b_2c) * np.sqrt(a + b + 2.0 * c)
+    # sqrt det sigma_LN summed at scale 2^-512 and a + b + 2c at scale 1/4, so neither sum overflows before an
+    # m column does; power-of-two scaling is exact, so wherever the unscaled sums are finite the bits are theirs
+    tiny = 2.0 ** -512
+    root = 2.0 ** 256 * np.sqrt(chl2 * chn2 * tiny + ch2s * tiny * (chl2 * shn2 + shl2 * chn2) + shl2 * shn2 * tiny)
+    h, q = 0.5 * np.abs(d), np.sqrt(a_b_2c) * (2.0 * np.sqrt(0.25 * a + 0.25 * b + 0.5 * c))
     eta_plus = np.hypot(root, np.sqrt(h) * np.sqrt(2.0 * h + q))
     return _entropy_f(a) + _entropy_f(b) - _entropy_f(root * (root / eta_plus)) - _entropy_f(eta_plus)
 
@@ -493,9 +496,11 @@ def mutual_info_ln_general(s, l, n):
     eigenvalues of sigma_LN (correlation c = sinh 2s cosh l cosh n).  With
     h = |a - b|/2 = cosh^2 s |sinh(l - n) sinh(l + n)| and q = sqrt((a + b - 2c)(a + b + 2c)),
     eta_+ = hypot(sqrt(ab - c^2), sqrt(h (2h + q))) and eta_- = (ab - c^2) / eta_+,
-    where ab - c^2 = sqrt(det sigma_LN) is a sum of positive terms and a + b - 2c
+    where ab - c^2 = sqrt(det sigma_LN) is a sum of positive terms, and a + b - 2c
     the factored cosh 2s (cosh l - cosh n)^2 + 2 e^{-2s} cosh l cosh n + sinh^2 l + sinh^2 n,
     so nothing cancels near l = n, at zero acceleration or at large s, and nothing is squared.
+    The sums sqrt det sigma_LN and a + b + 2c are formed at exact power-of-two scales, so the
+    value stays finite as long as a and b do.
     """
     return _evaluate(_mutual_info_ln_general, s=s, l=l, n=n)
 

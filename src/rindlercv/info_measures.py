@@ -90,8 +90,12 @@ def _checked(kernel, x, name: str, below_floor):
     if not (ok if isinstance(ok, np.bool_) else ok.all()):
         value = float(np.ravel(x)[np.argmin(ok)])
         raise below_floor(value) if math.isfinite(value) else ValueError(f"{name} must be finite, got {value!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    above = x > 1.0
+    if above if isinstance(above, np.bool_) else above.all():  # only the masked x <= 1 branch can warn
         out = kernel(x)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = kernel(x)
     return out if isinstance(out, np.ndarray) else float(out)
 
 
@@ -170,9 +174,18 @@ def log_negativity(sigma: MatrixLike, transposed: Iterable[int]) -> float:
 
 
 def entropy_of_entanglement(s: float) -> float:
-    """Entropy of entanglement f(cosh 2s) of a pure two-mode squeezed state."""
+    """Entropy of entanglement f(cosh 2s) of a pure two-mode squeezed state.
+
+    With y = sinh^2 s, f(cosh 2s) = ln(1 + y) + y ln(1 + 1/y).  Past s = 20 the
+    second term is 1 to double precision and ln(1 + y) = ln cosh^2 s is taken
+    as 2 (s + log1p(e^{-2s}) - ln 2), so cosh 2s is never formed: the value
+    is finite until it passes the float range itself (s near 9e307).
+    """
     _require_domain(s=s)
-    return entropy_term_f(math.cosh(2.0 * s))
+    if s > 20.0:
+        return 2.0 * (s + math.log1p(math.exp(-2.0 * s)) - math.log(2.0)) + 1.0
+    y = math.sinh(s) ** 2
+    return math.log1p(y) + y * math.log1p(1.0 / y) if y else 0.0
 
 
 def check_monogamy(tau_one_vs_rest: float, taus_pairwise: Iterable[float]) -> float:

@@ -9,11 +9,19 @@ Conventions used throughout the package:
 * everything dimensionless, no hbar anywhere.
 
 All containers are immutable and every operation is a pure function, so the
-module is safe to use from any number of threads.
+module is safe to use from any number of threads.  A :class:`CovMatrix`
+computes its symplectic spectrum and each of its partial transposes at most
+once and reuses them: :func:`symplectic_eigenvalues` and
+:func:`partial_transpose` keep their results on the instance, out of sight of
+its fields.  Those memo writes are idempotent (two threads that race store the
+same value), and callers get a fresh copy of the spectrum, so the state stays
+immutable and thread-safe.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -29,26 +37,34 @@ ModeIndexSet = tuple[int, ...]
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2N x 2N symplectic form, a direct sum of [[0,1],[-1,0]] blocks."""
+    """Return the 2N x 2N symplectic form, a direct sum of [[0,1],[-1,0]] blocks, as a fresh array."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
+    return _omega(n_modes).copy()
+
+
+@functools.cache
+def _omega(n_modes: int) -> np.ndarray:
+    """The symplectic form of n_modes >= 1 modes, built once per size and read-only."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
+    omega.setflags(write=False)
     return omega
 
 
 def check_mode_set(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
     """Validate a set of mode indices: nonempty, distinct, inside [0, n_modes)."""
-    out = tuple(int(m) for m in modes)
+    out = tuple(map(int, modes))
     if not out:
         raise ValueError("mode index set must be nonempty")
     if len(set(out)) != len(out):
         raise ValueError(f"mode indices must be distinct, got {out}")
-    if any(m < 0 or m >= n_modes for m in out):
+    ordered = sorted(out)
+    if ordered[0] < 0 or ordered[-1] >= n_modes:
         raise ValueError(f"mode indices {out} out of range for {n_modes} modes")
-    return tuple(sorted(out))
+    return tuple(ordered)
 
 
 def _quad_indices(modes: Sequence[int]) -> np.ndarray:
@@ -75,10 +91,11 @@ class CovMatrix:
             raise ValueError(f"covariance matrix must be square, got shape {arr.shape}")
         if arr.shape[0] == 0 or arr.shape[0] % 2:
             raise ValueError(f"covariance matrix must be 2Nx2N with N >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        scale = abs(arr).max()  # NaN propagates through max, so this also tests finiteness
+        if not scale < math.inf:
             raise ValueError("covariance matrix entries must be finite")
-        asym = np.max(np.abs(arr - arr.T))
-        if asym > SYMMETRY_ATOL * max(1.0, np.max(np.abs(arr))):
+        asym = abs(arr - arr.T).max()
+        if asym > SYMMETRY_ATOL * max(1.0, scale):
             raise ValueError(f"covariance matrix not symmetric (asymmetry {asym:.3e})")
         arr = 0.5 * (arr + arr.T)
         arr.setflags(write=False)
@@ -103,9 +120,9 @@ class SympTransform:
         arr = np.asarray(self.mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 or arr.shape[0] == 0:
             raise ValueError(f"symplectic matrix must be 2Nx2N, got shape {arr.shape}")
-        omega = symplectic_form(arr.shape[0] // 2)
-        defect = np.max(np.abs(arr.T @ omega @ arr - omega))
-        if defect > SYMPLECTIC_ATOL * max(1.0, np.max(np.abs(arr)) ** 2):
+        omega = _omega(arr.shape[0] // 2)
+        defect = abs(arr.T @ omega @ arr - omega).max()
+        if defect > SYMPLECTIC_ATOL * max(1.0, abs(arr).max() ** 2):
             raise ValueError(f"matrix does not preserve the symplectic form (defect {defect:.3e})")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -167,15 +184,23 @@ def reduce(sigma: MatrixLike, keep: Iterable[int]) -> CovMatrix:
 
 
 def partial_transpose(sigma: MatrixLike, transposed: Iterable[int]) -> CovMatrix:
-    """Partial transposition: momentum reversal (p -> -p) on the chosen modes."""
+    """Partial transposition: momentum reversal (p -> -p) on the chosen modes.
+
+    The result is kept on ``sigma`` per sorted mode set, so a second call
+    returns the same (immutable) matrix, with its spectrum if one was taken.
+    """
     cov = _as_cov(sigma)
     modes = check_mode_set(transposed, cov.n_modes)
     if len(modes) >= cov.n_modes:
         raise ValueError("cannot transpose every mode; pick a proper subset")
-    flip = np.ones(2 * cov.n_modes)
-    for m in modes:
-        flip[2 * m + 1] = -1.0
-    return CovMatrix(flip[:, None] * cov.mat * flip[None, :])
+    memo = cov.__dict__.setdefault("_transposes", {})
+    out = memo.get(modes)
+    if out is None:
+        flip = np.ones(2 * cov.n_modes)
+        for m in modes:
+            flip[2 * m + 1] = -1.0
+        out = memo.setdefault(modes, CovMatrix(flip[:, None] * cov.mat * flip[None, :]))
+    return out
 
 
 def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
@@ -192,10 +217,16 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     symmetric input falls back to a general complex eigensolver on
     ``Omega sigma``.  This numeric path is the oracle all closed-form
     spectra in the package are tested against.
+
+    The spectrum of a :class:`CovMatrix` is computed once and kept on it;
+    every call returns a fresh copy.
     """
     cov = _as_cov(sigma)
+    memo = cov.__dict__.get("_spectrum")
+    if memo is not None:
+        return memo.copy()
     n = cov.n_modes
-    omega = symplectic_form(n)
+    omega = _omega(n)
     try:
         chol = np.linalg.cholesky(cov.mat)
     except np.linalg.LinAlgError:
@@ -203,7 +234,7 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     else:
         skew = chol.T @ omega @ chol
         skew = 0.5 * (skew - skew.T)
-        mags = np.sort(np.linalg.svd(skew, compute_uv=False))
+        mags = np.linalg.svd(skew, compute_uv=False)[::-1]  # singular values come descending
     scale = max(1.0, mags[-1])
     etas = np.empty(n)
     for k in range(n):
@@ -211,7 +242,8 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
         if hi - lo > PAIRING_RTOL * max(scale, hi):
             raise ValueError(f"could not pair symplectic eigenvalues: {lo!r} vs {hi!r}")
         etas[k] = 0.5 * (lo + hi)
-    return etas
+    etas.setflags(write=False)
+    return cov.__dict__.setdefault("_spectrum", etas).copy()
 
 
 def is_bona_fide(sigma: MatrixLike, tol: float = BONA_FIDE_TOL) -> bool:

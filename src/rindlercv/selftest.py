@@ -63,25 +63,26 @@ def _track(worst, at, value, point):
 def run(tol: float = 1e-9, quick: bool = False) -> SelftestReport:
     """Run all consistency suites; deviations must stay below tol."""
     grid = _grid(quick)
+    dgrid = grid if quick else grid[1::2]
     report = SelftestReport()
+    # each scenario state is built once; its spectrum is then computed once too
+    singles = {(s, r): rf.build_single_observer_cm(s, r) for s in grid for r in grid}
+    doubles = {(s, l, n): rf.build_double_observer_cm(s, l, n) for s in dgrid for l in dgrid for n in dgrid}
 
     # 1. single-observer state: squeezer composition vs printed blocks
     worst, at = 0.0, ()
     for s in grid:
         for r in grid:
-            dev = float(np.max(np.abs(rf.build_single_observer_cm(s, r).mat
-                                      - rf.single_observer_blocks(s, r).mat)))
+            dev = float(np.max(np.abs(singles[s, r].mat - rf.single_observer_blocks(s, r).mat)))
             worst, at = _track(worst, at, dev, (float(s), float(r)))
     report.suites.append(SuiteResult("single-observer block duality", worst, at, tol))
 
     # 2. double-observer state: squeezer composition vs printed blocks
     worst, at = 0.0, ()
-    dgrid = grid if quick else grid[1::2]
     for s in dgrid:
         for l in dgrid:
             for n in dgrid:
-                dev = float(np.max(np.abs(rf.build_double_observer_cm(s, l, n).mat
-                                          - rf.double_observer_blocks(s, l, n).mat)))
+                dev = float(np.max(np.abs(doubles[s, l, n].mat - rf.double_observer_blocks(s, l, n).mat)))
                 worst, at = _track(worst, at, dev, (float(s), float(l), float(n)))
     report.suites.append(SuiteResult("double-observer block duality", worst, at, tol))
 
@@ -92,7 +93,7 @@ def run(tol: float = 1e-9, quick: bool = False) -> SelftestReport:
     worst_deep, at_deep = 0.0, ()
     for s in grid:
         for r in grid:
-            etas = symplectic_eigenvalues(rf.build_single_observer_cm(s, r))
+            etas = symplectic_eigenvalues(singles[s, r])
             dev = float(np.max(np.abs(etas - 1)))
             if s + r <= 5.25:
                 worst, at = _track(worst, at, dev, (float(s), float(r)))
@@ -107,7 +108,7 @@ def run(tol: float = 1e-9, quick: bool = False) -> SelftestReport:
     worst, at = 0.0, ()
     for s in grid:
         for r in grid:
-            sigma = rf.build_single_observer_cm(s, r)
+            sigma = singles[s, r]
             pairs = (
                 (ea.m_alice_rob(s, r), im.two_mode_m(reduce(sigma, (0, 1)))),
                 (math.cosh(2 * r), im.two_mode_m(reduce(sigma, (1, 2)))),
@@ -119,7 +120,7 @@ def run(tol: float = 1e-9, quick: bool = False) -> SelftestReport:
     for s in dgrid:
         for l in dgrid:
             for n in dgrid:
-                sigma = rf.build_double_observer_cm(s, l, n)
+                sigma = doubles[s, l, n]
                 pairs = (
                     (ea.m_leo_nadia(s, l, n), im.two_mode_m(reduce(sigma, (1, 2)))),
                     (math.cosh(2 * l), im.two_mode_m(reduce(sigma, (0, 1)))),

@@ -183,7 +183,8 @@ class TestInputDomain:
         report = json.loads(out)["report"]
         assert report["condition_value"] == "-inf" and report["separable"] is False
 
-    @pytest.mark.parametrize("argv", ["--s 200 --l 0.5 --n 0.6", "--s 300 --l 0 --n 1e-6"])
+    @pytest.mark.parametrize("argv", ["--s 200 --l 0.5 --n 0.6", "--s 300 --l 0 --n 1e-6", "--s 349 --a 4",
+                                      "--s 351.5 --a 4"])
     def test_unequal_accelerations_far_past_s_20(self, capsys, argv):
         """The Leo-Nadia mutual information no longer overflows past s ~ 178 where l != n."""
         code, out, err = run_cli(capsys, "--format", "json", "point", "double", *argv.split())

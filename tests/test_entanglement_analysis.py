@@ -698,10 +698,14 @@ class TestLargeSqueezing:
         worst = worst_oracle_error(getattr(ea, name), oracle, points)
         assert worst[0] <= 1e-13, worst
 
-    @pytest.mark.parametrize("s,l,n", [(200.0, 0.5, 0.6), (300.0, 0.0, 1e-6)])
+    @pytest.mark.parametrize("s,l,n", [(200.0, 0.5, 0.6), (300.0, 0.0, 1e-6), (349.0, 4.0, 4.0), (340.0, 8.0, 8.0),
+                                       (351.5, 4.0, 4.0), (351.5, 4.0, 3.5)])
     def test_mutual_info_ln_general_far_out(self, s, l, n):
-        """eta_+ is formed without squaring it, so unequal accelerations hold past s ~ 178 (400 digits)."""
-        worst = worst_oracle_error(ea.mutual_info_ln_general, mp_mutual_info_ln, [(s, l, n)], dps=400)
+        """eta_+ is never squared, and sqrt det sigma_LN and a + b + 2c are summed at exact scales.
+
+        The Seralian oracle cancels eta_+^2 / eta_-^2 (some 610 digits at s = 351.5 where l != n) to reach eta_-.
+        """
+        worst = worst_oracle_error(ea.mutual_info_ln_general, mp_mutual_info_ln, [(s, l, n)], dps=800)
         assert worst[0] <= 1e-13, worst
 
     @pytest.mark.parametrize("s,l,n", [(12.0, 0.0, 0.0), (20.0, 0.0, 0.0), (12.0, 0.0, 1e-6),

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -126,6 +127,19 @@ class TestOneKernel:
         assert isinstance(out, np.ndarray) and out.tolist() == values
         assert face(np.array([1.0 - 5e-10, 1.0])).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("face", [contangle_from_m, entropy_term_f], ids=["contangle_from_m", "entropy_term_f"])
+    @pytest.mark.parametrize("x", [1.0, 1.0 - 5e-10, np.array([1.0]), np.array([1.0 - 5e-10, 1.0, 2.0])],
+                             ids=["1.0", "1-5e-10", "array-1.0", "array-mixed"])
+    def test_floor_is_quiet_and_zero(self, face, x):
+        """The kernels warn only on their masked x <= 1 branch, which the face silences."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = face(x)
+        if np.ndim(x) == 0:
+            assert type(out) is float and out == 0.0
+        else:
+            assert out.tolist() == [0.0 if v <= 1.0 else face(float(v)) for v in x]
+
     def test_array_below_floor_names_the_first_value(self):
         with pytest.raises(InconsistencyError, match=r"m-parameter 0\.5 below the separability floor"):
             contangle_from_m(np.array([2.0, 0.5, 0.25]))
@@ -220,9 +234,38 @@ class TestPptAndNegativity:
             log_negativity(sigma, ())
 
 
+def mp_entropy_of_entanglement(s):
+    """f(cosh 2s) = cosh^2 s ln cosh^2 s - sinh^2 s ln sinh^2 s, as ln cosh^2 s + sinh^2 s log1p(1/sinh^2 s)."""
+    s = mp.mpf(s)
+    if s == 0:
+        return mp.mpf(0)
+    y = mp.sinh(s) ** 2
+    return mp.log(mp.cosh(s) ** 2) + y * mp.log1p(1 / y)
+
+
 class TestEntropyOfEntanglement:
     def test_zero_squeezing(self):
         assert entropy_of_entanglement(0.0) == 0.0
+
+    def test_mpmath_oracle(self):
+        """Within 1e-15 x max(1, |ref|) far past s ~ 355, where cosh 2s overflows."""
+        worst = 0.0
+        with mp.workdps(60):
+            for s in (0.0, 1e-8, 1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 19.99, 20.0, 20.01, 100.0,
+                      354.0, 356.0, 400.0, 700.0, 1e6):
+                ref = mp_entropy_of_entanglement(s)
+                worst = max(worst, float(abs(entropy_of_entanglement(s) - ref) / max(1, abs(ref))))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("s", [1e-3, 0.5, 3.0, 20.0, 50.0])
+    def test_uncancelled_oracle(self, s):
+        """The direct definition f(cosh 2s), evaluated with enough digits to cancel."""
+        with mp.workdps(80):
+            ref = mp_f(mp.cosh(2 * mp.mpf(s)))
+        assert abs(entropy_of_entanglement(s) - ref) <= 1e-15 * max(1.0, ref)
+
+    def test_finite_far_out(self):
+        assert entropy_of_entanglement(1e300) == 2e300
 
     def test_unit_squeezing(self):
         assert entropy_of_entanglement(1.0) == pytest.approx(mp_f(mp.cosh(2)), rel=1e-14)
@@ -307,6 +350,40 @@ class TestTwoModeFamilies:
         rep = contangle_from_cm(tms_cm(1.0))
         assert rep.source == "numeric_cm"
         assert rep.contangle == pytest.approx(4.0, abs=1e-10)
+
+
+class TestMemoisedState:
+    """Measures on a state whose spectrum and partial transposes are memoised equal a fresh state's."""
+
+    @staticmethod
+    def measures(cov):
+        return (two_mode_m(cov), mutual_information(cov, (0,)), log_negativity(cov, (0,)),
+                log_negativity(cov, [1]), ppt_separable(cov, (1,)), von_neumann_entropy(cov))
+
+    def test_bit_identical_to_a_fresh_state(self):
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            s, r, l, n = rng.uniform(0.0, 3.0, 4)
+            single, double = build_single_observer_cm(s, r), build_double_observer_cm(s, l, n)
+            for cov in (reduce(single, (0, 1)), reduce(single, (1, 2)), reduce(single, (0, 2)),
+                        reduce(double, (1, 2)), reduce(double, (0, 1))):
+                first = self.measures(cov)
+                assert self.measures(cov) == first
+                assert self.measures(CovMatrix(cov.mat)) == first
+
+    @pytest.mark.parametrize("s,l,n", [(1.2, 0.6, 0.9), (0.7, 0.01, 2.9), (2.0, 1.0, 1.0), (1.5, 0.0, 0.0)])
+    def test_two_cholesky_factorisations_per_library_point(self, monkeypatch, s, l, n):
+        """One for sigma_LN, one for its partial transpose: m, I and E_N share them."""
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cholesky(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        ln = reduce(build_double_observer_cm(s, l, n), (1, 2))
+        two_mode_m(ln), mutual_information(ln, (0,)), log_negativity(ln, (0,))
+        assert len(calls) == 2
 
 
 @given(st.floats(0.05, 2.5), st.floats(0.05, 2.5))

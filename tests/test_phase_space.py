@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -278,3 +280,126 @@ class TestContainers:
     def test_purity_predicate(self):
         assert is_pure(tms_cm(1.0))
         assert not is_pure(reduce(build_single_observer_cm(1.0, 1.0), (0, 1)))
+
+
+def seeded_states(count: int = 12):
+    """Scenario states at seeded (s, r) and (s, l, n) points, with two-mode reductions of each."""
+    rng = np.random.default_rng(9)
+    states = []
+    for _ in range(count):
+        s, r, l, n = rng.uniform(0.0, 3.0, 4)
+        single, double = build_single_observer_cm(s, r), build_double_observer_cm(s, l, n)
+        states += [single, reduce(single, (0, 1)), double, reduce(double, (1, 2))]
+    return states
+
+
+class TestMemo:
+    """A CovMatrix computes its spectrum and each partial transpose once and reuses them."""
+
+    def test_memo_matches_a_fresh_state_bit_for_bit(self):
+        for cov in seeded_states():
+            first = symplectic_eigenvalues(cov)
+            for modes in [(0,), (1,)] + ([(0, 1)] if cov.n_modes > 2 else []):
+                pt = partial_transpose(cov, modes)
+                fresh_pt = partial_transpose(CovMatrix(cov.mat), modes)
+                assert pt.mat.tobytes() == fresh_pt.mat.tobytes()
+                assert symplectic_eigenvalues(pt).tobytes() == symplectic_eigenvalues(fresh_pt).tobytes()
+                assert symplectic_eigenvalues(pt).tobytes() == symplectic_eigenvalues(CovMatrix(pt.mat)).tobytes()
+            assert symplectic_eigenvalues(cov).tobytes() == first.tobytes()
+            assert first.tobytes() == symplectic_eigenvalues(CovMatrix(cov.mat)).tobytes()
+            assert is_pure(cov) == is_pure(CovMatrix(cov.mat))
+
+    def test_mutating_a_returned_spectrum_changes_nothing_later(self):
+        cov = build_double_observer_cm(1.1, 0.4, 0.7)
+        etas = symplectic_eigenvalues(cov)
+        expected = etas.copy()
+        etas[:] = -1.0
+        np.testing.assert_array_equal(symplectic_eigenvalues(cov), expected)
+        assert symplectic_eigenvalues(cov).flags.writeable
+
+    def test_mutating_a_symplectic_form_changes_nothing_later(self):
+        omega = symplectic_form(2)
+        omega[:] = 7.0
+        np.testing.assert_array_equal(symplectic_form(2), [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        assert symplectic_form(2).flags.writeable
+        assert_symplectic(two_mode_squeezer(0.8, 0, 1, 2).mat)
+        np.testing.assert_allclose(symplectic_eigenvalues(tms_cm(0.8)), [1.0, 1.0], atol=1e-12)
+
+    def test_transposes_are_keyed_by_the_sorted_mode_set(self):
+        cov = build_single_observer_cm(0.9, 0.6)
+        pt0 = partial_transpose(cov, (0,))
+        assert partial_transpose(cov, [0]) is pt0
+        assert partial_transpose(cov, np.array([0])) is pt0
+        pt1 = partial_transpose(cov, (1,))
+        assert pt1 is not pt0 and pt1.mat.tobytes() != pt0.mat.tobytes()
+        assert partial_transpose(cov, (1, 0)) is partial_transpose(cov, [0, 1])
+        for modes in ((0,), (1,), (0, 1)):
+            assert partial_transpose(cov, modes).mat.tobytes() == partial_transpose(cov.mat, modes).mat.tobytes()
+        with pytest.raises(ValueError, match="distinct"):
+            partial_transpose(cov, (0, 0))
+        with pytest.raises(ValueError, match="proper subset"):
+            partial_transpose(cov, (0, 1, 2))
+
+    def test_threads_sharing_a_state_get_identical_results(self):
+        """More threads than cores race on fresh states; every one gets the same transpose object and bits."""
+        def work(cov):
+            pt = partial_transpose(cov, [0])
+            return pt, (symplectic_eigenvalues(cov).tobytes(), symplectic_eigenvalues(pt).tobytes(), is_pure(cov))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cov in seeded_states(6):
+                barrier, results = threading.Barrier(6), [None] * 6
+
+                def run(k, cov=cov, barrier=barrier, results=results):
+                    barrier.wait(timeout=10)
+                    results[k] = work(cov)
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert len({id(pt) for pt, _ in results}) == 1
+                fresh = work(CovMatrix(cov.mat))[1]
+                assert all(values == fresh for _, values in results)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestValidationMessages:
+    """Every constructed matrix is still validated, with the same messages."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_covariance(self, bad):
+        mat = np.eye(4)
+        mat[2, 3] = mat[3, 2] = bad
+        with pytest.raises(ValueError, match="^covariance matrix entries must be finite$"):
+            CovMatrix(mat)
+
+    def test_asymmetric_covariance(self):
+        mat = np.eye(4)
+        mat[0, 3] = 1e-6
+        with pytest.raises(ValueError, match=r"^covariance matrix not symmetric \(asymmetry 1\.000e-06\)$"):
+            CovMatrix(mat)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 2)])
+    def test_non_square_covariance(self, shape):
+        with pytest.raises(ValueError, match=r"^covariance matrix must be square, got shape"):
+            CovMatrix(np.ones(shape))
+
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_odd_or_empty_covariance(self, size):
+        with pytest.raises(ValueError, match=r"^covariance matrix must be 2Nx2N with N >= 1"):
+            CovMatrix(np.eye(size))
+
+    @pytest.mark.parametrize("mat", [2.0 * np.eye(4), np.full((2, 2), 1.0)])
+    def test_non_symplectic(self, mat):
+        with pytest.raises(ValueError, match=r"^matrix does not preserve the symplectic form \(defect"):
+            SympTransform(mat)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (0, 0), (4,)])
+    def test_bad_symplectic_shape(self, shape):
+        with pytest.raises(ValueError, match=r"^symplectic matrix must be 2Nx2N, got shape"):
+            SympTransform(np.ones(shape))
