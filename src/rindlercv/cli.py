@@ -8,7 +8,9 @@ comment lines and floats carry 17 significant digits.
 Sweeps and figure presets evaluate their grids through the columnar report
 kernels of :mod:`rindlercv.entanglement_analysis`, SWEEP_CHUNK points per
 call, and write each chunk as it is done, so memory stays bounded whatever
-the grid size.
+the grid size.  The table writer formats each distinct value of a column once
+per chunk and gathers the texts into rows; the bytes are those of rendering
+each cell on its own with ``_fmt`` (CSV) or ``_dump_json`` (JSON).
 """
 
 from __future__ import annotations
@@ -122,8 +124,9 @@ def _dump_json(obj) -> str:
 class _Output:
     """stdout or a file opened for writing; I/O errors surface as exit code 4.
 
-    A file whose writing is cut short by an error is removed, so a failed
-    sweep leaves no partial table behind.
+    A regular file whose writing is cut short by an error is removed, so a
+    failed sweep leaves no partial table behind; anything else (a device such
+    as /dev/null, a pipe) is left where it is.
     """
 
     def __init__(self, path: Optional[str]):
@@ -138,30 +141,36 @@ class _Output:
     def __exit__(self, exc_type, *exc):
         if self.path is not None:
             self._fh.close()
-            if exc_type is not None:
+            if exc_type is not None and os.path.isfile(self.path):
                 os.remove(self.path)
         return False
 
 
-def _cells(col: np.ndarray, fmt: str) -> tuple[str, list]:
-    """One column's %-conversion and values, rendered as _fmt and _dump_json render cells.
+def _cells(col: np.ndarray, fmt: str, prefix: str = "") -> list[str]:
+    """One column's cells as _fmt (CSV) or _dump_json (JSON) renders them, each after ``prefix``.
 
-    '%.17g' already prints inf, -inf, nan and -0 as _fmt does, and '%r' a
-    finite float as JSON does; booleans, masked cells (empty in CSV, null in
-    JSON) and non-finite JSON cells are rendered here.
+    Each distinct value is formatted once and its text gathered into every
+    cell that holds it.  Values are told apart by their bits, so -0.0 and 0.0
+    stay distinct.  '%.17g' prints inf, -inf, nan and -0 as _fmt does, and
+    repr a finite float as JSON does; a non-finite JSON cell is _fmt's text,
+    quoted.  Booleans are true/false, and a masked cell is empty in CSV and
+    null in JSON.
     """
-    if col.dtype == bool:
-        return "%s", np.where(col, "true", "false").tolist()
-    values = col.tolist()  # masked cells become None
-    masked = np.any(getattr(col, "mask", False))
-    if fmt == "csv":
-        if masked:
-            return "%s", ["" if v is None else "%.17g" % v for v in values]
-        return "%.17g", values
-    if not masked and np.isfinite(col).all():
-        return "%r", values
-    return "%s", ["null" if v is None else repr(v) if math.isfinite(v) else f'"{_fmt(v)}"'
-                  for v in values]
+    data = np.asarray(col)  # a masked array's data; its mask is read below
+    if data.dtype == bool:
+        texts, index = ["false", "true"], data.view(np.uint8)
+    else:
+        keys, index = np.unique(np.ascontiguousarray(data, dtype=float).view(np.int64), return_inverse=True)
+        values = keys.view(float).tolist()
+        if fmt == "csv":
+            texts = ["%.17g" % v for v in values]
+        else:
+            texts = [repr(v) if math.isfinite(v) else f'"{_fmt(v)}"' for v in values]
+    cells = np.array([prefix + text for text in texts], dtype=object)[index]
+    mask = getattr(col, "mask", False)
+    if np.any(mask):
+        cells[mask] = prefix + ("" if fmt == "csv" else "null")
+    return cells.tolist()
 
 
 def _write_table(stream, meta: list[str], columns: list[str], chunks: Iterable[dict], fmt: str) -> None:
@@ -170,15 +179,14 @@ def _write_table(stream, meta: list[str], columns: list[str], chunks: Iterable[d
         stream.write(f"# {line}\n")
     if fmt == "csv":
         stream.write(",".join(columns) + "\n")
+        for chunk in chunks:
+            rows = zip(*(_cells(chunk[c], fmt) for c in columns))
+            stream.write("".join([",".join(row) + "\n" for row in rows]))
     else:  # json-lines, keys unique and sorted as _dump_json writes them
         columns = sorted(set(columns))
-    for chunk in chunks:
-        convs, cells = zip(*(_cells(chunk[c], fmt) for c in columns))
-        if fmt == "csv":
-            template = ",".join(convs) + "\n"
-        else:
-            template = "{" + ", ".join(f"{json.dumps(c)}: {v}" for c, v in zip(columns, convs)) + "}\n"
-        stream.write("".join([template % row for row in zip(*cells)]))
+        for chunk in chunks:
+            rows = zip(*(_cells(chunk[c], fmt, f"{json.dumps(c)}: ") for c in columns))
+            stream.write("".join(["{" + ", ".join(row) + "}\n" for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +214,15 @@ def _point_report(args) -> tuple[str, dict]:
     return args.scenario, {**ea._report_fields(columns), **extra}
 
 
-def _row_chunk(row: dict) -> dict:
-    """One row of cells as a chunk of one-element columns, None as a masked cell."""
-    return {name: np.ma.masked_array([0.0 if v is None else v], mask=[v is None])
-            for name, v in row.items()}
-
-
 def _cmd_point(args) -> int:
     scenario, report = _point_report(args)
     payload = {"scenario": scenario, "report": report}
     with _Output(args.out) as stream:
         if args.format == "json":
             stream.write(_dump_json(payload) + "\n")
-        elif args.format == "csv":
-            _write_table(stream, [f"rindlercv point {scenario}"], list(report), [_row_chunk(report)], "csv")
+        elif args.format == "csv":  # the table _write_table would write for this one row
+            stream.write(f"# rindlercv point {scenario}\n{','.join(report)}\n"
+                         + ",".join(map(_fmt, report.values())) + "\n")
         else:  # default: human text followed by the JSON payload
             stream.write(f"scenario: {scenario}\n")
             for key in report:

@@ -97,7 +97,7 @@ class CovMatrix:
         asym = abs(arr - arr.T).max()
         if asym > SYMMETRY_ATOL * max(1.0, scale):
             raise ValueError(f"covariance matrix not symmetric (asymmetry {asym:.3e})")
-        arr = 0.5 * (arr + arr.T)
+        arr = 0.5 * arr + 0.5 * arr.T  # halve first: arr + arr.T overflows above about 9e307
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 
@@ -120,9 +120,12 @@ class SympTransform:
         arr = np.asarray(self.mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 or arr.shape[0] == 0:
             raise ValueError(f"symplectic matrix must be 2Nx2N, got shape {arr.shape}")
+        scale = abs(arr).max()  # NaN propagates through max, so this also tests finiteness
+        if not scale < math.inf:
+            raise ValueError("symplectic matrix entries must be finite")
         omega = _omega(arr.shape[0] // 2)
         defect = abs(arr.T @ omega @ arr - omega).max()
-        if defect > SYMPLECTIC_ATOL * max(1.0, abs(arr).max() ** 2):
+        if not defect <= SYMPLECTIC_ATOL * max(1.0, scale ** 2):  # a NaN defect fails too
             raise ValueError(f"matrix does not preserve the symplectic form (defect {defect:.3e})")
         arr = arr.copy()
         arr.setflags(write=False)

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import math
+import os
 import re
 import time
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from rindlercv import cli
 from rindlercv import entanglement_analysis as ea
 from rindlercv.cli import (EXIT_INCONSISTENT, EXIT_IO, EXIT_SELFTEST, EXIT_USAGE, FIGURE_PRESETS,
-                           SweepAxis, _jsonable, main)
+                           SweepAxis, _dump_json, _fmt, _jsonable, _write_table, main)
 
 
 def run_cli(capsys, *argv):
@@ -481,6 +482,14 @@ class TestSweep:
         assert len(err.strip().splitlines()) == 1 and "r=0.5" in err and "s=" in err
         assert not path.exists()  # the chunk that failed came after the first was written
 
+    def test_failed_write_leaves_a_device_alone(self, capsys, monkeypatch):
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        code, _, err = run_cli(capsys, "sweep", "--scenario", "single", "--sweep", "s=0:400:5001",
+                               "--fix", "r=0.5", "--out", os.devnull)
+        assert code == EXIT_INCONSISTENT and err.startswith("internal inconsistency: ")
+        assert removed == []
+
     def test_memory_stays_bounded(self, tmp_path):
         # one row dict per point would take some 90 MB for these 90 000 points
         tracemalloc.start()
@@ -555,6 +564,73 @@ class TestSweepMatchesPointReports:
             return json.loads(out)["report"]
         rows = self.check(capsys, "frequency", [("lam", 0.1, 3, 5), ("nu", 0.2, 4, 4)], fixed, point_report)
         assert ("m_l_n" in rows[0]) == ("s" in fixed)
+
+
+def one_row_chunk(report):
+    """One report as a chunk of one-element columns, None as a masked cell."""
+    return {name: np.ma.masked_array([0.0 if v is None else v], mask=[v is None])
+            for name, v in report.items()}
+
+
+class TestTableWriter:
+    """The table writer renders every cell as _fmt (CSV) and _dump_json (JSON) render it alone."""
+
+    SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1, 1 / 3]
+
+    @staticmethod
+    def chunks():
+        """Chunks of float, masked and bool columns; most values repeat within a column."""
+        rng = np.random.default_rng(11)
+        pool = np.array(TestTableWriter.SPECIAL + rng.normal(size=6).tolist())
+        for size in (1, 2, 37, 300):
+            yield {
+                "x": pool[rng.integers(0, len(pool), size)],
+                "axis": np.repeat(np.linspace(0.0, 3.0, 4), -(-size // 4))[:size],
+                "unique": rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size),
+                "held": np.ma.masked_array(pool[rng.integers(0, len(pool), size)],
+                                           mask=rng.random(size) < 0.4),
+                "flag": rng.random(size) < 0.5,
+                "zeros": np.where(rng.random(size) < 0.5, 0.0, -0.0),
+            }
+
+    @staticmethod
+    def rows(chunk):
+        """The chunk's rows as the cells a report holds: floats and bools, None where masked."""
+        columns = {name: col.tolist() for name, col in chunk.items()}  # masked cells become None
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cells_match_the_per_cell_renderers(self, fmt):
+        columns = ["x", "axis", "unique", "held", "flag", "zeros"]
+        chunks = list(self.chunks())
+        stream = io.StringIO()
+        _write_table(stream, ["meta line"], columns, chunks, fmt)
+        lines = stream.getvalue().splitlines()
+        assert lines[0] == "# meta line"
+        if fmt == "csv":
+            want = [",".join(columns)] + [",".join(map(_fmt, row.values()))
+                                          for chunk in chunks for row in self.rows(chunk)]
+        else:
+            want = [_dump_json(row) for chunk in chunks for row in self.rows(chunk)]
+        assert lines[1:] == want
+        assert "-0" in stream.getvalue() and ("null" if fmt == "json" else ",,") in stream.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        "single --s 1 --r 0.5", "single --s 0 --r 0", "single --s 1 --accel 2 --freq 0.3",
+        "double --s 1 --a 0.5", "double --s 1 --l 0.4 --n 1.7", "double --s 0 --l 0 --n 1",
+        "frequency --lam 1 --nu 2 --accel 6.3", "frequency --lam 1 --nu 2 --accel 6.3 --s 1.2",
+        "frequency --lam 1 --nu 1 --accel 0.01"])
+    def test_point_csv_is_the_report_rendered_by_fmt(self, capsys, argv):
+        scenario, report = cli._point_report(cli._parser().parse_args(["point", *argv.split()]))
+        code, out, err = run_cli(capsys, "point", *argv.split(), "--format", "csv")
+        assert code == 0 and err == ""
+        assert (None in report.values()) == (" --l " in f" {argv}")  # l != n leaves cells undefined
+        assert out == (f"# rindlercv point {scenario}\n" + ",".join(report) + "\n"
+                       + ",".join(map(_fmt, report.values())) + "\n")
+        table = io.StringIO()  # the same bytes as the table writer's one-row table
+        _write_table(table, [f"rindlercv point {scenario}"], list(report), [one_row_chunk(report)], "csv")
+        assert out == table.getvalue()
 
 
 class TestFigures:

@@ -277,6 +277,26 @@ class TestContainers:
         with pytest.raises(ValueError):
             SympTransform(2.0 * np.eye(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_symplectic_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SympTransform(np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="finite"):
+            two_mode_squeezer(bad, 0, 1, 2)
+
+    def test_symmetrization_keeps_huge_entries(self, recwarn):
+        cov = CovMatrix(np.diag([1e308, 1e308, 1.0, 1.0]))
+        assert cov.mat.diagonal().tolist() == [1e308, 1e308, 1.0, 1.0]
+        assert not recwarn.list
+
+    def test_symmetrization_matches_the_sum_form_on_normal_floats(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            mat = rng.normal(size=(4, 4)) * 10.0 ** rng.integers(-30, 30)
+            mat = mat + mat.T
+            mat[0, 1] += 1e-14 * abs(mat).max()  # an asymmetry below the tolerance
+            assert np.array_equal(CovMatrix(mat).mat, 0.5 * (mat + mat.T))
+
     def test_purity_predicate(self):
         assert is_pure(tms_cm(1.0))
         assert not is_pure(reduce(build_single_observer_cm(1.0, 1.0), (0, 1)))
