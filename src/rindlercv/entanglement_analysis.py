@@ -608,9 +608,10 @@ def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) 
     Columns lam, nu, accel, the squeezing parameters l and n of the two
     modes, the death condition of :func:`frequency_condition` (+-inf where
     it overflows), the infinite-squeezing Leo-Nadia m and contangle (inf
-    where l = n = 0), and with s also s, m_l_n and tau_l_n.  A cell breaking
-    an invariant of :func:`_check_columns` at ``tol`` raises
-    InconsistencyError, an infinite squeezing l or n ValueError.
+    where l = n = 0 and wherever it overflows), and with s also s, m_l_n
+    and tau_l_n.  A cell breaking an invariant of :func:`_check_columns` at
+    ``tol`` raises InconsistencyError, an infinite squeezing l or n
+    ValueError.
     """
     params = {"lam": lam, "nu": nu, "accel": accel} | ({} if s is None else {"s": s})
     _require_domain(positive=True, lam=lam, nu=nu, accel=accel)
@@ -635,7 +636,8 @@ def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) 
         if s is not None:
             m_l_n = _m_leo_nadia(grid["s"], l, n)
             columns.update(s=grid["s"], m_l_n=m_l_n, tau_l_n=_contangle(m_l_n))
-    may_diverge = {"condition_value": True, "m_ln_infinite": both_zero, "tau_ln_infinite": both_zero}
+    overflow = np.isinf(m_inf)  # at l = n = 0, and where 2 / (l + n)^2 passes the float range
+    may_diverge = {"condition_value": True, "m_ln_infinite": overflow, "tau_ln_infinite": overflow}
     return _check_columns(columns, tuple(params), may_diverge, {}, {}, tol)
 
 

@@ -39,10 +39,12 @@ from .phase_space import (
     MatrixLike,
     PURITY_TOL,
     _as_cov,
+    _indefinite,
     check_mode_set,
     is_pure,
     partial_transpose,
     symplectic_eigenvalues,
+    two_mode_marginals,
 )
 from .rindler_frames import _require_domain
 
@@ -119,7 +121,10 @@ def von_neumann_entropy(sigma: MatrixLike) -> float:
 def _clamped_spectrum(sigma: MatrixLike) -> np.ndarray:
     # eigenvalues near 1 are resolved only to ~eps * |sigma|, so the
     # physicality gate scales with the largest eigenvalue
-    etas = symplectic_eigenvalues(sigma)
+    cov = _as_cov(sigma)
+    etas = symplectic_eigenvalues(cov)
+    if _indefinite(cov):
+        raise ValueError("state is not physical (covariance matrix not positive definite)")
     slack = max(100 * BONA_FIDE_TOL, 32 * np.finfo(float).eps * etas.max())
     if etas.min() < 1.0 - slack:
         raise ValueError(f"state is not physical (min symplectic eigenvalue {etas.min()!r})")
@@ -138,10 +143,9 @@ def mutual_information(sigma: MatrixLike, split: Iterable[int]) -> float:
     modes = check_mode_set(split, 2)
     if len(modes) != 1:
         raise ValueError("split must select exactly one of the two modes")
-    a = math.sqrt(np.linalg.det(cov.block(0, 0)))
-    b = math.sqrt(np.linalg.det(cov.block(1, 1)))
-    f_a, f_b, f_minus, f_plus = entropy_term_f(np.array([a, b, *_clamped_spectrum(cov)]))
-    return float(f_a + f_b - (f_minus + f_plus))
+    eta_minus, eta_plus = _clamped_spectrum(cov).tolist()  # first: an unphysical state has no marginals
+    a, b, _ = two_mode_marginals(cov)
+    return entropy_term_f(a) + entropy_term_f(b) - (entropy_term_f(eta_minus) + entropy_term_f(eta_plus))
 
 
 def _check_one_vs_rest(cov: CovMatrix, transposed: Iterable[int]) -> tuple[int, ...]:
@@ -223,14 +227,6 @@ class MeasureReport:
 # Closed-form contangle parameters from two-mode covariance matrices.
 # ---------------------------------------------------------------------------
 
-def _marginals(cov: CovMatrix) -> tuple[float, float, float]:
-    """(sqrt det sigma_1, sqrt det sigma_2, det eps) of a two-mode state."""
-    a = math.sqrt(np.linalg.det(cov.block(0, 0)))
-    b = math.sqrt(np.linalg.det(cov.block(1, 1)))
-    det_eps = float(np.linalg.det(cov.block(0, 1)))
-    return a, b, det_eps
-
-
 def pure_m(sigma: MatrixLike) -> float:
     """m-parameter of a pure two-mode state: sqrt det of either single-mode reduction."""
     cov = _as_cov(sigma)
@@ -238,7 +234,7 @@ def pure_m(sigma: MatrixLike) -> float:
         raise ValueError("pure_m needs a two-mode state")
     if not is_pure(cov):
         raise ValueError("state is not pure; use the mixed-state evaluators")
-    a, b, _ = _marginals(cov)
+    a, b, _ = two_mode_marginals(cov)
     return 0.5 * (a + b)
 
 
@@ -258,7 +254,7 @@ def gmemms_m(sigma: MatrixLike, tol: float = GMEMMS_SPECTRUM_TOL) -> float:
         raise ValueError(f"state does not saturate the uncertainty relation (eta_min = {eta_min!r})")
     if ppt_separable(cov, (0,)):
         return 1.0
-    a, b, _ = _marginals(cov)
+    a, b, _ = two_mode_marginals(cov)
     return (a + b) / (2.0 + abs(a - b))
 
 
@@ -277,7 +273,7 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
         raise ValueError("squeezed_thermal_m needs a two-mode state")
     if ppt_separable(cov, (0,)):
         return 1.0
-    a, b, det_eps = _marginals(cov)
+    a, b, det_eps = two_mode_marginals(cov)
     if det_eps > 0:
         raise ValueError("entangled two-mode states need det eps < 0")
     c_sq = -det_eps
@@ -317,10 +313,10 @@ def two_mode_m(sigma: MatrixLike) -> float:
     cov = _as_cov(sigma)
     if cov.n_modes != 2:
         raise ValueError("two_mode_m needs a two-mode state")
-    etas = symplectic_eigenvalues(cov)
-    if np.max(np.abs(etas - 1.0)) <= PURITY_TOL:
+    eta_minus, eta_plus = symplectic_eigenvalues(cov).tolist()  # ascending
+    if max(abs(eta_minus - 1.0), abs(eta_plus - 1.0)) <= PURITY_TOL:
         return pure_m(cov)
-    if abs(etas.min() - 1.0) <= GMEMMS_SPECTRUM_TOL:
+    if abs(eta_minus - 1.0) <= GMEMMS_SPECTRUM_TOL:
         return gmemms_m(cov)
     return squeezed_thermal_m(cov)
 

@@ -10,12 +10,14 @@ Conventions used throughout the package:
 
 All containers are immutable and every operation is a pure function, so the
 module is safe to use from any number of threads.  A :class:`CovMatrix`
-computes its symplectic spectrum and each of its partial transposes at most
-once and reuses them: :func:`symplectic_eigenvalues` and
-:func:`partial_transpose` keep their results on the instance, out of sight of
+computes its symplectic spectrum, each of its partial transposes and, for two
+modes, its marginal determinants at most once and reuses them:
+:func:`symplectic_eigenvalues`, :func:`partial_transpose` and
+:func:`two_mode_marginals` keep their results on the instance, out of sight of
 its fields.  Those memo writes are idempotent (two threads that race store the
 same value), and callers get a fresh copy of the spectrum, so the state stays
-immutable and thread-safe.
+immutable and thread-safe.  For the same reason :func:`vacuum_cm` builds one
+vacuum per size and hands every caller that one instance.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ SYMPLECTIC_ATOL = 1e-10
 PAIRING_RTOL = 1e-8
 BONA_FIDE_TOL = 1e-9
 PURITY_TOL = 1e-6
+#: A matrix that fails its Cholesky factorisation is a state only if its
+#: smallest eigenvalue is above -EIGEN_FLOOR_EPS * eps * max|sigma|: rounding
+#: leaves deeply squeezed states (s = 20) just indefinite, but
+#: sigma + i Omega >= 0 needs sigma > 0, whatever |eig(Omega sigma)| says.
+EIGEN_FLOOR_EPS = 32
 
 ModeIndexSet = tuple[int, ...]
 
@@ -143,8 +150,13 @@ def _as_cov(sigma: MatrixLike) -> CovMatrix:
     return sigma if isinstance(sigma, CovMatrix) else CovMatrix(np.asarray(sigma, dtype=float))
 
 
+@functools.cache
 def vacuum_cm(n_modes: int) -> CovMatrix:
-    """Covariance matrix of the N-mode vacuum: the 2N x 2N identity."""
+    """Covariance matrix of the N-mode vacuum: the 2N x 2N identity.
+
+    Built and validated once per size: every caller shares the one
+    (immutable) instance, and with it its memoised spectrum.
+    """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     return CovMatrix(np.eye(2 * n_modes))
@@ -183,7 +195,7 @@ def reduce(sigma: MatrixLike, keep: Iterable[int]) -> CovMatrix:
     cov = _as_cov(sigma)
     modes = check_mode_set(keep, cov.n_modes)
     idx = _quad_indices(modes)
-    return CovMatrix(cov.mat[np.ix_(idx, idx)])
+    return CovMatrix(cov.mat[idx][:, idx])
 
 
 def partial_transpose(sigma: MatrixLike, transposed: Iterable[int]) -> CovMatrix:
@@ -222,7 +234,10 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     spectra in the package are tested against.
 
     The spectrum of a :class:`CovMatrix` is computed once and kept on it;
-    every call returns a fresh copy.
+    every call returns a fresh copy.  A fallback that finds an eigenvalue of
+    sigma below the rounding floor (see ``EIGEN_FLOOR_EPS``) also marks the
+    state not positive definite, which :func:`is_bona_fide`, :func:`is_pure`
+    and the entropies then reject.
     """
     cov = _as_cov(sigma)
     memo = cov.__dict__.get("_spectrum")
@@ -233,11 +248,13 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(cov.mat)
     except np.linalg.LinAlgError:
-        mags = np.sort(np.abs(np.linalg.eigvals(omega @ cov.mat)))
+        if np.linalg.eigvalsh(cov.mat)[0] < -EIGEN_FLOOR_EPS * np.finfo(float).eps * abs(cov.mat).max():
+            cov.__dict__["_indefinite"] = True  # set before the spectrum, so whoever sees one sees both
+        mags = np.sort(np.abs(np.linalg.eigvals(omega @ cov.mat))).tolist()
     else:
         skew = chol.T @ omega @ chol
         skew = 0.5 * (skew - skew.T)
-        mags = np.linalg.svd(skew, compute_uv=False)[::-1]  # singular values come descending
+        mags = np.linalg.svd(skew, compute_uv=False)[::-1].tolist()  # singular values come descending
     scale = max(1.0, mags[-1])
     etas = np.empty(n)
     for k in range(n):
@@ -249,12 +266,35 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     return cov.__dict__.setdefault("_spectrum", etas).copy()
 
 
+def _indefinite(cov: CovMatrix) -> bool:
+    """Whether the spectrum computation of cov (which must have run) found it not positive definite."""
+    return "_indefinite" in cov.__dict__
+
+
 def is_bona_fide(sigma: MatrixLike, tol: float = BONA_FIDE_TOL) -> bool:
-    """Whether sigma satisfies the uncertainty relation (min symplectic eigenvalue >= 1 - tol)."""
-    return bool(symplectic_eigenvalues(sigma).min() >= 1.0 - tol)
+    """Whether sigma satisfies the uncertainty relation: sigma > 0 and min symplectic eigenvalue >= 1 - tol."""
+    cov = _as_cov(sigma)
+    return bool(symplectic_eigenvalues(cov).min() >= 1.0 - tol) and not _indefinite(cov)
 
 
 def is_pure(sigma: MatrixLike, tol: float = PURITY_TOL) -> bool:
-    """Whether sigma describes a pure state (every symplectic eigenvalue == 1 within tol)."""
-    etas = symplectic_eigenvalues(sigma)
-    return bool(np.max(np.abs(etas - 1.0)) <= tol)
+    """Whether sigma describes a pure state: sigma > 0 and every symplectic eigenvalue == 1 within tol."""
+    cov = _as_cov(sigma)
+    etas = symplectic_eigenvalues(cov)
+    return bool(np.max(np.abs(etas - 1.0)) <= tol) and not _indefinite(cov)
+
+
+def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
+    """(sqrt det sigma_1, sqrt det sigma_2, det eps) of a two-mode state, computed once and kept on it.
+
+    The three 2x2 determinants come from one stacked call (the same LAPACK
+    routine per matrix, so the same bits as three calls).
+    """
+    cov = _as_cov(sigma)
+    memo = cov.__dict__.get("_marginals")
+    if memo is not None:
+        return memo
+    if cov.n_modes != 2:
+        raise ValueError(f"marginal determinants need a two-mode state, got {cov.n_modes} modes")
+    det_1, det_2, det_eps = np.linalg.det(np.stack([cov.block(0, 0), cov.block(1, 1), cov.block(0, 1)])).tolist()
+    return cov.__dict__.setdefault("_marginals", (math.sqrt(det_1), math.sqrt(det_2), det_eps))

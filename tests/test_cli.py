@@ -184,6 +184,18 @@ class TestInputDomain:
         report = json.loads(out)["report"]
         assert report["condition_value"] == "-inf" and report["separable"] is False
 
+    @pytest.mark.parametrize("argv", ["point frequency --lam 12.5875 --nu 1.325 --accel 0.01",
+                                      "sweep --scenario frequency --sweep lam=12:13:3 --fix nu=1.325 --fix accel=0.01"])
+    def test_overflowing_m_ln_infinite_is_inf(self, capsys, argv):
+        """l = 0 and n = 1.66e-181: m_ln_infinite ~ 2/n^2 overflows, like the l = n = 0 limit."""
+        code, out, err = run_cli(capsys, "--format", "json", *argv.split())
+        assert code == 0 and err == ""
+        rows = output_rows(["--format", "json", *argv.split()], out)
+        assert len(rows) == (1 if argv.startswith("point") else 3)
+        for row in rows:
+            assert row["l"] == 0.0 and 0.0 < row["n"] < 1e-154
+            assert row["m_ln_infinite"] == row["tau_ln_infinite"] == "inf"
+
     @pytest.mark.parametrize("argv", ["--s 200 --l 0.5 --n 0.6", "--s 300 --l 0 --n 1e-6", "--s 349 --a 4",
                                       "--s 351.5 --a 4"])
     def test_unequal_accelerations_far_past_s_20(self, capsys, argv):
@@ -210,12 +222,15 @@ class TestInputDomain:
         ("frequency_condition", "point frequency --lam 1 --nu 2 --accel 3", "condition_value"),
         ("frequency_condition", "sweep --scenario frequency --sweep lam=1:2:3 --fix nu=2 --fix accel=3",
          "condition_value"),
+        ("_m_ln_infinite_squeezing", "point frequency --lam 1 --nu 2 --accel 3", "m_ln_infinite"),
+        ("_m_ln_infinite_squeezing", "sweep --scenario frequency --sweep lam=1:2:3 --fix nu=2 --fix accel=3",
+         "m_ln_infinite"),
     ])
     def test_nan_in_a_field_that_may_diverge_exit_3(self, capsys, monkeypatch, target, argv, field):
         """A field that may diverge may be +-inf, never NaN."""
         original = getattr(ea, target)
-        if target == "_tau_max_ar":
-            monkeypatch.setattr(ea, target, lambda r: r * math.nan)
+        if target in ("_tau_max_ar", "_m_ln_infinite_squeezing"):
+            monkeypatch.setattr(ea, target, lambda *args: args[0] * math.nan)
         else:
             monkeypatch.setattr(ea, target, lambda *args: (args[0] * math.nan, *original(*args)[1:]))
         code, out, err = run_cli(capsys, *argv.split())
@@ -286,6 +301,9 @@ class TestArgvFuzz:
                   "--fix accel=20".split())
     # overflowed probes at s = 354: the check's one line, not an observer-probe log line too
     @example(argv="sweep --scenario double --sweep l=20:1e-12:2 --sweep n=1e-12:3:3 --fix s=354".split())
+    # l = 0, n = 1.66e-181: m_ln_infinite overflows to inf, as at l = n = 0
+    @example(argv="point frequency --lam 12.5875 --nu 1.325 --accel 0.01".split())
+    @example(argv="sweep --scenario frequency --sweep lam=12:13:3 --fix nu=1.325 --fix accel=0.01".split())
     def test_every_input_ends_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         # as logging's last-resort handler prints warnings in a shell, where nothing configures logging

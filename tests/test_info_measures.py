@@ -25,7 +25,8 @@ from rindlercv.info_measures import (
     two_mode_m,
     von_neumann_entropy,
 )
-from rindlercv.phase_space import CovMatrix, apply_congruence, reduce, two_mode_squeezer, vacuum_cm
+from rindlercv.phase_space import (CovMatrix, apply_congruence, reduce, symplectic_eigenvalues, two_mode_squeezer,
+                                   vacuum_cm)
 from rindlercv.rindler_frames import build_double_observer_cm, build_single_observer_cm
 
 from conftest import single_mode_rotation, single_mode_squeeze
@@ -186,6 +187,15 @@ class TestMutualInformation:
     def test_needs_two_modes(self):
         with pytest.raises(ValueError):
             mutual_information(vacuum_cm(3), (0,))
+
+    @pytest.mark.parametrize("mat", [np.diag([-1.0, -1.0, 1.0, 1.0]), np.diag([-1.0, 1.0, 1.0, 1.0]),
+                                     np.diag([0.5, 0.5, 1.0, 1.0]), -np.eye(4)],
+                             ids=["diag(-1,-1,1,1)", "diag(-1,1,1,1)", "diag(0.5,0.5,1,1)", "-I"])
+    def test_unphysical_state_rejected(self, mat):
+        """Neither a 'math domain error' nor 0: sigma > 0 fails, or a symplectic eigenvalue lies below 1."""
+        for call in (lambda: mutual_information(mat, (0,)), lambda: von_neumann_entropy(mat)):
+            with pytest.raises(ValueError, match="^state is not physical"):
+                call()
 
     def test_pure_state_doubles_entanglement_entropy(self):
         s = 1.3
@@ -370,6 +380,47 @@ class TestMemoisedState:
                 first = self.measures(cov)
                 assert self.measures(cov) == first
                 assert self.measures(CovMatrix(cov.mat)) == first
+
+    @staticmethod
+    def four_value_mutual_information(cov):
+        """The mutual information as one array call of f over (a, b, eta-, eta+), each det taken alone."""
+        a = math.sqrt(np.linalg.det(cov.block(0, 0)))
+        b = math.sqrt(np.linalg.det(cov.block(1, 1)))
+        f_a, f_b, f_minus, f_plus = entropy_term_f(np.array([a, b, *np.maximum(symplectic_eigenvalues(cov), 1.0)]))
+        return float(f_a + f_b - (f_minus + f_plus))
+
+    def test_mutual_information_is_the_four_value_array_sum_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        families = {"pure": 0, "gmemms": 0, "thermal": 0, "clamped": 0}
+        for _ in range(40):
+            s, r, l, n = rng.uniform(0.0, 3.0, 4)
+            single, double = build_single_observer_cm(s, r), build_double_observer_cm(s, l, n)
+            states = [reduce(single, (0, 1)), reduce(single, (1, 2)), reduce(single, (0, 2)),
+                      reduce(double, (1, 2)), reduce(double, (0, 1)), tms_cm(s)]
+            for cov in states:
+                etas = symplectic_eigenvalues(cov)
+                families["pure" if abs(etas - 1.0).max() <= 1e-6 else
+                         "gmemms" if abs(etas[0] - 1.0) <= 1e-6 else "thermal"] += 1
+                families["clamped"] += bool(etas[0] < 1.0)
+                expected = self.four_value_mutual_information(CovMatrix(cov.mat))
+                for split in ((0,), (1,)):
+                    assert np.float64(mutual_information(cov, split)).tobytes() == np.float64(expected).tobytes()
+        assert min(families.values()) > 0, families
+
+    @pytest.mark.parametrize("s,l,n,dets", [(1.2, 0.6, 0.9, 2), (0.7, 0.01, 2.9, 2), (2.0, 1.0, 1.0, 1),
+                                            (1.5, 0.0, 0.0, 1)])
+    def test_at_most_two_determinant_calls_per_library_point(self, monkeypatch, s, l, n, dets):
+        """m, I and E_N share one stacked call for the three 2x2 blocks; the thermal family adds det sigma."""
+        calls = []
+        det = np.linalg.det
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return det(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "det", counting)
+        ln = reduce(build_double_observer_cm(s, l, n), (1, 2))
+        two_mode_m(ln), mutual_information(ln, (0,)), log_negativity(ln, (0,))
+        assert len(calls) == dets
 
     @pytest.mark.parametrize("s,l,n", [(1.2, 0.6, 0.9), (0.7, 0.01, 2.9), (2.0, 1.0, 1.0), (1.5, 0.0, 0.0)])
     def test_two_cholesky_factorisations_per_library_point(self, monkeypatch, s, l, n):

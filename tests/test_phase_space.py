@@ -17,6 +17,7 @@ from rindlercv.phase_space import (
     reduce,
     symplectic_eigenvalues,
     symplectic_form,
+    two_mode_marginals,
     two_mode_squeezer,
     vacuum_cm,
 )
@@ -133,6 +134,14 @@ class TestVacuum:
         with pytest.raises(ValueError):
             vacuum_cm(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_one_shared_read_only_instance_per_size(self, n):
+        assert vacuum_cm(n) is vacuum_cm(n)
+        assert not vacuum_cm(n).mat.flags.writeable
+        with pytest.raises(ValueError):
+            vacuum_cm(n).mat[0, 0] = 2.0
+        np.testing.assert_array_equal(vacuum_cm(n).mat, np.eye(2 * n))
+
 
 class TestReduce:
     def test_keep_all_is_identity(self):
@@ -245,6 +254,24 @@ class TestBonaFide:
         assert is_bona_fide(build_single_observer_cm(3.0, 3.0), tol=1e-6)
         assert is_bona_fide(build_double_observer_cm(3.0, 3.0, 3.0), tol=1e-6)
 
+    @pytest.mark.parametrize("mat", [np.diag([-1.0, -1.0, 1.0, 1.0]), np.diag([-1.0, 1.0, 1.0, 1.0]),
+                                     np.diag([0.5, 0.5, 1.0, 1.0]), -np.eye(4)],
+                             ids=["diag(-1,-1,1,1)", "diag(-1,1,1,1)", "diag(0.5,0.5,1,1)", "-I"])
+    def test_not_positive_definite_is_not_physical(self, mat):
+        """sigma + i Omega >= 0 needs sigma > 0, whatever |eig(Omega sigma)| says."""
+        assert not is_bona_fide(CovMatrix(mat))
+        assert not is_pure(CovMatrix(mat))
+        assert not is_bona_fide(mat) and not is_pure(mat)
+
+    @pytest.mark.parametrize("s", [12.0, 20.0])
+    def test_deeply_squeezed_states_failing_cholesky_stay_bona_fide(self, s):
+        """Rounding leaves these just indefinite: -6.0e-6 and -11, inside 32 eps max|sigma|."""
+        sigma = build_single_observer_cm(s, 0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma.mat)
+        assert np.linalg.eigvalsh(sigma.mat)[0] < 0.0
+        assert is_bona_fide(sigma)
+
     def test_determinant_at_least_one(self, rng):
         for _ in range(40):
             sigma = random_physical_cm(int(rng.integers(1, 4)), rng)
@@ -328,6 +355,23 @@ class TestMemo:
             assert symplectic_eigenvalues(cov).tobytes() == first.tobytes()
             assert first.tobytes() == symplectic_eigenvalues(CovMatrix(cov.mat)).tobytes()
             assert is_pure(cov) == is_pure(CovMatrix(cov.mat))
+
+    def test_marginals_match_a_fresh_state_and_separate_determinants_bit_for_bit(self):
+        for cov in seeded_states():
+            for pair in ([(0, 1), (1, 2), (0, 2)] if cov.n_modes == 3 else
+                         [(0, 1), (1, 2), (2, 3), (0, 3)] if cov.n_modes == 4 else [(0, 1)]):
+                red = reduce(cov, pair)
+                kept = two_mode_marginals(red)
+                assert type(kept) is tuple and all(type(v) is float for v in kept)
+                assert two_mode_marginals(red) is kept
+                separate = (math.sqrt(np.linalg.det(red.block(0, 0))), math.sqrt(np.linalg.det(red.block(1, 1))),
+                            float(np.linalg.det(red.block(0, 1))))
+                for other in (two_mode_marginals(CovMatrix(red.mat)), two_mode_marginals(red.mat), separate):
+                    assert np.array(other).tobytes() == np.array(kept).tobytes()
+
+    def test_marginals_need_two_modes(self):
+        with pytest.raises(ValueError, match="two-mode"):
+            two_mode_marginals(vacuum_cm(3))
 
     def test_mutating_a_returned_spectrum_changes_nothing_later(self):
         cov = build_double_observer_cm(1.1, 0.4, 0.7)
