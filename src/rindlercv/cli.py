@@ -97,11 +97,7 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
+    if isinstance(value, float):  # '.17g' also prints inf, -inf, nan (of either sign) and -0
         return f"{value:.17g}"
     return str(value)
 
@@ -110,8 +106,6 @@ def _jsonable(value):
     """Map report values onto JSON-representable ones (inf/nan become strings)."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return _fmt(value)
     return value

@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .info_measures import M_CLAMP_TOL, InconsistencyError, MeasureReport, _contangle, _entropy_f, _where
+from .info_measures import (M_CLAMP_TOL, InconsistencyError, MeasureReport, _clamp_separable, _contangle, _entropy_f,
+                            _m_leo_nadia, _where)
 from .phase_space import CovMatrix, apply_congruence, two_mode_squeezer, vacuum_cm
 from .rindler_frames import _require_domain, accel_to_squeezing
 
@@ -36,9 +37,6 @@ logger = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-9
 _MIN_SLACK = 1e-12
-# branch boundaries are decided on the analytic condition; an m landing
-# within this window of 1 is the separable value up to roundoff
-SEPARABLE_CLAMP = 1e-9
 
 
 def _point_at(params: dict, shape: tuple, index: int) -> str:
@@ -161,10 +159,6 @@ def _report_fields(columns: dict) -> dict:
             for name, col in columns.items()}
 
 
-def _clamp_separable(m):
-    return _where(m <= 1.0 + SEPARABLE_CLAMP, 1.0, m)
-
-
 # ---------------------------------------------------------------------------
 # One accelerated observer (Alice inertial, Rob accelerated).
 # ---------------------------------------------------------------------------
@@ -188,7 +182,7 @@ def contangle_ar(s: float, r: float) -> MeasureReport:
 def contangle_r_rbar(r: float) -> MeasureReport:
     """Contangle between the two Rindler wedges: m = cosh 2r, independent of s."""
     _require_domain(r=r)
-    return MeasureReport.from_m(math.cosh(2 * r), source="closed_form")
+    return MeasureReport.from_m(float(np.cosh(2 * r)), source="closed_form")  # the kernels' cosh
 
 
 def _tau_max_ar(r):
@@ -266,16 +260,6 @@ class PairwiseDoubleM:
     m_l_lbar: float
     m_n_nbar: float
     m_l_n: float
-
-
-def _m_leo_nadia(s, l, n):
-    shl, shn = np.sinh(l), np.sinh(n)
-    chs2, sh2s = np.cosh(s) ** 2, np.sinh(2 * s)
-    num = (2.0 * np.cosh(2 * l) * np.cosh(2 * n) * chs2 + 3.0 * np.cosh(2 * s)
-           - 4.0 * shl * shn * sh2s - 1.0)
-    # 2 cosh^2 s - 2 sinh^2 s written as 2: no cancellation at large s
-    den = 2.0 * (2.0 + 2.0 * (shl ** 2 + shn ** 2) * chs2 + 2.0 * shl * shn * sh2s)
-    return _where(np.tanh(s) <= shl * shn, 1.0, _clamp_separable(num / den))
 
 
 def m_leo_nadia(s, l, n):
@@ -396,21 +380,31 @@ def m_ln_equal_accel(s, a):
     return _evaluate(lambda s, a: _m_leo_nadia(s, a, a), "m_ln_equal_accel", s=s, a=a)
 
 
-def _residual_multipartite(s, l, n, m_lbar, m_l, m_n, m_nbar, tau_l_lbar, tau_n_nbar, tau_l_n):
-    """The smallest one-vs-rest residual over the probes anti-Leo, anti-Nadia, Leo and Nadia.
+def _double_cells(s, l, n) -> dict:
+    """The double report's cells from s to tau_l_n, in field order: all its monogamy probes read."""
+    m_l_lbar, m_n_nbar, m_l_n = _pairwise_m_double(s, l, n)
+    m_lbar, m_l, m_n, m_nbar = _one_vs_rest_m_double(s, l, n)
+    ones = np.ones(np.shape(s))
+    return {"s": s, "l": l, "n": n, "m_l_nbar": ones, "m_n_lbar": ones, "m_lbar_nbar": ones,
+            "m_l_lbar": m_l_lbar, "m_n_nbar": m_n_nbar, "m_l_n": m_l_n,
+            "m_lbar_vs_rest": m_lbar, "m_l_vs_rest": m_l, "m_n_vs_rest": m_n, "m_nbar_vs_rest": m_nbar,
+            "tau_l_lbar": _contangle(m_l_lbar), "tau_n_nbar": _contangle(m_n_nbar), "tau_l_n": _contangle(m_l_n)}
 
-    Takes the one-vs-rest m values and pairwise contangles at (s, l, n).
+
+def _residual_multipartite(cells: dict):
+    """The smallest residual of the double-observer probes of MONOGAMY_PROBES over the report cells.
+
     An anti-observer probe is expected minimal; an observer probe beating
     both is logged, and the true minimum is returned.
     """
-    anti = np.minimum(_contangle(m_lbar) - tau_l_lbar, _contangle(m_nbar) - tau_n_nbar)
-    observer = np.minimum(_contangle(m_l) - tau_l_lbar - tau_l_n, _contangle(m_n) - tau_n_nbar - tau_l_n)
+    probe = _monogamy_residuals(cells, MONOGAMY_PROBES["double"])
+    anti, observer = np.minimum(probe["Lbar"], probe["Nbar"]), np.minimum(probe["L"], probe["N"])
     # a non-finite probe (an overflowed m) is the report check's to reject
     switched = (observer < anti - _MIN_SLACK) & np.isfinite(observer) & np.isfinite(anti)
     if switched.any():
         i = int(np.argmax(switched))
         logger.warning("an observer probe beat the anti-observer probes at %s (%r < %r); "
-                       "returning the true minimum", _point_at({"s": s, "l": l, "n": n}, np.shape(switched), i),
+                       "returning the true minimum", _point_at({p: cells[p] for p in "sln"}, np.shape(switched), i),
                        float(np.ravel(observer)[i]), float(np.ravel(anti)[i]))
     return np.minimum(anti, observer)
 
@@ -423,10 +417,7 @@ def residual_multipartite(s, a):
     arcsinh^2 sqrt([cosh^2 a + cosh 2s sinh^2 a]^2 - 1) - 4a^2; the observer
     probes are evaluated as well, and a violation is logged and honored.
     """
-    def kernel(s, a):
-        taus = map(_contangle, _pairwise_m_double(s, a, a))
-        return _residual_multipartite(s, a, a, *_one_vs_rest_m_double(s, a, a), *taus)
-    return _evaluate(kernel, "residual_multipartite", s=s, a=a)
+    return _evaluate(lambda s, a: _residual_multipartite(_double_cells(s, a, a)), "residual_multipartite", s=s, a=a)
 
 
 def _bound_ansatz_k(s, a):
@@ -578,21 +569,13 @@ def double_report_columns(s, l, n, tol: float = RESIDUAL_TOL) -> dict:
     s, l, n = _grid(s, l, n)
     equal = np.equal(l, n)
     with np.errstate(all="ignore"):
-        m_lbar, m_l, m_n, m_nbar = _one_vs_rest_m_double(s, l, n)
-        m_l_lbar, m_n_nbar, m_l_n = _pairwise_m_double(s, l, n)
-        tau_l_lbar, tau_n_nbar, tau_l_n = _contangle(m_l_lbar), _contangle(m_n_nbar), _contangle(m_l_n)
-        residual = _residual_multipartite(s, l, n, m_lbar, m_l, m_n, m_nbar, tau_l_lbar, tau_n_nbar, tau_l_n)
+        cells = _double_cells(s, l, n)
         mutual_info = _mutual_info_ln_general(s, l, n)
         bound = _where_equal(equal, _tripartite_upper_bound, s, l)
         deficit = _where_equal(equal, _mutual_info_ar, s, l) - mutual_info
-        ones = np.ones(np.shape(s))
         columns = {
-            "s": s, "l": l, "n": n,
-            "m_l_nbar": ones, "m_n_lbar": ones, "m_lbar_nbar": ones,
-            "m_l_lbar": m_l_lbar, "m_n_nbar": m_n_nbar, "m_l_n": m_l_n,
-            "m_lbar_vs_rest": m_lbar, "m_l_vs_rest": m_l, "m_n_vs_rest": m_n, "m_nbar_vs_rest": m_nbar,
-            "tau_l_lbar": tau_l_lbar, "tau_n_nbar": tau_n_nbar, "tau_l_n": tau_l_n,
-            "residual_multipartite": residual,
+            **cells,
+            "residual_multipartite": _residual_multipartite(cells),
             "tripartite_upper_bound": _masked(bound, ~equal),
             "mutual_info_ln": mutual_info,
             "r_eff": _where(np.greater(s, 0), _r_effective(s, l, n), np.nan),

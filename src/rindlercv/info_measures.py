@@ -16,7 +16,9 @@ in this package, for which closed forms exist:
   the marginal determinant roots ``a, b``;
 * nonsymmetric thermal squeezed states, recovered by inverting the
   covariance invariants to the three squeezing parameters that generate
-  the family and evaluating the closed form there.
+  the family and evaluating the report kernel's Leo-Nadia m there (it is
+  defined here, once, for both routes), so the thermal route checks the
+  state and the inversion, not the m formula.
 
 The general Gaussian convex roof is intentionally not implemented.
 
@@ -40,6 +42,7 @@ from .phase_space import (
     PURITY_TOL,
     _as_cov,
     _indefinite,
+    _two_mode,
     check_mode_set,
     is_pure,
     partial_transpose,
@@ -49,6 +52,9 @@ from .phase_space import (
 from .rindler_frames import _require_domain
 
 M_CLAMP_TOL = 1e-9
+# branch boundaries are decided on the analytic condition; an m landing
+# within this window of 1 is the separable value up to roundoff
+SEPARABLE_CLAMP = 1e-9
 GMEMMS_SPECTRUM_TOL = 1e-6
 FAMILY_RTOL = 1e-6
 
@@ -83,6 +89,21 @@ def _contangle(m):
 def _entropy_f(x):
     """f(x) as ln((x+1)/2) + (x-1)/2 log1p(2/(x-1)): differences of large arguments stay accurate."""
     return _above_one(x, np.log(0.5 * (x + 1.0)) + 0.5 * (x - 1.0) * np.log1p(2.0 / (x - 1.0)))
+
+
+def _clamp_separable(m):
+    return _where(m <= 1.0 + SEPARABLE_CLAMP, 1.0, m)
+
+
+def _m_leo_nadia(s, l, n):
+    """m of the thermal squeezed family in its squeezing parameters: the double report's Leo-Nadia m."""
+    shl, shn = np.sinh(l), np.sinh(n)
+    chs2, sh2s = np.cosh(s) ** 2, np.sinh(2 * s)
+    num = (2.0 * np.cosh(2 * l) * np.cosh(2 * n) * chs2 + 3.0 * np.cosh(2 * s)
+           - 4.0 * shl * shn * sh2s - 1.0)
+    # 2 cosh^2 s - 2 sinh^2 s written as 2: no cancellation at large s
+    den = 2.0 * (2.0 + 2.0 * (shl ** 2 + shn ** 2) * chs2 + 2.0 * shl * shn * sh2s)
+    return _where(np.tanh(s) <= shl * shn, 1.0, _clamp_separable(num / den))
 
 
 def _checked(kernel, x, name: str, below_floor):
@@ -137,9 +158,7 @@ def mutual_information(sigma: MatrixLike, split: Iterable[int]) -> float:
     ``I = f(sqrt det sigma_A) + f(sqrt det sigma_B) - f(eta-) - f(eta+)``
     with eta the symplectic eigenvalues of the global two-mode state.
     """
-    cov = _as_cov(sigma)
-    if cov.n_modes != 2:
-        raise ValueError(f"mutual information implemented for two-mode states, got {cov.n_modes} modes")
+    cov = _two_mode(sigma, "mutual_information")
     modes = check_mode_set(split, 2)
     if len(modes) != 1:
         raise ValueError("split must select exactly one of the two modes")
@@ -229,9 +248,7 @@ class MeasureReport:
 
 def pure_m(sigma: MatrixLike) -> float:
     """m-parameter of a pure two-mode state: sqrt det of either single-mode reduction."""
-    cov = _as_cov(sigma)
-    if cov.n_modes != 2:
-        raise ValueError("pure_m needs a two-mode state")
+    cov = _two_mode(sigma, "pure_m")
     if not is_pure(cov):
         raise ValueError("state is not pure; use the mixed-state evaluators")
     a, b, _ = two_mode_marginals(cov)
@@ -246,9 +263,7 @@ def gmemms_m(sigma: MatrixLike, tol: float = GMEMMS_SPECTRUM_TOL) -> float:
     pure three-mode state.  For them m depends on the marginals alone:
     ``m = (a + b) / (2 + |a - b|)``.
     """
-    cov = _as_cov(sigma)
-    if cov.n_modes != 2:
-        raise ValueError("gmemms_m needs a two-mode state")
+    cov = _two_mode(sigma, "gmemms_m")
     eta_min = symplectic_eigenvalues(cov).min()
     if abs(eta_min - 1.0) > tol:
         raise ValueError(f"state does not saturate the uncertainty relation (eta_min = {eta_min!r})")
@@ -264,13 +279,13 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     The covariance invariants (a, b, c) with diagonal blocks a*I, b*I and
     off-diagonal c*Z are inverted to the unique squeezing parameters
     (s, l, n) that generate the state as a two-mode squeezed pair with both
-    modes further squeezed against ancillas, and the family's closed form is
-    evaluated there.  Near the uncertainty-saturation boundary this inversion
-    has a square-root sensitivity; use :func:`gmemms_m` for such states.
+    modes further squeezed against ancillas, and the family's m, the report
+    kernel's Leo-Nadia m, is evaluated there.  Near the uncertainty-saturation
+    boundary this inversion has a square-root sensitivity; use :func:`gmemms_m`
+    for such states.  An inversion that overflows (u is infinite where
+    (a+1)(b+1) - c^2 rounds to 0) raises ValueError.
     """
-    cov = _as_cov(sigma)
-    if cov.n_modes != 2:
-        raise ValueError("squeezed_thermal_m needs a two-mode state")
+    cov = _two_mode(sigma, "squeezed_thermal_m")
     if ppt_separable(cov, (0,)):
         return 1.0
     a, b, det_eps = two_mode_marginals(cov)
@@ -281,26 +296,17 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     if abs(det_sigma - (a * b - c_sq) ** 2) > FAMILY_RTOL * max(1.0, det_sigma):
         raise ValueError("state is not of thermal squeezed form (c+ != -c-)")
     prod = (a + 1.0) * (b + 1.0)
-    u = (prod + c_sq) / (prod - c_sq)
-    p = (a - u) / (u + 1.0)
-    q = (b - u) / (u + 1.0)
-    if min(p, q) < -FAMILY_RTOL:
-        raise ValueError("invariants fall outside the thermal squeezed family")
-    s = 0.5 * math.acosh(max(u, 1.0))
-    l = math.asinh(math.sqrt(max(p, 0.0)))
-    n = math.asinh(math.sqrt(max(q, 0.0)))
-    return _thermal_family_m(s, l, n)
-
-
-def _thermal_family_m(s: float, l: float, n: float) -> float:
-    """Closed-form m of the thermal squeezed family in its generating parameters."""
-    if math.tanh(s) <= math.sinh(l) * math.sinh(n):
-        return 1.0
-    num = (2.0 * math.cosh(2 * l) * math.cosh(2 * n) * math.cosh(s) ** 2
-           + 3.0 * math.cosh(2 * s) - 4.0 * math.sinh(l) * math.sinh(n) * math.sinh(2 * s) - 1.0)
-    den = 2.0 * ((math.cosh(2 * l) + math.cosh(2 * n)) * math.cosh(s) ** 2
-                 - 2.0 * math.sinh(s) ** 2 + 2.0 * math.sinh(l) * math.sinh(n) * math.sinh(2 * s))
-    return max(num / den, 1.0)
+    with np.errstate(all="ignore"):  # an overflow leaves m non-finite, rejected below
+        u = np.float64(prod + c_sq) / (prod - c_sq)
+        p = (a - u) / (u + 1.0)
+        q = (b - u) / (u + 1.0)
+        if min(p, q) < -FAMILY_RTOL:
+            raise ValueError("invariants fall outside the thermal squeezed family")
+        m = float(_m_leo_nadia(0.5 * math.acosh(max(u, 1.0)), math.asinh(math.sqrt(max(p, 0.0))),
+                               math.asinh(math.sqrt(max(q, 0.0)))))
+    if not math.isfinite(m):
+        raise ValueError(f"the thermal squeezed inversion overflows (u = {float(u)!r})")
+    return m
 
 
 def two_mode_m(sigma: MatrixLike) -> float:
@@ -310,9 +316,7 @@ def two_mode_m(sigma: MatrixLike) -> float:
     determinant, uncertainty-saturating states the GMEMMS form, everything
     else the thermal squeezed inversion.
     """
-    cov = _as_cov(sigma)
-    if cov.n_modes != 2:
-        raise ValueError("two_mode_m needs a two-mode state")
+    cov = _two_mode(sigma, "two_mode_m")
     eta_minus, eta_plus = symplectic_eigenvalues(cov).tolist()  # ascending
     if max(abs(eta_minus - 1.0), abs(eta_plus - 1.0)) <= PURITY_TOL:
         return pure_m(cov)

@@ -150,6 +150,14 @@ def _as_cov(sigma: MatrixLike) -> CovMatrix:
     return sigma if isinstance(sigma, CovMatrix) else CovMatrix(np.asarray(sigma, dtype=float))
 
 
+def _two_mode(sigma: MatrixLike, what: str) -> CovMatrix:
+    """sigma as a CovMatrix; ValueError "<what> needs a two-mode state, got N modes" for any other size."""
+    cov = _as_cov(sigma)
+    if cov.n_modes != 2:
+        raise ValueError(f"{what} needs a two-mode state, got {cov.n_modes} modes")
+    return cov
+
+
 @functools.cache
 def vacuum_cm(n_modes: int) -> CovMatrix:
     """Covariance matrix of the N-mode vacuum: the 2N x 2N identity.
@@ -290,11 +298,9 @@ def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
     The three 2x2 determinants come from one stacked call (the same LAPACK
     routine per matrix, so the same bits as three calls).
     """
-    cov = _as_cov(sigma)
+    cov = _two_mode(sigma, "two_mode_marginals")
     memo = cov.__dict__.get("_marginals")
     if memo is not None:
         return memo
-    if cov.n_modes != 2:
-        raise ValueError(f"marginal determinants need a two-mode state, got {cov.n_modes} modes")
     det_1, det_2, det_eps = np.linalg.det(np.stack([cov.block(0, 0), cov.block(1, 1), cov.block(0, 1)])).tolist()
     return cov.__dict__.setdefault("_marginals", (math.sqrt(det_1), math.sqrt(det_2), det_eps))

@@ -3,6 +3,11 @@
 Every suite walks a parameter grid, recomputes its quantity along two
 independent paths and records the worst deviation together with the grid
 point that produced it.  The CLI's ``selftest`` verb wraps :func:`run`.
+
+Suite 4 holds each closed-form m against the covariance-matrix route.  For
+the Leo-Nadia m that route inverts the reduced state's invariants to the
+squeezing parameters and evaluates the reports' own m kernel there, so it
+checks the state's blocks and the invariant inversion, not the m formula.
 """
 
 from __future__ import annotations

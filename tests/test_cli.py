@@ -618,6 +618,13 @@ class TestTableWriter:
         columns = {name: col.tolist() for name, col in chunk.items()}  # masked cells become None
         return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
+    def test_fmt_of_a_float_is_17g(self):
+        """'%.17g' prints inf, -inf, nan (of either sign) and -0 as _fmt does: no special case is needed."""
+        for v in self.SPECIAL:
+            assert _fmt(v) == "%.17g" % v
+        specials = (math.inf, -math.inf, math.nan, -math.nan, -0.0)
+        assert [_fmt(v) for v in specials] == ["inf", "-inf", "nan", "nan", "-0"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cells_match_the_per_cell_renderers(self, fmt):
         columns = ["x", "axis", "unique", "held", "flag", "zeros"]

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import re
 
@@ -86,6 +87,16 @@ class TestContangleWedge:
     def test_cm_route_agreement(self):
         sigma = build_single_observer_cm(2.0, 0.5)
         assert two_mode_m(reduce(sigma, (1, 2))) == pytest.approx(math.cosh(1.0), rel=1e-9)
+
+    def test_is_the_report_cell_bit_for_bit(self):
+        """m = cosh 2r through the kernels' np.cosh: the single report's and the double report's wedge pair."""
+        rng = np.random.default_rng(2)
+        for r, s, n in rng.uniform(0.0, 3.0, (2000, 3)).tolist():
+            rep, single = ea.contangle_r_rbar(r), ea.single_observer_report(s, r)
+            assert (rep.m, rep.contangle) == (single.m_r_rbar, single.tau_r_rbar)
+            assert rep.m == ea.pairwise_m_double(s, r, n).m_l_lbar
+        rep = ea.contangle_r_rbar(1.5338241641058254)  # where math.cosh gave ...658, one ulp above the report
+        assert rep.m == ea.single_observer_report(1, 1.5338241641058254).m_r_rbar == 10.768916580714656
 
 
 class TestTauMax:
@@ -467,14 +478,32 @@ class TestReports:
         assert rep_eq.residual_multipartite == pytest.approx(ea.residual_multipartite(1.0, 0.8), rel=1e-12)
 
     def test_residual_multipartite_is_the_smallest_probe_residual(self):
-        """The double-observer check needs no probe residuals: its residual is their minimum, bit for bit."""
-        s, l, n = np.meshgrid(np.linspace(0, 6, 13), np.linspace(0, 3, 13), np.array([0.0, 1e-6, 0.4, 2.5]),
-                              indexing="ij")
-        columns = ea.double_report_columns(s, l, n)
-        probes = ea._monogamy_residuals(columns, ea.MONOGAMY_PROBES["double"])
-        assert np.array_equal(np.minimum.reduce(list(probes.values())), columns["residual_multipartite"])
+        """The double-observer check needs no probe residuals: its residual is their minimum, bit for bit.
+
+        Out to s = 20 with zero and tiny accelerations; the public
+        residual_multipartite(s, a) is the report's at l = n = a, bit for bit too.
+        """
+        accels = [0.0, 1e-12, 1e-6, 0.1, 1.0, 4.0]
+        for axes in ((np.linspace(0, 6, 13), np.linspace(0, 3, 13), np.array([0.0, 1e-6, 0.4, 2.5])),
+                     (np.linspace(0, 20, 41), accels, accels)):
+            s, l, n = np.meshgrid(*axes, indexing="ij")
+            columns = ea.double_report_columns(s, l, n)
+            probes = ea._monogamy_residuals(columns, ea.MONOGAMY_PROBES["double"])
+            assert np.array_equal(np.minimum.reduce(list(probes.values())), columns["residual_multipartite"])
+            equal = l == n
+            assert np.array_equal(ea.residual_multipartite(s[equal], l[equal]),
+                                  columns["residual_multipartite"][equal])
         rep = ea.double_observer_report(1.0, 0.4, 1.7)
         assert min(rep.monogamy_residuals().values()) == rep.residual_multipartite
+
+    def test_observer_probe_beating_the_anti_observer_probes_is_logged(self, caplog):
+        """With tau_l_n raised, the Leo probe holds the smallest residual: logged with the point, and returned."""
+        cells = {**ea._double_cells(1.0, 0.4, 1.7), "tau_l_n": 5.0}
+        probes = ea._monogamy_residuals(cells, ea.MONOGAMY_PROBES["double"])
+        assert min(probes, key=probes.get) == "L"
+        with caplog.at_level(logging.WARNING, logger=ea.__name__):
+            assert ea._residual_multipartite(cells) == probes["L"]
+        assert "an observer probe beat the anti-observer probes at s=1.0, l=0.4, n=1.7" in caplog.text
 
     @pytest.mark.parametrize("report,field,value,message", [
         (ea.single_observer_report(1.0, 1.0), "m_ar", 0.5, "m_ar = 0.5 at s=1.0, r=1.0"),

@@ -25,9 +25,9 @@ from rindlercv.info_measures import (
     two_mode_m,
     von_neumann_entropy,
 )
-from rindlercv.phase_space import (CovMatrix, apply_congruence, reduce, symplectic_eigenvalues, two_mode_squeezer,
-                                   vacuum_cm)
-from rindlercv.rindler_frames import build_double_observer_cm, build_single_observer_cm
+from rindlercv.phase_space import (CovMatrix, apply_congruence, reduce, symplectic_eigenvalues, two_mode_marginals,
+                                   two_mode_squeezer, vacuum_cm)
+from rindlercv.rindler_frames import build_double_observer_cm, build_single_observer_cm, double_observer_blocks
 
 from conftest import single_mode_rotation, single_mode_squeeze
 
@@ -344,6 +344,34 @@ class TestTwoModeFamilies:
         from rindlercv.entanglement_analysis import m_leo_nadia
         red = reduce(build_double_observer_cm(1.2, 0.6, 0.9), (1, 2))
         assert squeezed_thermal_m(red) == pytest.approx(m_leo_nadia(1.2, 0.6, 0.9), rel=1e-9)
+
+    def test_thermal_route_is_the_report_kernel_over_seeded_reductions(self):
+        """two_mode_m of 3000 Leo-Nadia reductions within 1e-10 x max(1, m) of m_leo_nadia.
+
+        Accelerations start at 0.01: below that the GMEMMS_SPECTRUM_TOL dispatch
+        takes some thermal states for saturating ones (off by up to about 1e-4).
+        """
+        from rindlercv.entanglement_analysis import m_leo_nadia
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for s, l, n in zip(rng.uniform(0.0, 3.0, 3000), *rng.uniform(0.01, 3.0, (2, 3000))):
+            m = m_leo_nadia(s, l, n)
+            worst = max(worst, abs(two_mode_m(reduce(build_double_observer_cm(s, l, n), (1, 2))) - m) / max(1.0, m))
+        assert worst <= 1e-10
+
+    def test_thermal_overflowing_inversion_raises_value_error(self):
+        """At s = 20 the pure Leo-Nadia reduction's (a+1)(b+1) - c^2 rounds to 0: u is infinite."""
+        red = reduce(double_observer_blocks(20.0, 0.0, 0.0), (1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="thermal squeezed inversion overflows"):
+                squeezed_thermal_m(red)
+
+    @pytest.mark.parametrize("measure", [pure_m, gmemms_m, squeezed_thermal_m, two_mode_m, two_mode_marginals,
+                                         lambda sigma: mutual_information(sigma, (0,))])
+    def test_one_two_mode_gate(self, measure):
+        with pytest.raises(ValueError, match=r"needs a two-mode state, got 3 modes"):
+            measure(build_single_observer_cm(1.0, 0.5))
 
     def test_thermal_rejects_positive_correlations(self):
         red = reduce(build_single_observer_cm(1.0, 1.0), (0, 2))  # separable, det eps > 0

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rindlercv.info_measures import contangle_from_m, two_mode_m
-from rindlercv.phase_space import apply_congruence, is_bona_fide, reduce, symplectic_eigenvalues, two_mode_squeezer, vacuum_cm
+from rindlercv.phase_space import (CovMatrix, apply_congruence, is_bona_fide, reduce, symplectic_eigenvalues,
+                                   two_mode_squeezer, vacuum_cm)
 from rindlercv.rindler_frames import (
     DOUBLE_LAYOUT,
     SINGLE_LAYOUT,
@@ -213,6 +214,15 @@ class TestPureOneVsRest:
         mixed = reduce(build_single_observer_cm(1.0, 1.0), (0, 1))
         with pytest.raises(ValueError):
             pure_one_vs_rest_m(mixed, 0)
+
+    def test_unresolvable_purity_is_named_as_such(self):
+        """From s = 7 at r = 0.5 the purity check fails where eps * max|sigma|^2 > PURITY_TOL: the message says so."""
+        assert pure_one_vs_rest_m(build_single_observer_cm(6.0, 0.5), 0) == pytest.approx(math.cosh(12.0), rel=1e-10)
+        for s in (7.0, 8.0, 12.0, 20.0):
+            with pytest.raises(ValueError, match=r"purity not resolvable at this squeezing \(eps \* max\|sigma\|\^2 ="):
+                pure_one_vs_rest_m(build_single_observer_cm(s, 0.5), 0)
+        with pytest.raises(ValueError, match="global state must be pure"):
+            pure_one_vs_rest_m(CovMatrix(2 * np.eye(6)), 0)
 
 
 class TestStructuralInvariants:
