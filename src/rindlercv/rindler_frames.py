@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, apply_congruence, is_pure, two_mode_squeezer,
-                          vacuum_cm)
+from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, apply_congruence, is_pure,
+                          symplectic_eigenvalues, two_mode_squeezer, vacuum_cm)
 
 ACCEL_SPEC_RTOL = 1e-10
 
@@ -227,9 +227,10 @@ def pure_one_vs_rest_m(sigma: MatrixLike, probe: int) -> float:
     if probe < 0 or probe >= cov.n_modes:
         raise ValueError(f"probe mode {probe} out of range")
     if not is_pure(cov):
-        # the unit symplectic eigenvalues are resolved only to about eps * max|sigma|^2
+        # the unit symplectic eigenvalues are resolved only to about eps * max|sigma|^2,
+        # so a spectrum off 1 by a few times that is unresolved, not mixed
         floor = np.finfo(float).eps * abs(cov.mat).max() ** 2
-        if floor > PURITY_TOL:
+        if PURITY_TOL < floor and np.max(np.abs(symplectic_eigenvalues(cov) - 1.0)) <= 32 * floor:
             raise ValueError(f"purity not resolvable at this squeezing (eps * max|sigma|^2 = {floor:.3g})")
         raise ValueError("global state must be pure for the one-vs-rest determinant rule")
     return float(math.sqrt(np.linalg.det(cov.block(probe, probe))))

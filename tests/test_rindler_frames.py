@@ -216,13 +216,18 @@ class TestPureOneVsRest:
             pure_one_vs_rest_m(mixed, 0)
 
     def test_unresolvable_purity_is_named_as_such(self):
-        """From s = 7 at r = 0.5 the purity check fails where eps * max|sigma|^2 > PURITY_TOL: the message says so."""
+        """From s = 7 at r = 0.5 the purity check fails within the resolution eps * max|sigma|^2: the message says so.
+
+        A mixed state stays "not pure" however large its entries: 1e5 * I has
+        every symplectic eigenvalue 1e5, far beyond its floor of 2.2e-6.
+        """
         assert pure_one_vs_rest_m(build_single_observer_cm(6.0, 0.5), 0) == pytest.approx(math.cosh(12.0), rel=1e-10)
         for s in (7.0, 8.0, 12.0, 20.0):
             with pytest.raises(ValueError, match=r"purity not resolvable at this squeezing \(eps \* max\|sigma\|\^2 ="):
                 pure_one_vs_rest_m(build_single_observer_cm(s, 0.5), 0)
-        with pytest.raises(ValueError, match="global state must be pure"):
-            pure_one_vs_rest_m(CovMatrix(2 * np.eye(6)), 0)
+        for mixed in (2 * np.eye(6), 1e5 * np.eye(6)):
+            with pytest.raises(ValueError, match="global state must be pure"):
+                pure_one_vs_rest_m(CovMatrix(mixed), 0)
 
 
 class TestStructuralInvariants:
