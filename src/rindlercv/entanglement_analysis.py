@@ -60,13 +60,14 @@ def _grid(*values) -> list:
 def _evaluate(kernel, name=None, /, **params):
     """Evaluate an array kernel at finite, nonnegative, broadcastable parameters.
 
-    Warnings from the branches the masks discard are silenced.  A NaN
+    Warnings are silenced, as in the report kernels: those of the branches
+    the masks discard, and overflow, which leaves an infinite value.  A NaN
     result is an inconsistency, reported under ``name`` (default: the
     kernel's) at the first point that produced it; 0-d results come back
     as floats.
     """
     _require_domain(**params)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         out = kernel(*_grid(*params.values()))
     values = tuple(v if isinstance(v, np.ndarray) and v.ndim else float(v)
                    for v in (out if isinstance(out, tuple) else (out,)))

@@ -57,6 +57,7 @@ M_CLAMP_TOL = 1e-9
 SEPARABLE_CLAMP = 1e-9
 GMEMMS_SPECTRUM_TOL = 1e-6
 FAMILY_RTOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 class InconsistencyError(ValueError):
@@ -177,11 +178,23 @@ def _check_one_vs_rest(cov: CovMatrix, transposed: Iterable[int]) -> tuple[int, 
 
 
 def ppt_separable(sigma: MatrixLike, transposed: Iterable[int], tol: float = BONA_FIDE_TOL) -> bool:
-    """PPT test for a 1 x (N-1) bipartition: separable iff the partial transpose stays physical."""
+    """PPT test for a 1 x (N-1) bipartition: separable iff the partial transpose stays physical.
+
+    The partial transpose's smallest symplectic eigenvalue is resolved only to
+    about 32 eps times its largest.  Where that floor exceeds tol and the
+    smallest one is within it of 1, an entangled state could read separable,
+    so the test raises ValueError ("separability not resolvable at this
+    squeezing") rather than answer; an entangled verdict stands.
+    """
     cov = _as_cov(sigma)
     modes = _check_one_vs_rest(cov, transposed)
-    etas = symplectic_eigenvalues(partial_transpose(cov, modes))
-    return bool(etas.min() >= 1.0 - tol)
+    etas = symplectic_eigenvalues(partial_transpose(cov, modes)).tolist()  # ascending
+    if etas[0] < 1.0 - tol:
+        return False
+    floor = 32 * _EPS * etas[-1]
+    if floor > tol and etas[0] <= 1.0 + floor:
+        raise ValueError(f"separability not resolvable at this squeezing (32 eps eta+ = {floor:.3g})")
+    return True
 
 
 def log_negativity(sigma: MatrixLike, transposed: Iterable[int]) -> float:
@@ -283,7 +296,8 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     kernel's Leo-Nadia m, is evaluated there.  Near the uncertainty-saturation
     boundary this inversion has a square-root sensitivity; use :func:`gmemms_m`
     for such states.  An inversion that overflows (u is infinite where
-    (a+1)(b+1) - c^2 rounds to 0) raises ValueError.
+    (a+1)(b+1) - c^2 rounds to 0) raises ValueError, and so does a determinant
+    of the state that overflows.
     """
     cov = _two_mode(sigma, "squeezed_thermal_m")
     if ppt_separable(cov, (0,)):
@@ -292,11 +306,13 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     if det_eps > 0:
         raise ValueError("entangled two-mode states need det eps < 0")
     c_sq = -det_eps
-    det_sigma = float(np.linalg.det(cov.mat))
-    if abs(det_sigma - (a * b - c_sq) ** 2) > FAMILY_RTOL * max(1.0, det_sigma):
-        raise ValueError("state is not of thermal squeezed form (c+ != -c-)")
-    prod = (a + 1.0) * (b + 1.0)
-    with np.errstate(all="ignore"):  # an overflow leaves m non-finite, rejected below
+    with np.errstate(all="ignore"):  # an overflow leaves det sigma or m non-finite, rejected below
+        det_sigma = float(np.linalg.det(cov.mat))
+        if not abs(det_sigma) < math.inf:
+            raise ValueError(f"the determinant of the state overflows (det sigma = {det_sigma!r})")
+        if abs(det_sigma - np.float64(a * b - c_sq) ** 2) > FAMILY_RTOL * max(1.0, det_sigma):  # may be inf
+            raise ValueError("state is not of thermal squeezed form (c+ != -c-)")
+        prod = (a + 1.0) * (b + 1.0)
         u = np.float64(prod + c_sq) / (prod - c_sq)
         p = (a - u) / (u + 1.0)
         q = (b - u) / (u + 1.0)

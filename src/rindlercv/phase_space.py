@@ -16,8 +16,17 @@ modes, its marginal determinants at most once and reuses them:
 :func:`two_mode_marginals` keep their results on the instance, out of sight of
 its fields.  Those memo writes are idempotent (two threads that race store the
 same value), and callers get a fresh copy of the spectrum, so the state stays
-immutable and thread-safe.  For the same reason :func:`vacuum_cm` builds one
-vacuum per size and hands every caller that one instance.
+immutable and thread-safe.
+
+The constants the operations need are built once and shared: per number of
+modes the symplectic form, the identity that :func:`two_mode_squeezer` copies
+and the vacuum of :func:`vacuum_cm`; per validated mode set the +-1 mask of
+:func:`partial_transpose` and the quadrature indices of :func:`reduce`; and
+the mode sets :func:`check_mode_set` has validated, for tuples.  Each array is
+read-only (writing to one raises) and each cache is a ``functools`` cache, so
+the worst a race can do is build the same constant twice and keep one of them:
+no caller can change what another one sees.  The per-mode-set caches are
+bounded.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -40,7 +49,17 @@ PURITY_TOL = 1e-6
 #: sigma + i Omega >= 0 needs sigma > 0, whatever |eig(Omega sigma)| says.
 EIGEN_FLOOR_EPS = 32
 
+#: Size of each per-mode-set cache: a library point uses about ten mode sets.
+MODE_SET_CACHE = 256
+#: No 2x2 determinant of entries below this in magnitude overflows: |det| <= 2 max|entry|^2.
+_DET_SAFE = math.sqrt(0.5 * np.finfo(float).max)
+
 ModeIndexSet = tuple[int, ...]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -57,12 +76,16 @@ def _omega(n_modes: int) -> np.ndarray:
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
-    omega.setflags(write=False)
-    return omega
+    return _read_only(omega)
 
 
-def check_mode_set(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
-    """Validate a set of mode indices: nonempty, distinct, inside [0, n_modes)."""
+@functools.cache
+def _identity(n_modes: int) -> np.ndarray:
+    """The 2N x 2N identity, built once per size and read-only."""
+    return _read_only(np.eye(2 * n_modes))
+
+
+def _mode_set(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
     out = tuple(map(int, modes))
     if not out:
         raise ValueError("mode index set must be nonempty")
@@ -74,9 +97,38 @@ def check_mode_set(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
     return tuple(ordered)
 
 
-def _quad_indices(modes: Sequence[int]) -> np.ndarray:
-    """Row/column indices of the quadratures belonging to the given modes."""
-    return np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
+_cached_mode_set = functools.lru_cache(maxsize=MODE_SET_CACHE)(_mode_set)
+
+
+def check_mode_set(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
+    """Validate a set of mode indices: nonempty, distinct, inside [0, n_modes).
+
+    Returns them sorted, as Python ints.  A tuple's verdict is kept in a
+    bounded cache (equal tuples get equal verdicts, so ``(0,)`` and
+    ``(np.int64(0),)`` share one); errors are never kept, so a bad set
+    raises on every call.
+    """
+    if type(modes) is tuple:
+        try:
+            return _cached_mode_set(modes, n_modes)
+        except TypeError:  # an unhashable entry: validate below, which raises any other TypeError again
+            pass
+    return _mode_set(modes, n_modes)
+
+
+@functools.lru_cache(maxsize=MODE_SET_CACHE)
+def _quad_indices(modes: ModeIndexSet) -> np.ndarray:
+    """Row/column indices of the quadratures of a validated mode set, built once and read-only."""
+    return _read_only(np.array([q for m in modes for q in (2 * m, 2 * m + 1)]))
+
+
+@functools.lru_cache(maxsize=MODE_SET_CACHE)
+def _flip_mask(modes: ModeIndexSet, n_modes: int) -> np.ndarray:
+    """The +-1 matrix whose product with sigma reverses the momenta of a validated mode set (read-only)."""
+    flip = np.ones(2 * n_modes)
+    for m in modes:
+        flip[2 * m + 1] = -1.0
+    return _read_only(np.outer(flip, flip))
 
 
 @dataclass(frozen=True)
@@ -107,6 +159,7 @@ class CovMatrix:
         arr = 0.5 * arr + 0.5 * arr.T  # halve first: arr + arr.T overflows above about 9e307
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
+        self.__dict__["_scale"] = scale  # bounds every entry; two_mode_marginals reads it
 
     @property
     def n_modes(self) -> int:
@@ -182,7 +235,7 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
         raise ValueError("two-mode squeezer needs two distinct modes")
     check_mode_set((i, j), n_modes)
     c, s = np.cosh(r), np.sinh(r)
-    out = np.eye(2 * n_modes)
+    out = _identity(n_modes).copy()
     xi, pi, xj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
     out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
     out[xi, xj] = out[xj, xi] = s
@@ -201,9 +254,8 @@ def apply_congruence(S: SympTransform, sigma: MatrixLike) -> CovMatrix:
 def reduce(sigma: MatrixLike, keep: Iterable[int]) -> CovMatrix:
     """Reduced state of the kept modes (partial trace over the others)."""
     cov = _as_cov(sigma)
-    modes = check_mode_set(keep, cov.n_modes)
-    idx = _quad_indices(modes)
-    return CovMatrix(cov.mat[idx][:, idx])
+    idx = _quad_indices(check_mode_set(keep, cov.n_modes))
+    return CovMatrix(cov.mat.take(idx, 0).take(idx, 1))
 
 
 def partial_transpose(sigma: MatrixLike, transposed: Iterable[int]) -> CovMatrix:
@@ -219,10 +271,7 @@ def partial_transpose(sigma: MatrixLike, transposed: Iterable[int]) -> CovMatrix
     memo = cov.__dict__.setdefault("_transposes", {})
     out = memo.get(modes)
     if out is None:
-        flip = np.ones(2 * cov.n_modes)
-        for m in modes:
-            flip[2 * m + 1] = -1.0
-        out = memo.setdefault(modes, CovMatrix(flip[:, None] * cov.mat * flip[None, :]))
+        out = memo.setdefault(modes, CovMatrix(_flip_mask(modes, cov.n_modes) * cov.mat))
     return out
 
 
@@ -260,8 +309,8 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
             cov.__dict__["_indefinite"] = True  # set before the spectrum, so whoever sees one sees both
         mags = np.sort(np.abs(np.linalg.eigvals(omega @ cov.mat))).tolist()
     else:
-        skew = chol.T @ omega @ chol
-        skew = 0.5 * (skew - skew.T)
+        half = 0.5 * (chol.T @ omega @ chol)
+        skew = half - half.T  # halve first: skew - skew.T overflows above about 9e307
         mags = np.linalg.svd(skew, compute_uv=False)[::-1].tolist()  # singular values come descending
     scale = max(1.0, mags[-1])
     etas = np.empty(n)
@@ -269,7 +318,7 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
         lo, hi = mags[2 * k], mags[2 * k + 1]
         if hi - lo > PAIRING_RTOL * max(scale, hi):
             raise ValueError(f"could not pair symplectic eigenvalues: {lo!r} vs {hi!r}")
-        etas[k] = 0.5 * (lo + hi)
+        etas[k] = 0.5 * lo + 0.5 * hi  # halve first: lo + hi overflows above about 9e307
     etas.setflags(write=False)
     return cov.__dict__.setdefault("_spectrum", etas).copy()
 
@@ -295,12 +344,21 @@ def is_pure(sigma: MatrixLike, tol: float = PURITY_TOL) -> bool:
 def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
     """(sqrt det sigma_1, sqrt det sigma_2, det eps) of a two-mode state, computed once and kept on it.
 
-    The three 2x2 determinants come from one stacked call (the same LAPACK
-    routine per matrix, so the same bits as three calls).
+    The 2x2 determinants come from one call on a view of sigma as its 2 x 2
+    grid of blocks (the same LAPACK routine per block, so the same bits as
+    one call per block).  A determinant that overflows raises ValueError.
     """
     cov = _two_mode(sigma, "two_mode_marginals")
     memo = cov.__dict__.get("_marginals")
     if memo is not None:
         return memo
-    det_1, det_2, det_eps = np.linalg.det(np.stack([cov.block(0, 0), cov.block(1, 1), cov.block(0, 1)])).tolist()
+    blocks = cov.mat.reshape(2, 2, 2, 2).swapaxes(1, 2)  # blocks[i, j] couples mode i with mode j
+    if cov.__dict__["_scale"] <= _DET_SAFE:
+        (det_1, det_eps), (_, det_2) = np.linalg.det(blocks).tolist()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            (det_1, det_eps), (_, det_2) = np.linalg.det(blocks).tolist()
+        if not max(abs(det_1), abs(det_2), abs(det_eps)) < math.inf:
+            raise ValueError(f"a 2x2 block determinant overflows (det sigma_1 = {det_1!r}, "
+                             f"det sigma_2 = {det_2!r}, det eps = {det_eps!r})")
     return cov.__dict__.setdefault("_marginals", (math.sqrt(det_1), math.sqrt(det_2), det_eps))

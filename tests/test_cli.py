@@ -5,6 +5,8 @@ import logging
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -53,6 +55,17 @@ class TestPoint:
         rep = json.loads(out)["report"]
         assert rep["tau_max_ar"] == pytest.approx(7.9167, abs=1e-3)
         assert code == 0
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        """``python -m rindlercv`` with the source tree on PYTHONPATH prints what cli.main prints."""
+        argv = ["point", "single", "--s", "1", "--r", "0.5"]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "rindlercv", *argv], capture_output=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected.encode()
 
     def test_human_output_contains_json_line(self, capsys):
         code, out, _ = run_cli(capsys, "point", "single", "--s", "1", "--r", "1")

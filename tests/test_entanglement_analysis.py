@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -880,3 +881,15 @@ class TestArrayForms:
     def test_report_columns_reject_non_finite(self):
         with pytest.raises(ea.InconsistencyError, match=r"at s=400\.0, r=0\.5"):
             ea.single_report_columns(np.array([1.0, 400.0]), 0.5)
+
+    @pytest.mark.parametrize("name,args,message", [
+        ("m_leo_nadia", (400.0, 0.0, 0.0), "m_leo_nadia undefined at s=400.0, l=0.0, n=0.0"),
+        ("residual_multipartite", (400.0, 0.5), "residual_multipartite undefined at s=400.0, a=0.5"),
+        ("m_alice_rob", (400.0, 0.0), "m_alice_rob undefined at s=400.0, r=0.0"),
+    ])
+    def test_overflowing_closed_forms_raise_without_a_warning(self, name, args, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ea.InconsistencyError, match=f"^{re.escape(message)}$"):
+                getattr(ea, name)(*args)
+            assert ea.one_vs_rest_m_single(400.0, 0.5)[0] == math.inf  # an overflow that is no NaN stays inf

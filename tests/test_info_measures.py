@@ -25,8 +25,8 @@ from rindlercv.info_measures import (
     two_mode_m,
     von_neumann_entropy,
 )
-from rindlercv.phase_space import (CovMatrix, apply_congruence, reduce, symplectic_eigenvalues, two_mode_marginals,
-                                   two_mode_squeezer, vacuum_cm)
+from rindlercv.phase_space import (CovMatrix, SympTransform, apply_congruence, partial_transpose, reduce,
+                                   symplectic_eigenvalues, two_mode_marginals, two_mode_squeezer, vacuum_cm)
 from rindlercv.rindler_frames import build_double_observer_cm, build_single_observer_cm, double_observer_blocks
 
 from conftest import single_mode_rotation, single_mode_squeeze
@@ -367,6 +367,41 @@ class TestTwoModeFamilies:
             with pytest.raises(ValueError, match="thermal squeezed inversion overflows"):
                 squeezed_thermal_m(red)
 
+    @pytest.mark.parametrize("s,l,n", [(20.0, 0.5, 0.3), (20.0, 2.0, 0.0), (40.0, 0.1, 0.1)])
+    def test_unresolvable_separability_is_named_as_such(self, s, l, n):
+        """Entangled reductions whose PPT eigenvalue below 1 is lost to rounding raise, not read m = 1."""
+        from rindlercv.entanglement_analysis import m_leo_nadia
+        assert m_leo_nadia(s, l, n) > 1.1
+        red = reduce(double_observer_blocks(s, l, n), (1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for measure in (lambda c: ppt_separable(c, (0,)), squeezed_thermal_m, two_mode_m):
+                with pytest.raises(ValueError, match=r"^separability not resolvable at this squeezing \(32 eps eta"):
+                    measure(red)
+
+    def test_resolvable_separability_keeps_its_verdict(self):
+        """Below s = 3 the floor is under tol, so the verdict is the plain eta- >= 1 - tol test."""
+        rng = np.random.default_rng(21)
+        verdicts = set()
+        for s, l, n in zip(rng.uniform(0.0, 3.0, 300), *rng.uniform(0.0, 3.0, (2, 300))):
+            for cov in (reduce(build_double_observer_cm(s, l, n), (1, 2)),
+                        reduce(double_observer_blocks(s, l, n), (0, 3))):
+                plain = bool(symplectic_eigenvalues(partial_transpose(cov, (0,))).min() >= 1.0 - 1e-9)
+                assert ppt_separable(cov, (0,)) is plain
+                verdicts.add(plain)
+        assert verdicts == {True, False}
+        # a separable verdict far above the floor stands however large the floor
+        assert ppt_separable(CovMatrix(1e12 * np.eye(4)), (0,)) is True
+
+    def test_overflowing_state_determinant_is_named(self):
+        """At s = 109 det sigma overflows but no 2x2 determinant does; at s = 100 the family check's square does."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the determinant of the state overflows \(det sigma = inf\)"):
+                squeezed_thermal_m(reduce(double_observer_blocks(109.0, 0.0, 0.0), (1, 2)))
+            with pytest.raises(ValueError, match="not of thermal squeezed form"):
+                squeezed_thermal_m(reduce(double_observer_blocks(100.0, 1e-6, 1e-6), (1, 2)))
+
     @pytest.mark.parametrize("measure", [pure_m, gmemms_m, squeezed_thermal_m, two_mode_m, two_mode_marginals,
                                          lambda sigma: mutual_information(sigma, (0,))])
     def test_one_two_mode_gate(self, measure):
@@ -452,17 +487,29 @@ class TestMemoisedState:
 
     @pytest.mark.parametrize("s,l,n", [(1.2, 0.6, 0.9), (0.7, 0.01, 2.9), (2.0, 1.0, 1.0), (1.5, 0.0, 0.0)])
     def test_two_cholesky_factorisations_per_library_point(self, monkeypatch, s, l, n):
-        """One for sigma_LN, one for its partial transpose: m, I and E_N share them."""
+        """One for sigma_LN, one for its partial transpose: m, I and E_N share them.
+
+        Every validated object is still made: the three squeezers, the three
+        congruences, the reduction and the partial transpose.
+        """
         calls = []
+        built = {CovMatrix: 0, SympTransform: 0}
         cholesky = np.linalg.cholesky
 
         def counting(*args, **kwargs):
             calls.append(1)
             return cholesky(*args, **kwargs)
         monkeypatch.setattr(np.linalg, "cholesky", counting)
+        for cls in built:
+            def post_init(self, validate=cls.__post_init__, cls=cls):
+                built[cls] += 1
+                validate(self)
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+        vacuum_cm(4)  # built once per process, before the point
         ln = reduce(build_double_observer_cm(s, l, n), (1, 2))
         two_mode_m(ln), mutual_information(ln, (0,)), log_negativity(ln, (0,))
         assert len(calls) == 2
+        assert built == {CovMatrix: 5, SympTransform: 3}
 
 
 @given(st.floats(0.05, 2.5), st.floats(0.05, 2.5))

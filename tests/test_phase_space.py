@@ -1,16 +1,19 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rindlercv import phase_space
 from rindlercv.phase_space import (
     CovMatrix,
     SympTransform,
     apply_congruence,
+    check_mode_set,
     is_bona_fide,
     is_pure,
     partial_transpose,
@@ -21,7 +24,8 @@ from rindlercv.phase_space import (
     two_mode_squeezer,
     vacuum_cm,
 )
-from rindlercv.rindler_frames import build_double_observer_cm, build_single_observer_cm
+from rindlercv.rindler_frames import (build_double_observer_cm, build_single_observer_cm, double_observer_blocks,
+                                     single_observer_blocks)
 
 from conftest import assert_symplectic, random_physical_cm, random_symplectic
 
@@ -467,3 +471,191 @@ class TestValidationMessages:
     def test_bad_symplectic_shape(self, shape):
         with pytest.raises(ValueError, match=r"^symplectic matrix must be 2Nx2N, got shape"):
             SympTransform(np.ones(shape))
+
+
+# The plain expressions the shared constants replace: each result must equal theirs bit for bit.
+def plain_squeezer(r, i, j, n_modes):
+    c, s = np.cosh(r), np.sinh(r)
+    out = np.eye(2 * n_modes)
+    xi, pi, xj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+    out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
+    out[xi, xj] = out[xj, xi] = s
+    out[pi, pj] = out[pj, pi] = -s
+    return SympTransform(out)
+
+
+def plain_quad_indices(modes):
+    return np.array([q for m in sorted(modes) for q in (2 * m, 2 * m + 1)])
+
+
+def plain_partial_transpose(cov, modes):
+    flip = np.ones(2 * cov.n_modes)
+    for m in modes:
+        flip[2 * m + 1] = -1.0
+    return CovMatrix(flip[:, None] * cov.mat * flip[None, :])
+
+
+def plain_spectrum(cov):
+    """Spectrum with the skew part formed as 0.5 * (skew - skew.T) and pairs averaged as 0.5 * (lo + hi)."""
+    chol = np.linalg.cholesky(cov.mat)
+    skew = chol.T @ symplectic_form(cov.n_modes) @ chol
+    mags = np.linalg.svd(0.5 * (skew - skew.T), compute_uv=False)[::-1].tolist()
+    return np.array([0.5 * (mags[2 * k] + mags[2 * k + 1]) for k in range(cov.n_modes)])
+
+
+def plain_check_mode_set(modes, n_modes):
+    out = tuple(map(int, modes))
+    if not out:
+        raise ValueError("mode index set must be nonempty")
+    if len(set(out)) != len(out):
+        raise ValueError(f"mode indices must be distinct, got {out}")
+    ordered = sorted(out)
+    if ordered[0] < 0 or ordered[-1] >= n_modes:
+        raise ValueError(f"mode indices {out} out of range for {n_modes} modes")
+    return tuple(ordered)
+
+
+def constant_points():
+    """(s, a, b): seeded s in [0, 3] with accelerations in [0.01, 3], then s up to 20 with exact zeros."""
+    rng = np.random.default_rng(13)
+    points = [(s, a, b) for s, a, b in zip(rng.uniform(0.0, 3.0, 40), *rng.uniform(0.01, 3.0, (2, 40)))]
+    return points + [(s, a, b) for s in (0.0, 1.0, 6.0, 12.0, 20.0) for a in (0.0, 0.5) for b in (0.0, 2.0)]
+
+
+class TestSharedConstants:
+    """The per-size and per-mode-set constants change no output bit, and no caller can write to them."""
+
+    def test_builders_and_squeezers_match_eye_started_squeezers_bit_for_bit(self):
+        for s, a, b in constant_points():
+            for r, i, j, n in ((s, 0, 1, 3), (a, 1, 2, 3), (s, 1, 2, 4), (a, 1, 0, 4), (b, 2, 3, 4)):
+                assert two_mode_squeezer(r, i, j, n).mat.tobytes() == plain_squeezer(r, i, j, n).mat.tobytes()
+            single = apply_congruence(plain_squeezer(a, 1, 2, 3),
+                                      apply_congruence(plain_squeezer(s, 0, 1, 3), CovMatrix(np.eye(6))))
+            double = apply_congruence(plain_squeezer(a, 1, 0, 4), apply_congruence(
+                plain_squeezer(b, 2, 3, 4), apply_congruence(plain_squeezer(s, 1, 2, 4), CovMatrix(np.eye(8)))))
+            assert build_single_observer_cm(s, a).mat.tobytes() == single.mat.tobytes()
+            assert build_double_observer_cm(s, a, b).mat.tobytes() == double.mat.tobytes()
+
+    @staticmethod
+    def states():
+        for s, a, b in constant_points():
+            yield from (build_single_observer_cm(s, a), build_double_observer_cm(s, a, b),
+                        single_observer_blocks(s, a), double_observer_blocks(s, a, b))
+
+    def test_reduce_and_partial_transpose_match_the_plain_expressions_bit_for_bit(self):
+        for cov in self.states():
+            n = cov.n_modes
+            subsets = [tuple(m for m in range(n) if bits >> m & 1) for bits in range(1, 2 ** n)]
+            for keep in subsets:
+                idx = plain_quad_indices(keep)
+                assert reduce(cov, keep).mat.tobytes() == CovMatrix(cov.mat[idx][:, idx]).mat.tobytes()
+            for modes in subsets[:-1]:  # every proper subset
+                plain = plain_partial_transpose(cov, modes)
+                assert partial_transpose(CovMatrix(cov.mat), modes).mat.tobytes() == plain.mat.tobytes()
+
+    def test_marginals_match_stacked_determinants_bit_for_bit(self):
+        for cov in self.states():
+            for pair in [(i, j) for i in range(cov.n_modes) for j in range(i + 1, cov.n_modes)]:
+                red = reduce(cov, pair)
+                det_1, det_2, det_eps = np.linalg.det(np.stack([red.block(0, 0), red.block(1, 1),
+                                                                red.block(0, 1)])).tolist()
+                plain = (math.sqrt(det_1), math.sqrt(det_2), det_eps)
+                assert np.array(two_mode_marginals(red)).tobytes() == np.array(plain).tobytes()
+
+    def test_spectrum_matches_the_plain_skew_and_pairing_bit_for_bit(self):
+        checked = 0
+        for cov in self.states():
+            try:
+                plain = plain_spectrum(cov)
+            except np.linalg.LinAlgError:  # the eigvals fallback, which the halving does not touch
+                continue
+            checked += 1
+            assert symplectic_eigenvalues(CovMatrix(cov.mat)).tobytes() == plain.tobytes()
+        assert checked >= 160
+
+    def test_shared_constants_are_read_only(self):
+        for n_modes in (1, 2, 3, 4):
+            shared = [phase_space._omega(n_modes), phase_space._identity(n_modes), vacuum_cm(n_modes).mat,
+                      phase_space._quad_indices(tuple(range(n_modes)))]
+            shared += [phase_space._flip_mask((m,), n_modes) for m in range(n_modes)]
+            for arr in shared:
+                before = arr.copy()
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 7
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[-1] = 7
+                np.testing.assert_array_equal(arr, before)
+        # what callers get is their own: a squeezer's matrix is a copy, not the shared identity
+        assert not np.shares_memory(two_mode_squeezer(0.0, 0, 1, 2).mat, phase_space._identity(2))
+
+    def test_the_mask_is_the_momentum_reversal(self):
+        np.testing.assert_array_equal(phase_space._flip_mask((0, 2), 3),
+                                      np.outer([1, -1, 1, 1, 1, -1], [1, -1, 1, 1, 1, -1]))
+        np.testing.assert_array_equal(phase_space._quad_indices((1, 3)), [2, 3, 6, 7])
+
+
+class TestCheckModeSet:
+    """check_mode_set keeps the plain function's verdicts and messages; its cache is bounded."""
+
+    INPUTS = [
+        lambda: (1, 0), lambda: [2, 0], lambda: (np.int64(1), np.int32(2)), lambda: np.array([2, 1]),
+        lambda: (m for m in (0, 2)), lambda: iter([1]), lambda: range(3), lambda: (1.0,), lambda: (True,),
+        lambda: (0, 0), lambda: [np.int64(1), 1], lambda: (3,), lambda: (-1, 0), lambda: [0, 5], lambda: (),
+        lambda: [], lambda: (m for m in ()), lambda: ([0],), lambda: (None,), lambda: ("1",), lambda: (np.nan,),
+        lambda: (np.array(1),),
+    ]
+
+    @staticmethod
+    def verdict(check, modes, n_modes=3):
+        try:
+            out = check(modes, n_modes)
+        except (ValueError, TypeError) as exc:
+            return type(exc), str(exc)
+        assert all(type(m) is int for m in out)
+        return out
+
+    @pytest.mark.parametrize("make", INPUTS)
+    def test_same_verdicts_and_messages_as_the_plain_function(self, make):
+        expected = self.verdict(plain_check_mode_set, make())
+        for _ in range(3):  # cold, then from the cache
+            assert self.verdict(check_mode_set, make()) == expected
+
+    def test_cache_is_bounded_and_keeps_no_errors(self):
+        cached = phase_space._cached_mode_set
+        cached.cache_clear()
+        for bad in ((0, 0), (9,), (), (None,)):
+            for _ in range(2):
+                with pytest.raises((ValueError, TypeError)):
+                    check_mode_set(bad, 3)
+        assert cached.cache_info().currsize == 0
+        for k in range(1, 3 * phase_space.MODE_SET_CACHE):
+            assert check_mode_set((k, 0), k + 1) == (0, k)
+        assert 0 < cached.cache_info().currsize <= phase_space.MODE_SET_CACHE
+        assert check_mode_set((1, 0), 2) == (0, 1)
+
+
+class TestOverflow:
+    """Entries near the float range give a ValueError or a finite value, never a warning or NaN."""
+
+    def test_overflowing_marginal_determinant_is_named(self):
+        from rindlercv.info_measures import squeezed_thermal_m, two_mode_m
+        s, l = 0.1, 354.5  # the thermal squeezed family at (s, l, n) = (0.1, 354.5, 0)
+        a = math.cosh(l) ** 2 * math.cosh(2 * s) + math.sinh(l) ** 2
+        b, c = math.cosh(2 * s), math.cosh(l) * math.sinh(2 * s)
+        cov = CovMatrix(np.block([[a * np.eye(2), c * np.diag([1.0, -1.0])],
+                                  [c * np.diag([1.0, -1.0]), b * np.eye(2)]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for measure in (two_mode_marginals, squeezed_thermal_m, two_mode_m):
+                with pytest.raises(ValueError, match=r"^a 2x2 block determinant overflows \(det sigma_1 = inf"):
+                    measure(cov)
+            # past the no-overflow bound but finite: the guarded path returns the value
+            root_1, root_2, det_eps = two_mode_marginals(CovMatrix(np.diag([1e154, 1e154, 2.0, 2.0])))
+        assert (root_1, root_2, det_eps) == (pytest.approx(1e154, rel=1e-13), pytest.approx(2.0, rel=1e-15), 0.0)
+
+    def test_huge_spectrum_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            etas = symplectic_eigenvalues(CovMatrix(np.diag([1e308, 1e308, 1.02, 1.02])))
+        assert etas.tolist() == [1.02, 1e308]
