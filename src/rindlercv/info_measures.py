@@ -184,7 +184,10 @@ def ppt_separable(sigma: MatrixLike, transposed: Iterable[int], tol: float = BON
     about 32 eps times its largest.  Where that floor exceeds tol and the
     smallest one is within it of 1, an entangled state could read separable,
     so the test raises ValueError ("separability not resolvable at this
-    squeezing") rather than answer; an entangled verdict stands.
+    squeezing") rather than answer; an entangled verdict stands.  A two-mode
+    state with det eps >= 0 is separable whatever its spectrum (Simon's
+    criterion), so such pairs, product states among them, read separable
+    rather than raise.
     """
     cov = _as_cov(sigma)
     modes = _check_one_vs_rest(cov, transposed)
@@ -193,6 +196,8 @@ def ppt_separable(sigma: MatrixLike, transposed: Iterable[int], tol: float = BON
         return False
     floor = 32 * _EPS * etas[-1]
     if floor > tol and etas[0] <= 1.0 + floor:
+        if cov.n_modes == 2 and two_mode_marginals(cov)[2] >= 0.0:
+            return True
         raise ValueError(f"separability not resolvable at this squeezing (32 eps eta+ = {floor:.3g})")
     return True
 
@@ -297,7 +302,7 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     boundary this inversion has a square-root sensitivity; use :func:`gmemms_m`
     for such states.  An inversion that overflows (u is infinite where
     (a+1)(b+1) - c^2 rounds to 0) raises ValueError, and so does a determinant
-    of the state that overflows.
+    of the state or of the family, (ab - c^2)^2, that overflows.
     """
     cov = _two_mode(sigma, "squeezed_thermal_m")
     if ppt_separable(cov, (0,)):
@@ -310,7 +315,10 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
         det_sigma = float(np.linalg.det(cov.mat))
         if not abs(det_sigma) < math.inf:
             raise ValueError(f"the determinant of the state overflows (det sigma = {det_sigma!r})")
-        if abs(det_sigma - np.float64(a * b - c_sq) ** 2) > FAMILY_RTOL * max(1.0, det_sigma):  # may be inf
+        family_det = np.float64(a * b - c_sq) ** 2
+        if not abs(family_det) < math.inf:
+            raise ValueError(f"the family determinant (ab - c^2)^2 overflows (ab - c^2 = {a * b - c_sq!r})")
+        if abs(det_sigma - family_det) > FAMILY_RTOL * max(1.0, det_sigma):
             raise ValueError("state is not of thermal squeezed form (c+ != -c-)")
         prod = (a + 1.0) * (b + 1.0)
         u = np.float64(prod + c_sq) / (prod - c_sq)

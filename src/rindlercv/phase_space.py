@@ -51,8 +51,6 @@ EIGEN_FLOOR_EPS = 32
 
 #: Size of each per-mode-set cache: a library point uses about ten mode sets.
 MODE_SET_CACHE = 256
-#: No 2x2 determinant of entries below this in magnitude overflows: |det| <= 2 max|entry|^2.
-_DET_SAFE = math.sqrt(0.5 * np.finfo(float).max)
 
 ModeIndexSet = tuple[int, ...]
 
@@ -159,7 +157,6 @@ class CovMatrix:
         arr = 0.5 * arr + 0.5 * arr.T  # halve first: arr + arr.T overflows above about 9e307
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
-        self.__dict__["_scale"] = scale  # bounds every entry; two_mode_marginals reads it
 
     @property
     def n_modes(self) -> int:
@@ -353,12 +350,9 @@ def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
     if memo is not None:
         return memo
     blocks = cov.mat.reshape(2, 2, 2, 2).swapaxes(1, 2)  # blocks[i, j] couples mode i with mode j
-    if cov.__dict__["_scale"] <= _DET_SAFE:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         (det_1, det_eps), (_, det_2) = np.linalg.det(blocks).tolist()
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            (det_1, det_eps), (_, det_2) = np.linalg.det(blocks).tolist()
-        if not max(abs(det_1), abs(det_2), abs(det_eps)) < math.inf:
-            raise ValueError(f"a 2x2 block determinant overflows (det sigma_1 = {det_1!r}, "
-                             f"det sigma_2 = {det_2!r}, det eps = {det_eps!r})")
+    if not (abs(det_1) < math.inf and abs(det_2) < math.inf and abs(det_eps) < math.inf):  # NaN fails too
+        raise ValueError(f"a 2x2 block determinant overflows (det sigma_1 = {det_1!r}, "
+                         f"det sigma_2 = {det_2!r}, det eps = {det_eps!r})")
     return cov.__dict__.setdefault("_marginals", (math.sqrt(det_1), math.sqrt(det_2), det_eps))

@@ -380,7 +380,7 @@ class TestTwoModeFamilies:
                     measure(red)
 
     def test_resolvable_separability_keeps_its_verdict(self):
-        """Below s = 3 the floor is under tol, so the verdict is the plain eta- >= 1 - tol test."""
+        """Below s = 3 the verdict is the plain eta- >= 1 - tol test; past it, det eps >= 0 still reads separable."""
         rng = np.random.default_rng(21)
         verdicts = set()
         for s, l, n in zip(rng.uniform(0.0, 3.0, 300), *rng.uniform(0.0, 3.0, (2, 300))):
@@ -392,14 +392,21 @@ class TestTwoModeFamilies:
         assert verdicts == {True, False}
         # a separable verdict far above the floor stands however large the floor
         assert ppt_separable(CovMatrix(1e12 * np.eye(4)), (0,)) is True
+        # past s = 3, a pair with det eps >= 0 is separable by Simon's criterion, within the floor or not:
+        # anti-Leo with the vacuum anti-Nadia has eta- = 1 exactly and a floor of 7.9e-9 at s = 5
+        for s in (5.0, 10.0, 20.0):
+            product = reduce(build_double_observer_cm(s, 3.0, 0.0), (0, 3))
+            assert 32 * np.finfo(float).eps * symplectic_eigenvalues(partial_transpose(product, (0,))).max() > 1e-9
+            assert ppt_separable(product, (0,)) is True
+            assert two_mode_m(product) == 1.0
 
     def test_overflowing_state_determinant_is_named(self):
-        """At s = 109 det sigma overflows but no 2x2 determinant does; at s = 100 the family check's square does."""
+        """At s = 109 det sigma overflows but no 2x2 determinant does; at s = 100 the family's (ab - c^2)^2 does."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^the determinant of the state overflows \(det sigma = inf\)"):
                 squeezed_thermal_m(reduce(double_observer_blocks(109.0, 0.0, 0.0), (1, 2)))
-            with pytest.raises(ValueError, match="not of thermal squeezed form"):
+            with pytest.raises(ValueError, match=r"^the family determinant \(ab - c\^2\)\^2 overflows \(ab - c\^2 = "):
                 squeezed_thermal_m(reduce(double_observer_blocks(100.0, 1e-6, 1e-6), (1, 2)))
 
     @pytest.mark.parametrize("measure", [pure_m, gmemms_m, squeezed_thermal_m, two_mode_m, two_mode_marginals,

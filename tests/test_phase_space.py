@@ -650,7 +650,7 @@ class TestOverflow:
             for measure in (two_mode_marginals, squeezed_thermal_m, two_mode_m):
                 with pytest.raises(ValueError, match=r"^a 2x2 block determinant overflows \(det sigma_1 = inf"):
                     measure(cov)
-            # past the no-overflow bound but finite: the guarded path returns the value
+            # large entries whose determinants stay finite give the value
             root_1, root_2, det_eps = two_mode_marginals(CovMatrix(np.diag([1e154, 1e154, 2.0, 2.0])))
         assert (root_1, root_2, det_eps) == (pytest.approx(1e154, rel=1e-13), pytest.approx(2.0, rel=1e-15), 0.0)
 
