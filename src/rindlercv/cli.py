@@ -93,26 +93,30 @@ def _kernel_args(scenario: str, given: dict, flag: str) -> dict:
 
 def _fmt(value) -> str:
     """Render one cell: booleans as true/false, floats with 17 significant digits."""
+    if isinstance(value, float):  # '.17g' also prints inf, -inf, nan (of either sign) and -0
+        return f"{value:.17g}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return ""
-    if isinstance(value, float):  # '.17g' also prints inf, -inf, nan (of either sign) and -0
-        return f"{value:.17g}"
     return str(value)
 
 
 def _jsonable(value):
-    """Map report values onto JSON-representable ones (inf/nan become strings)."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, float) and not math.isfinite(value):
-        return _fmt(value)
-    return value
+    """Map report values onto JSON-representable ones (inf/nan become strings), a dict's values in one pass."""
+    if isinstance(value, dict):  # a nested dict recurses; any other value is mapped in place
+        return {k: _jsonable(v) if isinstance(v, dict) else
+                _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in value.items()}
+    return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+# json.dumps(obj, sort_keys=True, separators=(", ", ": ")), without building an encoder per call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(", ", ": "))
+    return _JSON.encode(_jsonable(obj))
 
 
 class _Output:
@@ -205,23 +209,20 @@ def _point_report(args) -> tuple[str, dict]:
         extra = {"accel": accel, "freq": freq, "unruh_temperature": rf.unruh_temperature(accel)}
     kwargs = _kernel_args(args.scenario, given, "--{}")
     columns = getattr(ea, SCENARIOS[args.scenario].kernel)(**kwargs, tol=args.tol)
-    return args.scenario, {**ea._report_fields(columns), **extra}
+    return args.scenario, {**columns, **extra}
 
 
 def _cmd_point(args) -> int:
     scenario, report = _point_report(args)
-    payload = {"scenario": scenario, "report": report}
-    with _Output(args.out) as stream:
-        if args.format == "json":
-            stream.write(_dump_json(payload) + "\n")
-        elif args.format == "csv":  # the table _write_table would write for this one row
-            stream.write(f"# rindlercv point {scenario}\n{','.join(report)}\n"
-                         + ",".join(map(_fmt, report.values())) + "\n")
-        else:  # default: human text followed by the JSON payload
-            stream.write(f"scenario: {scenario}\n")
-            for key in report:
-                stream.write(f"  {key:>24s} = {_fmt(report[key])}\n")
-            stream.write(_dump_json(payload) + "\n")
+    if args.format == "csv":  # the table _write_table would write for this one row
+        text = f"# rindlercv point {scenario}\n{','.join(report)}\n{','.join(map(_fmt, report.values()))}\n"
+    else:
+        text = _dump_json({"scenario": scenario, "report": report}) + "\n"
+        if args.format != "json":  # default: human text followed by the JSON payload
+            text = "".join([f"scenario: {scenario}\n",
+                            *[f"  {key:>24s} = {_fmt(value)}\n" for key, value in report.items()], text])
+    with _Output(args.out) as stream:  # one write of the whole text
+        stream.write(text)
     return EXIT_OK
 
 

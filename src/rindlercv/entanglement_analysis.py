@@ -12,7 +12,8 @@ which it returns a float), and picks its branch per element by a mask on
 the analytic condition, never on a computed m value.  The
 ``*_report_columns`` kernels evaluate a whole scenario over a grid in one
 call and return its columns in report field order; the per-point reports
-are their 0-d calls.
+are their 0-d calls, which come back as plain floats, bools and None after
+one check pass over the cells.
 
 Diverging quantities (the maximal surviving contangle at zero acceleration,
 the effective single-observer acceleration past the entanglement-death
@@ -21,8 +22,10 @@ threshold) return ``math.inf`` rather than any sentinel value.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,18 +95,64 @@ MONOGAMY_PROBES = {
 _REPORT_CHECKS = {"single": (("s", "r"), {"tau_max_ar": True}, {}, MONOGAMY_PROBES["single"]),
                   "double": (("s", "l", "n"), {"r_eff": True}, {"r_eff": lambda c: np.equal(c["s"], 0.0)}, {})}
 _NONNEGATIVE = ("residual_tripartite", "residual_multipartite", "tripartite_upper_bound")
+_LEAST_FLOAT = -sys.float_info.max
 
 
 def _monogamy_residuals(columns: dict, probes: dict) -> dict:
     """Each probe's one-vs-rest contangle minus, one by one, the pairwise contangles it holds."""
+    residuals = {}
     with np.errstate(all="ignore"):  # as in the kernels; an m below 1 or overflowing is the check's to report
-        return {probe: sum((-columns[tau] for tau in taus), _contangle(columns[m]))
-                for probe, (m, taus) in probes.items()}
+        for probe, (m, taus) in probes.items():
+            residual = _contangle(columns[m])
+            for tau in taus:
+                residual = residual - columns[tau]
+            residuals[probe] = residual
+    return residuals
+
+
+@functools.lru_cache(maxsize=64)
+def _floors(names: tuple[str, ...], tol: float) -> tuple[float, ...]:
+    """Each field's floor, the least value a finite cell of it may hold.
+
+    1 - min(tol, M_CLAMP_TOL) for an m-parameter, -tol for a residual, the
+    tripartite bound and a monogamy residual, and the least finite float for
+    any other field, which has no floor.
+    """
+    m_floor = 1.0 - min(tol, M_CLAMP_TOL)
+    return tuple(m_floor if name.startswith("m_") else -tol if name in _NONNEGATIVE or name.startswith("monogamy")
+                 else _LEAST_FLOAT for name in names)
+
+
+def _check_point(cells: dict, floors: tuple, columns: dict, point: tuple[str, ...], may_diverge: dict,
+                 undefined: dict) -> dict:
+    """_check_columns at one point, in one pass: the columns as floats, bools and None, in field order.
+
+    A float cell passes on one comparison, floor <= value < inf (-inf fails
+    the least finite float that stands for a missing floor); only a cell
+    that fails goes on to ``may_diverge`` and ``undefined``.
+    """
+    values = []
+    for (name, col), floor in zip(cells.items(), floors):
+        # most cells are floats, and isinstance(x, float) costs far less than a test against np.bool_
+        if not isinstance(col, float) and (col is None or isinstance(col, (bool, np.bool_))):
+            values.append(col if col is None else bool(col))
+            continue
+        value = float(col)
+        values.append(value)
+        if floor <= value < math.inf:
+            continue
+        if value != value:
+            allowed = name in undefined and undefined[name](columns)
+        else:  # +inf, -inf (only a field without a floor may hold it) or a finite value below the floor
+            allowed = math.isinf(value) and (value > 0 or floor == _LEAST_FLOAT) and may_diverge.get(name, False)
+        if not allowed:
+            raise InconsistencyError(f"{name} = {value!r} at {_point_at({p: columns[p] for p in point}, (), 0)}")
+    return dict(zip(columns, values))  # the cells open with the columns
 
 
 def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, undefined: dict, probes: dict,
                    tol: float = RESIDUAL_TOL) -> dict:
-    """Return a report's columns (a grid, or floats at one point) once every report invariant holds.
+    """Return a report's columns once every report invariant holds: a grid's, or one point's as plain values.
 
     Cells may be +-inf only in the fields of ``may_diverge`` (name -> where),
     NaN only in those of ``undefined`` (name -> columns -> where).  No
@@ -111,30 +160,26 @@ def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, und
     tripartite bound or monogamy residual of ``probes`` below -tol.  Masked
     (or None) cells are skipped.  Otherwise InconsistencyError names the
     field, its value and the first grid point holding an offending cell.
+    At one point the columns come back after one pass over the cells (see
+    :func:`_check_point`) as floats, bools and None.
     """
     residuals = _monogamy_residuals(columns, probes) if probes else {}
     cells = {**columns, **{f"monogamy residual at probe {probe}": r for probe, r in residuals.items()}}
-    single = isinstance(columns[point[0]], float)
+    floors = _floors(tuple(cells), tol)
+    if isinstance(columns[point[0]], float):
+        return _check_point(cells, floors, columns, point, may_diverge, undefined)
     first = None
-    for name, col in cells.items():
+    for (name, col), floor in zip(cells.items(), floors):
         if col is None or getattr(col, "dtype", None) == bool:
             continue
         infinite = may_diverge.get(name, False)
         nan = undefined[name](columns) if name in undefined else False
-        floor = (1.0 - min(tol, M_CLAMP_TOL) if name.startswith("m_") else
-                 -tol if name in _NONNEGATIVE or name.startswith("monogamy") else -math.inf)
-        if single:  # plain float tests cost far less than numpy calls at one point
-            value = float(col)
-            if not (nan if value != value else value >= floor and (infinite or math.isfinite(value))):
-                first = (0, name, value)
-                break
-            continue
         mask = getattr(col, "mask", False)  # a masked array (np.ma stays unimported otherwise)
         col = np.asarray(col)
         wrong = ~(np.isfinite(col) | mask)
         if wrong.any():  # only the documented infinities and NaNs may stay
             wrong &= ~(np.logical_and(infinite, np.isinf(col)) | np.logical_and(nan, np.isnan(col)))
-        if floor > -math.inf:
+        if floor > _LEAST_FLOAT:
             wrong |= col < floor
         if wrong.any():
             index = int(np.argmax(wrong))
@@ -152,12 +197,6 @@ def _masked(values, mask):
     if isinstance(mask, np.bool_):
         return None if mask else values
     return np.ma.MaskedArray(values, mask=mask)
-
-
-def _report_fields(columns: dict) -> dict:
-    """The cells of a single-point report: floats and bools, None where undefined."""
-    return {name: None if col is None else bool(col) if isinstance(col, np.bool_) else float(col)
-            for name, col in columns.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +424,7 @@ def _double_cells(s, l, n) -> dict:
     """The double report's cells from s to tau_l_n, in field order: all its monogamy probes read."""
     m_l_lbar, m_n_nbar, m_l_n = _pairwise_m_double(s, l, n)
     m_lbar, m_l, m_n, m_nbar = _one_vs_rest_m_double(s, l, n)
-    ones = np.ones(np.shape(s))
+    ones = 1.0 if isinstance(s, float) else np.ones(np.shape(s))
     return {"s": s, "l": l, "n": n, "m_l_nbar": ones, "m_n_lbar": ones, "m_lbar_nbar": ones,
             "m_l_lbar": m_l_lbar, "m_n_nbar": m_n_nbar, "m_l_n": m_l_n,
             "m_lbar_vs_rest": m_lbar, "m_l_vs_rest": m_l, "m_n_vs_rest": m_n, "m_nbar_vs_rest": m_nbar,
@@ -402,7 +441,7 @@ def _residual_multipartite(cells: dict):
     anti, observer = np.minimum(probe["Lbar"], probe["Nbar"]), np.minimum(probe["L"], probe["N"])
     # a non-finite probe (an overflowed m) is the report check's to reject
     switched = (observer < anti - _MIN_SLACK) & np.isfinite(observer) & np.isfinite(anti)
-    if switched.any():
+    if switched if isinstance(switched, np.bool_) else switched.any():
         i = int(np.argmax(switched))
         logger.warning("an observer probe beat the anti-observer probes at %s (%r < %r); "
                        "returning the true minimum", _point_at({p: cells[p] for p in "sln"}, np.shape(switched), i),
@@ -663,7 +702,7 @@ class SingleObserverReport(_PointReport):
 
 def single_observer_report(s: float, r: float) -> SingleObserverReport:
     """Evaluate every single-observer closed form at (s, r)."""
-    return SingleObserverReport(**_report_fields(single_report_columns(s, r)))
+    return SingleObserverReport(**single_report_columns(s, r))
 
 
 @dataclass(frozen=True)
@@ -702,4 +741,4 @@ class DoubleObserverReport(_PointReport):
 
 def double_observer_report(s: float, l: float, n: float) -> DoubleObserverReport:
     """Evaluate every double-observer closed form at (s, l, n)."""
-    return DoubleObserverReport(**_report_fields(double_report_columns(s, l, n)))
+    return DoubleObserverReport(**double_report_columns(s, l, n))

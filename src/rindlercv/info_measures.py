@@ -42,6 +42,8 @@ from .phase_space import (
     PURITY_TOL,
     _as_cov,
     _indefinite,
+    _not_resolvable,
+    _rounding_floor,
     _two_mode,
     check_mode_set,
     is_pure,
@@ -78,7 +80,12 @@ def _where(condition, if_true, if_false):
 # g and f take numpy floats or arrays (in f, a Python float 1.0 would divide by zero);
 # the warnings of the branch a mask discards are the caller's to silence.
 def _above_one(x, value):
-    """value where x > 1, 0 on [1 - M_CLAMP_TOL, 1], NaN below: the floor rule of g and f."""
+    """value where x > 1, 0 on [1 - M_CLAMP_TOL, 1], NaN below: the floor rule of g and f.
+
+    A float x (np.float64 included) is decided by plain comparisons; a NaN x keeps value.
+    """
+    if isinstance(x, float):
+        return value if not x <= 1.0 else 0.0 if x >= 1.0 - M_CLAMP_TOL else np.nan
     return _where(x <= 1.0, _where(x < 1.0 - M_CLAMP_TOL, np.nan, 0.0), value)
 
 
@@ -149,6 +156,9 @@ def _clamped_spectrum(sigma: MatrixLike) -> np.ndarray:
         raise ValueError("state is not physical (covariance matrix not positive definite)")
     slack = max(100 * BONA_FIDE_TOL, 32 * np.finfo(float).eps * etas.max())
     if etas.min() < 1.0 - slack:
+        floor = _rounding_floor(cov)
+        if etas.min() >= 1.0 - 32 * floor:  # within rounding of 1 (it can read 0 for a deeply squeezed state)
+            raise _not_resolvable("physicality", floor)
         raise ValueError(f"state is not physical (min symplectic eigenvalue {etas.min()!r})")
     return np.maximum(etas, 1.0)
 
@@ -206,12 +216,17 @@ def log_negativity(sigma: MatrixLike, transposed: Iterable[int]) -> float:
     """Logarithmic negativity across a 1 x (N-1) bipartition.
 
     Sum of -ln eta over the partially transposed symplectic eigenvalues
-    below one; zero exactly when :func:`ppt_separable` holds.
+    below one; zero exactly when :func:`ppt_separable` holds.  An eigenvalue
+    that rounds to 0 raises ValueError "log negativity not resolvable at this
+    squeezing".
     """
     cov = _as_cov(sigma)
     modes = _check_one_vs_rest(cov, transposed)
     etas = symplectic_eigenvalues(partial_transpose(cov, modes))
-    return float(sum(-math.log(eta) for eta in etas if eta < 1.0))
+    try:
+        return float(sum(-math.log(eta) for eta in etas if eta < 1.0))
+    except ValueError:  # an eigenvalue rounded to 0, far inside the rounding floor of a squeezed state
+        raise _not_resolvable("log negativity", _rounding_floor(cov)) from None
 
 
 def entropy_of_entanglement(s: float) -> float:

@@ -277,7 +277,10 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
 
     The eigenvalues of ``Omega sigma`` come in pairs ``+/- i eta``; the
     moduli are sorted, grouped in consecutive pairs and each pair is
-    required to agree to ``PAIRING_RTOL``.  For positive definite input
+    required to agree to ``PAIRING_RTOL``.  The moduli pair exactly for any
+    symmetric sigma, so a pair that does not is rounding: it raises
+    ValueError "symplectic spectrum not resolvable at this squeezing", with
+    eps * max|sigma|^2 and the two moduli.  For positive definite input
     (every covariance matrix and every partial transpose of one) the moduli
     are the singular values of the exactly antisymmetric ``L^T Omega L``
     with ``sigma = L L^T`` the Cholesky factor, since
@@ -314,10 +317,21 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     for k in range(n):
         lo, hi = mags[2 * k], mags[2 * k + 1]
         if hi - lo > PAIRING_RTOL * max(scale, hi):
-            raise ValueError(f"could not pair symplectic eigenvalues: {lo!r} vs {hi!r}")
+            raise _not_resolvable("symplectic spectrum", _rounding_floor(cov),
+                                  f": could not pair symplectic eigenvalues {lo!r} vs {hi!r}")
         etas[k] = 0.5 * lo + 0.5 * hi  # halve first: lo + hi overflows above about 9e307
     etas.setflags(write=False)
     return cov.__dict__.setdefault("_spectrum", etas).copy()
+
+
+def _rounding_floor(cov: CovMatrix) -> float:
+    """eps * max|sigma|^2: about how far rounding can move the symplectic eigenvalues of a squeezed state."""
+    return np.finfo(float).eps * abs(cov.mat).max() ** 2
+
+
+def _not_resolvable(what: str, floor: float, detail: str = "") -> ValueError:
+    """The error of a quantity that the rounding floor of :func:`_rounding_floor` swallows."""
+    return ValueError(f"{what} not resolvable at this squeezing (eps * max|sigma|^2 = {floor:.3g}){detail}")
 
 
 def _indefinite(cov: CovMatrix) -> bool:

@@ -1,9 +1,11 @@
 import contextlib
+import importlib
 import io
 import json
 import logging
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -669,6 +671,31 @@ class TestTableWriter:
         table = io.StringIO()  # the same bytes as the table writer's one-row table
         _write_table(table, [f"rindlercv point {scenario}"], list(report), [one_row_chunk(report)], "csv")
         assert out == table.getvalue()
+
+
+class TestPointRendering:
+    """point writes its report as rendered line by line: the text block, the JSON payload, the CSV row."""
+
+    @staticmethod
+    def seeded_argvs(monkeypatch) -> list[list[str]]:
+        """Two seeded blocks of the benchmark's point calls: each holds every form of POINT_FORMS."""
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks"))
+        workloads = importlib.import_module("workloads")
+        block = len(workloads.POINT_FORMS)
+        return [argv for seed in (3, 4) for argv in workloads.point_stream(random.Random(seed), block)]
+
+    def test_point_output_is_its_report_rendered_per_line(self, capsys, monkeypatch):
+        for argv in self.seeded_argvs(monkeypatch):
+            scenario, report = cli._point_report(cli._parser().parse_args(argv))
+            assert {type(v) for v in report.values()} <= {float, bool, type(None)}
+            payload = {"scenario": scenario, "report": report}
+            line = _dump_json(payload)
+            assert line == json.dumps(_jsonable(payload), sort_keys=True, separators=(", ", ": "))
+            block = [f"scenario: {scenario}\n"] + [f"  {key:>24s} = {_fmt(value)}\n" for key, value in report.items()]
+            assert run_cli(capsys, *argv) == (0, "".join(block) + line + "\n", "")
+            assert run_cli(capsys, *argv, "--format", "json") == (0, line + "\n", "")
+            csv = f"# rindlercv point {scenario}\n" + ",".join(report) + "\n" + ",".join(map(_fmt, report.values()))
+            assert run_cli(capsys, *argv, "--format", "csv") == (0, csv + "\n", "")
 
 
 class TestFigures:

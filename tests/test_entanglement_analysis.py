@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import warnings
+from typing import Optional
 
 import mpmath as mp
 import numpy as np
@@ -893,3 +894,78 @@ class TestArrayForms:
             with pytest.raises(ea.InconsistencyError, match=f"^{re.escape(message)}$"):
                 getattr(ea, name)(*args)
             assert ea.one_vs_rest_m_single(400.0, 0.5)[0] == math.inf  # an overflow that is no NaN stays inf
+
+
+# Valid points of every scenario: (kernel, point arguments); r_eff is undefined at s = 0, and
+# m_ln_infinite overflows to inf where lam / accel is large
+POINT_CHECK_CASES = {
+    "single": ("single_report_columns", (1.0, 0.5)),
+    "double-equal": ("double_report_columns", (1.0, 0.8, 0.8)),
+    "double-unequal": ("double_report_columns", (1.0, 0.4, 1.7)),
+    "double-s0": ("double_report_columns", (0.0, 1.0, 2.0)),
+    "frequency": ("frequency_report_columns", (1.0, 0.8, 6.2832)),
+    "frequency-s": ("frequency_report_columns", (1.0, 0.8, 6.2832, 2.0)),
+    "frequency-overflow": ("frequency_report_columns", (12.5875, 1.325, 0.01)),  # m_ln_infinite = inf may stay
+}
+REPORT_CLASSES = {"single_report_columns": ea.SingleObserverReport,
+                  "double_report_columns": ea.DoubleObserverReport}
+
+
+def recorded_check(monkeypatch, kernel: str, args) -> tuple:
+    """The columns and the check arguments (tol aside) that a report kernel hands to _check_columns."""
+    calls = []
+    check = ea._check_columns
+
+    def record(columns, *rest):
+        calls.append((dict(columns), rest[:-1]))
+        return check(columns, *rest)
+    with monkeypatch.context() as patch:
+        patch.setattr(ea, "_check_columns", record)
+        getattr(ea, kernel)(*args)
+    return calls[0]
+
+
+def check_outcome(columns: dict, check_args: tuple, tol: float) -> Optional[str]:
+    """None when the check passes, else the InconsistencyError's message."""
+    try:
+        ea._check_columns(columns, *check_args, tol)
+    except ea.InconsistencyError as exc:
+        return str(exc)
+    return None
+
+
+class TestPointCheck:
+    """A point's check is the grid check in one pass over plain values."""
+
+    @pytest.mark.parametrize("case", list(POINT_CHECK_CASES))
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_point_check_is_the_grid_check(self, monkeypatch, case, tol):
+        """Each float cell made NaN, +-inf or just below its floor: the 0-d call and a 2-point call whose
+        faulty point comes first both pass, or both raise naming the same field, value and point."""
+        kernel, args = POINT_CHECK_CASES[case]
+        point, point_args = recorded_check(monkeypatch, kernel, args)
+        grid, grid_args = recorded_check(monkeypatch, kernel, [np.array([a, a]) for a in args])
+        outcomes = set()
+        for name, cell in point.items():
+            if cell is None or isinstance(cell, (bool, np.bool_)):
+                continue
+            below = (1.0 - 2.0 * min(tol, ea.M_CLAMP_TOL) if name.startswith("m_") else
+                     -2.0 * tol if name in ea._NONNEGATIVE else None)
+            for bad in [math.nan, math.inf, -math.inf] + ([] if below is None else [below]):
+                column = grid[name].copy()
+                column[0] = bad
+                at_point = check_outcome({**point, name: bad}, point_args, tol)
+                on_grid = check_outcome({**grid, name: column}, grid_args, tol)
+                assert at_point == on_grid, (name, bad)
+                outcomes.add(at_point is None)
+        assert outcomes == {True, False}  # each case has cells that pass and cells that fail
+
+    @pytest.mark.parametrize("case", list(POINT_CHECK_CASES))
+    def test_point_report_is_plain_values_in_field_order(self, case):
+        kernel, args = POINT_CHECK_CASES[case]
+        report = getattr(ea, kernel)(*args)
+        assert {type(v) for v in report.values()} <= {float, bool, type(None)}
+        if kernel in REPORT_CLASSES:
+            assert list(report) == [f.name for f in dataclasses.fields(REPORT_CLASSES[kernel])]
+        else:
+            assert list(report) == list(ea.frequency_report_columns(*[np.array([a]) for a in args]))

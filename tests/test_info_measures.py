@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rindlercv.info_measures import (
+    M_CLAMP_TOL,
     InconsistencyError,
     MeasureReport,
     check_monogamy,
@@ -24,6 +25,9 @@ from rindlercv.info_measures import (
     squeezed_thermal_m,
     two_mode_m,
     von_neumann_entropy,
+    _above_one,
+    _contangle,
+    _entropy_f,
 )
 from rindlercv.phase_space import (CovMatrix, SympTransform, apply_congruence, partial_transpose, reduce,
                                    symplectic_eigenvalues, two_mode_marginals, two_mode_squeezer, vacuum_cm)
@@ -106,6 +110,24 @@ def mp_g(m):
 ONE_KERNEL_ARGS = np.concatenate([1.0 + np.geomspace(1e-15, 1.0, 60), np.geomspace(2.0, 1e300, 90)])
 
 
+# the edges of the floor rule of g and f: 1 - M_CLAMP_TOL and 1, each with its neighbouring floats, and beyond
+FLOOR_RULE_EDGES = [y for x in (1.0 - M_CLAMP_TOL, 1.0) for y in (np.nextafter(x, 0.0), x, np.nextafter(x, 2.0))]
+FLOOR_RULE_EDGES += [math.nan, math.inf, 1e300]
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def outcome(face, x) -> tuple:
+    """The bits of face(x), one value or a one-element array, or the type and message of its error."""
+    try:
+        value = face(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (bits(value if np.ndim(value) == 0 else value[0]),)
+
+
 class TestOneKernel:
     """g and f exist once: the checked faces of one kernel each, for floats and arrays alike."""
 
@@ -120,13 +142,21 @@ class TestOneKernel:
                 worst = max(worst, float(abs(face(float(x)) - ref) / max(1, abs(ref))))
         assert worst <= 1e-15
 
-    @pytest.mark.parametrize("face", [contangle_from_m, entropy_term_f], ids=["contangle_from_m", "entropy_term_f"])
-    def test_float_and_array_calls_agree_bit_for_bit(self, face):
+    @pytest.mark.parametrize("face,kernel", [(contangle_from_m, _contangle), (entropy_term_f, _entropy_f)],
+                             ids=["contangle_from_m", "entropy_term_f"])
+    def test_float_and_array_calls_agree_bit_for_bit(self, face, kernel):
+        """Also at the edges of the floor rule, where a float is decided apart from an array."""
         values = [face(float(x)) for x in ONE_KERNEL_ARGS]
         assert all(type(v) is float for v in values)
         out = face(ONE_KERNEL_ARGS)
         assert isinstance(out, np.ndarray) and out.tolist() == values
         assert face(np.array([1.0 - 5e-10, 1.0])).tolist() == [0.0, 0.0]
+        for x in FLOOR_RULE_EDGES:
+            assert outcome(face, float(x)) == outcome(face, np.array([x])), x
+            with np.errstate(all="ignore"):  # the kernel itself, past the face's checks: NaN and inf reach the rule
+                assert bits(kernel(np.float64(x))) == bits(kernel(np.array([x]))[0]), x
+            expected = bits(_above_one(np.array([x]), np.array([2.5]))[0])  # a NaN x keeps the value
+            assert bits(_above_one(np.float64(x), 2.5)) == bits(_above_one(float(x), 2.5)) == expected, x
 
     @pytest.mark.parametrize("face", [contangle_from_m, entropy_term_f], ids=["contangle_from_m", "entropy_term_f"])
     @pytest.mark.parametrize("x", [1.0, 1.0 - 5e-10, np.array([1.0]), np.array([1.0 - 5e-10, 1.0, 2.0])],
@@ -378,6 +408,21 @@ class TestTwoModeFamilies:
             for measure in (lambda c: ppt_separable(c, (0,)), squeezed_thermal_m, two_mode_m):
                 with pytest.raises(ValueError, match=r"^separability not resolvable at this squeezing \(32 eps eta"):
                     measure(red)
+
+    @pytest.mark.parametrize("build", [build_double_observer_cm, double_observer_blocks],
+                             ids=["build_double_observer_cm", "double_observer_blocks"])
+    def test_rounding_floors_are_named(self, build):
+        """At (s, l, n) = (10, 1e-6, 1e-6) the Leo-Nadia reduction's eta- and its partial transpose's eta-
+        both read 0.0, deep inside the floor eps * max|sigma|^2 = 13: no math domain error, no unphysical state."""
+        red = reduce(build(10.0, 1e-6, 1e-6), (1, 2))
+        floor = r" not resolvable at this squeezing \(eps \* max\|sigma\|\^2 = 13\.1\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^log negativity" + floor):
+                log_negativity(red, (0,))
+            for entropic in (lambda: mutual_information(red, (0,)), lambda: von_neumann_entropy(red)):
+                with pytest.raises(ValueError, match="^physicality" + floor):
+                    entropic()
 
     def test_resolvable_separability_keeps_its_verdict(self):
         """Below s = 3 the verdict is the plain eta- >= 1 - tol test; past it, det eps >= 0 still reads separable."""

@@ -237,6 +237,14 @@ class TestSymplecticEigenvalues:
         with pytest.raises(ValueError):
             symplectic_eigenvalues(bad)
 
+    def test_failed_pairing_names_the_rounding_floor(self):
+        """At s = 12 the Leo-Nadia reduction's moduli pair only to eps * max|sigma|^2 (3.9e4): rounding, so said."""
+        red = reduce(double_observer_blocks(12.0, 0.0, 1e-3), (1, 2))
+        with pytest.raises(ValueError, match=r"^symplectic spectrum not resolvable at this squeezing "
+                                             r"\(eps \* max\|sigma\|\^2 = 3\.9e\+04\): "
+                                             r"could not pair symplectic eigenvalues 0\.839\d* vs 0\.861\d*$"):
+            symplectic_eigenvalues(red)
+
 
 class TestBonaFide:
     def test_vacuum(self):
