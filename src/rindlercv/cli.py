@@ -191,7 +191,9 @@ def _write_table(stream, meta: list[str], columns: list[str], chunks: Iterable[d
 # point
 # ---------------------------------------------------------------------------
 
-POINT_FLAGS = ("s", "r", "l", "n", "a", "lam", "nu", "accel", "freq")
+# each scenario's parameters and alias, then the --accel/--freq form of the single scenario's r
+POINT_FLAGS = tuple(dict.fromkeys(
+    [name for spec in SCENARIOS.values() for name in (*spec.params, spec.alias[0]) if name] + ["accel", "freq"]))
 
 
 def _point_report(args) -> tuple[str, dict]:
@@ -264,9 +266,12 @@ def _parse_fix(items: Sequence[str]) -> dict[str, float]:
     for item in items:
         try:
             name, value = item.split("=", 1)
-            fixed[name.strip()] = float(value)
+            name, value = name.strip(), float(value)
         except Exception as exc:
             raise ValueError(f"bad --fix spec {item!r}; expected NAME=VALUE") from exc
+        if name in fixed:
+            raise ValueError(f"parameter {name!r} fixed twice")
+        fixed[name] = value
     return fixed
 
 
@@ -315,6 +320,9 @@ def _cmd_sweep(args) -> int:
     else:
         quantities = all_quantities
     columns = axis_cols + quantities
+    for i, column in enumerate(columns):
+        if column in columns[:i]:
+            raise ValueError(f"column {column!r} requested twice")
     meta = [
         f"rindlercv sweep scenario={args.scenario}",
         "axes: " + "; ".join(f"{a.name}={_fmt(a.lo)}:{_fmt(a.hi)}:{a.steps}" for a in axes),
@@ -475,13 +483,15 @@ def _cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_selftest(args) -> int:
-    report = st.run(tol=args.tol, quick=args.quick)
-    for suite in report.suites:
+    suites = st.run(tol=args.tol, quick=args.quick)
+    for suite in suites:
         print(suite.line())
-    if report.passed:
-        print(f"selftest: all {len(report.suites)} suites passed")
+    failed = [suite for suite in suites if not suite.passed]
+    if not failed:
+        print(f"selftest: all {len(suites)} suites passed")
         return EXIT_OK
-    worst = report.worst_suite()
+    # the failing suite furthest past its tolerance, the first on a tie; past a tolerance of 0 is infinitely far
+    worst = max(failed, key=lambda suite: suite.worst / suite.tol if suite.tol > 0 else math.inf)
     print(f"selftest: FAILED; worst offender {worst.name} at {worst.worst_at} "
           f"(deviation {worst.worst:.3e} > tol {worst.tol:.1e})")
     return EXIT_SELFTEST
@@ -515,14 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_point = sub.add_parser("point", help="full report at one parameter point")
     _common_flags(p_point)
-    p_point.add_argument("scenario", choices=("single", "double", "frequency"))
+    p_point.add_argument("scenario", choices=tuple(SCENARIOS))
     for name in POINT_FLAGS:
         p_point.add_argument(f"--{name}", type=float)
     p_point.set_defaults(func=_cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="tabulate report quantities over a parameter grid")
     _common_flags(p_sweep)
-    p_sweep.add_argument("--scenario", choices=("single", "double", "frequency"))
+    p_sweep.add_argument("--scenario", choices=tuple(SCENARIOS))
     p_sweep.add_argument("--sweep", action="append", metavar="NAME=MIN:MAX:STEPS")
     p_sweep.add_argument("--fix", action="append", metavar="NAME=VALUE")
     p_sweep.add_argument("--quantities", help="comma-separated subset of report fields")

@@ -317,7 +317,8 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     boundary this inversion has a square-root sensitivity; use :func:`gmemms_m`
     for such states.  An inversion that overflows (u is infinite where
     (a+1)(b+1) - c^2 rounds to 0) raises ValueError, and so does a determinant
-    of the state or of the family, (ab - c^2)^2, that overflows.
+    of the state or of the family, (ab - c^2)^2, that overflows.  A family test
+    that fails within the rounding of det sigma names the rounding floor.
     """
     cov = _two_mode(sigma, "squeezed_thermal_m")
     if ppt_separable(cov, (0,)):
@@ -334,6 +335,9 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
         if not abs(family_det) < math.inf:
             raise ValueError(f"the family determinant (ab - c^2)^2 overflows (ab - c^2 = {a * b - c_sq!r})")
         if abs(det_sigma - family_det) > FAMILY_RTOL * max(1.0, det_sigma):
+            # within the rounding of a 4x4 determinant the test cannot tell the form apart
+            if abs(det_sigma - family_det) <= 32 * _EPS * abs(cov.mat).max() ** 4:
+                raise _not_resolvable("thermal squeezed form", _rounding_floor(cov))
             raise ValueError("state is not of thermal squeezed form (c+ != -c-)")
         prod = (a + 1.0) * (b + 1.0)
         u = np.float64(prod + c_sq) / (prod - c_sq)

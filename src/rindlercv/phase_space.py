@@ -9,10 +9,14 @@ Conventions used throughout the package:
 * everything dimensionless, no hbar anywhere.
 
 All containers are immutable and every operation is a pure function, so the
-module is safe to use from any number of threads.  A :class:`CovMatrix`
-computes its symplectic spectrum, each of its partial transposes and, for two
-modes, its marginal determinants at most once and reuses them:
-:func:`symplectic_eigenvalues`, :func:`partial_transpose` and
+module is safe to use from any number of threads.  A :class:`CovMatrix` or
+:class:`SympTransform` compares and hashes by identity, as any object does:
+two instances built from equal matrices are not equal, and either can be a
+set member or a dict key; compare values through ``.mat``.
+
+A :class:`CovMatrix` computes its symplectic spectrum, each of its partial
+transposes and, for two modes, its marginal determinants at most once and
+reuses them: :func:`symplectic_eigenvalues`, :func:`partial_transpose` and
 :func:`two_mode_marginals` keep their results on the instance, out of sight of
 its fields.  Those memo writes are idempotent (two threads that race store the
 same value), and callers get a fresh copy of the spectrum, so the state stays
@@ -129,7 +133,7 @@ def _flip_mask(modes: ModeIndexSet, n_modes: int) -> np.ndarray:
     return _read_only(np.outer(flip, flip))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovMatrix:
     """Covariance matrix of an N-mode zero-mean Gaussian state.
 
@@ -167,7 +171,7 @@ class CovMatrix:
         return self.mat[2 * i:2 * i + 2, 2 * j:2 * j + 2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SympTransform:
     """A real symplectic matrix, i.e. the phase-space image of a Gaussian unitary."""
 

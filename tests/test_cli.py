@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from rindlercv import cli
 from rindlercv import entanglement_analysis as ea
+from rindlercv import selftest
 from rindlercv.cli import (EXIT_INCONSISTENT, EXIT_IO, EXIT_SELFTEST, EXIT_USAGE, FIGURE_PRESETS,
                            SweepAxis, _dump_json, _fmt, _jsonable, _write_table, main)
 
@@ -391,6 +392,17 @@ class TestParserReuse:
             assert run_cli(capsys, *argv.split())[0] == 0
         assert len(builds) <= 1
 
+    @pytest.mark.parametrize("verb, usage", [
+        ("point", "[--s S] [--r R] [--l L] [--n N] [--a A] [--lam LAM] [--nu NU] [--accel ACCEL] [--freq FREQ] "
+                  "{single,double,frequency}"),
+        ("sweep", "[--scenario {single,double,frequency}]"),
+    ])
+    def test_scenario_names_and_point_flags_in_usage(self, capsys, verb, usage):
+        """The scenario choices and the point flags, derived from SCENARIOS, keep their order."""
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        assert usage in " ".join(capsys.readouterr().out.split())
+
 
 class TestSweep:
     def test_single_axis_row_count_and_monotonicity(self, capsys):
@@ -454,6 +466,19 @@ class TestSweep:
         value = rows[1]["m_ar"]
         assert float(value) == pytest.approx(1.2341737789980164, rel=1e-12)  # mpmath oracle at (s=1, r=1.5)
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("extra, message", [
+        (("--quantities", "r"), "column 'r' requested twice"),
+        (("--quantities", "tau_ar,tau_ar"), "column 'tau_ar' requested twice"),
+        (("--fix", "s=2"), "parameter 's' fixed twice"),
+    ], ids=["axis-as-quantity", "quantity-twice", "fix-twice"])
+    def test_rejects_a_column_or_parameter_given_twice(self, capsys, tmp_path, fmt, extra, message):
+        out = tmp_path / "table"
+        code, stdout, err = run_cli(capsys, "--format", fmt, "sweep", "--scenario", "single",
+                                    "--sweep", "r=0:1:2", "--fix", "s=1", *extra, "--out", str(out))
+        assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {message}\n")
+        assert not out.exists()
 
     def test_rejects_bad_axis_spec(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--scenario", "single", "--sweep", "r=0:3")
@@ -812,3 +837,47 @@ class TestSelftest:
     def test_full_grid_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
+
+    SUITES = [("single-observer block duality", 1e-9), ("double-observer block duality", 1e-9),
+              ("scenario purity", 1e-8), ("scenario purity (deep-squeezing corner)", 1e-6),
+              ("closed-form vs numeric m duality", 1e-8), ("monogamy residuals", 1e-9),
+              ("triangle-edge saturation", 1e-9)]
+
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_suites_in_order(self, quick):
+        """The deep-squeezing corner (s + r > 5.25) is reached by the full grid only."""
+        suites = selftest.run(quick=quick)
+        assert type(suites) is list and all(type(suite) is selftest.SuiteResult for suite in suites)
+        expected = [suite for suite in self.SUITES if not (quick and "deep" in suite[0])]
+        assert [(suite.name, suite.tol) for suite in suites] == expected
+
+    def test_suite_keeps_the_first_largest_deviation(self):
+        assert selftest._suite("x", 1.0, [(0.0, (1.0,)), (0.0, (2.0,))]) == selftest.SuiteResult("x", 0.0, (), 1.0)
+        assert selftest._suite("x", 1.0, iter([])) == selftest.SuiteResult("x", 0.0, (), 1.0)
+        stream = [(1.0, (1.0,)), (3.0, (2.0,)), (2.0, (3.0,)), (3.0, (4.0,))]
+        assert selftest._suite("x", 1.0, stream) == selftest.SuiteResult("x", 3.0, (2.0,), 1.0)
+
+    @pytest.mark.parametrize("tol", ["0", "5e-324", "1e-16", "1e-9"])
+    def test_any_tolerance_ends_in_one_summary_line(self, capsys, tol):
+        code, out, err = run_cli(capsys, "selftest", "--quick", "--tol", tol)
+        lines = out.splitlines()
+        assert code in (0, EXIT_SELFTEST) and err == ""
+        assert [line for line in lines if line.startswith("selftest: ")] == lines[-1:]
+        assert lines[-1].startswith("selftest: all" if code == 0 else "selftest: FAILED; worst offender ")
+        if tol == "0":
+            assert re.fullmatch(r"selftest: FAILED; worst offender single-observer block duality at \(2\.5, 2\.5\) "
+                                r"\(deviation \S+ > tol 0\.0e\+00\)", lines[-1])
+
+    def test_worst_offender_is_furthest_past_its_tolerance(self, capsys, monkeypatch):
+        """Past a tolerance of 0 is infinitely far; a tie goes to the first failing suite."""
+        suites = [selftest.SuiteResult("a", 3e-9, (1.0,), 1e-9), selftest.SuiteResult("b", 4e-8, (2.0,), 1e-8),
+                  selftest.SuiteResult("c", 0.0, (), 0.0), selftest.SuiteResult("d", 8e-9, (3.0,), 2e-9)]
+        monkeypatch.setattr(selftest, "run", lambda tol, quick: suites)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == EXIT_SELFTEST
+        assert out.splitlines()[-1] == ("selftest: FAILED; worst offender b at (2.0,) "
+                                        "(deviation 4.000e-08 > tol 1.0e-08)")
+        suites.append(selftest.SuiteResult("e", 1e-300, (4.0,), 0.0))
+        code, out, _ = run_cli(capsys, "selftest")
+        assert out.splitlines()[-1] == ("selftest: FAILED; worst offender e at (4.0,) "
+                                        "(deviation 1.000e-300 > tol 0.0e+00)")

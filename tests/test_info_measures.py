@@ -424,6 +424,24 @@ class TestTwoModeFamilies:
                 with pytest.raises(ValueError, match="^physicality" + floor):
                     entropic()
 
+    @pytest.mark.parametrize("point, floor", [((10.0, 1e-6, 1e-6), "13.1"), ((12.0, 0.0, 1e-3), "3.9e+04"),
+                                              ((18.0, 0.1, 0.1), "1.05e+15"), ((9.0, 1e-6, 1e-6), "0.239"),
+                                              ((11.0, 0.5, 0.3), "1.15e+03")])
+    def test_thermal_form_floor_is_named(self, point, floor):
+        """A family test that fails within the rounding of a 4x4 determinant, 32 eps max|sigma|^4, names the floor."""
+        red = reduce(build_double_observer_cm(*point), (1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^thermal squeezed form not resolvable at this squeezing "
+                                                 rf"\(eps \* max\|sigma\|\^2 = {re.escape(floor)}\)$"):
+                two_mode_m(red)
+
+    def test_non_family_state_is_named(self):
+        """An entangled state with c+ != -c- fails the family test far above its rounding."""
+        sigma = np.array([[3, 0, 2.5, 0], [0, 3, 0, -2], [2.5, 0, 3, 0], [0, -2, 0, 3]])
+        with pytest.raises(ValueError, match=r"^state is not of thermal squeezed form \(c\+ != -c-\)$"):
+            two_mode_m(sigma)
+
     def test_resolvable_separability_keeps_its_verdict(self):
         """Below s = 3 the verdict is the plain eta- >= 1 - tol test; past it, det eps >= 0 still reads separable."""
         rng = np.random.default_rng(21)

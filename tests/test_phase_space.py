@@ -336,6 +336,17 @@ class TestContainers:
             mat[0, 1] += 1e-14 * abs(mat).max()  # an asymmetry below the tolerance
             assert np.array_equal(CovMatrix(mat).mat, 0.5 * (mat + mat.T))
 
+    @pytest.mark.parametrize("make", [lambda: CovMatrix(np.eye(2)), lambda: two_mode_squeezer(0.5, 0, 1, 2)],
+                             ids=["CovMatrix", "SympTransform"])
+    def test_equality_and_hashing_are_by_identity(self, make):
+        a, b = make(), make()
+        assert np.array_equal(a.mat, b.mat)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
+        assert {a: 1}[a] == 1
+
     def test_purity_predicate(self):
         assert is_pure(tms_cm(1.0))
         assert not is_pure(reduce(build_single_observer_cm(1.0, 1.0), (0, 1)))
