@@ -180,8 +180,8 @@ def _write_table(stream, meta: list[str], columns: list[str], chunks: Iterable[d
         for chunk in chunks:
             rows = zip(*(_cells(chunk[c], fmt) for c in columns))
             stream.write("".join([",".join(row) + "\n" for row in rows]))
-    else:  # json-lines, keys unique and sorted as _dump_json writes them
-        columns = sorted(set(columns))
+    else:  # json-lines, keys sorted as _dump_json writes them; a duplicated column stays duplicated, as in CSV
+        columns = sorted(columns)
         for chunk in chunks:
             rows = zip(*(_cells(chunk[c], fmt, f"{json.dumps(c)}: ") for c in columns))
             stream.write("".join(["{" + ", ".join(row) + "}\n" for row in rows]))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .info_measures import (M_CLAMP_TOL, InconsistencyError, MeasureReport, _clamp_separable, _contangle, _entropy_f,
                             _m_leo_nadia, _where)
-from .phase_space import CovMatrix, apply_congruence, two_mode_squeezer, vacuum_cm
+from .phase_space import CovMatrix, _squeezed_vacuum, two_mode_squeezer
 from .rindler_frames import _require_domain, accel_to_squeezing
 
 logger = logging.getLogger(__name__)
@@ -475,9 +475,7 @@ def tripartite_bound_ansatz_cm(s: float, a: float) -> CovMatrix:
     mixed-state one-vs-two contangles of the reduction from above.
     """
     t = 0.5 * math.acosh(_evaluate(_bound_ansatz_k, s=s, a=a))
-    inner = two_mode_squeezer(t, 1, 2, 3)
-    outer = two_mode_squeezer(a, 1, 0, 3)
-    return apply_congruence(outer, apply_congruence(inner, vacuum_cm(3)))
+    return _squeezed_vacuum(two_mode_squeezer(t, 1, 2, 3), two_mode_squeezer(a, 1, 0, 3))
 
 
 def _tripartite_upper_bound(s, a):

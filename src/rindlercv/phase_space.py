@@ -31,6 +31,16 @@ read-only (writing to one raises) and each cache is a ``functools`` cache, so
 the worst a race can do is build the same constant twice and keep one of them:
 no caller can change what another one sees.  The per-mode-set caches are
 bounded.
+
+Each covariance matrix is validated once, where it enters: a public
+``CovMatrix(...)``, a raw array that any function turns into one, an
+:func:`apply_congruence` result, and the finished state of a squeezer chain
+on the vacuum (``_squeezed_vacuum``, which the scenario builders use; its
+intermediate states are not checked).  :func:`reduce` and
+:func:`partial_transpose` return exact images of a validated matrix, a
+principal submatrix and a product with a +-1 mask, which validation could
+neither reject nor change, so they skip it.  Every :class:`SympTransform` is
+validated.
 """
 
 from __future__ import annotations
@@ -133,6 +143,11 @@ def _flip_mask(modes: ModeIndexSet, n_modes: int) -> np.ndarray:
     return _read_only(np.outer(flip, flip))
 
 
+def _symmetrize(arr: np.ndarray) -> np.ndarray:
+    """The mean of a square array and its transpose, as validation stores it."""
+    return 0.5 * arr + 0.5 * arr.T  # halve first: arr + arr.T overflows above about 9e307
+
+
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
     """Covariance matrix of an N-mode zero-mean Gaussian state.
@@ -158,7 +173,7 @@ class CovMatrix:
         asym = abs(arr - arr.T).max()
         if asym > SYMMETRY_ATOL * max(1.0, scale):
             raise ValueError(f"covariance matrix not symmetric (asymmetry {asym:.3e})")
-        arr = 0.5 * arr + 0.5 * arr.T  # halve first: arr + arr.T overflows above about 9e307
+        arr = _symmetrize(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 
@@ -230,18 +245,21 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
     On the (i, j) subspace the transform is
     ``[[cosh r, 0, sinh r, 0], [0, cosh r, 0, -sinh r],
     [sinh r, 0, cosh r, 0], [0, -sinh r, 0, cosh r]]``
-    and the identity everywhere else.
+    and the identity everywhere else.  A squeezing whose entries or
+    symplectic check overflow is rejected with a ValueError, without a numpy
+    warning.
     """
     if i == j:
         raise ValueError("two-mode squeezer needs two distinct modes")
     check_mode_set((i, j), n_modes)
-    c, s = np.cosh(r), np.sinh(r)
-    out = _identity(n_modes).copy()
-    xi, pi, xj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-    out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
-    out[xi, xj] = out[xj, xi] = s
-    out[pi, pj] = out[pj, pi] = -s
-    return SympTransform(out)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the check
+        c, s = np.cosh(r), np.sinh(r)
+        out = _identity(n_modes).copy()
+        xi, pi, xj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+        out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
+        out[xi, xj] = out[xj, xi] = s
+        out[pi, pj] = out[pj, pi] = -s
+        return SympTransform(out)
 
 
 def apply_congruence(S: SympTransform, sigma: MatrixLike) -> CovMatrix:
@@ -252,11 +270,45 @@ def apply_congruence(S: SympTransform, sigma: MatrixLike) -> CovMatrix:
     return CovMatrix(S.mat @ cov.mat @ S.mat.T)
 
 
+def _squeezed_vacuum(*transforms: SympTransform) -> CovMatrix:
+    """The vacuum after each transform in turn, as nested :func:`apply_congruence` calls give it, bit for bit.
+
+    Each step is their arithmetic, ``S @ sigma @ S.T`` and then the
+    symmetrization of validation; the first starts from ``S @ S.T``, since
+    ``S @ I == S`` up to the sign of zeros, which the product does not see.
+    Only the finished state is validated: an intermediate that overflows
+    leaves it non-finite too, and is rejected there, without a numpy warning.
+    """
+    first, *rest = transforms
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = first.mat @ first.mat.T
+        for S in rest:
+            arr = _symmetrize(arr)
+            arr = S.mat @ arr @ S.mat.T
+    return CovMatrix(arr)
+
+
+def _exact_cov(arr: np.ndarray) -> CovMatrix:
+    """A CovMatrix of a new array that is an exact image of a validated one, made read-only, not validated again.
+
+    A principal submatrix of a validated matrix, or its product with a +-1
+    outer-product mask, is square, even-sized, finite and exactly symmetric,
+    so validation cannot raise on it, and its symmetrization returns the same
+    bits: ``0.5 * x + 0.5 * x == x`` for every float but the odd multiples of
+    2**-1074, which a validated matrix holds only where its input was
+    asymmetric.
+    """
+    arr.setflags(write=False)
+    cov = object.__new__(CovMatrix)
+    object.__setattr__(cov, "mat", arr)
+    return cov
+
+
 def reduce(sigma: MatrixLike, keep: Iterable[int]) -> CovMatrix:
     """Reduced state of the kept modes (partial trace over the others)."""
     cov = _as_cov(sigma)
     idx = _quad_indices(check_mode_set(keep, cov.n_modes))
-    return CovMatrix(cov.mat.take(idx, 0).take(idx, 1))
+    return _exact_cov(cov.mat.take(idx, 0).take(idx, 1))
 
 
 def partial_transpose(sigma: MatrixLike, transposed: Iterable[int]) -> CovMatrix:
@@ -272,7 +324,7 @@ def partial_transpose(sigma: MatrixLike, transposed: Iterable[int]) -> CovMatrix
     memo = cov.__dict__.setdefault("_transposes", {})
     out = memo.get(modes)
     if out is None:
-        out = memo.setdefault(modes, CovMatrix(_flip_mask(modes, cov.n_modes) * cov.mat))
+        out = memo.setdefault(modes, _exact_cov(_flip_mask(modes, cov.n_modes) * cov.mat))
     return out
 
 

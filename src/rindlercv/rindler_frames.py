@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _not_resolvable, _rounding_floor,
-                          apply_congruence, is_pure, symplectic_eigenvalues, two_mode_squeezer, vacuum_cm)
+                          _squeezed_vacuum, is_pure, symplectic_eigenvalues, two_mode_squeezer)
 
 ACCEL_SPEC_RTOL = 1e-10
 
@@ -144,9 +144,7 @@ def build_single_observer_cm(s: float, r: float) -> CovMatrix:
     then the acceleration squeezer (r) entangles the two Rindler wedges.
     """
     _require_domain(s=s, r=r)
-    inertial = two_mode_squeezer(s, 0, 1, 3)
-    rindler = two_mode_squeezer(r, 1, 2, 3)
-    return apply_congruence(rindler, apply_congruence(inertial, vacuum_cm(3)))
+    return _squeezed_vacuum(two_mode_squeezer(s, 0, 1, 3), two_mode_squeezer(r, 1, 2, 3))
 
 
 def single_observer_blocks(s: float, r: float) -> CovMatrix:
@@ -184,8 +182,7 @@ def build_double_observer_cm(s: float, l: float, n: float) -> CovMatrix:
     inertial = two_mode_squeezer(s, 1, 2, 4)
     leo = two_mode_squeezer(l, 1, 0, 4)
     nadia = two_mode_squeezer(n, 2, 3, 4)
-    sigma = apply_congruence(inertial, vacuum_cm(4))
-    return apply_congruence(leo, apply_congruence(nadia, sigma))
+    return _squeezed_vacuum(inertial, nadia, leo)
 
 
 def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:

@@ -681,6 +681,17 @@ class TestTableWriter:
         assert lines[1:] == want
         assert "-0" in stream.getvalue() and ("null" if fmt == "json" else ",,") in stream.getvalue()
 
+    def test_a_duplicated_column_is_written_twice_in_either_format(self):
+        """The writer does not drop a caller's duplicate: JSON repeats the key where CSV repeats the column."""
+        chunk = {"x": np.array([0.5, 2.0]), "axis": np.array([1.0, -0.0])}
+        written = {}
+        for fmt in ("csv", "json"):
+            stream = io.StringIO()
+            _write_table(stream, [], ["x", "axis", "x"], [chunk], fmt)
+            written[fmt] = stream.getvalue().splitlines()
+        assert written["csv"] == ["x,axis,x", "0.5,1,0.5", "2,-0,2"]
+        assert written["json"] == ['{"axis": 1.0, "x": 0.5, "x": 0.5}', '{"axis": -0.0, "x": 2.0, "x": 2.0}']
+
     @pytest.mark.parametrize("argv", [
         "single --s 1 --r 0.5", "single --s 0 --r 0", "single --s 1 --accel 2 --freq 0.3",
         "double --s 1 --a 0.5", "double --s 1 --l 0.4 --n 1.7", "double --s 0 --l 0 --n 1",

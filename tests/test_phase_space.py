@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rindlercv import entanglement_analysis as ea
 from rindlercv import phase_space
 from rindlercv.phase_space import (
     CovMatrix,
@@ -555,6 +556,20 @@ class TestSharedConstants:
             assert build_single_observer_cm(s, a).mat.tobytes() == single.mat.tobytes()
             assert build_double_observer_cm(s, a, b).mat.tobytes() == double.mat.tobytes()
 
+            def ansatz():
+                t = 0.5 * math.acosh(ea._evaluate(ea._bound_ansatz_k, s=s, a=a))
+                return apply_congruence(plain_squeezer(a, 1, 0, 3),
+                                        apply_congruence(plain_squeezer(t, 1, 2, 3), CovMatrix(np.eye(6))))
+            # the same bits, or the same error where the ansatz parameter K rounds below 1
+            assert self.outcome(lambda: ea.tripartite_bound_ansatz_cm(s, a)) == self.outcome(ansatz)
+
+    @staticmethod
+    def outcome(build):
+        try:
+            return build().mat.tobytes()
+        except ValueError as exc:
+            return str(exc)
+
     @staticmethod
     def states():
         for s, a, b in constant_points():
@@ -612,6 +627,55 @@ class TestSharedConstants:
         np.testing.assert_array_equal(phase_space._flip_mask((0, 2), 3),
                                       np.outer([1, -1, 1, 1, 1, -1], [1, -1, 1, 1, 1, -1]))
         np.testing.assert_array_equal(phase_space._quad_indices((1, 3)), [2, 3, 6, 7])
+
+
+def derived_states(cov):
+    """Every reduction and every proper partial transpose of cov."""
+    n = cov.n_modes
+    subsets = [tuple(m for m in range(n) if bits >> m & 1) for bits in range(1, 2 ** n)]
+    yield from (reduce(cov, keep) for keep in subsets)
+    yield from (partial_transpose(cov, modes) for modes in subsets[:-1])
+
+
+def assert_validation_changes_nothing(derived):
+    assert not derived.mat.flags.writeable
+    assert CovMatrix(derived.mat).mat.tobytes() == derived.mat.tobytes()
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Exactly symmetric 2N x 2N matrices, N = 1..3, of finite entries (subnormals and -0.0 included)."""
+    size = 2 * draw(st.integers(1, 3))
+    entries = draw(st.lists(st.floats(-1e300, 1e300), min_size=size * (size + 1) // 2,
+                            max_size=size * (size + 1) // 2))
+    mat = np.zeros((size, size))
+    mat[np.triu_indices(size)] = entries
+    return mat + np.triu(mat, 1).T
+
+
+class TestValidatedOnce:
+    """Reductions and partial transposes are exact images of a validated matrix: validation would change nothing."""
+
+    def test_validating_a_derived_state_again_returns_its_bits(self):
+        for cov in TestSharedConstants.states():
+            for derived in derived_states(cov):
+                assert_validation_changes_nothing(derived)
+
+    @given(symmetric_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_validating_a_derived_matrix_again_returns_its_bits(self, mat):
+        for derived in derived_states(CovMatrix(mat)):
+            assert_validation_changes_nothing(derived)
+
+    def test_a_reduction_is_the_exact_submatrix_where_revalidation_would_round(self):
+        """An input asymmetric by 1e-323 leaves 5e-324 in the validated matrix, which halving rounds to 0."""
+        mat = np.eye(4)
+        mat[0, 3] = 1e-323
+        cov = CovMatrix(mat)
+        assert cov.mat[0, 3] == cov.mat[3, 0] == 5e-324
+        assert CovMatrix(cov.mat).mat[0, 3] == 0.0
+        assert reduce(cov, (0, 1)).mat.tobytes() == cov.mat.tobytes()
+        assert partial_transpose(cov, (0,)).mat[0, 3] == 5e-324
 
 
 class TestCheckModeSet:
@@ -672,6 +736,21 @@ class TestOverflow:
             # large entries whose determinants stay finite give the value
             root_1, root_2, det_eps = two_mode_marginals(CovMatrix(np.diag([1e154, 1e154, 2.0, 2.0])))
         assert (root_1, root_2, det_eps) == (pytest.approx(1e154, rel=1e-13), pytest.approx(2.0, rel=1e-15), 0.0)
+
+    @pytest.mark.parametrize("build,args,message", [
+        (build_double_observer_cm, (400, 0.5, 0.5), "covariance matrix entries must be finite"),
+        (build_single_observer_cm, (400, 0.0), "covariance matrix entries must be finite"),
+        (build_single_observer_cm, (0, 800), "symplectic matrix entries must be finite"),
+        (build_double_observer_cm, (0, 0.5, 800), "symplectic matrix entries must be finite"),
+        (two_mode_squeezer, (800.0, 0, 1, 2), "symplectic matrix entries must be finite"),
+        (two_mode_squeezer, (-800.0, 0, 1, 2), "symplectic matrix entries must be finite"),
+    ])
+    def test_overflowing_squeezing_raises_without_a_warning(self, build, args, message):
+        """A squeezer past cosh r = inf, or a chain whose products overflow, is refused with a ValueError alone."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(*args)
 
     def test_huge_spectrum_is_finite(self):
         with warnings.catch_warnings():
