@@ -93,7 +93,7 @@ MONOGAMY_PROBES = {
 # Per report: the point's parameters, the fields that may diverge to +-inf, those undefined (NaN) and
 # where, and the probes (residual_multipartite is the double-observer probes' minimum: its sign covers them).
 _REPORT_CHECKS = {"single": (("s", "r"), {"tau_max_ar": True}, {}, MONOGAMY_PROBES["single"]),
-                  "double": (("s", "l", "n"), {"r_eff": True}, {"r_eff": lambda c: np.equal(c["s"], 0.0)}, {})}
+                  "double": (("s", "l", "n"), {"r_eff": True}, {"r_eff": lambda c: c["s"] == 0.0}, {})}
 _NONNEGATIVE = ("residual_tripartite", "residual_multipartite", "tripartite_upper_bound")
 _LEAST_FLOAT = -sys.float_info.max
 
@@ -123,73 +123,55 @@ def _floors(names: tuple[str, ...], tol: float) -> tuple[float, ...]:
                  else _LEAST_FLOAT for name in names)
 
 
-def _check_point(cells: dict, floors: tuple, columns: dict, point: tuple[str, ...], may_diverge: dict,
-                 undefined: dict) -> dict:
-    """_check_columns at one point, in one pass: the columns as floats, bools and None, in field order.
-
-    A float cell passes on one comparison, floor <= value < inf (-inf fails
-    the least finite float that stands for a missing floor); only a cell
-    that fails goes on to ``may_diverge`` and ``undefined``.
-    """
-    values = []
-    for (name, col), floor in zip(cells.items(), floors):
-        # most cells are floats, and isinstance(x, float) costs far less than a test against np.bool_
-        if not isinstance(col, float) and (col is None or isinstance(col, (bool, np.bool_))):
-            values.append(col if col is None else bool(col))
-            continue
-        value = float(col)
-        values.append(value)
-        if floor <= value < math.inf:
-            continue
-        if value != value:
-            allowed = name in undefined and undefined[name](columns)
-        else:  # +inf, -inf (only a field without a floor may hold it) or a finite value below the floor
-            allowed = math.isinf(value) and (value > 0 or floor == _LEAST_FLOAT) and may_diverge.get(name, False)
-        if not allowed:
-            raise InconsistencyError(f"{name} = {value!r} at {_point_at({p: columns[p] for p in point}, (), 0)}")
-    return dict(zip(columns, values))  # the cells open with the columns
-
-
 def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, undefined: dict, probes: dict,
                    tol: float = RESIDUAL_TOL) -> dict:
-    """Return a report's columns once every report invariant holds: a grid's, or one point's as plain values.
+    """Return a report's columns, a grid's or one point's, once every report invariant holds.
 
     Cells may be +-inf only in the fields of ``may_diverge`` (name -> where),
-    NaN only in those of ``undefined`` (name -> columns -> where).  No
-    m-parameter may fall below 1 - min(tol, M_CLAMP_TOL), and no residual,
-    tripartite bound or monogamy residual of ``probes`` below -tol.  Masked
-    (or None) cells are skipped.  Otherwise InconsistencyError names the
-    field, its value and the first grid point holding an offending cell.
-    At one point the columns come back after one pass over the cells (see
-    :func:`_check_point`) as floats, bools and None.
+    NaN only in those of ``undefined`` (name -> columns -> where), and -inf
+    only in a field that has no floor.  No m-parameter may fall below
+    1 - min(tol, M_CLAMP_TOL), and no residual, tripartite bound or monogamy
+    residual of ``probes`` below -tol.  Masked (or None) cells are skipped.
+    Otherwise InconsistencyError names the field, its value and the first
+    grid point holding an offending cell, the first such field on a tie.
+
+    One pass over the cells: a float passes on floor <= value < inf, an array
+    on that test of its least and greatest cells (masked cells read as their
+    floor); only a failing cell goes on to the diagnosis.  A point's columns
+    come back as floats, bools and None in field order, each converted once.
     """
     residuals = _monogamy_residuals(columns, probes) if probes else {}
     cells = {**columns, **{f"monogamy residual at probe {probe}": r for probe, r in residuals.items()}}
-    floors = _floors(tuple(cells), tol)
-    if isinstance(columns[point[0]], float):
-        return _check_point(cells, floors, columns, point, may_diverge, undefined)
-    first = None
-    for (name, col), floor in zip(cells.items(), floors):
-        if col is None or getattr(col, "dtype", None) == bool:
+    values, first = [], None
+    for (name, cell), floor in zip(cells.items(), _floors(tuple(cells), tol)):
+        # isinstance(x, float), true of np.float64 too, costs far less than any dtype test
+        if isinstance(cell, float):
+            data = float(cell)
+            values.append(data)
+            if floor <= data < math.inf:
+                continue
+        elif cell is None or isinstance(cell, (bool, np.bool_)) or getattr(cell, "dtype", None) == bool:
+            values.append(bool(cell) if isinstance(cell, np.bool_) else cell)
             continue
-        infinite = may_diverge.get(name, False)
-        nan = undefined[name](columns) if name in undefined else False
-        mask = getattr(col, "mask", False)  # a masked array (np.ma stays unimported otherwise)
-        col = np.asarray(col)
-        wrong = ~(np.isfinite(col) | mask)
-        if wrong.any():  # only the documented infinities and NaNs may stay
-            wrong &= ~(np.logical_and(infinite, np.isinf(col)) | np.logical_and(nan, np.isnan(col)))
-        if floor > _LEAST_FLOAT:
-            wrong |= col < floor
-        if wrong.any():
-            index = int(np.argmax(wrong))
-            if first is None or index < first[0]:
-                first = (index, name, float(col.flat[index]))
+        else:  # an array or another number; a masked array (np.ma stays unimported otherwise) has a mask
+            data = cell.filled(floor) if hasattr(cell, "mask") else np.asarray(cell, dtype=float)
+            values.append(cell)
+            if floor <= data.min(initial=math.inf) and data.max(initial=-math.inf) < math.inf:  # empty passes
+                continue
+        # operators that serve floats and arrays alike: +inf may stay where the field may diverge, -inf there
+        # too if the field has no floor, NaN (the one value unequal to itself) where the field is undefined
+        allowed = ((abs(data) if floor == _LEAST_FLOAT else data) == math.inf) & may_diverge.get(name, False)
+        if name in undefined:
+            allowed = allowed | (data != data) & undefined[name](columns)
+        ok = np.ravel(allowed | (floor <= data) & (data < math.inf))
+        index = int(ok.argmin())  # the first offending cell, if there is one
+        if not ok[index] and (first is None or index < first[0]):
+            first = (index, name, float(np.ravel(data)[index]))
     if first is not None:
         index, name, value = first
         where = _point_at({p: columns[p] for p in point}, np.shape(cells[name]), index)
         raise InconsistencyError(f"{name} = {value!r} at {where}")
-    return columns
+    return dict(zip(columns, values))  # the cells open with the columns
 
 
 def _masked(values, mask):
@@ -467,6 +449,12 @@ def _bound_ansatz_k(s, a):
     return (1.0 + x) * np.cosh(a) ** 2 / (np.sinh(a) ** 2 + 1.0 / np.cosh(s) ** 2)
 
 
+def _bound_ansatz_t(s, a):
+    # arccosh(K) / 2 as arcsinh(tanh s / sqrt(sinh^2 a + sech^2 s)), from K - 1 = 2 tanh^2 s / (sinh^2 a
+    # + sech^2 s) = 2 sinh^2 t: exactly 0 at s = 0, and no digits lost where K rounds to 1
+    return np.arcsinh(np.tanh(s) / np.sqrt(np.sinh(a) ** 2 + 1.0 / np.cosh(s) ** 2))
+
+
 def tripartite_bound_ansatz_cm(s: float, a: float) -> CovMatrix:
     """Pure three-mode state majorized by the anti-Leo/Leo/Nadia reduction.
 
@@ -474,7 +462,7 @@ def tripartite_bound_ansatz_cm(s: float, a: float) -> CovMatrix:
     t = arccosh(K)/2 and then Leo against anti-Leo with a; it bounds the
     mixed-state one-vs-two contangles of the reduction from above.
     """
-    t = 0.5 * math.acosh(_evaluate(_bound_ansatz_k, s=s, a=a))
+    t = _evaluate(_bound_ansatz_t, s=s, a=a)
     return _squeezed_vacuum(two_mode_squeezer(t, 1, 2, 3), two_mode_squeezer(a, 1, 0, 3))
 
 

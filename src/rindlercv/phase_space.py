@@ -200,9 +200,15 @@ class SympTransform:
         if not scale < math.inf:
             raise ValueError("symplectic matrix entries must be finite")
         omega = _omega(arr.shape[0] // 2)
-        defect = abs(arr.T @ omega @ arr - omega).max()
-        if not defect <= SYMPLECTIC_ATOL * max(1.0, scale ** 2):  # a NaN defect fails too
-            raise ValueError(f"matrix does not preserve the symplectic form (defect {defect:.3e})")
+        k = max(1.0, float(scale))
+        if k * k < math.inf:
+            defect = abs(arr.T @ omega @ arr - omega).max() / (k * k)
+        else:  # k^2 overflows, as would the products of arr; arr / k gives the same ratio without overflow
+            unit = arr / k
+            defect = abs(unit.T @ omega @ unit - omega / (k * k)).max()
+        if not defect <= SYMPLECTIC_ATOL:  # a NaN defect fails too
+            raise ValueError(f"matrix does not preserve the symplectic form "
+                             f"(defect {defect:.3e} relative to max(1, max|S|)^2)")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
@@ -245,12 +251,9 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
     On the (i, j) subspace the transform is
     ``[[cosh r, 0, sinh r, 0], [0, cosh r, 0, -sinh r],
     [sinh r, 0, cosh r, 0], [0, -sinh r, 0, cosh r]]``
-    and the identity everywhere else.  A squeezing whose entries or
-    symplectic check overflow is rejected with a ValueError, without a numpy
-    warning.
+    and the identity everywhere else.  A squeezing whose entries overflow is
+    rejected with a ValueError, without a numpy warning.
     """
-    if i == j:
-        raise ValueError("two-mode squeezer needs two distinct modes")
     check_mode_set((i, j), n_modes)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the check
         c, s = np.cosh(r), np.sinh(r)

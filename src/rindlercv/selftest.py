@@ -4,7 +4,8 @@ Every suite recomputes its quantity along two independent paths over a
 parameter grid.  A suite is written once, as the stream of its
 ``(deviation, point)`` pairs, and one runner, :func:`_suite`, keeps the worst
 deviation of each stream together with the grid point that produced it.  The
-scenario states are built once and shared by every suite.  The CLI's
+scenario states are built once and shared by every suite, and so are the
+closed forms: the report columns of each grid, evaluated once.  The CLI's
 ``selftest`` verb wraps :func:`run`.
 
 Suite 4 holds each closed-form m against the covariance-matrix route.  For
@@ -71,41 +72,39 @@ def _impurity(states: dict):
         yield float(np.max(np.abs(symplectic_eigenvalues(sigma) - 1))), point
 
 
-def _m_duality(singles: dict, doubles: dict):
+def _closed(columns: dict, *names: str):
+    """The named report columns as one tuple of floats per grid point, in the order of the states."""
+    return zip(*(columns[name].ravel().tolist() for name in names))
+
+
+def _m_duality(singles: dict, doubles: dict, single_columns: dict, double_columns: dict):
     """Each closed-form m against the covariance-matrix route."""
-    for (s, r), sigma in singles.items():
-        pairs = (
-            (ea.m_alice_rob(s, r), im.two_mode_m(reduce(sigma, (0, 1)))),
-            (math.cosh(2 * r), im.two_mode_m(reduce(sigma, (1, 2)))),
-            (ea.one_vs_rest_m_single(s, r)[0], rf.pure_one_vs_rest_m(sigma, 0)),
-            (ea.one_vs_rest_m_single(s, r)[2], rf.pure_one_vs_rest_m(sigma, 2)),
-        )
-        for closed, numeric in pairs:
-            yield abs(closed - numeric), (s, r)
-    for (s, l, n), sigma in doubles.items():
-        pairs = (
-            (ea.m_leo_nadia(s, l, n), im.two_mode_m(reduce(sigma, (1, 2)))),
-            (math.cosh(2 * l), im.two_mode_m(reduce(sigma, (0, 1)))),
-            (ea.one_vs_rest_m_double(s, l, n)[0], rf.pure_one_vs_rest_m(sigma, 0)),
-        )
-        for closed, numeric in pairs:
-            yield abs(closed - numeric), (s, l, n)
+    closed = _closed(single_columns, "m_ar", "m_r_rbar", "m_a_vs_rest", "m_rbar_vs_rest")
+    for ((s, r), sigma), ms in zip(singles.items(), closed):
+        numeric = (im.two_mode_m(reduce(sigma, (0, 1))), im.two_mode_m(reduce(sigma, (1, 2))),
+                   rf.pure_one_vs_rest_m(sigma, 0), rf.pure_one_vs_rest_m(sigma, 2))
+        for m, numeric_m in zip(ms, numeric):
+            yield abs(m - numeric_m), (s, r)
+    closed = _closed(double_columns, "m_l_n", "m_l_lbar", "m_lbar_vs_rest")
+    for ((s, l, n), sigma), ms in zip(doubles.items(), closed):
+        numeric = (im.two_mode_m(reduce(sigma, (1, 2))), im.two_mode_m(reduce(sigma, (0, 1))),
+                   rf.pure_one_vs_rest_m(sigma, 0))
+        for m, numeric_m in zip(ms, numeric):
+            yield abs(m - numeric_m), (s, l, n)
 
 
-def _monogamy(grid: list, dgrid: list):
+def _monogamy(single_columns: dict, double_columns: dict):
     """How far below 0 each probe's smallest residual falls; at tol = inf the kernel leaves them to this suite."""
-    single, double = np.meshgrid(grid, grid, indexing="ij"), np.meshgrid(dgrid, dgrid, dgrid, indexing="ij")
-    for scenario, point, columns in (("single", single, ea.single_report_columns(*single, tol=math.inf)),
-                                     ("double", double, ea.double_report_columns(*double, tol=math.inf))):
+    for scenario, columns, point in (("single", single_columns, "sr"), ("double", double_columns, "sln")):
         for probe, res in ea._monogamy_residuals(columns, ea.MONOGAMY_PROBES[scenario]).items():
             i = int(np.argmin(res))
-            yield max(0.0, -float(res.flat[i])), (*(float(x.flat[i]) for x in point), probe)
+            yield max(0.0, -float(res.flat[i])), (*(float(columns[p].flat[i]) for p in point), probe)
 
 
-def _triangle_edge(singles: dict):
+def _triangle_edge(singles: dict, single_columns: dict):
     """Saturation of the triangle inequality for the three-mode state."""
-    for s, r in singles:
-        m_a, m_r, m_rbar = ea.one_vs_rest_m_single(s, r)
+    closed = _closed(single_columns, "m_a_vs_rest", "m_r_vs_rest", "m_rbar_vs_rest")
+    for (s, r), (m_a, m_r, m_rbar) in zip(singles, closed):
         yield abs(m_rbar - (m_r - m_a + 1.0)), (s, r)
 
 
@@ -118,13 +117,18 @@ def run(tol: float = 1e-9, quick: bool = False) -> list[SuiteResult]:
     doubles = {(s, l, n): rf.build_double_observer_cm(s, l, n) for s in dgrid for l in dgrid for n in dgrid}
     shallow = {(s, r): sigma for (s, r), sigma in singles.items() if s + r <= DEEP_CORNER}
     deep = {(s, r): sigma for (s, r), sigma in singles.items() if s + r > DEEP_CORNER}
+    # the closed forms once per grid, in the order of the states, at tol = inf: the kernels' check leaves
+    # the monogamy residuals to their suite
+    single_columns = ea.single_report_columns(*np.meshgrid(grid, grid, indexing="ij"), tol=math.inf)
+    double_columns = ea.double_report_columns(*np.meshgrid(dgrid, dgrid, dgrid, indexing="ij"), tol=math.inf)
     suites = [
         ("single-observer block duality", tol, _block_duality(singles, rf.single_observer_blocks)),
         ("double-observer block duality", tol, _block_duality(doubles, rf.double_observer_blocks)),
         ("scenario purity", max(tol, 1e-8), _impurity(shallow)),
         *([("scenario purity (deep-squeezing corner)", max(tol, 1e-6), _impurity(deep))] if deep else []),
-        ("closed-form vs numeric m duality", max(tol, 1e-8), _m_duality(singles, doubles)),
-        ("monogamy residuals", tol, _monogamy(grid, dgrid)),
-        ("triangle-edge saturation", tol, _triangle_edge(singles)),
+        ("closed-form vs numeric m duality", max(tol, 1e-8),
+         _m_duality(singles, doubles, single_columns, double_columns)),
+        ("monogamy residuals", tol, _monogamy(single_columns, double_columns)),
+        ("triangle-edge saturation", tol, _triangle_edge(singles, single_columns)),
     ]
     return [_suite(*suite) for suite in suites]

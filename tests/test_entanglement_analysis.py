@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import random
 import re
 import warnings
 from typing import Optional
@@ -374,7 +375,7 @@ class TestTripartiteBound:
         assert all(b <= a + 1e-12 for a, b in zip(decay, decay[1:]))
 
     def test_ansatz_state_is_valid(self):
-        for s in COARSE:
+        for s in (0.0, 1e-9, *COARSE):
             for a in COARSE:
                 gamma = ea.tripartite_bound_ansatz_cm(s, a)
                 assert is_pure(gamma)
@@ -382,6 +383,16 @@ class TestTripartiteBound:
                 sigma = reduce(build_double_observer_cm(s, a, a), (0, 1, 2))
                 min_eig = np.linalg.eigvalsh(sigma.mat - gamma.mat).min()
                 assert min_eig >= -1e-9
+
+    @pytest.mark.parametrize("s", [0.0, 1e-300, 1e-12, 1e-9, 1e-6, 1e-3, 0.1])
+    def test_ansatz_parameter_mpmath_oracle_at_small_s(self, s):
+        """t = arccosh(K) / 2 to a few ulps where K rounds to 1 in double precision, and exactly 0 at s = 0."""
+        for a in (0.0, 0.01, 0.5, 3.0):
+            with mp.workdps(700):  # K - 1 is about 2 s^2: 600 digits resolve it at s = 1e-300
+                x, y = mp.mpf(s), mp.mpf(a)
+                k = (mp.cosh(y) ** 2 + mp.tanh(x) ** 2) / (mp.sinh(y) ** 2 + mp.sech(x) ** 2)
+                oracle = float(mp.re(mp.acosh(k)) / 2)  # re: at s = 0, K may round just below 1
+            assert ea._evaluate(ea._bound_ansatz_t, s=s, a=a) == pytest.approx(oracle, rel=1e-15, abs=0.0)
 
     def test_excluded_candidate_is_larger(self):
         for s in COARSE:
@@ -515,9 +526,11 @@ class TestReports:
         (ea.double_observer_report(1.0, 0.4, 1.7), "r_eff", math.inf, None),
         (ea.double_observer_report(1.0, 0.4, 1.7), "r_eff", math.nan, "r_eff = nan at s=1.0, l=0.4, n=1.7"),
         (ea.double_observer_report(0.0, 0.4, 1.7), "r_eff", math.nan, None),
+        (ea.single_observer_report(1.0, 1.0), "s", 1, None),
+        (ea.single_observer_report(1.0, 1.0), "m_ar", 0, "m_ar = 0.0 at s=1.0, r=1.0"),
     ])
     def test_validate_is_the_kernel_check(self, report, field, value, message):
-        """validate runs the kernels' check on the report's fields: same invariants, same message."""
+        """validate runs the kernels' check on the report's fields: same invariants, same message, ints too."""
         report = dataclasses.replace(report, **{field: value})
         if message is None:  # r_eff may diverge, and is undefined at s = 0
             report.validate()
@@ -934,31 +947,79 @@ def check_outcome(columns: dict, check_args: tuple, tol: float) -> Optional[str]
     return None
 
 
+def injections(point: dict, tol: float, seed: int) -> list:
+    """Each float cell of a point made NaN, +-inf or just below its floor, then 150 seeded sets of 2 or 3 of them."""
+    bad = {}
+    for name, cell in point.items():
+        if cell is None or isinstance(cell, (bool, np.bool_)):
+            continue
+        below = (1.0 - 2.0 * min(tol, ea.M_CLAMP_TOL) if name.startswith("m_") else
+                 -2.0 * tol if name in ea._NONNEGATIVE else None)
+        bad[name] = [math.nan, math.inf, -math.inf] + ([] if below is None else [below])
+    rng = random.Random(seed)
+    singles = [{name: value} for name, values in bad.items() for value in values]
+    return singles + [{name: rng.choice(bad[name]) for name in rng.sample(sorted(bad), rng.choice((2, 3)))}
+                      for _ in range(150)]
+
+
 class TestPointCheck:
-    """A point's check is the grid check in one pass over plain values."""
+    """A point's check is the grid check, in the same pass over the cells."""
 
     @pytest.mark.parametrize("case", list(POINT_CHECK_CASES))
     @pytest.mark.parametrize("tol", [0.0, 1e-9])
     def test_point_check_is_the_grid_check(self, monkeypatch, case, tol):
-        """Each float cell made NaN, +-inf or just below its floor: the 0-d call and a 2-point call whose
+        """One to three cells made NaN, +-inf or just below their floor: the 0-d call and a 2-point call whose
         faulty point comes first both pass, or both raise naming the same field, value and point."""
         kernel, args = POINT_CHECK_CASES[case]
         point, point_args = recorded_check(monkeypatch, kernel, args)
         grid, grid_args = recorded_check(monkeypatch, kernel, [np.array([a, a]) for a in args])
         outcomes = set()
-        for name, cell in point.items():
-            if cell is None or isinstance(cell, (bool, np.bool_)):
-                continue
-            below = (1.0 - 2.0 * min(tol, ea.M_CLAMP_TOL) if name.startswith("m_") else
-                     -2.0 * tol if name in ea._NONNEGATIVE else None)
-            for bad in [math.nan, math.inf, -math.inf] + ([] if below is None else [below]):
-                column = grid[name].copy()
-                column[0] = bad
-                at_point = check_outcome({**point, name: bad}, point_args, tol)
-                on_grid = check_outcome({**grid, name: column}, grid_args, tol)
-                assert at_point == on_grid, (name, bad)
-                outcomes.add(at_point is None)
+        for cells in injections(point, tol, seed=list(POINT_CHECK_CASES).index(case)):
+            columns = {name: grid[name].copy() for name in cells}
+            for name, value in cells.items():
+                columns[name][0] = value
+            at_point = check_outcome({**point, **cells}, point_args, tol)
+            on_grid = check_outcome({**grid, **columns}, grid_args, tol)
+            assert at_point == on_grid, cells
+            # the first injected field, in field order, that fails on its own is named ("<field> = <value>",
+            # without the point, which an injected parameter changes); the monogamy residuals come after the fields
+            alone = [check_outcome({**point, name: cells[name]}, point_args, tol) for name in point if name in cells]
+            failing = [message.split(" at ")[0] for message in alone if message and not message.startswith("mono")]
+            if failing:
+                assert at_point.split(" at ")[0] == failing[0], cells
+            outcomes.add(at_point is None)
         assert outcomes == {True, False}  # each case has cells that pass and cells that fail
+
+    @pytest.mark.parametrize("value", [-1.0, -math.inf, math.nan, math.inf])
+    def test_masked_cells_are_skipped(self, monkeypatch, value):
+        """A masked cell, where a field is undefined, passes whatever its data holds, finite data below its floor
+        included; the same value in an unmasked cell is reported."""
+        grid, grid_args = recorded_check(monkeypatch, "double_report_columns",
+                                         (np.array([1.0, 1.0]), np.array([0.4, 0.8]), np.array([1.7, 0.8])))
+        for name in ("tripartite_upper_bound", "deficit"):
+            masked = grid[name].copy()
+            masked.data[0] = value
+            assert masked.mask.tolist() == [True, False]
+            assert check_outcome({**grid, name: masked}, grid_args, 1e-9) is None
+            masked.data[1] = value
+            message = check_outcome({**grid, name: masked}, grid_args, 1e-9)
+            if name == "tripartite_upper_bound" or value != value or abs(value) == math.inf:
+                assert message == f"{name} = {value!r} at s=1.0, l=0.8, n=0.8"
+            else:  # deficit has no floor: a finite negative value passes
+                assert message is None
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_grid_gives_empty_columns(self, shape):
+        empty = np.zeros(shape)
+        for kernel, args, fields in (
+                (ea.single_report_columns, (empty, empty), dataclasses.fields(ea.SingleObserverReport)),
+                (ea.double_report_columns, (empty, empty, empty), dataclasses.fields(ea.DoubleObserverReport)),
+                (ea.frequency_report_columns, (empty + 1.0, empty + 1.0, empty + 1.0), None),
+                (ea.frequency_report_columns, (empty + 1.0, empty + 1.0, empty + 1.0, empty), None)):
+            columns = kernel(*args)
+            if fields is not None:
+                assert list(columns) == [f.name for f in fields]
+            assert all(np.shape(column) == shape for column in columns.values())
 
     @pytest.mark.parametrize("case", list(POINT_CHECK_CASES))
     def test_point_report_is_plain_values_in_field_order(self, case):

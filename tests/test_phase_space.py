@@ -87,7 +87,7 @@ class TestTwoModeSqueezer:
         assert_symplectic(two_mode_squeezer(r, 1, 2, 3).mat)
 
     def test_equal_modes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mode indices must be distinct, got \(1, 1\)$"):
             two_mode_squeezer(1.0, 1, 1, 3)
 
     def test_out_of_range_mode_rejected(self):
@@ -487,6 +487,14 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match=r"^matrix does not preserve the symplectic form \(defect"):
             SympTransform(mat)
 
+    def test_symplectic_check_past_an_overflowing_square(self):
+        """Past max|S| = 1.3e154, where max|S|^2 overflows, the defect of S / max|S| is still tested."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^matrix does not preserve the symplectic form \(defect 1\.000e\+00"):
+                SympTransform(np.diag([1e160, 1e160, 1.0, 1.0]))
+            assert two_mode_squeezer(400.0, 0, 1, 2).mat[0, 0] == np.cosh(400.0)  # cosh r = sinh r: symplectic
+
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (0, 0), (4,)])
     def test_bad_symplectic_shape(self, shape):
         with pytest.raises(ValueError, match=r"^symplectic matrix must be 2Nx2N, got shape"):
@@ -556,19 +564,10 @@ class TestSharedConstants:
             assert build_single_observer_cm(s, a).mat.tobytes() == single.mat.tobytes()
             assert build_double_observer_cm(s, a, b).mat.tobytes() == double.mat.tobytes()
 
-            def ansatz():
-                t = 0.5 * math.acosh(ea._evaluate(ea._bound_ansatz_k, s=s, a=a))
-                return apply_congruence(plain_squeezer(a, 1, 0, 3),
-                                        apply_congruence(plain_squeezer(t, 1, 2, 3), CovMatrix(np.eye(6))))
-            # the same bits, or the same error where the ansatz parameter K rounds below 1
-            assert self.outcome(lambda: ea.tripartite_bound_ansatz_cm(s, a)) == self.outcome(ansatz)
-
-    @staticmethod
-    def outcome(build):
-        try:
-            return build().mat.tobytes()
-        except ValueError as exc:
-            return str(exc)
+            t = ea._evaluate(ea._bound_ansatz_t, s=s, a=a)
+            ansatz = apply_congruence(plain_squeezer(a, 1, 0, 3),
+                                      apply_congruence(plain_squeezer(t, 1, 2, 3), CovMatrix(np.eye(6))))
+            assert ea.tripartite_bound_ansatz_cm(s, a).mat.tobytes() == ansatz.mat.tobytes()
 
     @staticmethod
     def states():
