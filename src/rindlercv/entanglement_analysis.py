@@ -129,7 +129,8 @@ def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, und
 
     Cells may be +-inf only in the fields of ``may_diverge`` (name -> where),
     NaN only in those of ``undefined`` (name -> columns -> where), and -inf
-    only in a field that has no floor.  No m-parameter may fall below
+    only in a field that has no floor or whose floor -tol is -inf (at
+    tol = inf).  No m-parameter may fall below
     1 - min(tol, M_CLAMP_TOL), and no residual, tripartite bound or monogamy
     residual of ``probes`` below -tol.  Masked (or None) cells are skipped.
     Otherwise InconsistencyError names the field, its value and the first

@@ -200,12 +200,9 @@ class SympTransform:
         if not scale < math.inf:
             raise ValueError("symplectic matrix entries must be finite")
         omega = _omega(arr.shape[0] // 2)
-        k = max(1.0, float(scale))
-        if k * k < math.inf:
-            defect = abs(arr.T @ omega @ arr - omega).max() / (k * k)
-        else:  # k^2 overflows, as would the products of arr; arr / k gives the same ratio without overflow
-            unit = arr / k
-            defect = abs(unit.T @ omega @ unit - omega / (k * k)).max()
+        k = max(1.0, float(scale))  # the defect relative to k^2, taken on arr / k so that no product overflows
+        unit = arr / k
+        defect = abs(unit.T @ omega @ unit - omega / (k * k)).max()
         if not defect <= SYMPLECTIC_ATOL:  # a NaN defect fails too
             raise ValueError(f"matrix does not preserve the symplectic form "
                              f"(defect {defect:.3e} relative to max(1, max|S|)^2)")

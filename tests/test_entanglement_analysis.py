@@ -966,7 +966,7 @@ class TestPointCheck:
     """A point's check is the grid check, in the same pass over the cells."""
 
     @pytest.mark.parametrize("case", list(POINT_CHECK_CASES))
-    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, math.inf])  # at tol = inf a residual's floor -inf admits -inf
     def test_point_check_is_the_grid_check(self, monkeypatch, case, tol):
         """One to three cells made NaN, +-inf or just below their floor: the 0-d call and a 2-point call whose
         faulty point comes first both pass, or both raise naming the same field, value and point."""
