@@ -23,7 +23,6 @@ threshold) return ``math.inf`` rather than any sentinel value.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -36,10 +35,7 @@ from .info_measures import (M_CLAMP_TOL, InconsistencyError, MeasureReport, _cla
 from .phase_space import CovMatrix, _squeezed_vacuum, two_mode_squeezer
 from .rindler_frames import _require_domain, accel_to_squeezing
 
-logger = logging.getLogger(__name__)
-
 RESIDUAL_TOL = 1e-9
-_MIN_SLACK = 1e-12
 
 
 def _point_at(params: dict, shape: tuple, index: int) -> str:
@@ -415,21 +411,9 @@ def _double_cells(s, l, n) -> dict:
 
 
 def _residual_multipartite(cells: dict):
-    """The smallest residual of the double-observer probes of MONOGAMY_PROBES over the report cells.
-
-    An anti-observer probe is expected minimal; an observer probe beating
-    both is logged, and the true minimum is returned.
-    """
+    """The smallest residual of the double-observer probes of MONOGAMY_PROBES over the report cells."""
     probe = _monogamy_residuals(cells, MONOGAMY_PROBES["double"])
-    anti, observer = np.minimum(probe["Lbar"], probe["Nbar"]), np.minimum(probe["L"], probe["N"])
-    # a non-finite probe (an overflowed m) is the report check's to reject
-    switched = (observer < anti - _MIN_SLACK) & np.isfinite(observer) & np.isfinite(anti)
-    if switched if isinstance(switched, np.bool_) else switched.any():
-        i = int(np.argmax(switched))
-        logger.warning("an observer probe beat the anti-observer probes at %s (%r < %r); "
-                       "returning the true minimum", _point_at({p: cells[p] for p in "sln"}, np.shape(switched), i),
-                       float(np.ravel(observer)[i]), float(np.ravel(anti)[i]))
-    return np.minimum(anti, observer)
+    return np.minimum(np.minimum(probe["Lbar"], probe["Nbar"]), np.minimum(probe["L"], probe["N"]))
 
 
 def residual_multipartite(s, a):
@@ -437,8 +421,8 @@ def residual_multipartite(s, a):
 
     The four-probe residual of the double-observer report evaluated at equal
     accelerations.  Its minimizing probe is an anti-observer, giving
-    arcsinh^2 sqrt([cosh^2 a + cosh 2s sinh^2 a]^2 - 1) - 4a^2; the observer
-    probes are evaluated as well, and a violation is logged and honored.
+    arcsinh^2 sqrt([cosh^2 a + cosh 2s sinh^2 a]^2 - 1) - 4a^2.  The observer
+    probes are evaluated as well, and the smallest of the four is returned.
     """
     return _evaluate(lambda s, a: _residual_multipartite(_double_cells(s, a, a)), "residual_multipartite", s=s, a=a)
 

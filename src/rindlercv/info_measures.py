@@ -7,18 +7,23 @@ All entropic quantities use the natural logarithm (this convention is
 pinned by the acceptance suite: the classical-correlation deficit between
 one and two accelerated observers saturates at exactly 1 only in base e).
 
-Mixed-state contangles are evaluated only for the two families that occur
-in this package, for which closed forms exist:
+Two-mode contangles come from one evaluator, :func:`two_mode_m`, which
+reads the symplectic spectrum once and picks one of the two families that
+occur in this package, for which closed forms exist:
 
 * states saturating the uncertainty relation (minimum symplectic
   eigenvalue 1; Gaussian maximally entangled mixed states at fixed
-  marginals, "GMEMMS"), where ``m = (a + b) / (2 + |a - b|)`` in terms of
-  the marginal determinant roots ``a, b``;
-* nonsymmetric thermal squeezed states, recovered by inverting the
-  covariance invariants to the three squeezing parameters that generate
-  the family and evaluating the report kernel's Leo-Nadia m there (it is
-  defined here, once, for both routes), so the thermal route checks the
-  state and the inversion, not the m formula.
+  marginals, "GMEMMS", pure states among them), where
+  ``m = (a + b) / (2 + |a - b|)`` in terms of the marginal determinant
+  roots ``a, b``;
+* nonsymmetric thermal squeezed states (:func:`squeezed_thermal_m`),
+  recovered by inverting the covariance invariants to the three squeezing
+  parameters that generate the family and evaluating the report kernel's
+  Leo-Nadia m there (it is defined here, once, for both routes), so the
+  thermal route checks the state and the inversion, not the m formula.
+
+A matrix that is not positive definite is no state, and every measure of
+one here refuses it with "state is not physical".
 
 The general Gaussian convex roof is intentionally not implemented.
 
@@ -46,7 +51,6 @@ from .phase_space import (
     _rounding_floor,
     _two_mode,
     check_mode_set,
-    is_pure,
     partial_transpose,
     symplectic_eigenvalues,
     two_mode_marginals,
@@ -147,20 +151,26 @@ def von_neumann_entropy(sigma: MatrixLike) -> float:
     return float(np.sum(entropy_term_f(_clamped_spectrum(sigma))))
 
 
-def _clamped_spectrum(sigma: MatrixLike) -> np.ndarray:
+def _definite_spectrum(cov: CovMatrix) -> list[float]:
+    """Ascending symplectic spectrum of cov; a matrix that is not positive definite is no state and raises."""
+    etas = symplectic_eigenvalues(cov).tolist()
+    if _indefinite(cov):
+        raise ValueError("state is not physical (covariance matrix not positive definite)")
+    return etas
+
+
+def _clamped_spectrum(sigma: MatrixLike) -> list[float]:
     # eigenvalues near 1 are resolved only to ~eps * |sigma|, so the
     # physicality gate scales with the largest eigenvalue
     cov = _as_cov(sigma)
-    etas = symplectic_eigenvalues(cov)
-    if _indefinite(cov):
-        raise ValueError("state is not physical (covariance matrix not positive definite)")
-    slack = max(100 * BONA_FIDE_TOL, 32 * np.finfo(float).eps * etas.max())
-    if etas.min() < 1.0 - slack:
+    etas = _definite_spectrum(cov)
+    slack = max(100 * BONA_FIDE_TOL, 32 * _EPS * etas[-1])
+    if etas[0] < 1.0 - slack:
         floor = _rounding_floor(cov)
-        if etas.min() >= 1.0 - 32 * floor:  # within rounding of 1 (it can read 0 for a deeply squeezed state)
+        if etas[0] >= 1.0 - 32 * floor:  # within rounding of 1 (it can read 0 for a deeply squeezed state)
             raise _not_resolvable("physicality", floor)
-        raise ValueError(f"state is not physical (min symplectic eigenvalue {etas.min()!r})")
-    return np.maximum(etas, 1.0)
+        raise ValueError(f"state is not physical (min symplectic eigenvalue {etas[0]!r})")
+    return [max(eta, 1.0) for eta in etas]
 
 
 def mutual_information(sigma: MatrixLike, split: Iterable[int]) -> float:
@@ -173,18 +183,22 @@ def mutual_information(sigma: MatrixLike, split: Iterable[int]) -> float:
     modes = check_mode_set(split, 2)
     if len(modes) != 1:
         raise ValueError("split must select exactly one of the two modes")
-    eta_minus, eta_plus = _clamped_spectrum(cov).tolist()  # first: an unphysical state has no marginals
+    eta_minus, eta_plus = _clamped_spectrum(cov)  # first: an unphysical state has no marginals
     a, b, _ = two_mode_marginals(cov)
     return entropy_term_f(a) + entropy_term_f(b) - (entropy_term_f(eta_minus) + entropy_term_f(eta_plus))
 
 
-def _check_one_vs_rest(cov: CovMatrix, transposed: Iterable[int]) -> tuple[int, ...]:
+def _transposed_spectrum(cov: CovMatrix, transposed: Iterable[int]) -> list[float]:
+    """Ascending symplectic spectrum of the partial transpose D sigma D (D diagonal, +-1) across a 1 x (N-1) cut.
+
+    The transpose is positive definite exactly when sigma is, so a non-state raises here.
+    """
     modes = check_mode_set(transposed, cov.n_modes)
     if len(modes) >= cov.n_modes:
         raise ValueError("cannot transpose every mode; pick a proper subset")
     if len(modes) != 1 and len(modes) != cov.n_modes - 1:
         raise ValueError("PPT-based measures need a 1 x (N-1) bipartition")
-    return modes
+    return _definite_spectrum(partial_transpose(cov, modes))
 
 
 def ppt_separable(sigma: MatrixLike, transposed: Iterable[int], tol: float = BONA_FIDE_TOL) -> bool:
@@ -200,8 +214,7 @@ def ppt_separable(sigma: MatrixLike, transposed: Iterable[int], tol: float = BON
     rather than raise.
     """
     cov = _as_cov(sigma)
-    modes = _check_one_vs_rest(cov, transposed)
-    etas = symplectic_eigenvalues(partial_transpose(cov, modes)).tolist()  # ascending
+    etas = _transposed_spectrum(cov, transposed)
     if etas[0] < 1.0 - tol:
         return False
     floor = 32 * _EPS * etas[-1]
@@ -221,8 +234,7 @@ def log_negativity(sigma: MatrixLike, transposed: Iterable[int]) -> float:
     squeezing".
     """
     cov = _as_cov(sigma)
-    modes = _check_one_vs_rest(cov, transposed)
-    etas = symplectic_eigenvalues(partial_transpose(cov, modes))
+    etas = _transposed_spectrum(cov, transposed)
     try:
         return float(sum(-math.log(eta) for eta in etas if eta < 1.0))
     except ValueError:  # an eigenvalue rounded to 0, far inside the rounding floor of a squeezed state
@@ -279,33 +291,6 @@ class MeasureReport:
 # Closed-form contangle parameters from two-mode covariance matrices.
 # ---------------------------------------------------------------------------
 
-def pure_m(sigma: MatrixLike) -> float:
-    """m-parameter of a pure two-mode state: sqrt det of either single-mode reduction."""
-    cov = _two_mode(sigma, "pure_m")
-    if not is_pure(cov):
-        raise ValueError("state is not pure; use the mixed-state evaluators")
-    a, b, _ = two_mode_marginals(cov)
-    return 0.5 * (a + b)
-
-
-def gmemms_m(sigma: MatrixLike, tol: float = GMEMMS_SPECTRUM_TOL) -> float:
-    """m-parameter of a maximally entangled mixed state at fixed marginals.
-
-    Valid for two-mode states that saturate the uncertainty relation
-    (minimum symplectic eigenvalue 1), e.g. every two-mode reduction of a
-    pure three-mode state.  For them m depends on the marginals alone:
-    ``m = (a + b) / (2 + |a - b|)``.
-    """
-    cov = _two_mode(sigma, "gmemms_m")
-    eta_min = symplectic_eigenvalues(cov).min()
-    if abs(eta_min - 1.0) > tol:
-        raise ValueError(f"state does not saturate the uncertainty relation (eta_min = {eta_min!r})")
-    if ppt_separable(cov, (0,)):
-        return 1.0
-    a, b, _ = two_mode_marginals(cov)
-    return (a + b) / (2.0 + abs(a - b))
-
-
 def squeezed_thermal_m(sigma: MatrixLike) -> float:
     """m-parameter of a (generally nonsymmetric) two-mode thermal squeezed state.
 
@@ -314,8 +299,8 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     (s, l, n) that generate the state as a two-mode squeezed pair with both
     modes further squeezed against ancillas, and the family's m, the report
     kernel's Leo-Nadia m, is evaluated there.  Near the uncertainty-saturation
-    boundary this inversion has a square-root sensitivity; use :func:`gmemms_m`
-    for such states.  An inversion that overflows (u is infinite where
+    boundary this inversion has a square-root sensitivity; :func:`two_mode_m`
+    takes the GMEMMS form there.  An inversion that overflows (u is infinite where
     (a+1)(b+1) - c^2 rounds to 0) raises ValueError, and so does a determinant
     of the state or of the family, (ab - c^2)^2, that overflows.  A family test
     that fails within the rounding of det sigma names the rounding floor.
@@ -353,19 +338,23 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
 
 
 def two_mode_m(sigma: MatrixLike) -> float:
-    """m-parameter of any two-mode state in the families handled by this package.
+    """m-parameter of a two-mode state of the two families of the module docstring, decided on its spectrum.
 
-    Dispatches on the symplectic spectrum: pure states use the marginal
-    determinant, uncertainty-saturating states the GMEMMS form, everything
-    else the thermal squeezed inversion.
+    A pure state (both eigenvalues within ``PURITY_TOL`` of 1) reads ``(a + b) / 2``, a saturating one
+    (``eta-`` within ``GMEMMS_SPECTRUM_TOL`` of 1) 1 if it is PPT and ``(a + b) / (2 + |a - b|)`` if not,
+    and any other state :func:`squeezed_thermal_m`.
     """
     cov = _two_mode(sigma, "two_mode_m")
-    eta_minus, eta_plus = symplectic_eigenvalues(cov).tolist()  # ascending
+    eta_minus, eta_plus = _definite_spectrum(cov)
     if max(abs(eta_minus - 1.0), abs(eta_plus - 1.0)) <= PURITY_TOL:
-        return pure_m(cov)
-    if abs(eta_minus - 1.0) <= GMEMMS_SPECTRUM_TOL:
-        return gmemms_m(cov)
-    return squeezed_thermal_m(cov)
+        a, b, _ = two_mode_marginals(cov)
+        return 0.5 * (a + b)
+    if abs(eta_minus - 1.0) > GMEMMS_SPECTRUM_TOL:
+        return squeezed_thermal_m(cov)
+    if ppt_separable(cov, (0,)):
+        return 1.0
+    a, b, _ = two_mode_marginals(cov)
+    return (a + b) / (2.0 + abs(a - b))
 
 
 def contangle_from_cm(sigma: MatrixLike) -> MeasureReport:

@@ -2,7 +2,6 @@ import contextlib
 import importlib
 import io
 import json
-import logging
 import math
 import os
 import random
@@ -315,23 +314,18 @@ class TestArgvFuzz:
     # 1e-300 / 20 leaves a zero separability margin at an overflowing condition factor
     @example(argv="sweep --scenario frequency --sweep lam=1e-300:1e300:2 --sweep nu=1e300:1e-300:3 "
                   "--fix accel=20".split())
-    # overflowed probes at s = 354: the check's one line, not an observer-probe log line too
+    # overflowed probes at s = 354: the check's one line
     @example(argv="sweep --scenario double --sweep l=20:1e-12:2 --sweep n=1e-12:3:3 --fix s=354".split())
     # l = 0, n = 1.66e-181: m_ln_infinite overflows to inf, as at l = n = 0
     @example(argv="point frequency --lam 12.5875 --nu 1.325 --accel 0.01".split())
     @example(argv="sweep --scenario frequency --sweep lam=12:13:3 --fix nu=1.325 --fix accel=0.01".split())
     def test_every_input_ends_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        # as logging's last-resort handler prints warnings in a shell, where nothing configures logging
-        log = logging.StreamHandler(err)
-        logging.getLogger("rindlercv").addHandler(log)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
-        finally:
-            logging.getLogger("rindlercv").removeHandler(log)
         assert code in (0, EXIT_USAGE, EXIT_INCONSISTENT), argv
         if code:
             assert len(err.getvalue().splitlines()) == 1, argv

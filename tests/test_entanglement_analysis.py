@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 import math
 import random
 import re
@@ -509,14 +508,21 @@ class TestReports:
         rep = ea.double_observer_report(1.0, 0.4, 1.7)
         assert min(rep.monogamy_residuals().values()) == rep.residual_multipartite
 
-    def test_observer_probe_beating_the_anti_observer_probes_is_logged(self, caplog):
-        """With tau_l_n raised, the Leo probe holds the smallest residual: logged with the point, and returned."""
-        cells = {**ea._double_cells(1.0, 0.4, 1.7), "tau_l_n": 5.0}
-        probes = ea._monogamy_residuals(cells, ea.MONOGAMY_PROBES["double"])
-        assert min(probes, key=probes.get) == "L"
-        with caplog.at_level(logging.WARNING, logger=ea.__name__):
-            assert ea._residual_multipartite(cells) == probes["L"]
-        assert "an observer probe beat the anti-observer probes at s=1.0, l=0.4, n=1.7" in caplog.text
+    def test_an_anti_observer_probe_holds_the_smallest_residual(self):
+        """The paper's minimal probe: anti-Leo or anti-Nadia, within 1e-12, wherever the probes are finite.
+
+        Over the grids of test_residual_multipartite_is_the_smallest_probe_residual, out to s = 20 with zero
+        and tiny accelerations.
+        """
+        accels = [0.0, 1e-12, 1e-6, 0.1, 1.0, 4.0]
+        for axes in ((np.linspace(0, 6, 13), np.linspace(0, 3, 13), np.array([0.0, 1e-6, 0.4, 2.5])),
+                     (np.linspace(0, 20, 41), accels, accels)):
+            s, l, n = np.meshgrid(*axes, indexing="ij")
+            probes = ea._monogamy_residuals(ea.double_report_columns(s, l, n), ea.MONOGAMY_PROBES["double"])
+            anti, observer = np.minimum(probes["Lbar"], probes["Nbar"]), np.minimum(probes["L"], probes["N"])
+            finite = np.isfinite(anti) & np.isfinite(observer)
+            assert finite.sum() > s.size // 2
+            assert np.all(anti[finite] <= observer[finite] + 1e-12)
 
     @pytest.mark.parametrize("report,field,value,message", [
         (ea.single_observer_report(1.0, 1.0), "m_ar", 0.5, "m_ar = 0.5 at s=1.0, r=1.0"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rindlercv.info_measures import (
+    GMEMMS_SPECTRUM_TOL,
     M_CLAMP_TOL,
     InconsistencyError,
     MeasureReport,
@@ -17,11 +19,9 @@ from rindlercv.info_measures import (
     contangle_from_m,
     entropy_of_entanglement,
     entropy_term_f,
-    gmemms_m,
     log_negativity,
     mutual_information,
     ppt_separable,
-    pure_m,
     squeezed_thermal_m,
     two_mode_m,
     von_neumann_entropy,
@@ -29,8 +29,8 @@ from rindlercv.info_measures import (
     _contangle,
     _entropy_f,
 )
-from rindlercv.phase_space import (CovMatrix, SympTransform, apply_congruence, partial_transpose, reduce,
-                                   symplectic_eigenvalues, two_mode_marginals, two_mode_squeezer, vacuum_cm)
+from rindlercv.phase_space import (PURITY_TOL, CovMatrix, SympTransform, apply_congruence, partial_transpose,
+                                   reduce, symplectic_eigenvalues, two_mode_marginals, two_mode_squeezer, vacuum_cm)
 from rindlercv.rindler_frames import build_double_observer_cm, build_single_observer_cm, double_observer_blocks
 
 from conftest import single_mode_rotation, single_mode_squeeze
@@ -222,9 +222,10 @@ class TestMutualInformation:
                                      np.diag([0.5, 0.5, 1.0, 1.0]), -np.eye(4)],
                              ids=["diag(-1,-1,1,1)", "diag(-1,1,1,1)", "diag(0.5,0.5,1,1)", "-I"])
     def test_unphysical_state_rejected(self, mat):
-        """Neither a 'math domain error' nor 0: sigma > 0 fails, or a symplectic eigenvalue lies below 1."""
+        """Neither a 'math domain error' nor 0: sigma > 0 fails, or a symplectic eigenvalue (a float) lies below 1."""
         for call in (lambda: mutual_information(mat, (0,)), lambda: von_neumann_entropy(mat)):
-            with pytest.raises(ValueError, match="^state is not physical"):
+            with pytest.raises(ValueError, match=r"^state is not physical \((covariance matrix not positive definite"
+                                                 r"|min symplectic eigenvalue [\d.e+-]+)\)$"):
                 call()
 
     def test_pure_state_doubles_entanglement_entropy(self):
@@ -353,22 +354,48 @@ class TestMeasureReport:
 
 class TestTwoModeFamilies:
     def test_pure_m_matches_marginal(self):
-        assert pure_m(tms_cm(1.0)) == pytest.approx(math.cosh(2.0), rel=1e-12)
-
-    def test_pure_m_rejects_mixed(self):
-        with pytest.raises(ValueError):
-            pure_m(reduce(build_single_observer_cm(1.0, 1.0), (0, 1)))
+        assert two_mode_m(tms_cm(1.0)) == pytest.approx(math.cosh(2.0), rel=1e-12)
 
     def test_gmemms_reductions(self):
         from rindlercv.entanglement_analysis import m_alice_rob
         sigma = build_single_observer_cm(2.0, 0.5)
-        assert gmemms_m(reduce(sigma, (1, 2))) == pytest.approx(math.cosh(1.0), rel=1e-10)
-        assert gmemms_m(reduce(sigma, (0, 1))) == pytest.approx(m_alice_rob(2.0, 0.5), rel=1e-10)
+        assert two_mode_m(reduce(sigma, (1, 2))) == pytest.approx(math.cosh(1.0), rel=1e-10)
+        assert two_mode_m(reduce(sigma, (0, 1))) == pytest.approx(m_alice_rob(2.0, 0.5), rel=1e-10)
 
-    def test_gmemms_rejects_thermal_interior(self):
-        red = reduce(build_double_observer_cm(1.0, 0.8, 0.8), (1, 2))
-        with pytest.raises(ValueError):
-            gmemms_m(red)
+    def test_dispatch_is_the_branch_formulas_over_seeded_reductions(self):
+        """two_mode_m is its branch formulas bit for bit on every two-mode reduction of both scenarios.
+
+        (a + b) / 2 on a pure state, 1 or (a + b) / (2 + |a - b|) on a saturating one, and
+        squeezed_thermal_m (its value or its error) otherwise; s = 0 and exact-zero accelerations included.
+        """
+
+        def outcome(measure, cov):
+            try:
+                return measure(cov)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(19)
+        params = [(s, l * scale, n * scale) for s, l, n in zip(np.r_[0.0, rng.uniform(0.0, 6.0, 59)],
+                                                               *rng.uniform(0.0, 3.0, (2, 60)))
+                  for scale in (1.0, 1e-6, 0.0)]
+        routes = set()
+        for s, l, n in params:
+            for sigma in (build_single_observer_cm(s, l), build_double_observer_cm(s, l, n)):
+                for pair in itertools.combinations(range(sigma.n_modes), 2):
+                    red = reduce(sigma, pair)
+                    eta_minus, eta_plus = symplectic_eigenvalues(red)
+                    if max(abs(eta_minus - 1.0), abs(eta_plus - 1.0)) <= PURITY_TOL:
+                        route, (a, b, _) = "pure", two_mode_marginals(red)
+                        expected = 0.5 * (a + b)
+                    elif abs(eta_minus - 1.0) <= GMEMMS_SPECTRUM_TOL:
+                        route, (a, b, _) = "saturating", two_mode_marginals(red)
+                        expected = 1.0 if ppt_separable(red, (0,)) else (a + b) / (2.0 + abs(a - b))
+                    else:
+                        route, expected = "thermal", outcome(squeezed_thermal_m, reduce(sigma, pair))
+                    routes.add(route)
+                    assert outcome(two_mode_m, red) == expected, (s, l, n, pair, route)
+        assert routes == {"pure", "saturating", "thermal"}
 
     def test_thermal_inversion_matches_closed_form(self):
         from rindlercv.entanglement_analysis import m_leo_nadia
@@ -472,7 +499,7 @@ class TestTwoModeFamilies:
             with pytest.raises(ValueError, match=r"^the family determinant \(ab - c\^2\)\^2 overflows \(ab - c\^2 = "):
                 squeezed_thermal_m(reduce(double_observer_blocks(100.0, 1e-6, 1e-6), (1, 2)))
 
-    @pytest.mark.parametrize("measure", [pure_m, gmemms_m, squeezed_thermal_m, two_mode_m, two_mode_marginals,
+    @pytest.mark.parametrize("measure", [squeezed_thermal_m, two_mode_m, two_mode_marginals,
                                          lambda sigma: mutual_information(sigma, (0,))])
     def test_one_two_mode_gate(self, measure):
         with pytest.raises(ValueError, match=r"needs a two-mode state, got 3 modes"):
@@ -488,6 +515,18 @@ class TestTwoModeFamilies:
         assert two_mode_m(reduce(sigma3, (1, 2))) == pytest.approx(math.cosh(2.0), rel=1e-9)
         sigma4 = build_double_observer_cm(2.0, 1.0, 1.0)
         assert two_mode_m(reduce(sigma4, (1, 2))) == 1.0  # past the death threshold
+
+    @pytest.mark.parametrize("measure", [two_mode_m, contangle_from_cm, squeezed_thermal_m,
+                                         lambda sigma: ppt_separable(sigma, (0,)),
+                                         lambda sigma: log_negativity(sigma, (0,)),
+                                         lambda sigma: mutual_information(sigma, (0,))],
+                             ids=["two_mode_m", "contangle_from_cm", "squeezed_thermal_m", "ppt_separable",
+                                  "log_negativity", "mutual_information"])
+    def test_every_measure_refuses_a_matrix_that_is_not_positive_definite(self, measure):
+        """No indefinite matrix is a state, not even diag(-1, -1, 1, 1), whose symplectic spectrum is (1, 1)."""
+        for mat in (np.diag([-1.0, -1.0, 1.0, 1.0]), np.diag([-1.0, 1.0, 1.0, 1.0]), -np.eye(4)):
+            with pytest.raises(ValueError, match=r"^state is not physical \(covariance matrix not positive definite"):
+                measure(mat)
 
     def test_contangle_from_cm_report(self):
         rep = contangle_from_cm(tms_cm(1.0))
