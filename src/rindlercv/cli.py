@@ -11,6 +11,11 @@ call, and write each chunk as it is done, so memory stays bounded whatever
 the grid size.  The table writer formats each distinct value of a column once
 per chunk and gathers the texts into rows; the bytes are those of rendering
 each cell on its own with ``_fmt`` (CSV) or ``_dump_json`` (JSON).
+
+Every output file (``--out`` tables, figure data and plot scripts) goes
+through ``_Output``, which rewrites an existing regular file in place and
+cuts it to the written length, and removes it if writing fails.  Nothing is
+fsynced.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 # not used by the sweep; benchmarks/tracing.py subclasses cli.ThreadPoolExecutor when it instruments a pass
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -122,9 +128,17 @@ def _dump_json(obj) -> str:
 class _Output:
     """stdout or a file opened for writing; I/O errors surface as exit code 4.
 
-    A regular file whose writing is cut short by an error is removed, so a
-    failed sweep leaves no partial table behind; anything else (a device such
-    as /dev/null, a pipe) is left where it is.
+    A regular file is rewritten in place: it is opened without truncating,
+    written from its start, flushed and cut to the written length at close,
+    so an existing file keeps its inode, mode bits and links, and a symlink
+    is written through.  Overwriting in place spares the flush that some
+    filesystems (ext4) start when a file truncated to zero is closed.  The
+    CLI never fsyncs, so a concurrent reader or a crash mid-write can see
+    the new bytes followed by the old file's tail.  A regular file whose
+    writing is cut short by an error, in the flush, cut or close too, is
+    removed, so a failed sweep leaves no partial table behind; anything else
+    (a device such as /dev/null, a pipe) is written as opened, never cut, and
+    left where it is.
     """
 
     def __init__(self, path: Optional[str]):
@@ -133,13 +147,27 @@ class _Output:
     def __enter__(self):
         if self.path is None:
             return sys.stdout
-        self._fh = open(self.path, "w", encoding="utf-8", newline="")
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        self._fh = open(fd, "w", encoding="utf-8", newline="")
+        self._regular = stat.S_ISREG(os.fstat(fd).st_mode)
         return self._fh
 
     def __exit__(self, exc_type, *exc):
-        if self.path is not None:
-            self._fh.close()
-            if exc_type is not None and os.path.isfile(self.path):
+        if self.path is None:
+            return False
+        failed = exc_type is not None
+        try:
+            try:
+                if not failed and self._regular:  # the old file may be longer than what was written
+                    self._fh.flush()
+                    os.ftruncate(self._fh.fileno(), self._fh.tell())
+            finally:
+                self._fh.close()
+        except BaseException:
+            failed = True
+            raise
+        finally:
+            if failed and self._regular:
                 os.remove(self.path)
         return False
 
@@ -452,6 +480,10 @@ _register(FigurePreset("fig10", "classical-correlation deficit surface over (a, 
 
 
 def _cmd_figure(args) -> int:
+    if args.out is not None:
+        raise ValueError("figure writes into --out-dir; it takes no --out")
+    if args.format == "json":
+        raise ValueError("figure writes csv only; it takes no --format json")
     preset = FIGURE_PRESETS.get(args.preset)
     if preset is None:
         raise ValueError(f"unknown preset {args.preset!r}; available: {sorted(FIGURE_PRESETS)}")
@@ -483,6 +515,9 @@ def _cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_selftest(args) -> int:
+    for flag, value in (("--out", args.out), ("--format", args.format)):
+        if value is not None:
+            raise ValueError(f"selftest prints its report to stdout; it takes no {flag}")
     suites = st.run(tol=args.tol, quick=args.quick)
     for suite in suites:
         print(suite.line())

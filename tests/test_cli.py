@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -533,6 +535,10 @@ class TestSweep:
         assert code == EXIT_INCONSISTENT
         assert len(err.strip().splitlines()) == 1 and "r=0.5" in err and "s=" in err
         assert not path.exists()  # the chunk that failed came after the first was written
+        path.write_bytes(b"an older, longer table\n" * 1000)  # rewritten in place, then removed
+        assert run_cli(capsys, "sweep", "--scenario", "single", "--sweep", "s=0:400:5001",
+                       "--fix", "r=0.5", "--out", str(path))[0] == EXIT_INCONSISTENT
+        assert not path.exists()
 
     def test_failed_write_leaves_a_device_alone(self, capsys, monkeypatch):
         removed = []
@@ -541,6 +547,110 @@ class TestSweep:
                                "--fix", "r=0.5", "--out", os.devnull)
         assert code == EXIT_INCONSISTENT and err.startswith("internal inconsistency: ")
         assert removed == []
+
+    @pytest.mark.parametrize("old", [None, b"an older, longer table\n" * 1000], ids=["new", "existing"])
+    @pytest.mark.parametrize("failing", ["flush", "ftruncate", "close"])
+    def test_failed_close_removes_the_table(self, capsys, monkeypatch, tmp_path, failing, old):
+        """An error while the finished table is flushed, cut to length or closed exits 4 and leaves no file."""
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class Failing:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def flush(self):
+                self._fh.flush()
+                if failing == "flush":
+                    full_disk()
+
+            def close(self):
+                self._fh.close()
+                if failing == "close":
+                    full_disk()
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Failing(open(*args, **kwargs)), raising=False)
+        if failing == "ftruncate":
+            monkeypatch.setattr(os, "ftruncate", full_disk)
+        path = tmp_path / "t.csv"
+        if old is not None:
+            path.write_bytes(old)
+        code, out, err = run_cli(capsys, "--out", str(path), "sweep", "--scenario", "single",
+                                 "--sweep", "r=0:1:3", "--fix", "s=1")
+        assert code == EXIT_IO and out == "" and err.startswith("i/o error: ")
+        assert not path.exists()
+
+    REWRITES = [
+        ("csv sweep", ["sweep", "--scenario", "double", "--sweep", "s=0:3:7", "--sweep", "a=0:3:5"], ["t.csv"]),
+        ("json sweep", ["--format", "json", "sweep", "--scenario", "single", "--sweep", "r=0:3:9",
+                        "--fix", "s=1.5"], ["t.json"]),
+        ("figure", ["figure", "fig2", "--plot-script"], ["fig2.csv", "fig2.gp"]),
+    ]
+
+    @staticmethod
+    def _write(capsys, argv, names, where):
+        """Run ``argv`` with its output in directory ``where``; the bytes of each of ``names`` there."""
+        where.mkdir(exist_ok=True)
+        place = ["--out-dir", str(where)] if argv[0] == "figure" else ["--out", str(where / names[0])]
+        code, _, _ = run_cli(capsys, *argv, *place)
+        assert code == 0
+        return [(where / name).read_bytes() for name in names]
+
+    @pytest.mark.parametrize("what,argv,names", REWRITES, ids=[r[0] for r in REWRITES])
+    def test_rewrite_leaves_the_bytes_of_a_fresh_write(self, capsys, tmp_path, what, argv, names):
+        fresh = self._write(capsys, argv, names, tmp_path / "fresh")
+        for old in ("longer", "shorter", "equal"):
+            where = tmp_path / old
+            where.mkdir()
+            for name, data in zip(names, fresh):
+                size = {"longer": len(data) + 4099, "shorter": len(data) // 3, "equal": len(data)}[old]
+                (where / name).write_bytes(b"x" * size)
+            assert self._write(capsys, argv, names, where) == fresh, old
+
+    def test_rewrite_through_a_symlink(self, capsys, tmp_path):
+        argv = self.REWRITES[0][1]
+        fresh = self._write(capsys, argv, ["t.csv"], tmp_path / "fresh")
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"x" * (len(fresh[0]) + 4099))
+        try:
+            link.symlink_to(target)
+        except (OSError, NotImplementedError):
+            pytest.skip("symlinks are not available here")
+        assert run_cli(capsys, "--out", str(link), *argv)[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh[0]
+
+    @pytest.mark.skipif(os.name != "posix", reason="mode bits are POSIX")
+    def test_rewrite_keeps_the_mode_bits(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x" * 100000)
+        path.chmod(0o640)
+        assert run_cli(capsys, "--out", str(path), *self.REWRITES[0][1])[0] == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull) or not stat.S_ISCHR(os.stat(os.devnull).st_mode),
+                        reason="no character device at os.devnull")
+    def test_device_is_written_as_opened(self, capsys, monkeypatch):
+        """A device is never cut to length, and a finished write leaves it where it is."""
+        calls = []
+        monkeypatch.setattr(os, "ftruncate", lambda *args: calls.append(("ftruncate", args)))
+        monkeypatch.setattr(os, "remove", lambda *args: calls.append(("remove", args)))
+        code, out, err = run_cli(capsys, "--out", os.devnull, *self.REWRITES[0][1])
+        assert (code, out, err, calls) == (0, "", "", [])
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="needs POSIX permissions that the user does not override")
+    def test_read_only_file_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old table\n")
+        path.chmod(0o444)
+        code, out, err = run_cli(capsys, "--out", str(path), *self.REWRITES[0][1])
+        assert code == EXIT_IO and out == "" and err.startswith("i/o error: ")
+        assert path.read_bytes() == b"old table\n"
 
     def test_memory_stays_bounded(self, tmp_path):
         # one row dict per point would take some 90 MB for these 90 000 points
@@ -818,6 +928,21 @@ class TestFigures:
                 saw_alive = True
         assert saw_dead and saw_alive
 
+    @pytest.mark.parametrize("flag,value", [("--out", "f.csv"), ("--format", "json")])
+    def test_ignored_flag_exit_2(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(capsys, flag, str(tmp_path / value) if flag == "--out" else value,
+                                 "figure", "fig2", "--out-dir", str(out_dir))
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.strip().splitlines()) == 1 and flag in err
+        assert list(tmp_path.iterdir()) == []  # checked before the output directory is made
+
+    def test_format_csv_is_what_figure_writes(self, tmp_path, capsys):
+        run_cli(capsys, "figure", "fig2", "--out-dir", str(tmp_path / "plain"))
+        code, _, _ = run_cli(capsys, "--format", "csv", "figure", "fig2", "--out-dir", str(tmp_path / "csv"))
+        assert code == 0
+        assert (tmp_path / "csv" / "fig2.csv").read_bytes() == (tmp_path / "plain" / "fig2.csv").read_bytes()
+
     def test_figure_determinism(self, tmp_path, capsys):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         run_cli(capsys, "figure", "fig5", "--out-dir", str(d1))
@@ -833,6 +958,14 @@ class TestSelftest:
         assert code == 0
         assert elapsed < 5.0
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("flag,value", [("--out", "st.txt"), ("--format", "json"), ("--format", "csv")])
+    def test_output_flag_exit_2(self, capsys, tmp_path, monkeypatch, flag, value):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, flag, value, "selftest", "--quick")
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.strip().splitlines()) == 1 and flag in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_absurd_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--quick", "--tol", "1e-16")
