@@ -15,7 +15,8 @@ each cell on its own with ``_fmt`` (CSV) or ``_dump_json`` (JSON).
 Every output file (``--out`` tables, figure data and plot scripts) goes
 through ``_Output``, which rewrites an existing regular file in place and
 cuts it to the written length, and removes it if writing fails.  Nothing is
-fsynced.
+fsynced, and a run killed mid-write can leave the new bytes followed by the
+old file's tail.
 """
 
 from __future__ import annotations
@@ -128,17 +129,20 @@ def _dump_json(obj) -> str:
 class _Output:
     """stdout or a file opened for writing; I/O errors surface as exit code 4.
 
-    A regular file is rewritten in place: it is opened without truncating,
-    written from its start, flushed and cut to the written length at close,
-    so an existing file keeps its inode, mode bits and links, and a symlink
-    is written through.  Overwriting in place spares the flush that some
-    filesystems (ext4) start when a file truncated to zero is closed.  The
-    CLI never fsyncs, so a concurrent reader or a crash mid-write can see
-    the new bytes followed by the old file's tail.  A regular file whose
-    writing is cut short by an error, in the flush, cut or close too, is
-    removed, so a failed sweep leaves no partial table behind; anything else
-    (a device such as /dev/null, a pipe) is written as opened, never cut, and
-    left where it is.
+    A regular file is rewritten in place: opened without truncating, written
+    from its start and, where the old file was longer, cut to the written
+    length at close, so it keeps its inode, mode bits and links, and a
+    symlink is written through.  This spares the writeback that ext4 starts
+    when a file truncated to zero is closed; a new file costs the same
+    either way.  Until the cut the old file's tail stays in place, and
+    nothing is fsynced: a concurrent reader, a crash or a run killed by a
+    signal (timeout, SIGKILL, the OOM killer) can see or leave the new bytes
+    followed by that tail, which reads as a whole table under the new '#'
+    lines when the old one had the same shape.
+    A regular file whose writing fails with an exception, in the final cut
+    or close too, is removed, so a failed sweep leaves no partial table
+    behind; anything else (a device such as /dev/null, a pipe) is written as
+    opened, never cut, and left where it is.
     """
 
     def __init__(self, path: Optional[str]):
@@ -147,28 +151,26 @@ class _Output:
     def __enter__(self):
         if self.path is None:
             return sys.stdout
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-        self._fh = open(fd, "w", encoding="utf-8", newline="")
-        self._regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        # "w" without its O_TRUNC; open owns the descriptor as soon as the opener returns it
+        self._fh = open(self.path, "w", encoding="utf-8", newline="",
+                        opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
+        info = os.fstat(self._fh.fileno())
+        self._regular, self._old_size = stat.S_ISREG(info.st_mode), info.st_size
         return self._fh
 
     def __exit__(self, exc_type, *exc):
         if self.path is None:
             return False
-        failed = exc_type is not None
         try:
-            try:
-                if not failed and self._regular:  # the old file may be longer than what was written
-                    self._fh.flush()
-                    os.ftruncate(self._fh.fileno(), self._fh.tell())
-            finally:
-                self._fh.close()
+            with self._fh:  # tell() flushes; only an old file longer than what was written needs the cut
+                if exc_type is None and self._regular and (end := self._fh.tell()) < self._old_size:
+                    os.ftruncate(self._fh.fileno(), end)
         except BaseException:
-            failed = True
-            raise
-        finally:
-            if failed and self._regular:
+            if self._regular:
                 os.remove(self.path)
+            raise
+        if exc_type is not None and self._regular:
+            os.remove(self.path)
         return False
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -548,10 +549,12 @@ class TestSweep:
         assert code == EXIT_INCONSISTENT and err.startswith("internal inconsistency: ")
         assert removed == []
 
-    @pytest.mark.parametrize("old", [None, b"an older, longer table\n" * 1000], ids=["new", "existing"])
-    @pytest.mark.parametrize("failing", ["flush", "ftruncate", "close"])
+    @pytest.mark.parametrize("failing,old", [(failing, old) for failing in ("tell", "ftruncate", "close")
+                                             for old in (None, b"an older, longer table\n" * 1000)
+                                             if failing != "ftruncate" or old],  # a new file is never cut
+                             ids=["tell-new", "tell-existing", "ftruncate-existing", "close-new", "close-existing"])
     def test_failed_close_removes_the_table(self, capsys, monkeypatch, tmp_path, failing, old):
-        """An error while the finished table is flushed, cut to length or closed exits 4 and leaves no file."""
+        """An error while the finished table is flushed (by tell), cut to length or closed exits 4 and leaves no file."""
         def full_disk(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -562,10 +565,16 @@ class TestSweep:
             def __getattr__(self, name):
                 return getattr(self._fh, name)
 
-            def flush(self):
-                self._fh.flush()
-                if failing == "flush":
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
+
+            def tell(self):
+                if failing == "tell":
                     full_disk()
+                return self._fh.tell()
 
             def close(self):
                 self._fh.close()
@@ -642,15 +651,60 @@ class TestSweep:
         assert (code, out, err, calls) == (0, "", "", [])
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
-    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
-                        reason="needs POSIX permissions that the user does not override")
-    def test_read_only_file_exit_4(self, capsys, tmp_path):
+    def test_unopenable_file_exit_4_keeps_its_bytes(self, capsys, monkeypatch, tmp_path):
+        """An existing file that cannot be opened for writing exits 4 and is neither cut nor removed."""
         path = tmp_path / "t.csv"
         path.write_bytes(b"old table\n")
-        path.chmod(0o444)
+        real_open = os.open
+
+        def denied(name, *args, **kwargs):
+            if os.fspath(name) == str(path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(name))
+            return real_open(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", denied)
         code, out, err = run_cli(capsys, "--out", str(path), *self.REWRITES[0][1])
         assert code == EXIT_IO and out == "" and err.startswith("i/o error: ")
         assert path.read_bytes() == b"old table\n"
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_killed_rewrite_leaves_the_old_tail(self, capsys, tmp_path):
+        """A run killed mid-write never cuts the file: the new bytes are followed by the old table's tail.
+
+        The old table has the new one's shape (another fixed n), so what is
+        left reads as a whole table under the new '#' lines, its later rows
+        the old run's.  The run kills itself with SIGKILL once its first
+        chunk of 4096 rows is written.
+        """
+        argv = ["sweep", "--scenario", "double", "--sweep", "s=0:3:100", "--sweep", "l=0:3:100"]
+        path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+        assert run_cli(capsys, *argv, "--fix", "n=1", "--out", str(path))[0] == 0
+        assert run_cli(capsys, *argv, "--fix", "n=2", "--out", str(fresh))[0] == 0
+        old, new = path.read_bytes(), fresh.read_bytes()
+        killer = (
+            "import os, signal, sys\n"
+            "from rindlercv import cli\n"
+            "write_table = cli._write_table\n"
+            "def killed(stream, meta, columns, chunks, fmt):\n"
+            "    def first_chunk_then_kill():\n"
+            "        yield next(chunks)\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    write_table(stream, meta, columns, first_chunk_then_kill(), fmt)\n"
+            "cli._write_table = killed\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", killer, *argv, "--fix", "n=2", "--out", str(path)],
+                              capture_output=True, env=env, timeout=60)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        left = path.read_bytes()
+        assert len(left) == len(old)  # nothing was cut
+        # the '#' lines, the header and 4000 of the first chunk's rows are out of the write buffer
+        head = sum(map(len, new.splitlines(keepends=True)[:5 + 4000]))
+        assert left[:head] == new[:head] != old[:head]
+        tail = sum(map(len, old.splitlines(keepends=True)[-3000:]))  # rows past what the new run wrote
+        assert left[-tail:] == old[-tail:] != new[-tail:]
 
     def test_memory_stays_bounded(self, tmp_path):
         # one row dict per point would take some 90 MB for these 90 000 points
