@@ -8,15 +8,19 @@ comment lines and floats carry 17 significant digits.
 Sweeps and figure presets evaluate their grids through the columnar report
 kernels of :mod:`rindlercv.entanglement_analysis`, SWEEP_CHUNK points per
 call, and write each chunk as it is done, so memory stays bounded whatever
-the grid size.  The table writer formats each distinct value of a column once
-per chunk and gathers the texts into rows; the bytes are those of rendering
+the grid size.  The table writer formats each distinct float of a chunk once,
+in one '%' call, gathers the texts into a row-major list of cells and writes
+the chunk with one '%' of a row template; the bytes are those of rendering
 each cell on its own with ``_fmt`` (CSV) or ``_dump_json`` (JSON).
 
 Every output file (``--out`` tables, figure data and plot scripts) goes
 through ``_Output``, which rewrites an existing regular file in place and
-cuts it to the written length, and removes it if writing fails.  Nothing is
-fsynced, and a run killed mid-write can leave the new bytes followed by the
-old file's tail.
+cuts it to the written length, and removes it (through a symlink, the file
+the link resolves to) if writing fails.  Nothing is fsynced, and a run
+killed mid-write can leave the new bytes followed by the old file's tail.
+
+Each verb reads only the global flags ``VERB_FLAGS`` names for it; ``main``
+refuses any other with exit 2 before any output opens.
 """
 
 from __future__ import annotations
@@ -141,8 +145,9 @@ class _Output:
     lines when the old one had the same shape.
     A regular file whose writing fails with an exception, in the final cut
     or close too, is removed, so a failed sweep leaves no partial table
-    behind; anything else (a device such as /dev/null, a pipe) is written as
-    opened, never cut, and left where it is.
+    behind; written through a symlink, that is the file the link resolves
+    to, and the link stays.  Anything else (a device such as /dev/null, a
+    pipe) is written as opened, never cut, and left where it is.
     """
 
     def __init__(self, path: Optional[str]):
@@ -167,54 +172,73 @@ class _Output:
                     os.ftruncate(self._fh.fileno(), end)
         except BaseException:
             if self._regular:
-                os.remove(self.path)
+                self._remove()
             raise
         if exc_type is not None and self._regular:
-            os.remove(self.path)
+            self._remove()
         return False
 
+    def _remove(self):
+        """Remove the file written: the one a symlink resolves to, not the link."""
+        os.remove(os.path.realpath(self.path))
 
-def _cells(col: np.ndarray, fmt: str, prefix: str = "") -> list[str]:
-    """One column's cells as _fmt (CSV) or _dump_json (JSON) renders them, each after ``prefix``.
 
-    Each distinct value is formatted once and its text gathered into every
-    cell that holds it.  Values are told apart by their bits, so -0.0 and 0.0
-    stay distinct.  '%.17g' prints inf, -inf, nan and -0 as _fmt does, and
-    repr a finite float as JSON does; a non-finite JSON cell is _fmt's text,
-    quoted.  Booleans are true/false, and a masked cell is empty in CSV and
-    null in JSON.
+def _cells(chunk: dict, columns: list[str], fmt: str) -> list[str]:
+    """The chunk's cells, row by row, as _fmt (CSV) or _dump_json (JSON) renders each on its own.
+
+    Each distinct float of the chunk, over all its float columns, is
+    formatted once, by one '%' call, and its text gathered into every cell
+    that holds it.  Floats are told apart by their bits, so -0.0 and 0.0 stay
+    distinct.  '%.17g' prints inf, -inf, nan and -0 as _fmt does, and '%r' a
+    finite float as JSON does; a non-finite JSON cell is _fmt's text, quoted.
+    Booleans are false/true, and a masked cell is empty in CSV and null in
+    JSON.
     """
-    data = np.asarray(col)  # a masked array's data; its mask is read below
-    if data.dtype == bool:
-        texts, index = ["false", "true"], data.view(np.uint8)
-    else:
-        keys, index = np.unique(np.ascontiguousarray(data, dtype=float).view(np.int64), return_inverse=True)
-        values = keys.view(float).tolist()
-        if fmt == "csv":
-            texts = ["%.17g" % v for v in values]
+    cols = [chunk[c] for c in columns]
+    data = [np.asarray(col) for col in cols]  # a masked array's data; its mask is read below
+    floats = [np.ascontiguousarray(d, dtype=float).view(np.int64) for d in data if d.dtype != bool]
+    keys, inverse = np.unique(np.concatenate(floats or [np.empty(0, np.int64)]), return_inverse=True)
+    values = keys.view(float)
+    k = len(values)
+    # the k texts, then the split's trailing "" (a masked cell), false and true
+    texts = (("%.17g\n" if fmt == "csv" else "%r\n") * k % tuple(values.tolist())).split("\n")
+    if fmt == "json":
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = f'"{_fmt(values[i].item())}"'
+        texts[k] = "null"
+    texts += ["false", "true"]
+    index = np.empty((len(cols), len(data[0])), dtype=np.intp)
+    start = 0
+    for row, col, d in zip(index, cols, data):
+        if d.dtype == bool:
+            row[:] = d
+            row += k + 1
         else:
-            texts = [repr(v) if math.isfinite(v) else f'"{_fmt(v)}"' for v in values]
-    cells = np.array([prefix + text for text in texts], dtype=object)[index]
-    mask = getattr(col, "mask", False)
-    if np.any(mask):
-        cells[mask] = prefix + ("" if fmt == "csv" else "null")
-    return cells.tolist()
+            row[:] = inverse[start:start + len(row)]
+            start += len(row)
+        if isinstance(col, np.ma.MaskedArray):
+            row[np.ma.getmaskarray(col)] = k
+    return np.array(texts, dtype=object)[index.T.ravel()].tolist()
 
 
 def _write_table(stream, meta: list[str], columns: list[str], chunks: Iterable[dict], fmt: str) -> None:
-    """Write '#' meta lines, then each chunk of columns as CSV rows or JSON lines, in row order."""
+    """Write '#' meta lines, then each chunk of columns as CSV rows or JSON lines, in row order.
+
+    A chunk is one '%' of the row template repeated once per row.  JSON keys
+    are sorted as _dump_json writes them, and a duplicated column stays
+    duplicated, as in CSV.
+    """
     for line in meta:
         stream.write(f"# {line}\n")
     if fmt == "csv":
         stream.write(",".join(columns) + "\n")
-        for chunk in chunks:
-            rows = zip(*(_cells(chunk[c], fmt) for c in columns))
-            stream.write("".join([",".join(row) + "\n" for row in rows]))
-    else:  # json-lines, keys sorted as _dump_json writes them; a duplicated column stays duplicated, as in CSV
+        template = ",".join(["%s"] * len(columns)) + "\n"
+    else:
         columns = sorted(columns)
-        for chunk in chunks:
-            rows = zip(*(_cells(chunk[c], fmt, f"{json.dumps(c)}: ") for c in columns))
-            stream.write("".join(["{" + ", ".join(row) + "}\n" for row in rows]))
+        template = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in columns) + "}\n"
+    for chunk in chunks:
+        cells = _cells(chunk, columns, fmt)
+        stream.write(template * (len(cells) // len(columns)) % tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +506,6 @@ _register(FigurePreset("fig10", "classical-correlation deficit surface over (a, 
 
 
 def _cmd_figure(args) -> int:
-    if args.out is not None:
-        raise ValueError("figure writes into --out-dir; it takes no --out")
-    if args.format == "json":
-        raise ValueError("figure writes csv only; it takes no --format json")
     preset = FIGURE_PRESETS.get(args.preset)
     if preset is None:
         raise ValueError(f"unknown preset {args.preset!r}; available: {sorted(FIGURE_PRESETS)}")
@@ -517,9 +537,6 @@ def _cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_selftest(args) -> int:
-    for flag, value in (("--out", args.out), ("--format", args.format)):
-        if value is not None:
-            raise ValueError(f"selftest prints its report to stdout; it takes no {flag}")
     suites = st.run(tol=args.tol, quick=args.quick)
     for suite in suites:
         print(suite.line())
@@ -537,6 +554,18 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
+
+GLOBAL_FLAGS = ("format", "out", "tol", "threads", "quick")
+
+# the global flags each verb reads, with the only values it takes where it takes only some;
+# main refuses any other global flag before any output opens, and --threads is a no-op everywhere
+VERB_FLAGS: dict[str, dict[str, Optional[tuple]]] = {
+    "point": {"format": None, "out": None, "tol": None, "threads": None},
+    "sweep": {"format": None, "out": None, "tol": None, "threads": None},
+    "figure": {"format": ("csv",), "threads": None},
+    "selftest": {"tol": None, "quick": None, "threads": None},
+}
+
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS,
@@ -557,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Continuous-variable correlations between uniformly accelerated observers")
     parser.add_argument("--version", action="version", version=f"rindlercv {__version__}")
     _common_flags(parser)
-    parser.set_defaults(format=None, out=None, tol=1e-9, threads=None, quick=False)
+    parser.set_defaults(**dict.fromkeys(GLOBAL_FLAGS))  # None: not given
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_point = sub.add_parser("point", help="full report at one parameter point")
@@ -601,13 +630,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The parsed argv, its global flags checked against VERB_FLAGS and their defaults filled in."""
     args = _parser().parse_args(argv)
+    reads = VERB_FLAGS[args.verb]
+    for flag in GLOBAL_FLAGS:
+        value = getattr(args, flag)
+        if value is None or flag in reads and (reads[flag] is None or value in reads[flag]):
+            continue
+        given = f"--{flag}" if value is True else f"--{flag} {value}"
+        takes = ", ".join(f"--{name}" if values is None else f"--{name} {'|'.join(values)}"
+                          for name, values in reads.items())
+        raise ValueError(f"{args.verb} takes no {given}; it reads {takes}")
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    if args.tol is None:
+        args.tol = 1e-9
+    args.quick = bool(args.quick)
     if args.format is None and args.verb == "sweep":
         args.format = "csv"
+    return args
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        args = _args(argv)
         rf._require_domain(tol=args.tol)
         return args.func(args)
     except InconsistencyError as exc:

@@ -401,6 +401,48 @@ class TestParserReuse:
         assert usage in " ".join(capsys.readouterr().out.split())
 
 
+class TestVerbFlags:
+    """Each verb takes the global flags VERB_FLAGS names for it and exits 2 on any other, before any output."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        ("point single --s 1 --r 0.5 --quick", "--quick"),
+        ("sweep --scenario single --sweep s=0:1:3 --fix r=1 --quick", "--quick"),
+        ("--tol 1e-3 figure fig2 --out-dir d", "--tol"),
+    ], ids=["point", "sweep", "figure"])
+    def test_a_flag_the_verb_does_not_read_exit_2(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.strip().splitlines()) == 1 and flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    VERBS = {"point": ["point", "single", "--s", "1", "--r", "0.5"],
+             "sweep": ["sweep", "--scenario", "single", "--sweep", "s=0:1:3", "--fix", "r=1"],
+             "figure": ["figure", "fig2"], "selftest": ["selftest"]}
+    FLAGS = {"--format csv": ["--format", "csv"], "--format json": ["--format", "json"], "--out": ["--out", "t"],
+             "--tol": ["--tol", "1e-3"], "--threads": ["--threads", "2"], "--quick": ["--quick"]}
+    READS = {"point": {"--format csv", "--format json", "--out", "--tol", "--threads"},
+             "sweep": {"--format csv", "--format json", "--out", "--tol", "--threads"},
+             "figure": {"--format csv", "--threads"},
+             "selftest": {"--tol", "--threads", "--quick"}}
+
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("flag", FLAGS)
+    @pytest.mark.parametrize("before", [True, False], ids=["before-verb", "after-verb"])
+    def test_every_verb_and_global_flag(self, verb, flag, before):
+        argv = self.FLAGS[flag] + self.VERBS[verb] if before else self.VERBS[verb] + self.FLAGS[flag]
+        if flag in self.READS[verb]:
+            assert cli._args(argv).verb == verb
+        else:
+            with pytest.raises(ValueError, match=f"^{verb} takes no {flag.split()[0]}"):
+                cli._args(argv)
+
+    def test_defaults_are_filled_in_once_checked(self):
+        args = cli._args(["sweep", "--scenario", "single"])
+        assert (args.format, args.out, args.tol, args.threads, args.quick) == ("csv", None, 1e-9, None, False)
+        assert cli._args(["--quick", "selftest"]).quick is True
+
+
 class TestSweep:
     def test_single_axis_row_count_and_monotonicity(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--scenario", "single",
@@ -632,6 +674,20 @@ class TestSweep:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == fresh[0]
 
+    def test_failed_write_through_a_symlink_removes_its_target(self, capsys, tmp_path):
+        """The partial table goes, and the link stays where it was, pointing at the removed file."""
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"an older table\n")
+        try:
+            link.symlink_to(target)
+        except (OSError, NotImplementedError):
+            pytest.skip("symlinks are not available here")
+        code, out, err = run_cli(capsys, "--out", str(link), "sweep", "--scenario", "single",
+                                 "--sweep", "s=0:400:5001", "--fix", "r=0.5")
+        assert code == EXIT_INCONSISTENT and out == "" and err.startswith("internal inconsistency: ")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert not target.exists()
+
     @pytest.mark.skipif(os.name != "posix", reason="mode bits are POSIX")
     def test_rewrite_keeps_the_mode_bits(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
@@ -788,6 +844,34 @@ def one_row_chunk(report):
             for name, v in report.items()}
 
 
+WRITER_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                   1e-310, -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def writer_tables(draw):
+    """Column names (some with % and "), and one to three chunks of 1-50 rows of float, bool and masked columns.
+
+    Every float column, masked or not, draws from one pool of values, so a
+    value recurs within and across columns.
+    """
+    pool = draw(st.lists(st.one_of(st.sampled_from(WRITER_SPECIALS), st.floats()), min_size=1, max_size=10))
+    columns = draw(st.lists(st.text("ab%\"_ ", min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
+    kinds = draw(st.lists(st.sampled_from(["float", "bool", "masked", "masked bool"]),
+                          min_size=len(columns), max_size=len(columns)))
+    chunks = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 50))
+        cells = st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size)
+        flags = st.lists(st.booleans(), min_size=size, max_size=size)
+        chunk = {}
+        for name, kind in zip(columns, kinds):
+            data = np.array(draw(flags)) if "bool" in kind else np.array(pool)[draw(cells)]
+            chunk[name] = np.ma.masked_array(data, mask=draw(flags)) if "masked" in kind else data
+        chunks.append(chunk)
+    return columns, chunks
+
+
 class TestTableWriter:
     """The table writer renders every cell as _fmt (CSV) and _dump_json (JSON) render it alone."""
 
@@ -850,13 +934,26 @@ class TestTableWriter:
         assert written["csv"] == ["x,axis,x", "0.5,1,0.5", "2,-0,2"]
         assert written["json"] == ['{"axis": 1.0, "x": 0.5, "x": 0.5}', '{"axis": -0.0, "x": 2.0, "x": 2.0}']
 
+    @settings(max_examples=150, deadline=None)
+    @given(table=writer_tables(), fmt=st.sampled_from(["csv", "json"]))
+    def test_any_table_matches_the_per_cell_renderers(self, table, fmt):
+        columns, chunks = table
+        stream = io.StringIO()
+        _write_table(stream, [], columns, chunks, fmt)
+        rows = [row for chunk in chunks for row in self.rows(chunk)]
+        if fmt == "csv":
+            want = [",".join(columns)] + [",".join(map(_fmt, row.values())) for row in rows]
+        else:
+            want = [_dump_json(row) for row in rows]
+        assert stream.getvalue() == "".join(line + "\n" for line in want)
+
     @pytest.mark.parametrize("argv", [
         "single --s 1 --r 0.5", "single --s 0 --r 0", "single --s 1 --accel 2 --freq 0.3",
         "double --s 1 --a 0.5", "double --s 1 --l 0.4 --n 1.7", "double --s 0 --l 0 --n 1",
         "frequency --lam 1 --nu 2 --accel 6.3", "frequency --lam 1 --nu 2 --accel 6.3 --s 1.2",
         "frequency --lam 1 --nu 1 --accel 0.01"])
     def test_point_csv_is_the_report_rendered_by_fmt(self, capsys, argv):
-        scenario, report = cli._point_report(cli._parser().parse_args(["point", *argv.split()]))
+        scenario, report = cli._point_report(cli._args(["point", *argv.split()]))
         code, out, err = run_cli(capsys, "point", *argv.split(), "--format", "csv")
         assert code == 0 and err == ""
         assert (None in report.values()) == (" --l " in f" {argv}")  # l != n leaves cells undefined
@@ -880,7 +977,7 @@ class TestPointRendering:
 
     def test_point_output_is_its_report_rendered_per_line(self, capsys, monkeypatch):
         for argv in self.seeded_argvs(monkeypatch):
-            scenario, report = cli._point_report(cli._parser().parse_args(argv))
+            scenario, report = cli._point_report(cli._args(argv))
             assert {type(v) for v in report.values()} <= {float, bool, type(None)}
             payload = {"scenario": scenario, "report": report}
             line = _dump_json(payload)

@@ -1,0 +1,52 @@
+"""The tables and figure files the CLI writes keep the bytes recorded in tests/golden/writer.json.
+
+Where Python, numpy and numpy's dispatched CPU features are those of the
+recording, every file's sha256 must match.  Elsewhere a kernel may round
+differently, so each file's skeleton (its bytes with every number replaced)
+must match and each sampled number must lie within a few ulps of the
+recorded one.
+"""
+
+import importlib.util
+import json
+import math
+import os
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regen", os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "regen.py"))
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+with open(regen.GOLDEN, encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
+SAME_ENVIRONMENT = GOLDEN["environment"] == regen.environment()
+ULPS = 4
+
+
+def close(got: float, want: float) -> bool:
+    if math.isnan(want) or math.isinf(want) or want == 0.0:
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= ULPS * math.ulp(want)
+
+
+def test_the_recording_covers_the_benchmark_tables():
+    assert [run["argv"] for run in GOLDEN["runs"]] == regen.runs()
+    assert GOLDEN["sample_every"] == regen.SAMPLE_EVERY
+
+
+@pytest.mark.parametrize("want", GOLDEN["runs"], ids=[" ".join(run["argv"][:6]) for run in GOLDEN["runs"]])
+def test_written_bytes_match_the_recording(want):
+    got = regen.record(want["argv"])
+    assert got["exit"] == want["exit"]
+    assert sorted(got["files"]) == sorted(want["files"])
+    for name, file in want["files"].items():
+        if SAME_ENVIRONMENT:
+            assert got["files"][name] == file, name
+            continue
+        assert got["files"][name]["skeleton_sha256"] == file["skeleton_sha256"], name
+        floats = got["files"][name]["floats"]
+        assert len(floats) == len(file["floats"]), name
+        for k, (g, w) in enumerate(zip(floats, file["floats"])):
+            assert close(float.fromhex(g), float.fromhex(w)), (name, k * regen.SAMPLE_EVERY, g, w)
