@@ -343,12 +343,15 @@ def frequency_condition(freq_1, freq_2, acceleration):
     (no overflow, and no lost digits where w f1 or w f2 is tiny), and whether the
     margin is nonnegative (the modes seen separable).  The condition is e^{w (f1+f2)}
     times the margin (0 where the margin is), so it overflows to +-inf, never nan.
+    At a point the three are a float, a float and a bool.
     """
     _require_domain(positive=True, freq_1=freq_1, freq_2=freq_2, acceleration=acceleration)
     w = 2.0 * math.pi / acceleration
     with np.errstate(over="ignore", invalid="ignore"):
         margin = np.exp(-w * np.maximum(freq_1, freq_2)) + np.expm1(-w * np.minimum(freq_1, freq_2))
         condition = _where(margin == 0.0, 0.0, np.exp(w * (freq_1 + freq_2)) * margin)
+    if np.ndim(margin) == 0:
+        return float(condition), float(margin), bool(margin >= 0.0)
     return condition, margin, margin >= 0.0
 
 
@@ -358,8 +361,7 @@ def frequency_separability(freq_1, freq_2, acceleration):
     The closed-form condition e^{2 pi f1/accel} + e^{2 pi f2/accel}
     >= e^{2 pi (f1+f2)/accel}, decided on the margin of :func:`frequency_condition`.
     """
-    separable = frequency_condition(freq_1, freq_2, acceleration)[2]
-    return bool(separable) if np.ndim(separable) == 0 else separable
+    return frequency_condition(freq_1, freq_2, acceleration)[2]
 
 
 def _m_ln_infinite_squeezing(l, n):

@@ -22,8 +22,9 @@ occur in this package, for which closed forms exist:
   Leo-Nadia m there (it is defined here, once, for both routes), so the
   thermal route checks the state and the inversion, not the m formula.
 
-A matrix that is not positive definite is no state, and every measure of
-one here refuses it with "state is not physical".
+Every measure here reads its spectra through ``phase_space._state_spectrum``,
+which alone decides that a matrix is no state ("state is not physical") or
+that a value is lost to rounding ("<what> not resolvable at this squeezing").
 
 The general Gaussian convex roof is intentionally not implemented.
 
@@ -42,17 +43,11 @@ import numpy as np
 
 from .phase_space import (
     BONA_FIDE_TOL,
-    CovMatrix,
     MatrixLike,
     PURITY_TOL,
-    _as_cov,
-    _indefinite,
-    _not_resolvable,
-    _rounding_floor,
+    _state_spectrum,
     _two_mode,
     check_mode_set,
-    partial_transpose,
-    symplectic_eigenvalues,
     two_mode_marginals,
 )
 from .rindler_frames import _require_domain
@@ -63,7 +58,6 @@ M_CLAMP_TOL = 1e-9
 SEPARABLE_CLAMP = 1e-9
 GMEMMS_SPECTRUM_TOL = 1e-6
 FAMILY_RTOL = 1e-6
-_EPS = float(np.finfo(float).eps)
 
 
 class InconsistencyError(ValueError):
@@ -147,30 +141,9 @@ def entropy_term_f(x):
 
 
 def von_neumann_entropy(sigma: MatrixLike) -> float:
-    """Von Neumann entropy of a Gaussian state: sum of f over the symplectic spectrum."""
-    return float(np.sum(entropy_term_f(_clamped_spectrum(sigma))))
-
-
-def _definite_spectrum(cov: CovMatrix) -> list[float]:
-    """Ascending symplectic spectrum of cov; a matrix that is not positive definite is no state and raises."""
-    etas = symplectic_eigenvalues(cov).tolist()
-    if _indefinite(cov):
-        raise ValueError("state is not physical (covariance matrix not positive definite)")
-    return etas
-
-
-def _clamped_spectrum(sigma: MatrixLike) -> list[float]:
-    # eigenvalues near 1 are resolved only to ~eps * |sigma|, so the
-    # physicality gate scales with the largest eigenvalue
-    cov = _as_cov(sigma)
-    etas = _definite_spectrum(cov)
-    slack = max(100 * BONA_FIDE_TOL, 32 * _EPS * etas[-1])
-    if etas[0] < 1.0 - slack:
-        floor = _rounding_floor(cov)
-        if etas[0] >= 1.0 - 32 * floor:  # within rounding of 1 (it can read 0 for a deeply squeezed state)
-            raise _not_resolvable("physicality", floor)
-        raise ValueError(f"state is not physical (min symplectic eigenvalue {etas[0]!r})")
-    return [max(eta, 1.0) for eta in etas]
+    """Von Neumann entropy of a Gaussian state: sum of f over the symplectic spectrum, read as 1 near 1."""
+    etas = _state_spectrum(sigma, "physicality", 100 * BONA_FIDE_TOL)
+    return float(np.sum(entropy_term_f([max(eta, 1.0) for eta in etas])))
 
 
 def mutual_information(sigma: MatrixLike, split: Iterable[int]) -> float:
@@ -183,62 +156,30 @@ def mutual_information(sigma: MatrixLike, split: Iterable[int]) -> float:
     modes = check_mode_set(split, 2)
     if len(modes) != 1:
         raise ValueError("split must select exactly one of the two modes")
-    eta_minus, eta_plus = _clamped_spectrum(cov)  # first: an unphysical state has no marginals
+    # first: an unphysical state has no marginals
+    eta_minus, eta_plus = (max(eta, 1.0) for eta in _state_spectrum(cov, "physicality", 100 * BONA_FIDE_TOL))
     a, b, _ = two_mode_marginals(cov)
     return entropy_term_f(a) + entropy_term_f(b) - (entropy_term_f(eta_minus) + entropy_term_f(eta_plus))
 
 
-def _transposed_spectrum(cov: CovMatrix, transposed: Iterable[int]) -> list[float]:
-    """Ascending symplectic spectrum of the partial transpose D sigma D (D diagonal, +-1) across a 1 x (N-1) cut.
-
-    The transpose is positive definite exactly when sigma is, so a non-state raises here.
-    """
-    modes = check_mode_set(transposed, cov.n_modes)
-    if len(modes) >= cov.n_modes:
-        raise ValueError("cannot transpose every mode; pick a proper subset")
-    if len(modes) != 1 and len(modes) != cov.n_modes - 1:
-        raise ValueError("PPT-based measures need a 1 x (N-1) bipartition")
-    return _definite_spectrum(partial_transpose(cov, modes))
-
-
 def ppt_separable(sigma: MatrixLike, transposed: Iterable[int], tol: float = BONA_FIDE_TOL) -> bool:
-    """PPT test for a 1 x (N-1) bipartition: separable iff the partial transpose stays physical.
+    """PPT test for a 1 x (N-1) bipartition of a state: separable iff the partial transpose stays physical.
 
-    The partial transpose's smallest symplectic eigenvalue is resolved only to
-    about 32 eps times its largest.  Where that floor exceeds tol and the
-    smallest one is within it of 1, an entangled state could read separable,
-    so the test raises ValueError ("separability not resolvable at this
-    squeezing") rather than answer; an entangled verdict stands.  A two-mode
-    state with det eps >= 0 is separable whatever its spectrum (Simon's
-    criterion), so such pairs, product states among them, read separable
-    rather than raise.
+    It refuses a matrix that is no state (the criterion holds only for states)
+    and a verdict that rounding could flip, as ``_state_spectrum`` decides.
     """
-    cov = _as_cov(sigma)
-    etas = _transposed_spectrum(cov, transposed)
-    if etas[0] < 1.0 - tol:
-        return False
-    floor = 32 * _EPS * etas[-1]
-    if floor > tol and etas[0] <= 1.0 + floor:
-        if cov.n_modes == 2 and two_mode_marginals(cov)[2] >= 0.0:
-            return True
-        raise ValueError(f"separability not resolvable at this squeezing (32 eps eta+ = {floor:.3g})")
-    return True
+    return _state_spectrum(sigma, tol=tol, transposed=transposed)[0] >= 1.0 - tol
 
 
 def log_negativity(sigma: MatrixLike, transposed: Iterable[int]) -> float:
-    """Logarithmic negativity across a 1 x (N-1) bipartition.
+    """Logarithmic negativity across a 1 x (N-1) bipartition of a state.
 
-    Sum of -ln eta over the partially transposed symplectic eigenvalues
-    below one; zero exactly when :func:`ppt_separable` holds.  An eigenvalue
-    that rounds to 0 raises ValueError "log negativity not resolvable at this
-    squeezing".
+    Sum of -ln eta over the partially transposed symplectic eigenvalues that
+    :func:`ppt_separable` reads below one, so 0.0 exactly where it answers True;
+    it refuses what that refuses, and an eigenvalue that rounds to 0 ("log negativity not resolvable").
     """
-    cov = _as_cov(sigma)
-    etas = _transposed_spectrum(cov, transposed)
-    try:
-        return float(sum(-math.log(eta) for eta in etas if eta < 1.0))
-    except ValueError:  # an eigenvalue rounded to 0, far inside the rounding floor of a squeezed state
-        raise _not_resolvable("log negativity", _rounding_floor(cov)) from None
+    etas = _state_spectrum(sigma, "log negativity", transposed=transposed)
+    return float(sum(-math.log(eta) for eta in etas if eta < 1.0 - BONA_FIDE_TOL))
 
 
 def entropy_of_entanglement(s: float) -> float:
@@ -321,8 +262,7 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
             raise ValueError(f"the family determinant (ab - c^2)^2 overflows (ab - c^2 = {a * b - c_sq!r})")
         if abs(det_sigma - family_det) > FAMILY_RTOL * max(1.0, det_sigma):
             # within the rounding of a 4x4 determinant the test cannot tell the form apart
-            if abs(det_sigma - family_det) <= 32 * _EPS * abs(cov.mat).max() ** 4:
-                raise _not_resolvable("thermal squeezed form", _rounding_floor(cov))
+            _state_spectrum(cov, "thermal squeezed form", det_residual=abs(det_sigma - family_det))
             raise ValueError("state is not of thermal squeezed form (c+ != -c-)")
         prod = (a + 1.0) * (b + 1.0)
         u = np.float64(prod + c_sq) / (prod - c_sq)
@@ -345,7 +285,7 @@ def two_mode_m(sigma: MatrixLike) -> float:
     and any other state :func:`squeezed_thermal_m`.
     """
     cov = _two_mode(sigma, "two_mode_m")
-    eta_minus, eta_plus = _definite_spectrum(cov)
+    eta_minus, eta_plus = _state_spectrum(cov)
     if max(abs(eta_minus - 1.0), abs(eta_plus - 1.0)) <= PURITY_TOL:
         a, b, _ = two_mode_marginals(cov)
         return 0.5 * (a + b)

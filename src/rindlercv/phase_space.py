@@ -32,6 +32,10 @@ the worst a race can do is build the same constant twice and keep one of them:
 no caller can change what another one sees.  The per-mode-set caches are
 bounded.
 
+Whether a matrix is a state, and whether a value read off its spectrum is
+resolved at its squeezing, is decided in ``_state_spectrum`` alone, with one
+factor ``FLOOR_FACTOR``; every measure of the package reads spectra through it.
+
 Each covariance matrix is validated once, where it enters: a public
 ``CovMatrix(...)``, a raw array that any function turns into one, an
 :func:`apply_congruence` result, and the finished state of a squeezer chain
@@ -48,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -57,11 +61,11 @@ SYMPLECTIC_ATOL = 1e-10
 PAIRING_RTOL = 1e-8
 BONA_FIDE_TOL = 1e-9
 PURITY_TOL = 1e-6
-#: A matrix that fails its Cholesky factorisation is a state only if its
-#: smallest eigenvalue is above -EIGEN_FLOOR_EPS * eps * max|sigma|: rounding
-#: leaves deeply squeezed states (s = 20) just indefinite, but
-#: sigma + i Omega >= 0 needs sigma > 0, whatever |eig(Omega sigma)| says.
-EIGEN_FLOOR_EPS = 32
+#: How many rounding floors :func:`_state_spectrum` allows a value: a symplectic eigenvalue moves by about
+#: eps * max|sigma|^2 (eps * eta+ relative to the largest), an eigenvalue of sigma by eps * max|sigma|,
+#: and a 4x4 determinant by eps * max|sigma|^4.
+FLOOR_FACTOR = 32
+_EPS = float(np.finfo(float).eps)
 
 #: Size of each per-mode-set cache: a library point uses about ten mode sets.
 MODE_SET_CACHE = 256
@@ -347,10 +351,9 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     spectra in the package are tested against.
 
     The spectrum of a :class:`CovMatrix` is computed once and kept on it;
-    every call returns a fresh copy.  A fallback that finds an eigenvalue of
-    sigma below the rounding floor (see ``EIGEN_FLOOR_EPS``) also marks the
-    state not positive definite, which :func:`is_bona_fide`, :func:`is_pure`
-    and the entropies then reject.
+    every call returns a fresh copy.  The fallback also keeps sigma's
+    smallest eigenvalue, from which :func:`_state_spectrum` decides whether
+    sigma is positive definite.
     """
     cov = _as_cov(sigma)
     memo = cov.__dict__.get("_spectrum")
@@ -361,8 +364,7 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(cov.mat)
     except np.linalg.LinAlgError:
-        if np.linalg.eigvalsh(cov.mat)[0] < -EIGEN_FLOOR_EPS * np.finfo(float).eps * abs(cov.mat).max():
-            cov.__dict__["_indefinite"] = True  # set before the spectrum, so whoever sees one sees both
+        cov.__dict__["_lowest_eigenvalue"] = np.linalg.eigvalsh(cov.mat)[0]  # set first: seen with the spectrum
         mags = np.sort(np.abs(np.linalg.eigvals(omega @ cov.mat))).tolist()
     else:
         half = 0.5 * (chol.T @ omega @ chol)
@@ -373,39 +375,88 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     for k in range(n):
         lo, hi = mags[2 * k], mags[2 * k + 1]
         if hi - lo > PAIRING_RTOL * max(scale, hi):
-            raise _not_resolvable("symplectic spectrum", _rounding_floor(cov),
+            raise _not_resolvable("symplectic spectrum", cov,
                                   f": could not pair symplectic eigenvalues {lo!r} vs {hi!r}")
         etas[k] = 0.5 * lo + 0.5 * hi  # halve first: lo + hi overflows above about 9e307
     etas.setflags(write=False)
     return cov.__dict__.setdefault("_spectrum", etas).copy()
 
 
-def _rounding_floor(cov: CovMatrix) -> float:
-    """eps * max|sigma|^2: about how far rounding can move the symplectic eigenvalues of a squeezed state."""
-    return np.finfo(float).eps * abs(cov.mat).max() ** 2
-
-
-def _not_resolvable(what: str, floor: float, detail: str = "") -> ValueError:
-    """The error of a quantity that the rounding floor of :func:`_rounding_floor` swallows."""
+def _not_resolvable(what: str, cov: CovMatrix, detail: str = "") -> ValueError:
+    """The error of a quantity that rounding swallows, with the floor eps * max|sigma|^2 of the state."""
+    floor = _EPS * abs(cov.mat).max() ** 2  # about how far rounding moves a symplectic eigenvalue
     return ValueError(f"{what} not resolvable at this squeezing (eps * max|sigma|^2 = {floor:.3g}){detail}")
 
 
-def _indefinite(cov: CovMatrix) -> bool:
-    """Whether the spectrum computation of cov (which must have run) found it not positive definite."""
-    return "_indefinite" in cov.__dict__
+class _NotPhysical(ValueError):
+    """sigma is no state: raised by :func:`_state_spectrum`, False to :func:`is_bona_fide` and :func:`is_pure`."""
+
+
+def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = BONA_FIDE_TOL, *,
+                    pure: bool = False, det_residual: Optional[float] = None,
+                    transposed: Optional[Iterable[int]] = None) -> list[float]:
+    """Ascending symplectic spectrum of a state: the numeric route's one physicality and resolution gate.
+
+    Each test allows FLOOR_FACTOR rounding floors and refuses a verdict they could flip:
+
+    * sigma is no state, ValueError "state is not physical (...)", where it is not positive definite (its
+      Cholesky factorisation fails with an eigenvalue below -FLOOR_FACTOR eps max|sigma|) or eta- is below
+      1 - max(tol, FLOOR_FACTOR eps eta+) by more than FLOOR_FACTOR eps max|sigma|^2.  Within that it is a
+      state to float resolution, which a ``what`` read off this spectrum refuses: "<what> not resolvable
+      at this squeezing (eps * max|sigma|^2 = ...)".
+    * ``pure`` tests every eigenvalue's distance from 1 instead, and returns a mixed spectrum to the caller.
+    * ``det_residual``, by how much a 4x4 determinant of sigma missed the caller's tolerance, refuses
+      ``what`` within FLOOR_FACTOR eps max|sigma|^4.
+    * ``transposed`` returns the partial transpose's spectrum across a 1 x (N-1) cut.  Where
+      f = FLOOR_FACTOR eps eta+ > tol, an eta- in [1 - tol, 1 + f] raises "separability not resolvable at
+      this squeezing (...)" unless a two-mode sigma has det eps >= 0 (Simon's criterion).  An eta- that
+      reads 0 refuses ``what``.
+    """
+    cov = _as_cov(sigma)
+    if transposed is not None:
+        transposed = check_mode_set(transposed, cov.n_modes)
+        if len(transposed) >= cov.n_modes:
+            raise ValueError("cannot transpose every mode; pick a proper subset")
+        if len(transposed) != 1 and len(transposed) != cov.n_modes - 1:
+            raise ValueError("PPT-based measures need a 1 x (N-1) bipartition")
+    etas = symplectic_eigenvalues(cov).tolist()
+    lowest = cov.__dict__.get("_lowest_eigenvalue")  # kept only where the Cholesky factorisation failed
+    if lowest is not None and lowest < -FLOOR_FACTOR * _EPS * abs(cov.mat).max():
+        raise _NotPhysical("state is not physical (covariance matrix not positive definite)")
+    off = max(1.0 - etas[0], etas[-1] - 1.0) if pure else 1.0 - etas[0]
+    if off > max(tol, FLOOR_FACTOR * _EPS * etas[-1]):
+        if off <= FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 2:
+            if what is not None and transposed is None and det_residual is None:
+                raise _not_resolvable(what, cov)
+        elif not pure:
+            raise _NotPhysical(f"state is not physical (min symplectic eigenvalue {etas[0]!r})")
+    if det_residual is not None and det_residual <= FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 4:
+        raise _not_resolvable(what, cov)
+    if transposed is None:
+        return etas
+    etas = symplectic_eigenvalues(partial_transpose(cov, transposed)).tolist()
+    floor = FLOOR_FACTOR * _EPS * etas[-1]
+    if floor > tol and 1.0 - tol <= etas[0] <= 1.0 + floor and not (
+            cov.n_modes == 2 and two_mode_marginals(cov)[2] >= 0.0):
+        raise ValueError(f"separability not resolvable at this squeezing ({FLOOR_FACTOR} eps eta+ = {floor:.3g})")
+    if what is not None and etas[0] <= 0.0:
+        raise _not_resolvable(what, cov)
+    return etas
 
 
 def is_bona_fide(sigma: MatrixLike, tol: float = BONA_FIDE_TOL) -> bool:
-    """Whether sigma satisfies the uncertainty relation: sigma > 0 and min symplectic eigenvalue >= 1 - tol."""
-    cov = _as_cov(sigma)
-    return bool(symplectic_eigenvalues(cov).min() >= 1.0 - tol) and not _indefinite(cov)
+    """Whether sigma is a state to float resolution: :func:`_state_spectrum` at tol does not refuse it."""
+    try:
+        _state_spectrum(sigma, tol=tol)
+    except _NotPhysical:
+        return False
+    return True
 
 
 def is_pure(sigma: MatrixLike, tol: float = PURITY_TOL) -> bool:
-    """Whether sigma describes a pure state: sigma > 0 and every symplectic eigenvalue == 1 within tol."""
+    """Whether sigma describes a pure state: :func:`is_bona_fide`, and every symplectic eigenvalue == 1 within tol."""
     cov = _as_cov(sigma)
-    etas = symplectic_eigenvalues(cov)
-    return bool(np.max(np.abs(etas - 1.0)) <= tol) and not _indefinite(cov)
+    return is_bona_fide(cov) and bool(np.max(np.abs(symplectic_eigenvalues(cov) - 1.0)) <= tol)
 
 
 def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:

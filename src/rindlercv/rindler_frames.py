@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _not_resolvable, _rounding_floor,
-                          _squeezed_vacuum, is_pure, symplectic_eigenvalues, two_mode_squeezer)
+from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _squeezed_vacuum, _state_spectrum,
+                          two_mode_squeezer)
 
 ACCEL_SPEC_RTOL = 1e-10
 
@@ -68,9 +68,12 @@ def accel_to_squeezing(acceleration, frequency):
 
 
 def squeezing_to_ratio(r: float) -> float:
-    """Frequency-to-acceleration ratio producing squeezing r (inverse of the map above)."""
+    """Frequency-to-acceleration ratio producing squeezing r (inverse of the map above).
+
+    -ln tanh r is taken as log1p(2 e^{-2r} / -expm1(-2r)): no cancellation at large r, and no overflow.
+    """
     _require_domain(positive=True, squeezing=r)
-    return -math.log(math.tanh(r)) / math.pi
+    return math.log1p(2.0 * math.exp(-2.0 * r) / -math.expm1(-2.0 * r)) / math.pi
 
 
 def unruh_temperature(acceleration: float) -> float:
@@ -219,15 +222,14 @@ def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
 
 
 def pure_one_vs_rest_m(sigma: MatrixLike, probe: int) -> float:
-    """One-vs-rest m-parameter of a pure state: sqrt det of the probe's reduction."""
+    """One-vs-rest m-parameter of a pure state: sqrt det of the probe's reduction.
+
+    It takes the states ``is_pure`` takes; a spectrum off 1 within rounding raises "purity not resolvable".
+    """
     cov = _as_cov(sigma)
     if probe < 0 or probe >= cov.n_modes:
         raise ValueError(f"probe mode {probe} out of range")
-    if not is_pure(cov):
-        # the unit symplectic eigenvalues are resolved only to about eps * max|sigma|^2,
-        # so a spectrum off 1 by a few times that is unresolved, not mixed
-        floor = _rounding_floor(cov)
-        if PURITY_TOL < floor and np.max(np.abs(symplectic_eigenvalues(cov) - 1.0)) <= 32 * floor:
-            raise _not_resolvable("purity", floor)
+    _state_spectrum(cov)  # a matrix that is no state is refused as such
+    if max(abs(eta - 1.0) for eta in _state_spectrum(cov, "purity", PURITY_TOL, pure=True)) > PURITY_TOL:
         raise ValueError("global state must be pure for the one-vs-rest determinant rule")
     return float(math.sqrt(np.linalg.det(cov.block(probe, probe))))

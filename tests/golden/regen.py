@@ -1,7 +1,7 @@
-"""Record the bytes the CLI writes for the benchmark's tables, to pin them in tests/test_golden.py.
+"""Record the bytes the CLI writes, to pin them in tests/test_golden.py.
 
-Regenerate ``writer.json`` from the root of a checkout, and only where a
-change to the output bytes is intended and announced:
+Regenerate ``writer.json`` and ``streams.json`` from the root of a checkout,
+and only where a change to the output bytes is intended and announced:
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -13,6 +13,12 @@ bytes with every number token, inf and nan replaced by a placeholder) and
 every SAMPLE_EVERY-th token as ``float.hex``.  The environment the digests
 were taken in is recorded with them: the exact digests only hold where
 Python, numpy and the CPU features numpy dispatches on are the same.
+
+``streams.json`` holds the runs that write to the terminal: ``selftest``
+and ``selftest --quick``, a seeded stream of ``point`` calls in every
+scenario form and output format, and the documented failing argvs, one per
+nonzero exit code.  Their stdout is described as the file ``<stdout>``; their
+stderr, at most one line, is kept as text.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import io
 import json
 import os
 import platform
+import random
 import re
 import sys
 import tempfile
@@ -31,7 +38,9 @@ import numpy as np
 
 from rindlercv import cli
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "writer.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "writer.json")
+STREAMS = os.path.join(HERE, "streams.json")
 SAMPLE_EVERY = 97
 
 # a number as _fmt and JSON write it, or inf/nan, standing alone: not part of a name such as s0.25 or fig2
@@ -63,6 +72,40 @@ def runs() -> list[list[str]]:
     return argvs + [["figure", preset, "--out-dir", ".", "--plot-script"] for preset in cli.FIGURE_PRESETS]
 
 
+POINT_SEED = 2007
+POINT_DRAWS = 2
+# each point form: scenario and the (flag, low, high) its parameters are drawn from
+POINT_FORMS = [
+    ("single", (("s", 0.0, 3.0), ("r", 0.0, 3.0))),
+    ("single", (("s", 0.0, 3.0), ("accel", 0.5, 5.0), ("freq", 0.1, 2.0))),
+    ("double", (("s", 0.0, 3.0), ("a", 0.0, 3.0))),
+    ("double", (("s", 0.0, 3.0), ("l", 0.0, 3.0), ("n", 0.0, 3.0))),
+    ("frequency", (("lam", 0.3, 5.0), ("nu", 0.3, 5.0), ("accel", 1.0, 13.0), ("s", 0.0, 3.0))),
+]
+# one argv per nonzero exit code: usage, inconsistency, i/o, selftest failure
+FAILING = [
+    ["point", "single", "--s", "1", "--r", "0.5", "--quick"],
+    ["point", "single", "--s", "400", "--r", "0.5"],
+    ["--out", "no_such_dir/x.csv", "point", "single", "--s", "1", "--r", "0.5"],
+    ["selftest", "--tol", "0"],
+]
+
+
+def stream_runs() -> list[list[str]]:
+    """Every argv recorded in streams.json; the point parameters are drawn from random.Random(POINT_SEED)."""
+    rng = random.Random(POINT_SEED)
+    points = []
+    for scenario, params in POINT_FORMS:
+        for fmt in ("text", "csv", "json"):
+            for _ in range(POINT_DRAWS):
+                argv = [] if fmt == "text" else ["--format", fmt]
+                argv += ["point", scenario]
+                for name, lo, hi in params:
+                    argv += [f"--{name}", repr(round(rng.uniform(lo, hi), 6))]
+                points.append(argv)
+    return [["selftest"], ["selftest", "--quick"]] + points + FAILING
+
+
 def environment() -> dict:
     """Python, numpy and the CPU features numpy dispatches its kernels on here."""
     try:
@@ -86,13 +129,17 @@ def describe(data: bytes) -> dict:
             "floats": [float(token).hex() for token in tokens[::SAMPLE_EVERY]]}
 
 
-def record(argv: list[str]) -> dict:
-    """Run ``argv`` in an empty directory: its exit code and a description of each file it wrote."""
+def record(argv: list[str], streams: bool = False) -> dict:
+    """Run ``argv`` in an empty directory: its exit code and a description of each file it wrote.
+
+    With ``streams`` the record also describes stdout as the file ``<stdout>`` and keeps stderr as text.
+    """
     here = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as where:
         os.chdir(where)
         try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             files = {}
             for name in sorted(os.listdir(where)):
@@ -100,16 +147,24 @@ def record(argv: list[str]) -> dict:
                     files[name] = describe(fh.read())
         finally:
             os.chdir(here)
-    return {"argv": argv, "exit": code, "files": files}
+    if not streams:
+        return {"argv": argv, "exit": code, "files": files}
+    files["<stdout>"] = describe(out.getvalue().encode("utf-8"))
+    return {"argv": argv, "exit": code, "files": files, "stderr": err.getvalue()}
+
+
+def _write(path: str, argvs: list[list[str]], streams: bool) -> None:
+    golden = {"environment": environment(), "sample_every": SAMPLE_EVERY,
+              "runs": [record(argv, streams) for argv in argvs]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(golden, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(golden['runs'])} runs to {path}")
 
 
 def main() -> int:
-    golden = {"environment": environment(), "sample_every": SAMPLE_EVERY,
-              "runs": [record(argv) for argv in runs()]}
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(golden['runs'])} runs to {GOLDEN}")
+    _write(GOLDEN, runs(), streams=False)
+    _write(STREAMS, stream_runs(), streams=True)
     return 0
 
 

@@ -885,6 +885,18 @@ class TestArrayForms:
         for (i, j, k), value in np.ndenumerate(out):
             assert value == fn(float(s[i, 0, 0]), float(self.A[j]), float(self.A[::-1][k]))
 
+    def test_frequency_condition(self):
+        """Floats in, (float, float, bool) out; arrays give, element by element, the bits of the point calls."""
+        point = ea.frequency_condition(0.7, 1.3, 2 * math.pi)
+        assert [type(value) for value in point] == [float, float, bool]
+        lam, nu = np.meshgrid(self.A[1:], [0.3, 1.0, 12.0], indexing="ij")
+        condition, margin, separable = ea.frequency_condition(lam, nu, 2 * math.pi)
+        expected = [[ea.frequency_condition(float(x), float(y), 2 * math.pi) for x, y in zip(*row)]
+                    for row in zip(lam, nu)]
+        assert np.stack([condition, margin], axis=-1).tolist() == [[list(c[:2]) for c in row] for row in expected]
+        assert separable.tolist() == [[c[2] for c in row] for row in expected]
+        assert ea.frequency_separability(0.7, 1.3, 2 * math.pi) is point[2]
+
     def test_deficit_argument_order(self):
         assert ea.classical_deficit(self.A, 1.5).tolist() == [ea.classical_deficit(a, 1.5) for a in self.A]
 

@@ -1,10 +1,10 @@
-"""The tables and figure files the CLI writes keep the bytes recorded in tests/golden/writer.json.
+"""The CLI keeps the bytes recorded in tests/golden: tables and figure files in writer.json, stdout and stderr in streams.json.
 
 Where Python, numpy and numpy's dispatched CPU features are those of the
 recording, every file's sha256 must match.  Elsewhere a kernel may round
 differently, so each file's skeleton (its bytes with every number replaced)
 must match and each sampled number must lie within a few ulps of the
-recorded one.
+recorded one.  Stderr must match as text everywhere.
 """
 
 import importlib.util
@@ -21,7 +21,10 @@ _spec.loader.exec_module(regen)
 
 with open(regen.GOLDEN, encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
+with open(regen.STREAMS, encoding="utf-8") as _fh:
+    STREAMS = json.load(_fh)
 SAME_ENVIRONMENT = GOLDEN["environment"] == regen.environment()
+STREAMS_SAME_ENVIRONMENT = STREAMS["environment"] == regen.environment()
 ULPS = 4
 
 
@@ -36,13 +39,19 @@ def test_the_recording_covers_the_benchmark_tables():
     assert GOLDEN["sample_every"] == regen.SAMPLE_EVERY
 
 
-@pytest.mark.parametrize("want", GOLDEN["runs"], ids=[" ".join(run["argv"][:6]) for run in GOLDEN["runs"]])
-def test_written_bytes_match_the_recording(want):
-    got = regen.record(want["argv"])
+def test_the_recording_covers_the_terminal_runs():
+    assert [run["argv"] for run in STREAMS["runs"]] == regen.stream_runs()
+    assert STREAMS["sample_every"] == regen.SAMPLE_EVERY
+    assert sorted({run["exit"] for run in STREAMS["runs"]}) == [0, 2, 3, 4, 5]
+    for run in STREAMS["runs"]:
+        assert run["stderr"].count("\n") == (run["exit"] in (2, 3, 4)), run["argv"]
+
+
+def _assert_matches(got: dict, want: dict, same_environment: bool) -> None:
     assert got["exit"] == want["exit"]
     assert sorted(got["files"]) == sorted(want["files"])
     for name, file in want["files"].items():
-        if SAME_ENVIRONMENT:
+        if same_environment:
             assert got["files"][name] == file, name
             continue
         assert got["files"][name]["skeleton_sha256"] == file["skeleton_sha256"], name
@@ -50,3 +59,15 @@ def test_written_bytes_match_the_recording(want):
         assert len(floats) == len(file["floats"]), name
         for k, (g, w) in enumerate(zip(floats, file["floats"])):
             assert close(float.fromhex(g), float.fromhex(w)), (name, k * regen.SAMPLE_EVERY, g, w)
+
+
+@pytest.mark.parametrize("want", GOLDEN["runs"], ids=[" ".join(run["argv"][:6]) for run in GOLDEN["runs"]])
+def test_written_bytes_match_the_recording(want):
+    _assert_matches(regen.record(want["argv"]), want, SAME_ENVIRONMENT)
+
+
+@pytest.mark.parametrize("want", STREAMS["runs"], ids=[" ".join(run["argv"]) for run in STREAMS["runs"]])
+def test_terminal_output_matches_the_recording(want):
+    got = regen.record(want["argv"], streams=True)
+    assert got["stderr"] == want["stderr"]
+    _assert_matches(got, want, STREAMS_SAME_ENVIRONMENT)

@@ -264,8 +264,27 @@ class TestPptAndNegativity:
             (reduce(build_double_observer_cm(2.0, 1.0, 1.0), (1, 2)), True),
             (vacuum_cm(2), True),
         ]
-        for sigma, _ in states:
-            assert (log_negativity(sigma, (0,)) == 0.0) == ppt_separable(sigma, (0,))
+        # deep Leo-Nadia reductions: the measures answer together or refuse together
+        deep = [reduce(build_double_observer_cm(*point), (1, 2)) for point in ((12, 0, 1e-3), (16, 0.5, 0.3),
+                                                                                (20, 0.5, 0.3))]
+        verdicts = []
+        for sigma in [sigma for sigma, _ in states] + deep:
+            try:
+                separable = ppt_separable(sigma, (0,))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    log_negativity(sigma, (0,))
+                verdicts.append(None)
+                continue
+            assert (log_negativity(sigma, (0,)) == 0.0) == separable
+            verdicts.append(separable)
+        assert verdicts[-3:] == [False, False, None]
+
+    @pytest.mark.parametrize("measure", [ppt_separable, log_negativity], ids=["ppt_separable", "log_negativity"])
+    def test_ppt_measures_refuse_a_positive_definite_non_state(self, measure):
+        """0.5 I is positive definite with eta- = 0.5: Simon's criterion does not apply to it."""
+        with pytest.raises(ValueError, match=r"^state is not physical \(min symplectic eigenvalue 0\.5"):
+            measure(0.5 * np.eye(4), (0,))
 
     def test_bipartition_validation(self):
         sigma = build_double_observer_cm(1.0, 0.5, 0.5)

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import sys
 import threading
 import warnings
@@ -261,11 +263,35 @@ class TestBonaFide:
         assert is_bona_fide(build_double_observer_cm(s, r, 0.5 * r))
 
     def test_deep_squeezing_corner_physical_to_float_resolution(self):
-        # at s = r = 3 the unit symplectic eigenvalues of the pure state are
-        # only determined to ~1e-7 in double precision (conditioning ~ eps*|sigma|^2),
-        # so the bona fide check needs the matching tolerance there
-        assert is_bona_fide(build_single_observer_cm(3.0, 3.0), tol=1e-6)
-        assert is_bona_fide(build_double_observer_cm(3.0, 3.0, 3.0), tol=1e-6)
+        assert is_bona_fide(build_single_observer_cm(3.0, 3.0))
+        assert is_bona_fide(build_double_observer_cm(3.0, 3.0, 3.0))
+
+    def test_every_pure_built_state_is_bona_fide(self):
+        """420 built states: single (s, r) and double (s, l, n) over the squeezings below, l and n in {0, 0.5, 1, 3}.
+
+        A few deep ones have a spectrum that cannot be paired; both predicates raise on those.
+        """
+        squeezings = [0, 0.25, 0.5, 1, 1.5, 2, 2.5, 3, 4, 5, 6, 8, 10, 20]
+        states = [build_single_observer_cm(s, r) for s in squeezings for r in squeezings]
+        states += [build_double_observer_cm(s, l, n) for s in squeezings for l in (0, 0.5, 1, 3) for n in (0, 0.5, 1, 3)]
+        assert len(states) == 420
+        contradictions = []
+        for k, sigma in enumerate(states):
+            try:
+                symplectic_eigenvalues(sigma)
+            except ValueError:
+                continue
+            if is_pure(sigma) and not is_bona_fide(sigma):
+                contradictions.append(k)
+        assert contradictions == []
+
+    @given(st.floats(0.0, 4.0), st.floats(-1.0, 1.0), st.floats(-3e-6, 3e-6), st.floats(-3e-6, 3e-6))
+    @settings(max_examples=80, deadline=None)
+    def test_pure_implies_bona_fide_near_unit_spectra(self, r, z, d1, d2):
+        """S diag(1 + d1, 1 + d1, 1 + d2, 1 + d2) S^T with S a two-mode and a local squeezer."""
+        S = two_mode_squeezer(r, 0, 1, 2).mat @ np.diag([math.exp(z), math.exp(-z), 1.0, 1.0])
+        sigma = CovMatrix(S @ np.diag([1 + d1, 1 + d1, 1 + d2, 1 + d2]) @ S.T)
+        assert is_bona_fide(sigma) or not is_pure(sigma)
 
     @pytest.mark.parametrize("mat", [np.diag([-1.0, -1.0, 1.0, 1.0]), np.diag([-1.0, 1.0, 1.0, 1.0]),
                                      np.diag([0.5, 0.5, 1.0, 1.0]), -np.eye(4)],
@@ -756,3 +782,32 @@ class TestOverflow:
             warnings.simplefilter("error")
             etas = symplectic_eigenvalues(CovMatrix(np.diag([1e308, 1e308, 1.02, 1.02])))
         assert etas.tolist() == [1.02, 1e308]
+
+
+class TestOneGate:
+    """Whether a matrix is a state, and whether a value is resolved, is decided in phase_space alone."""
+
+    FLOOR_INTERNALS = {"FLOOR_FACTOR", "_EPS", "_not_resolvable", "_NotPhysical", "_lowest_eigenvalue",
+                       "_rounding_floor", "_indefinite", "EIGEN_FLOOR_EPS"}
+
+    def test_no_other_module_reads_the_floor_internals(self):
+        """No import, attribute or name of the gate's floor internals, nor the string of its memo key, outside it."""
+        package = pathlib.Path(phase_space.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "phase_space.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom) else {
+                    getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)}
+                found += [(path.name, name) for name in self.FLOOR_INTERNALS & names]
+        assert found == []
+
+    def test_one_floor_factor(self):
+        """src holds one floor factor: FLOOR_FACTOR, and no literal 32 anywhere else."""
+        package = pathlib.Path(phase_space.__file__).parent
+        literals = [(path.name, node.lineno) for path in sorted(package.glob("*.py"))
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 32]
+        source = (package / "phase_space.py").read_text(encoding="utf-8").splitlines()
+        assert literals == [("phase_space.py", source.index("FLOOR_FACTOR = 32") + 1)]

@@ -63,6 +63,19 @@ class TestUnruhMap:
         oracle = mp.asinh(mp.exp(-x) / mp.sqrt(1 - mp.exp(-2 * x)))
         assert accel_to_squeezing(accel, freq) == pytest.approx(float(oracle), rel=4e-16)
 
+    @pytest.mark.parametrize("r", [1e-8, 0.5, 5.0, 10.0, 15.0, 19.0, 20.0, 30.0])
+    def test_ratio_mpmath_oracle(self, r):
+        """-ln tanh r to 2 eps where the old -log(tanh r) lost every digit (r >= 19), and round-trips to r."""
+        with mp.workdps(80):
+            oracle = -mp.log(mp.tanh(mp.mpf(r))) / mp.pi
+            assert abs(squeezing_to_ratio(r) - oracle) <= 2 * sys.float_info.epsilon * oracle
+        assert accel_to_squeezing(1.0, squeezing_to_ratio(r)) == pytest.approx(r, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-300, 0.5, 20.0, 354.0, 355.0, 400.0, 1e300])
+    def test_ratio_is_never_negative(self, r):
+        ratio = squeezing_to_ratio(r)
+        assert ratio >= 0.0 and math.copysign(1.0, ratio) == 1.0
+
     def test_array_form_is_the_scalar_form(self):
         freqs = np.array([1e-6, 0.3, 1.0, 38.0, 200.0])
         rs = accel_to_squeezing(np.array([[0.32421875], [6.0]]), freqs)
