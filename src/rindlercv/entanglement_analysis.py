@@ -30,10 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .info_measures import (M_CLAMP_TOL, InconsistencyError, MeasureReport, _clamp_separable, _contangle, _entropy_f,
-                            _m_leo_nadia, _where)
-from .phase_space import CovMatrix, _squeezed_vacuum, two_mode_squeezer
-from .rindler_frames import _require_domain, accel_to_squeezing
+from .info_measures import M_CLAMP_TOL, InconsistencyError, MeasureReport, _contangle, _entropy_f, _m_leo_nadia, _where
+from .phase_space import CovMatrix, reduce
+from .rindler_frames import _require_domain, accel_to_squeezing, build_double_observer_cm
 
 RESIDUAL_TOL = 1e-9
 
@@ -368,7 +367,7 @@ def _m_ln_infinite_squeezing(l, n):
     shl, shn = np.sinh(l), np.sinh(n)
     num = np.cosh(2 * l) * np.cosh(2 * n) - 4.0 * shl * shn + 3.0
     den = 2.0 * (shl + shn) ** 2
-    return _where(shl * shn >= 1.0, 1.0, _clamp_separable(num / den))
+    return _where(shl * shn >= 1.0, 1.0, np.maximum(num / den, 1.0))
 
 
 def m_ln_infinite_squeezing(l, n):
@@ -445,12 +444,15 @@ def _bound_ansatz_t(s, a):
 def tripartite_bound_ansatz_cm(s: float, a: float) -> CovMatrix:
     """Pure three-mode state majorized by the anti-Leo/Leo/Nadia reduction.
 
-    Built by squeezing Leo against Nadia with the matching parameter
-    t = arccosh(K)/2 and then Leo against anti-Leo with a; it bounds the
-    mixed-state one-vs-two contangles of the reduction from above.
+    The two-observer state with Nadia inertial at inertial squeezing
+    t = arccosh(K)/2, reduced to (anti-Leo, Leo, Nadia): Leo squeezed against
+    Nadia with t and then against anti-Leo with a.  It bounds the mixed-state
+    one-vs-two contangles of the reduction from above.
     """
     t = _evaluate(_bound_ansatz_t, s=s, a=a)
-    return _squeezed_vacuum(two_mode_squeezer(t, 1, 2, 3), two_mode_squeezer(a, 1, 0, 3))
+    if t == math.inf:  # sinh^2 a + sech^2 s underflows (s past 355, a below 1e-154): the squeezer overflows
+        raise ValueError("symplectic matrix entries must be finite")
+    return reduce(build_double_observer_cm(t, a, 0.0), (0, 1, 2))
 
 
 def _tripartite_upper_bound(s, a):

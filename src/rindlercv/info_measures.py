@@ -53,9 +53,6 @@ from .phase_space import (
 from .rindler_frames import _require_domain
 
 M_CLAMP_TOL = 1e-9
-# branch boundaries are decided on the analytic condition; an m landing
-# within this window of 1 is the separable value up to roundoff
-SEPARABLE_CLAMP = 1e-9
 GMEMMS_SPECTRUM_TOL = 1e-6
 FAMILY_RTOL = 1e-6
 
@@ -97,10 +94,6 @@ def _entropy_f(x):
     return _above_one(x, np.log(0.5 * (x + 1.0)) + 0.5 * (x - 1.0) * np.log1p(2.0 / (x - 1.0)))
 
 
-def _clamp_separable(m):
-    return _where(m <= 1.0 + SEPARABLE_CLAMP, 1.0, m)
-
-
 def _m_leo_nadia(s, l, n):
     """m of the thermal squeezed family in its squeezing parameters: the double report's Leo-Nadia m."""
     shl, shn = np.sinh(l), np.sinh(n)
@@ -109,7 +102,7 @@ def _m_leo_nadia(s, l, n):
            - 4.0 * shl * shn * sh2s - 1.0)
     # 2 cosh^2 s - 2 sinh^2 s written as 2: no cancellation at large s
     den = 2.0 * (2.0 + 2.0 * (shl ** 2 + shn ** 2) * chs2 + 2.0 * shl * shn * sh2s)
-    return _where(np.tanh(s) <= shl * shn, 1.0, _clamp_separable(num / den))
+    return _where(np.tanh(s) <= shl * shn, 1.0, np.maximum(num / den, 1.0))
 
 
 def _checked(kernel, x, name: str, below_floor):

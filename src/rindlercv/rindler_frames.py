@@ -7,8 +7,11 @@ Starting from an inertially two-mode-squeezed field (parameter s), one
 accelerated observer therefore sees a pure three-mode state (inertial
 Alice, Rob in wedge I, virtual anti-Rob in wedge II) and two accelerated
 observers see a pure four-mode state (anti-Leo, Leo, Nadia, anti-Nadia).
+The three-mode state is the four-mode one with Leo inertial (l = 0):
+(A, R, anti-R) are its (L, N, anti-N), and the one-observer constructors
+return that reduction.
 
-Each scenario state is built two independent ways: numerically, by
+The four-mode state is built two independent ways: numerically, by
 composing two-mode squeezers on the vacuum, and analytically, from the
 closed-form 2x2 blocks.  The test suite holds the two routes to entrywise
 agreement; each is the other's oracle.
@@ -22,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _squeezed_vacuum, _state_spectrum,
+from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _squeezed_vacuum, _state_spectrum, reduce,
                           two_mode_squeezer)
 
 ACCEL_SPEC_RTOL = 1e-10
@@ -134,7 +137,8 @@ class ScenarioLayout:
             raise KeyError(f"unknown role {role!r}; expected one of {self.roles}") from None
 
 
-#: One accelerated observer: inertial Alice, Rob (wedge I), anti-Rob (wedge II).
+#: One accelerated observer: inertial Alice, Rob (wedge I), anti-Rob (wedge II), the (L, N, Nbar) of the
+#: two-observer state with Leo inertial.
 SINGLE_LAYOUT = ScenarioLayout(("A", "R", "Rbar"))
 #: Two accelerated observers, in block order anti-Leo, Leo, Nadia, anti-Nadia.
 DOUBLE_LAYOUT = ScenarioLayout(("Lbar", "L", "N", "Nbar"))
@@ -143,35 +147,19 @@ DOUBLE_LAYOUT = ScenarioLayout(("Lbar", "L", "N", "Nbar"))
 def build_single_observer_cm(s: float, r: float) -> CovMatrix:
     """Three-mode state seen with one accelerated observer, by squeezer composition.
 
-    The inertial two-mode squeezer (s) entangles Alice with the wedge-I mode,
-    then the acceleration squeezer (r) entangles the two Rindler wedges.
+    The (Leo, Nadia, anti-Nadia) reduction of :func:`build_double_observer_cm`
+    with Leo inertial (l = 0): the inertial squeezer (s) entangles Alice with
+    the wedge-I mode, then the acceleration squeezer (r) entangles the two
+    Rindler wedges.
     """
     _require_domain(s=s, r=r)
-    return _squeezed_vacuum(two_mode_squeezer(s, 0, 1, 3), two_mode_squeezer(r, 1, 2, 3))
+    return reduce(build_double_observer_cm(s, 0.0, r), (1, 2, 3))
 
 
 def single_observer_blocks(s: float, r: float) -> CovMatrix:
-    """The same three-mode state assembled from its closed-form 2x2 blocks."""
+    """The same three-mode state, the matching reduction of :func:`double_observer_blocks`."""
     _require_domain(s=s, r=r)
-    ch2s, sh2s = math.cosh(2 * s), math.sinh(2 * s)
-    chr2, shr2 = math.cosh(r) ** 2, math.sinh(r) ** 2
-    sig_a = ch2s * _I2
-    sig_r = (ch2s * chr2 + shr2) * _I2
-    sig_rbar = (chr2 + ch2s * shr2) * _I2
-    eps_ar = (math.cosh(r) * sh2s) * _Z2
-    eps_arbar = (math.sinh(r) * sh2s) * _I2
-    eps_rrbar = (math.cosh(s) ** 2 * math.sinh(2 * r)) * _Z2
-    out = np.zeros((6, 6))
-    out[0:2, 0:2] = sig_a
-    out[2:4, 2:4] = sig_r
-    out[4:6, 4:6] = sig_rbar
-    out[0:2, 2:4] = eps_ar
-    out[2:4, 0:2] = eps_ar.T
-    out[0:2, 4:6] = eps_arbar
-    out[4:6, 0:2] = eps_arbar.T
-    out[2:4, 4:6] = eps_rrbar
-    out[4:6, 2:4] = eps_rrbar.T
-    return CovMatrix(out)
+    return reduce(double_observer_blocks(s, 0.0, r), (1, 2, 3))
 
 
 def build_double_observer_cm(s: float, l: float, n: float) -> CovMatrix:
@@ -189,9 +177,11 @@ def build_double_observer_cm(s: float, l: float, n: float) -> CovMatrix:
 
 
 def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
-    """The same four-mode state assembled from its closed-form 2x2 blocks."""
+    """The same four-mode state assembled from its closed-form 2x2 blocks.
+
+    An entry that overflows is refused as the builders refuse it, with a ValueError and no numpy warning.
+    """
     _require_domain(s=s, l=l, n=n)
-    ch2s, sh2s, chs2 = math.cosh(2 * s), math.sinh(2 * s), math.cosh(s) ** 2
 
     def local_bar(x):  # anti-observer marginal
         return (math.cosh(x) ** 2 + ch2s * math.sinh(x) ** 2) * _I2
@@ -205,15 +195,19 @@ def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
     def bar_cross(x, y):  # anti-observer of x with the other observer y
         return (math.cosh(y) * sh2s * math.sinh(x)) * _I2
 
-    bars_cross = (sh2s * math.sinh(l) * math.sinh(n)) * _Z2  # the two anti-observers
-    observers = (math.cosh(l) * math.cosh(n) * sh2s) * _Z2   # Leo with Nadia
-
+    try:  # past the float range math.cosh, math.sinh and ** raise, and a product is inf (NaN times a 0 of I or Z)
+        ch2s, sh2s, chs2 = math.cosh(2 * s), math.sinh(2 * s), math.cosh(s) ** 2
+        with np.errstate(invalid="ignore"):  # a non-finite entry is refused by CovMatrix
+            bars_cross = (sh2s * math.sinh(l) * math.sinh(n)) * _Z2  # the two anti-observers
+            observers = (math.cosh(l) * math.cosh(n) * sh2s) * _Z2   # Leo with Nadia
+            blocks = {
+                (0, 0): local_bar(l), (1, 1): local(l), (2, 2): local(n), (3, 3): local_bar(n),
+                (0, 1): wedge_pair(l), (0, 2): bar_cross(l, n), (0, 3): bars_cross,
+                (1, 2): observers, (1, 3): bar_cross(n, l), (2, 3): wedge_pair(n),
+            }
+    except OverflowError:
+        raise ValueError("covariance matrix entries must be finite") from None
     out = np.zeros((8, 8))
-    blocks = {
-        (0, 0): local_bar(l), (1, 1): local(l), (2, 2): local(n), (3, 3): local_bar(n),
-        (0, 1): wedge_pair(l), (0, 2): bar_cross(l, n), (0, 3): bars_cross,
-        (1, 2): observers, (1, 3): bar_cross(n, l), (2, 3): wedge_pair(n),
-    }
     for (i, j), blk in blocks.items():
         out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk
         if i != j:

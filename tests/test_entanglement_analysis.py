@@ -607,6 +607,41 @@ class TestClosedFormNumericDuality:
                 assert ppt_separable(reduce(sigma, pair), (0,))
 
 
+class TestOneObserverIsLeoInertial:
+    """The single report is the double report at l = 0: two derivations of one state, not two transcriptions.
+
+    Each closed form also has an mpmath transcription below, which checks its
+    digits but not its derivation; this comparison checks the derivations.
+    """
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(2007)
+        s, r = rng.uniform(0.0, 20.0, (2, 4000))
+        edges = np.array([0.0, 1e-8, 1.0, 12.0, 20.0])  # (1, 12): the pair the old clamp declared separable
+        return np.concatenate([s, np.repeat(edges, 5)]), np.concatenate([r, np.tile(edges, 5)])
+
+    def test_single_report_is_the_double_report_at_rest(self):
+        s, r = self.points()
+        one, two = ea.single_report_columns(s, r), ea.double_report_columns(s, 0.0, r)
+        for single, double in (("m_a_vs_rest", "m_l_vs_rest"), ("m_r_vs_rest", "m_n_vs_rest"),
+                               ("m_rbar_vs_rest", "m_nbar_vs_rest"), ("m_r_rbar", "m_n_nbar"),
+                               ("tau_r_rbar", "tau_n_nbar")):
+            assert one[single].tobytes() == two[double].tobytes(), (single, double)
+        ulps = np.abs(one["m_ar"] - two["m_l_n"]) / np.spacing(np.maximum(one["m_ar"], two["m_l_n"]))
+        assert ulps.max() <= 8
+        for single, double in (("tau_ar", "tau_l_n"), ("mutual_info_ar", "mutual_info_ln")):
+            deviation = np.abs(one[single] - two[double]) / np.maximum(1.0, np.abs(one[single]))
+            assert deviation.max() <= 1e-13, (single, double)
+
+    def test_classical_deficit_is_the_double_reports_difference(self):
+        """D(a, s) is I(Leo|Nadia) with Leo inertial minus I(Leo|Nadia) at l = n = a."""
+        s, a = self.points()
+        at_rest = ea.double_report_columns(s, 0.0, a)["mutual_info_ln"]
+        equal = ea.double_report_columns(s, a, a)["mutual_info_ln"]
+        np.testing.assert_allclose(ea.classical_deficit(a, s), at_rest - equal, rtol=0.0, atol=1e-13)
+
+
 def mp_m_leo_nadia(s, l, n):
     """The Leo-Nadia m-parameter in 40-digit arithmetic, from the uncancelled closed form."""
     s, l, n = mp.mpf(s), mp.mpf(l), mp.mpf(n)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import pathlib
 import sys
@@ -767,6 +768,10 @@ class TestOverflow:
         (build_single_observer_cm, (400, 0.0), "covariance matrix entries must be finite"),
         (build_single_observer_cm, (0, 800), "symplectic matrix entries must be finite"),
         (build_double_observer_cm, (0, 0.5, 800), "symplectic matrix entries must be finite"),
+        (double_observer_blocks, (300, 0, 300), "covariance matrix entries must be finite"),
+        (double_observer_blocks, (400, 0.5, 0.5), "covariance matrix entries must be finite"),
+        (single_observer_blocks, (300, 300), "covariance matrix entries must be finite"),
+        (single_observer_blocks, (400, 0.5), "covariance matrix entries must be finite"),
         (two_mode_squeezer, (800.0, 0, 1, 2), "symplectic matrix entries must be finite"),
         (two_mode_squeezer, (-800.0, 0, 1, 2), "symplectic matrix entries must be finite"),
     ])
@@ -776,6 +781,21 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build(*args)
+
+    @pytest.mark.parametrize("blocks,n_params", [(double_observer_blocks, 3), (single_observer_blocks, 2)])
+    def test_blocks_over_an_overflow_grid(self, blocks, n_params):
+        """The closed-form blocks give a finite state or the builders' ValueError, from 0 out to 1e300."""
+        edges = (0.0, 1e-300, 0.5, 20.0, 177.0, 178.0, 300.0, 355.0, 356.0, 400.0, 800.0, 1e300)
+        refused = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for params in itertools.product(edges, repeat=n_params):
+                try:
+                    assert np.isfinite(blocks(*params).mat).all()
+                except ValueError as exc:
+                    assert str(exc) == "covariance matrix entries must be finite", params
+                    refused += 1
+        assert 0 < refused < len(edges) ** n_params
 
     def test_huge_spectrum_is_finite(self):
         with warnings.catch_warnings():

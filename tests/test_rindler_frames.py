@@ -1,5 +1,8 @@
+import ast
 import math
+import pathlib
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rindlercv import entanglement_analysis as ea
+from rindlercv import rindler_frames
 from rindlercv.info_measures import contangle_from_m, two_mode_m
 from rindlercv.phase_space import (CovMatrix, apply_congruence, is_bona_fide, reduce, symplectic_eigenvalues,
                                    two_mode_squeezer, vacuum_cm)
@@ -281,3 +286,66 @@ class TestStructuralInvariants:
         sigma = build_double_observer_cm(s, l, n)
         m_group = math.sqrt(np.linalg.det(reduce(sigma, (0, 1)).mat))
         assert contangle_from_m(m_group) == pytest.approx(4 * s * s, rel=1e-7, abs=1e-9)
+
+
+def outcome(call):
+    """call()'s matrix as bytes, or the type and message of the ValueError it raised; a numpy warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call().mat.tobytes()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+
+def composition_points():
+    """Seeded pairs in [0, 20]^2, then a grid from 0 out to 1e300, where squeezers, states or blocks overflow."""
+    edges = (0.0, 1e-300, 0.5, 1.0, 12.0, 100.0, 178.0, 300.0, 355.0, 356.0, 400.0, 800.0, 1e300)
+    rng = np.random.default_rng(2007)
+    return [tuple(p) for p in rng.uniform(0.0, 20.0, (1000, 2)).tolist()] + [(x, y) for x in edges for y in edges]
+
+
+class TestOneComposition:
+    """Every scenario state is the two-observer state or a reduction of it with one observer inertial."""
+
+    @pytest.mark.parametrize("single,double", [(build_single_observer_cm, build_double_observer_cm),
+                                               (single_observer_blocks, double_observer_blocks)],
+                             ids=["composition", "blocks"])
+    def test_one_observer_is_the_two_observer_state_with_leo_inertial(self, single, double):
+        """(A, R, anti-R) are (L, N, anti-N) at l = 0, bit for bit, refusals included."""
+        for s, r in composition_points():
+            assert outcome(lambda: single(s, r)) == outcome(lambda: reduce(double(s, 0.0, r), (1, 2, 3))), (s, r)
+
+    @pytest.mark.parametrize("single", [build_single_observer_cm, single_observer_blocks])
+    def test_one_observer_names_its_own_parameters(self, single):
+        with pytest.raises(ValueError, match=r"^r must be finite and nonnegative, got -0.5$"):
+            single(1.0, -0.5)
+        with pytest.raises(ValueError, match=r"^s must be finite and nonnegative, got inf$"):
+            single(math.inf, 0.5)
+
+    def test_bound_ansatz_is_the_two_observer_state_with_nadia_inertial(self):
+        """The ansatz at (s, a) is (anti-L, L, N) at inertial squeezing t and n = 0, bit for bit, refusals included.
+
+        Where sinh^2 a + sech^2 s underflows, t is infinite: its squeezer overflows, as it did when the
+        ansatz composed its own chain.
+        """
+        for s, a in composition_points():
+            t = ea._evaluate(ea._bound_ansatz_t, s=s, a=a)
+            expected = ((ValueError, "symplectic matrix entries must be finite") if t == math.inf
+                        else outcome(lambda: reduce(build_double_observer_cm(t, a, 0.0), (0, 1, 2))))
+            assert outcome(lambda: ea.tripartite_bound_ansatz_cm(s, a)) == expected, (s, a)
+
+    def test_squeezed_vacuum_has_one_caller(self):
+        """The squeezer chain on the vacuum is composed in build_double_observer_cm alone."""
+        def callers(node, where):
+            for child in ast.iter_child_nodes(node):
+                func = getattr(child, "func", None)
+                if isinstance(child, ast.Call) and "_squeezed_vacuum" in (getattr(func, "id", None),
+                                                                          getattr(func, "attr", None)):
+                    yield where
+                yield from callers(child, getattr(child, "name", where))
+
+        package = pathlib.Path(rindler_frames.__file__).parent
+        found = [(path.name, caller) for path in sorted(package.glob("*.py"))
+                 for caller in callers(ast.parse(path.read_text(encoding="utf-8")), "<module>")]
+        assert found == [("rindler_frames.py", "build_double_observer_cm")]
