@@ -15,6 +15,10 @@ call and return its columns in report field order; the per-point reports
 are their 0-d calls, which come back as plain floats, bools and None after
 one check pass over the cells.
 
+Each quantity has one closed form: the one-observer m's are the two-observer
+kernels with Leo inertial (l = 0), and Leo-Nadia death, tanh s - sinh l sinh n
+<= 0, is one mask that the Leo-Nadia m, r_eff and a* all read.
+
 Diverging quantities (the maximal surviving contangle at zero acceleration,
 the effective single-observer acceleration past the entanglement-death
 threshold) return ``math.inf`` rather than any sentinel value.
@@ -30,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .info_measures import M_CLAMP_TOL, InconsistencyError, MeasureReport, _contangle, _entropy_f, _m_leo_nadia, _where
+from .info_measures import (M_CLAMP_TOL, InconsistencyError, MeasureReport, _anywhere, _contangle, _entropy_f,
+                            _leo_nadia_death, _m_leo_nadia, _where)
 from .phase_space import CovMatrix, reduce
 from .rindler_frames import _require_domain, accel_to_squeezing, build_double_observer_cm
 
@@ -70,8 +75,7 @@ def _evaluate(kernel, name=None, /, **params):
     values = tuple(v if isinstance(v, np.ndarray) and v.ndim else float(v)
                    for v in (out if isinstance(out, tuple) else (out,)))
     for value in values:
-        nan = value != value
-        if nan if isinstance(nan, bool) else nan.any():
+        if _anywhere(nan := value != value):
             where = _point_at(params, np.shape(nan), int(np.argmax(nan)))
             raise InconsistencyError(f"{name or kernel.__name__.lstrip('_')} undefined at {where}")
     return values if isinstance(out, tuple) else values[0]
@@ -181,15 +185,9 @@ def _masked(values, mask):
 # One accelerated observer (Alice inertial, Rob accelerated).
 # ---------------------------------------------------------------------------
 
-def _m_alice_rob(s, r):
-    shr2 = np.sinh(r) ** 2
-    ch2r, ch2s = np.cosh(2 * r), np.cosh(2 * s)
-    return (2.0 * shr2 + (ch2r + 3.0) * ch2s) / (2.0 * ch2s * shr2 + ch2r + 3.0)
-
-
 def m_alice_rob(s, r):
-    """m between Alice and Rob: [2 sinh^2 r + (cosh 2r + 3) cosh 2s] / [2 cosh 2s sinh^2 r + cosh 2r + 3]."""
-    return _evaluate(_m_alice_rob, s=s, r=r)
+    """m between Alice and Rob: the Leo-Nadia m with Leo inertial, m_leo_nadia(s, 0, r)."""
+    return _evaluate(lambda s, r: _pairwise_m_double(s, 0.0, r)[2], "m_alice_rob", s=s, r=r)
 
 
 def contangle_ar(s: float, r: float) -> MeasureReport:
@@ -227,20 +225,26 @@ def r_star(s):
     return _evaluate(_r_star, s=s)
 
 
-def _one_vs_rest_m_single(s, r):
-    ch2s, chr2, shr2 = np.cosh(2 * s), np.cosh(r) ** 2, np.sinh(r) ** 2
-    return ch2s, ch2s * chr2 + shr2, chr2 + ch2s * shr2
-
-
 def one_vs_rest_m_single(s, r):
-    """Closed-form one-vs-rest m for probes (Alice, Rob, anti-Rob)."""
-    return _evaluate(_one_vs_rest_m_single, s=s, r=r)
+    """Closed-form one-vs-rest m for probes (Alice, Rob, anti-Rob): those of (Leo, Nadia, anti-Nadia) at l = 0."""
+    return _evaluate(lambda s, r: _one_vs_rest_m_double(s, 0.0, r)[1:], "one_vs_rest_m_single", s=s, r=r)
 
 
-def _residual_tripartite(s, r):
-    m_rbar = _one_vs_rest_m_single(s, r)[2]
-    return _where(np.sinh(r) < np.tanh(s), _contangle(m_rbar) - 4.0 * r * r,
-                    4.0 * s * s - _contangle(_m_alice_rob(s, r)))
+def _mutual_info_ar(m_a, m_r, m_rbar):
+    """f(m_A) + f(m_R) - f(m_Rbar): on the pure three-mode state each one-vs-rest m is a marginal root."""
+    return _entropy_f(m_a) + _entropy_f(m_r) - _entropy_f(m_rbar)
+
+
+def _single_cells(s, r) -> dict:
+    """The single report's cells from s to mutual_info_ar, in field order: the two-observer kernels at l = 0."""
+    _, m_a, m_r, m_rbar = _one_vs_rest_m_double(s, 0.0, r)
+    _, m_r_rbar, m_ar = _pairwise_m_double(s, 0.0, r)
+    tau_ar = _contangle(m_ar)
+    return {"s": s, "r": r, "m_a_vs_rest": m_a, "m_r_vs_rest": m_r, "m_rbar_vs_rest": m_rbar,
+            "m_ar": m_ar, "m_r_rbar": m_r_rbar, "tau_ar": tau_ar, "tau_r_rbar": _contangle(m_r_rbar),
+            "residual_tripartite": _where(np.sinh(r) < np.tanh(s), _contangle(m_rbar) - 4.0 * r * r,
+                                          4.0 * s * s - tau_ar),
+            "mutual_info_ar": _mutual_info_ar(m_a, m_r, m_rbar)}
 
 
 def residual_tripartite(s, r):
@@ -251,17 +255,12 @@ def residual_tripartite(s, r):
     is chosen on the analytic condition sinh r < tanh s, not on the computed
     m values, to avoid chatter at the threshold.
     """
-    return _evaluate(_residual_tripartite, s=s, r=r)
-
-
-def _mutual_info_ar(s, r):
-    m_a, m_r, m_rbar = _one_vs_rest_m_single(s, r)
-    return _entropy_f(m_a) + _entropy_f(m_r) - _entropy_f(m_rbar)
+    return _evaluate(lambda s, r: _single_cells(s, r)["residual_tripartite"], "residual_tripartite", s=s, r=r)
 
 
 def mutual_info_ar(s, r):
     """Mutual information between Alice and Rob: f(a) + f(b) - f(c) on the marginal roots."""
-    return _evaluate(_mutual_info_ar, s=s, r=r)
+    return _evaluate(_mutual_info_leo_inertial, "mutual_info_ar", s=s, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +311,20 @@ def one_vs_rest_m_double(s, l, n):
 
 
 def _r_effective(s, l, n):
-    shs, chs, shl_shn = np.sinh(s), np.cosh(s), np.sinh(l) * np.sinh(n)
-    den = shs - chs * shl_shn
-    # ratio - 1, with cosh l cosh n - 1 written as a sum of squares: no cancellation at small l, n
-    delta = (shs * (np.sinh(0.5 * (l + n)) ** 2 + np.sinh(0.5 * (l - n)) ** 2) + chs * shl_shn) / den
-    return _where(den <= 0, np.inf, 2.0 * np.arcsinh(np.sqrt(0.5 * delta)))  # den <= 0: tanh s <= sinh l sinh n
+    ths, shl, shn = np.tanh(s), np.sinh(l), np.sinh(n)
+    dead, margin = _leo_nadia_death(ths, shl, shn)
+    # ratio - 1 over the death margin, cosh l cosh n - 1 as a sum of squares (products: a point's pow may round apart)
+    plus, minus = np.sinh(0.5 * (l + n)), np.sinh(0.5 * (l - n))
+    delta = (ths * (plus * plus + minus * minus) + shl * shn) / margin
+    return _where(dead, np.inf, 2.0 * np.arcsinh(np.sqrt(0.5 * delta)))
 
 
 def r_effective(s, l, n):
-    """Single-observer acceleration reproducing the Leo-Nadia entanglement loss.
+    """Single-observer acceleration reproducing the Leo-Nadia entanglement loss; undefined at s = 0.
 
-    arccosh[cosh l cosh n sinh s / (sinh s - cosh s sinh l sinh n)] when the
-    entanglement survives, inf past the death threshold.  Undefined at s = 0.
-    Evaluated as 2 arcsinh sqrt(delta / 2), delta the ratio minus 1,
-    [sinh s (sinh^2((l+n)/2) + sinh^2((l-n)/2)) + cosh s sinh l sinh n]
-    over the same denominator, so it keeps its digits at small accelerations.
+    arccosh[cosh l cosh n tanh s / (tanh s - sinh l sinh n)], inf where the death mask tanh s - sinh l sinh n <= 0
+    holds (the Leo-Nadia m is 1 there), as 2 arcsinh sqrt(delta / 2) with the ratio minus 1 formed as delta = [tanh s
+    (sinh^2((l+n)/2) + sinh^2((l-n)/2)) + sinh l sinh n] / (tanh s - sinh l sinh n): no digits lost at small l, n.
     """
     if np.any(np.less_equal(s, 0)):
         raise ValueError("r_effective needs s > 0 (any acceleration matches at s = 0)")
@@ -367,7 +365,7 @@ def _m_ln_infinite_squeezing(l, n):
     shl, shn = np.sinh(l), np.sinh(n)
     num = np.cosh(2 * l) * np.cosh(2 * n) - 4.0 * shl * shn + 3.0
     den = 2.0 * (shl + shn) ** 2
-    return _where(shl * shn >= 1.0, 1.0, np.maximum(num / den, 1.0))
+    return _where(_leo_nadia_death(1.0, shl, shn)[0], 1.0, np.maximum(num / den, 1.0))  # tanh s = 1
 
 
 def m_ln_infinite_squeezing(l, n):
@@ -384,19 +382,26 @@ def m_ln_infinite_squeezing(l, n):
 
 
 def _a_star(s):
-    return np.arcsinh(np.sqrt(np.tanh(s)))
+    ths = np.tanh(s)
+
+    def dead(a):
+        return _leo_nadia_death(ths, np.sinh(a), np.sinh(a))[0]
+    a = np.arcsinh(np.sqrt(ths))  # a few ulp from the least float at which the death mask holds: step to it
+    while _anywhere(step := ~dead(a)):
+        a = _where(step, np.nextafter(a, np.inf), a)
+    while _anywhere(step := (a > 0.0) & dead(below := np.nextafter(a, 0.0))):
+        a = _where(step, below, a)
+    return a
 
 
 def a_star(s):
-    """Acceleration parameter killing the Leo-Nadia entanglement: arcsinh sqrt(tanh s)."""
+    """Acceleration killing the Leo-Nadia entanglement, arcsinh sqrt(tanh s): the least float a at which
+    the death mask tanh s - sinh^2 a <= 0 holds, so the Leo-Nadia m there is exactly 1 and r_eff inf."""
     return _evaluate(_a_star, s=s)
 
 
 def m_ln_equal_accel(s, a):
-    """Leo-Nadia m at equal accelerations, m_leo_nadia(s, a, a); exactly 1 for a >= a*(s).
-
-    The branch is decided on the analytic condition sinh^2 a >= tanh s.
-    """
+    """Leo-Nadia m at equal accelerations, m_leo_nadia(s, a, a): exactly 1 from a*(s) on, where the death mask holds."""
     return _evaluate(lambda s, a: _m_leo_nadia(s, a, a), "m_ln_equal_accel", s=s, a=a)
 
 
@@ -428,17 +433,10 @@ def residual_multipartite(s, a):
     return _evaluate(lambda s, a: _residual_multipartite(_double_cells(s, a, a)), "residual_multipartite", s=s, a=a)
 
 
-def _bound_ansatz_k(s, a):
-    # (1 + x) / (1 - x) with x = tanh^2 s / cosh^2 a, the difference
-    # cosh^2 a - tanh^2 s written as sinh^2 a + sech^2 s
-    x = (np.tanh(s) / np.cosh(a)) ** 2
-    return (1.0 + x) * np.cosh(a) ** 2 / (np.sinh(a) ** 2 + 1.0 / np.cosh(s) ** 2)
-
-
 def _bound_ansatz_t(s, a):
-    # arccosh(K) / 2 as arcsinh(tanh s / sqrt(sinh^2 a + sech^2 s)), from K - 1 = 2 tanh^2 s / (sinh^2 a
-    # + sech^2 s) = 2 sinh^2 t: exactly 0 at s = 0, and no digits lost where K rounds to 1
-    return np.arcsinh(np.tanh(s) / np.sqrt(np.sinh(a) ** 2 + 1.0 / np.cosh(s) ** 2))
+    # arccosh(K) / 2 as arcsinh(tanh s / hypot(sinh a, sech s)), from K - 1 = 2 tanh^2 s / (sinh^2 a + sech^2 s)
+    # = 2 sinh^2 t: exactly 0 at s = 0, no digits lost where K rounds to 1, and finite until sech s underflows
+    return np.arcsinh(np.tanh(s) / np.hypot(np.sinh(a), 1.0 / np.cosh(s)))
 
 
 def tripartite_bound_ansatz_cm(s: float, a: float) -> CovMatrix:
@@ -450,16 +448,15 @@ def tripartite_bound_ansatz_cm(s: float, a: float) -> CovMatrix:
     one-vs-two contangles of the reduction from above.
     """
     t = _evaluate(_bound_ansatz_t, s=s, a=a)
-    if t == math.inf:  # sinh^2 a + sech^2 s underflows (s past 355, a below 1e-154): the squeezer overflows
+    if t == math.inf:  # sech s underflows (s past about 710) at sinh a = 0: the squeezer overflows
         raise ValueError("symplectic matrix entries must be finite")
     return reduce(build_double_observer_cm(t, a, 0.0), (0, 1, 2))
 
 
 def _tripartite_upper_bound(s, a):
-    k = _bound_ansatz_k(s, a)
-    cand_lbar = _contangle(np.cosh(a) ** 2 + k * np.sinh(a) ** 2) - 4.0 * a * a
-    cand_n = _contangle(k) - _contangle(_m_leo_nadia(s, a, a))
-    return np.minimum(cand_lbar, cand_n)
+    # the ansatz state's anti-Leo and Nadia one-vs-rest m: cosh^2 a + K sinh^2 a and K = cosh 2t
+    m_lbar, _, k, _ = _one_vs_rest_m_double(_bound_ansatz_t(s, a), a, 0.0)
+    return np.minimum(_contangle(m_lbar) - 4.0 * a * a, _contangle(k) - _contangle(_m_leo_nadia(s, a, a)))
 
 
 def tripartite_upper_bound(s, a):
@@ -520,8 +517,12 @@ def mutual_info_ln(s, a):
     return _evaluate(lambda s, a: _mutual_info_ln_general(s, a, a), "mutual_info_ln", s=s, a=a)
 
 
+def _mutual_info_leo_inertial(s, a):
+    return _mutual_info_ar(*_one_vs_rest_m_double(s, 0.0, a)[1:])
+
+
 def _classical_deficit(a, s):
-    return _mutual_info_ar(s, a) - _mutual_info_ln_general(s, a, a)
+    return _mutual_info_leo_inertial(s, a) - _mutual_info_ln_general(s, a, a)
 
 
 def classical_deficit(a, s):
@@ -546,18 +547,7 @@ def single_report_columns(s, r, tol: float = RESIDUAL_TOL) -> dict:
     _require_domain(s=s, r=r)
     s, r = _grid(s, r)
     with np.errstate(all="ignore"):
-        m_a, m_r, m_rbar = _one_vs_rest_m_single(s, r)
-        m_ar, m_r_rbar = _m_alice_rob(s, r), np.cosh(2 * r)
-        columns = {
-            "s": s, "r": r,
-            "m_a_vs_rest": m_a, "m_r_vs_rest": m_r, "m_rbar_vs_rest": m_rbar,
-            "m_ar": np.maximum(m_ar, 1.0), "m_r_rbar": np.maximum(m_r_rbar, 1.0),
-            "tau_ar": _contangle(m_ar), "tau_r_rbar": _contangle(m_r_rbar),
-            "residual_tripartite": _residual_tripartite(s, r),
-            "mutual_info_ar": _mutual_info_ar(s, r),
-            "r_star": _r_star(s),
-            "tau_max_ar": _tau_max_ar(r),
-        }
+        columns = {**_single_cells(s, r), "r_star": _r_star(s), "tau_max_ar": _tau_max_ar(r)}
     return _check_columns(columns, *_REPORT_CHECKS["single"], tol)
 
 
@@ -587,7 +577,7 @@ def double_report_columns(s, l, n, tol: float = RESIDUAL_TOL) -> dict:
         cells = _double_cells(s, l, n)
         mutual_info = _mutual_info_ln_general(s, l, n)
         bound = _where_equal(equal, _tripartite_upper_bound, s, l)
-        deficit = _where_equal(equal, _mutual_info_ar, s, l) - mutual_info
+        deficit = _where_equal(equal, _mutual_info_leo_inertial, s, l) - mutual_info
         columns = {
             **cells,
             "residual_multipartite": _residual_multipartite(cells),
@@ -619,8 +609,7 @@ def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) 
     lam, nu, accel = grid["lam"], grid["nu"], grid["accel"]
     with np.errstate(all="ignore"):
         l, n = accel_to_squeezing(accel, lam), accel_to_squeezing(accel, nu)
-        infinite = np.isinf(l) | np.isinf(n)
-        if infinite if isinstance(infinite, np.bool_) else infinite.any():
+        if _anywhere(infinite := np.isinf(l) | np.isinf(n)):
             where = _point_at(params, np.shape(infinite), int(np.argmax(infinite)))
             raise ValueError(f"lam or nu / accel underflows to 0 (an infinite squeezing) at {where}")
         condition, margin, separable = frequency_condition(lam, nu, accel)

@@ -72,6 +72,10 @@ def _where(condition, if_true, if_false):
     return np.where(condition, if_true, if_false)
 
 
+def _anywhere(mask) -> bool:  # mask.any(), without its cost at a single point
+    return bool(mask) if isinstance(mask, (bool, np.bool_)) else bool(mask.any())
+
+
 # g and f take numpy floats or arrays (in f, a Python float 1.0 would divide by zero);
 # the warnings of the branch a mask discards are the caller's to silence.
 def _above_one(x, value):
@@ -94,15 +98,21 @@ def _entropy_f(x):
     return _above_one(x, np.log(0.5 * (x + 1.0)) + 0.5 * (x - 1.0) * np.log1p(2.0 / (x - 1.0)))
 
 
+def _leo_nadia_death(tanh_s, shl, shn):
+    """The one Leo-Nadia death mask tanh s - sinh l sinh n <= 0 (x - y <= 0 iff x <= y), and that margin."""
+    margin = tanh_s - shl * shn
+    return margin <= 0.0, margin
+
+
 def _m_leo_nadia(s, l, n):
-    """m of the thermal squeezed family in its squeezing parameters: the double report's Leo-Nadia m."""
+    """m of the thermal squeezed family in its parameters: the reports' Leo-Nadia m (m_AR at l = 0), 1 where dead."""
     shl, shn = np.sinh(l), np.sinh(n)
     chs2, sh2s = np.cosh(s) ** 2, np.sinh(2 * s)
     num = (2.0 * np.cosh(2 * l) * np.cosh(2 * n) * chs2 + 3.0 * np.cosh(2 * s)
            - 4.0 * shl * shn * sh2s - 1.0)
     # 2 cosh^2 s - 2 sinh^2 s written as 2: no cancellation at large s
     den = 2.0 * (2.0 + 2.0 * (shl ** 2 + shn ** 2) * chs2 + 2.0 * shl * shn * sh2s)
-    return _where(np.tanh(s) <= shl * shn, 1.0, np.maximum(num / den, 1.0))
+    return _where(_leo_nadia_death(np.tanh(s), shl, shn)[0], 1.0, np.maximum(num / den, 1.0))
 
 
 def _checked(kernel, x, name: str, below_floor):

@@ -5,6 +5,13 @@ and only where a change to the output bytes is intended and announced:
 
     PYTHONPATH=src python tests/golden/regen.py
 
+To see first what a regeneration would change, without writing anything:
+
+    PYTHONPATH=src python tests/golden/regen.py --diff
+
+which prints, per recorded output, whether its skeleton digest changed, how
+many of its sampled numbers moved and by at most how many ulps.
+
 Each run is an argv of ``cli.main`` run in an empty directory: the five
 sweeps of the benchmark's ``grid`` workload (four CSV, one JSON lines) at
 fixed parameters, and every figure preset with its plot script.  For each
@@ -23,14 +30,17 @@ stderr, at most one line, is kept as text.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import random
 import re
+import struct
 import sys
 import tempfile
 
@@ -162,9 +172,53 @@ def _write(path: str, argvs: list[list[str]], streams: bool) -> None:
     print(f"wrote {len(golden['runs'])} runs to {path}")
 
 
-def main() -> int:
-    _write(GOLDEN, runs(), streams=False)
-    _write(STREAMS, stream_runs(), streams=True)
+def _ordinal(x: float) -> int:
+    """x's place among the floats: consecutive floats differ by 1, and -0.0 and 0.0 share 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def ulps(a: float, b: float) -> float:
+    """How many floats apart a and b are: 0 if equal (NaN with NaN too), inf if just one is NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    return float(abs(_ordinal(a) - _ordinal(b)))
+
+
+def _diff(path: str, argvs: list[list[str]], streams: bool) -> None:
+    """Print, per output of each argv, how a fresh recording differs from the one in path."""
+    with open(path, encoding="utf-8") as fh:
+        recorded = {json.dumps(run["argv"]): run for run in json.load(fh)["runs"]}
+    for argv in argvs:
+        label = f"{os.path.basename(path)} {' '.join(argv)}"
+        want = recorded.get(json.dumps(argv))
+        if want is None:
+            print(f"{label}: not recorded")
+            continue
+        got = record(argv, streams)
+        if got["exit"] != want["exit"] or got.get("stderr") != want.get("stderr"):
+            print(f"{label}: exit {want['exit']} -> {got['exit']}, "
+                  f"stderr {want.get('stderr')!r} -> {got.get('stderr')!r}")
+        for name in sorted(set(got["files"]) | set(want["files"])):
+            new, old = got["files"].get(name), want["files"].get(name)
+            if new is None or old is None:
+                print(f"{label} {name}: {'gone' if new is None else 'new'}")
+                continue
+            skeleton = "changed" if new["skeleton_sha256"] != old["skeleton_sha256"] else "same"
+            pairs = [(float.fromhex(g), float.fromhex(w)) for g, w in zip(new["floats"], old["floats"])]
+            distances = [d for d in (ulps(g, w) for g, w in pairs) if d]
+            counts = "" if len(new["floats"]) == len(old["floats"]) else f" (was {len(old['floats'])})"
+            print(f"{label} {name}: skeleton {skeleton}, {len(distances)} of {len(pairs)}{counts} sampled numbers "
+                  f"moved, at most {max(distances, default=0.0):g} ulp; bytes {'same' if new == old else 'changed'}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Record the CLI's output bytes in writer.json and streams.json.")
+    parser.add_argument("--diff", action="store_true",
+                        help="compare a fresh recording with the committed one and write nothing")
+    args = parser.parse_args(argv)
+    for path, argvs, streams in ((GOLDEN, runs(), False), (STREAMS, stream_runs(), True)):
+        (_diff if args.diff else _write)(path, argvs, streams)
     return 0
 
 

@@ -123,8 +123,9 @@ class TestPoint:
         assert json.dumps(parsed, sort_keys=True, separators=(", ", ": ")) == out.strip()
 
     def test_internal_inconsistency_exit_3(self, capsys, monkeypatch):
-        original = ea._one_vs_rest_m_single
-        monkeypatch.setattr(ea, "_one_vs_rest_m_single", lambda s, r: (0.5, *original(s, r)[1:]))
+        original = ea._one_vs_rest_m_double  # at l = 0 its Leo probe is the single report's Alice
+        monkeypatch.setattr(ea, "_one_vs_rest_m_double", lambda s, l, n: (original(s, l, n)[0], 0.5,
+                                                                          *original(s, l, n)[2:]))
         code, _, err = run_cli(capsys, "point", "single", "--s", "1", "--r", "1")
         assert code == EXIT_INCONSISTENT
         assert "inconsistency" in err

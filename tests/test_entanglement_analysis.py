@@ -307,6 +307,23 @@ class TestAStar:
     def test_infinite_squeezing_limit(self):
         assert ea.a_star(1e6) == pytest.approx(math.asinh(1.0), abs=1e-6)
 
+    def test_least_float_of_the_death_mask(self):
+        """At a*(s) the pair is dead (m = 1, tau = 0, r_eff = inf); one float below it is not (r_eff finite).
+
+        arcsinh sqrt(tanh s) alone read m = 1 + 2 ulp at some 19% of these s, and a finite r_eff at 39%.
+        """
+        s = np.random.default_rng(2007).uniform(1e-3, 20.0, 200_000)
+        a = ea.a_star(s)
+        assert np.all(ea.m_ln_equal_accel(s, a) == 1.0)
+        assert np.all(ea.double_report_columns(s, a, a)["tau_l_n"] == 0.0)
+        assert np.all(ea.r_effective(s, a, a) == math.inf)
+        below = np.nextafter(a, 0.0)
+        assert np.all(np.isfinite(ea.r_effective(s, below, below)))
+
+    def test_points_give_the_bits_of_the_array(self):
+        s = np.random.default_rng(24).uniform(0.0, 20.0, 500)
+        assert np.array([ea.a_star(float(x)) for x in s]).tobytes() == ea.a_star(s).tobytes()
+
 
 class TestMLnEqualAccel:
     def test_inertial(self):
@@ -392,6 +409,16 @@ class TestTripartiteBound:
                 k = (mp.cosh(y) ** 2 + mp.tanh(x) ** 2) / (mp.sinh(y) ** 2 + mp.sech(x) ** 2)
                 oracle = float(mp.re(mp.acosh(k)) / 2)  # re: at s = 0, K may round just below 1
             assert ea._evaluate(ea._bound_ansatz_t, s=s, a=a) == pytest.approx(oracle, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("s,a,message", [(400.0, 0.0, "covariance matrix entries must be finite"),
+                                             (400.0, 1e-200, "covariance matrix entries must be finite"),
+                                             (800.0, 0.0, "symplectic matrix entries must be finite")])
+    def test_ansatz_refusal_names_the_overflow(self, s, a, message):
+        """t stays finite (t = 400 at (400, 0)) until sech s underflows, past s = 710: below that the state's
+        own entries overflow, not the squeezer's (sinh^2 a + sech^2 s underflowed from s = 355)."""
+        assert ea._evaluate(ea._bound_ansatz_t, s=400.0, a=0.0) == 400.0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ea.tripartite_bound_ansatz_cm(s, a)
 
     def test_excluded_candidate_is_larger(self):
         for s in COARSE:
@@ -628,11 +655,10 @@ class TestOneObserverIsLeoInertial:
                                ("m_rbar_vs_rest", "m_nbar_vs_rest"), ("m_r_rbar", "m_n_nbar"),
                                ("tau_r_rbar", "tau_n_nbar")):
             assert one[single].tobytes() == two[double].tobytes(), (single, double)
-        ulps = np.abs(one["m_ar"] - two["m_l_n"]) / np.spacing(np.maximum(one["m_ar"], two["m_l_n"]))
-        assert ulps.max() <= 8
-        for single, double in (("tau_ar", "tau_l_n"), ("mutual_info_ar", "mutual_info_ln")):
-            deviation = np.abs(one[single] - two[double]) / np.maximum(1.0, np.abs(one[single]))
-            assert deviation.max() <= 1e-13, (single, double)
+        for single, double in (("m_ar", "m_l_n"), ("tau_ar", "tau_l_n")):
+            assert one[single].tobytes() == two[double].tobytes(), (single, double)
+        deviation = np.abs(one["mutual_info_ar"] - two["mutual_info_ln"]) / np.maximum(1.0, one["mutual_info_ar"])
+        assert deviation.max() <= 1e-13
 
     def test_classical_deficit_is_the_double_reports_difference(self):
         """D(a, s) is I(Leo|Nadia) with Leo inertial minus I(Leo|Nadia) at l = n = a."""
@@ -640,6 +666,29 @@ class TestOneObserverIsLeoInertial:
         at_rest = ea.double_report_columns(s, 0.0, a)["mutual_info_ln"]
         equal = ea.double_report_columns(s, a, a)["mutual_info_ln"]
         np.testing.assert_allclose(ea.classical_deficit(a, s), at_rest - equal, rtol=0.0, atol=1e-13)
+
+
+def near_death_threshold(equal: bool, count: int = 200_000):
+    """Seeded (s, l, n) within 8 ulp of tanh s = sinh l sinh n, s in [1e-3, 20]: l = n, or l in [1e-3, 3]."""
+    rng = np.random.default_rng(2007)
+    s = rng.uniform(1e-3, 20.0, count)
+    l = np.arcsinh(np.sqrt(np.tanh(s))) if equal else rng.uniform(1e-3, 3.0, count)
+    n = l if equal else np.arcsinh(np.tanh(s) / np.sinh(l))
+    n = n * (1.0 + rng.integers(-8, 9, count) * np.finfo(float).eps)
+    return s, n if equal else l, n
+
+
+class TestOneDeathMask:
+    """The Leo-Nadia m, tau and r_eff give one verdict on entanglement death, however close to the threshold."""
+
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+    def test_one_death_verdict_near_the_threshold(self, equal):
+        """r_eff = inf exactly where m_l_n is 1 by the death mask: never beside a live m (some 500 rows did)."""
+        columns = ea.double_report_columns(*near_death_threshold(equal))
+        dead = columns["r_eff"] == math.inf
+        assert 0 < dead.sum() < dead.size
+        assert np.all(columns["m_l_n"][dead] == 1.0) and np.all(columns["tau_l_n"][dead] == 0.0)
+        assert np.all(np.isfinite(columns["r_eff"][columns["m_l_n"] > 1.0]))
 
 
 def mp_m_leo_nadia(s, l, n):

@@ -71,3 +71,25 @@ def test_terminal_output_matches_the_recording(want):
     got = regen.record(want["argv"], streams=True)
     assert got["stderr"] == want["stderr"]
     _assert_matches(got, want, STREAMS_SAME_ENVIRONMENT)
+
+
+def test_ulps_counts_the_floats_apart():
+    assert regen.ulps(1.0, math.nextafter(1.0, 2.0)) == 1.0
+    assert regen.ulps(-0.0, 0.0) == 0.0 and regen.ulps(-5e-324, 5e-324) == 2.0
+    assert regen.ulps(math.nan, math.nan) == 0.0 and regen.ulps(math.nan, 1.0) == math.inf
+
+
+def test_diff_reports_moved_numbers_and_writes_nothing(tmp_path, capsys):
+    argv = ["point", "single", "--s", "1", "--r", "0.5"]
+    run = regen.record(argv, streams=True)
+    sampled = run["files"]["<stdout>"]["floats"]
+    sampled[0] = math.nextafter(math.nextafter(float.fromhex(sampled[0]), 0.0), 0.0).hex()
+    path = tmp_path / "streams.json"
+    path.write_text(json.dumps({"runs": [run]}))
+    before = path.read_bytes()
+    regen._diff(str(path), [argv, ["selftest", "--tol", "0"]], streams=True)
+    assert path.read_bytes() == before
+    assert capsys.readouterr().out.splitlines() == [
+        "streams.json point single --s 1 --r 0.5 <stdout>: skeleton same, 1 of 1 sampled numbers moved, "
+        "at most 2 ulp; bytes changed",
+        "streams.json selftest --tol 0: not recorded"]

@@ -326,8 +326,8 @@ class TestOneComposition:
     def test_bound_ansatz_is_the_two_observer_state_with_nadia_inertial(self):
         """The ansatz at (s, a) is (anti-L, L, N) at inertial squeezing t and n = 0, bit for bit, refusals included.
 
-        Where sinh^2 a + sech^2 s underflows, t is infinite: its squeezer overflows, as it did when the
-        ansatz composed its own chain.
+        Where sech s underflows at sinh a = 0 (s past about 710), t is infinite: its squeezer overflows, as it
+        did when the ansatz composed its own chain.
         """
         for s, a in composition_points():
             t = ea._evaluate(ea._bound_ansatz_t, s=s, a=a)
