@@ -6,12 +6,16 @@ identical invocations produce byte-identical bytes, metadata lives in '#'
 comment lines and floats carry 17 significant digits.
 
 Sweeps and figure presets evaluate their grids through the columnar report
-kernels of :mod:`rindlercv.entanglement_analysis`, SWEEP_CHUNK points per
-call, and write each chunk as it is done, so memory stays bounded whatever
-the grid size.  The table writer formats each distinct float of a chunk once,
-in one '%' call, gathers the texts into a row-major list of cells and writes
-the chunk with one '%' of a row template; the bytes are those of rendering
-each cell on its own with ``_fmt`` (CSV) or ``_dump_json`` (JSON).
+kernels of :mod:`rindlercv.entanglement_analysis`.  A sweep hands them
+SWEEP_CHUNK flat points per call and writes each chunk as it is done, so
+memory stays bounded whatever the grid size.  A figure surface hands them its
+two axes, the outer as a column and the inner as a row, so a kernel evaluates
+what depends on one axis once per value of it; the grid's shape is first
+materialised in the writer's gather.  The table writer reads each column
+along the axes it varies on only, formats each distinct float of a chunk
+once, in one '%' call, gathers the texts into a row-major list of cells and
+writes the chunk with one '%' of a row template; the bytes are those of
+rendering each cell on its own with ``_fmt`` (CSV) or ``_dump_json`` (JSON).
 
 Every output file (``--out`` tables, figure data and plot scripts) goes
 through ``_Output``, which rewrites an existing regular file in place and
@@ -186,17 +190,26 @@ class _Output:
 def _cells(chunk: dict, columns: list[str], fmt: str) -> list[str]:
     """The chunk's cells, row by row, as _fmt (CSV) or _dump_json (JSON) renders each on its own.
 
-    Each distinct float of the chunk, over all its float columns, is
-    formatted once, by one '%' call, and its text gathered into every cell
-    that holds it.  Floats are told apart by their bits, so -0.0 and 0.0 stay
-    distinct.  '%.17g' prints inf, -inf, nan and -0 as _fmt does, and '%r' a
-    finite float as JSON does; a non-finite JSON cell is _fmt's text, quoted.
-    Booleans are false/true, and a masked cell is empty in CSV and null in
-    JSON.
+    The columns broadcast to the chunk's shape, whose cells are its rows in
+    C order (a surface's outer axis major).  Each column is read only along
+    the axes it varies on (nonzero strides): a broadcast axis contributes its
+    first cell, which the gather repeats.  Each distinct float of the chunk,
+    over all its float columns, is formatted once, by one '%' call, and its
+    text gathered into every cell that holds it.  Floats are told apart by
+    their bits, so -0.0 and 0.0 stay distinct.  '%.17g' prints inf, -inf, nan
+    and -0 as _fmt does, and '%r' a finite float as JSON does; a non-finite
+    JSON cell is _fmt's text, quoted.  Booleans are false/true, and a masked
+    cell is empty in CSV and null in JSON.
     """
     cols = [chunk[c] for c in columns]
-    data = [np.asarray(col) for col in cols]  # a masked array's data; its mask is read below
-    floats = [np.ascontiguousarray(d, dtype=float).view(np.int64) for d in data if d.dtype != bool]
+    shape = np.broadcast_shapes(*{np.shape(col) for col in cols})
+    data = []
+    for col in cols:
+        d = np.asarray(col)  # a masked array's data; its mask is read below
+        if 0 in d.strides:  # a broadcast view: read along the axes it varies on only
+            d = d[tuple(slice(None) if stride else slice(1) for stride in d.strides)]
+        data.append(d)
+    floats = [np.ascontiguousarray(d, dtype=float).view(np.int64).ravel() for d in data if d.dtype != bool]
     keys, inverse = np.unique(np.concatenate(floats or [np.empty(0, np.int64)]), return_inverse=True)
     values = keys.view(float)
     k = len(values)
@@ -207,18 +220,18 @@ def _cells(chunk: dict, columns: list[str], fmt: str) -> list[str]:
             texts[i] = f'"{_fmt(values[i].item())}"'
         texts[k] = "null"
     texts += ["false", "true"]
-    index = np.empty((len(cols), len(data[0])), dtype=np.intp)
+    index = np.empty((len(cols), *shape), dtype=np.intp)
     start = 0
-    for row, col, d in zip(index, cols, data):
+    for row, col, d in zip(index, cols, data):  # each row of index a column, its cells assigned broadcast
         if d.dtype == bool:
-            row[:] = d
+            row[...] = d
             row += k + 1
         else:
-            row[:] = inverse[start:start + len(row)]
-            start += len(row)
+            row[...] = inverse[start:start + d.size].reshape(d.shape)
+            start += d.size
         if isinstance(col, np.ma.MaskedArray):
-            row[np.ma.getmaskarray(col)] = k
-    return np.array(texts, dtype=object)[index.T.ravel()].tolist()
+            np.copyto(row, k, where=np.ma.getmaskarray(col))
+    return np.array(texts, dtype=object)[index.reshape(len(cols), -1).T.ravel()].tolist()
 
 
 def _write_table(stream, meta: list[str], columns: list[str], chunks: Iterable[dict], fmt: str) -> None:
@@ -406,8 +419,9 @@ class FigurePreset:
 
 
 def _surface(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of every (outer, inner) grid point, outer axis major."""
-    return np.repeat(outer, len(inner)), np.tile(inner, len(outer))
+    """The (outer, inner) grid's axes, outer as a column and inner as a row: they broadcast to every point,
+    outer axis major, and a kernel evaluates what depends on one axis once per value of it."""
+    return outer[:, None], inner
 
 
 def _normalized(tau: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -425,10 +439,14 @@ def _fig3_rows():
     return {**columns, "tau_ar_normalized": _normalized(columns["tau_ar"], s)}
 
 
+_FIG4_S = (0.25, 0.5, 1.0, 2.0)
+
+
 def _fig4_rows():
     columns = {"r": _AXIS61, "sqrt_tau_r_rbar": 2.0 * _AXIS61}
-    for s in (0.25, 0.5, 1.0, 2.0):
-        columns[f"sqrt_tau_ar_s{_fmt(s)}"] = np.sqrt(ea.single_report_columns(s, _AXIS61)["tau_ar"])
+    tau = ea.single_report_columns(np.array(_FIG4_S)[:, None], _AXIS61)["tau_ar"]  # one call, one row per s
+    for s, row in zip(_FIG4_S, tau):
+        columns[f"sqrt_tau_ar_s{_fmt(s)}"] = np.sqrt(row)
     return columns
 
 

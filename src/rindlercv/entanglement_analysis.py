@@ -9,11 +9,17 @@ the test suite holds the two routes together.
 
 Every closed form takes broadcastable numpy arrays as well as floats (for
 which it returns a float), and picks its branch per element by a mask on
-the analytic condition, never on a computed m value.  The
-``*_report_columns`` kernels evaluate a whole scenario over a grid in one
-call and return its columns in report field order; the per-point reports
-are their 0-d calls, which come back as plain floats, bools and None after
-one check pass over the cells.
+the analytic condition, never on a computed m value.  Array parameters are
+not broadcast up front: each sub-expression is evaluated at the broadcast
+shape of the parameters it reads, so on a surface given as an s column and
+an a row cosh 2s and a*(s) are computed once per s, not once per point.
+Only the returned columns take the full grid shape, a column of fewer
+parameters as a read-only ``np.broadcast_to`` view of its values (no copy).
+The ``*_report_columns`` kernels evaluate a whole scenario over a grid in
+one call and return its columns in report field order; the per-point
+reports are their 0-d calls, which come back as plain floats, bools and
+None after one check pass over the cells, with the bits of the array
+call's cell at that point (every square is a product: see info_measures).
 
 Each quantity has one closed form: the one-observer m's are the two-observer
 kernels with Leo inertial (l = 0), and Leo-Nadia death, tanh s - sinh l sinh n
@@ -48,16 +54,36 @@ def _point_at(params: dict, shape: tuple, index: int) -> str:
                      for name, value in params.items())
 
 
-def _grid(*values) -> list:
-    """The parameters as floats at a single point, else as fresh C-contiguous arrays of one shape.
+def _first_point(params: dict, shape: tuple, mask) -> str:
+    """'name=value, ...' of the parameters at the first point of their grid (of shape) where mask, broadcast over it,
+    holds."""
+    return _point_at(params, shape, int(np.argmax(np.broadcast_to(mask, shape))))
 
-    numpy's vectorized ufunc loops give the same bits for both, but fall
-    back to other code (different in the last digits) for arrays with
-    negative or irregular strides.
+
+def _grid(*values) -> tuple[list, tuple]:
+    """The parameters as floats at a single point, else each as a fresh C-contiguous array of its own shape; and
+    the shape of the grid they span, () at a point, which every later point-or-grid decision reads.
+
+    The shapes must broadcast together (ValueError as numpy words it
+    otherwise), but nothing is broadcast here: each sub-expression of a
+    kernel is evaluated at the broadcast shape of the parameters it reads,
+    so a factor of s alone is computed once per s, not once per grid point.
+    numpy's vectorized loops of the one-argument transcendental ufuncs (sinh,
+    cosh, tanh, arcsinh, exp, log, ...) give the same bits for a point and
+    for such arrays, but fall back to other code (different in the last
+    digits) for arrays with negative, irregular or zero strides, as a
+    broadcast view has: none of them may see one.  Two-argument ufuncs
+    (arithmetic, hypot, maximum) give the same bits whatever the strides.
     """
     if all(isinstance(v, (int, float)) for v in values):
-        return [float(v) for v in values]
-    return [np.array(v) for v in np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))]
+        return [float(v) for v in values], ()
+    arrays = [np.array(v, dtype=float, order="C") for v in values]
+    return arrays, np.broadcast(*arrays).shape  # numpy's shape-mismatch ValueError, if any
+
+
+def _full(value, shape: tuple):
+    """value at the grid's shape: itself if it has it, else a read-only broadcast view (no copy)."""
+    return value if np.shape(value) == shape else np.broadcast_to(value, shape)
 
 
 def _evaluate(kernel, name=None, /, **params):
@@ -66,18 +92,19 @@ def _evaluate(kernel, name=None, /, **params):
     Warnings are silenced, as in the report kernels: those of the branches
     the masks discard, and overflow, which leaves an infinite value.  A NaN
     result is an inconsistency, reported under ``name`` (default: the
-    kernel's) at the first point that produced it; 0-d results come back
-    as floats.
+    kernel's) at the first grid point that produced it; 0-d results come back
+    as floats, array results at the grid's shape (see :func:`_full`).
     """
     _require_domain(**params)
+    grid, shape = _grid(*params.values())
     with np.errstate(all="ignore"):
-        out = kernel(*_grid(*params.values()))
-    values = tuple(v if isinstance(v, np.ndarray) and v.ndim else float(v)
-                   for v in (out if isinstance(out, tuple) else (out,)))
-    for value in values:
+        out = kernel(*grid)
+    outs = out if isinstance(out, tuple) else (out,)
+    for value in outs:
         if _anywhere(nan := value != value):
-            where = _point_at(params, np.shape(nan), int(np.argmax(nan)))
+            where = _first_point(params, shape, nan)
             raise InconsistencyError(f"{name or kernel.__name__.lstrip('_')} undefined at {where}")
+    values = tuple(_full(v, shape) if shape else float(v) for v in outs)
     return values if isinstance(out, tuple) else values[0]
 
 
@@ -122,7 +149,7 @@ def _floors(names: tuple[str, ...], tol: float) -> tuple[float, ...]:
                  else _LEAST_FLOAT for name in names)
 
 
-def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, undefined: dict, probes: dict,
+def _check_columns(columns: dict, shape: tuple, point: tuple[str, ...], may_diverge: dict, undefined: dict, probes: dict,
                    tol: float = RESIDUAL_TOL) -> dict:
     """Return a report's columns, a grid's or one point's, once every report invariant holds.
 
@@ -135,10 +162,14 @@ def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, und
     Otherwise InconsistencyError names the field, its value and the first
     grid point holding an offending cell, the first such field on a tie.
 
-    One pass over the cells: a float passes on floor <= value < inf, an array
-    on that test of its least and greatest cells (masked cells read as their
-    floor); only a failing cell goes on to the diagnosis.  A point's columns
-    come back as floats, bools and None in field order, each converted once.
+    One pass over the cells, each column at its own shape (that of the
+    parameters it depends on): a float passes on floor <= value < inf, an
+    array on that test of its least and greatest cells (masked cells read as
+    their floor); only a failing cell goes on to the diagnosis, which places
+    it by its flat index in the whole grid, of ``shape`` (() at a point), over
+    which the ``point`` columns broadcast.  A point's columns come back as
+    floats, bools and None in field order, each converted once; a grid's at
+    its shape (see :func:`_full`).
     """
     residuals = _monogamy_residuals(columns, probes) if probes else {}
     cells = {**columns, **{f"monogamy residual at probe {probe}": r for probe, r in residuals.items()}}
@@ -163,22 +194,23 @@ def _check_columns(columns: dict, point: tuple[str, ...], may_diverge: dict, und
         allowed = ((abs(data) if floor == _LEAST_FLOAT else data) == math.inf) & may_diverge.get(name, False)
         if name in undefined:
             allowed = allowed | (data != data) & undefined[name](columns)
-        ok = np.ravel(allowed | (floor <= data) & (data < math.inf))
-        index = int(ok.argmin())  # the first offending cell, if there is one
-        if not ok[index] and (first is None or index < first[0]):
-            first = (index, name, float(np.ravel(data)[index]))
+        ok = np.broadcast_to(allowed | (floor <= data) & (data < math.inf), shape)
+        index = int(np.argmin(ok))  # the first offending cell, by its flat index in the whole grid, if there is one
+        if not ok.flat[index] and (first is None or index < first[0]):
+            first = (index, name, float(np.broadcast_to(data, shape).flat[index]))
     if first is not None:
         index, name, value = first
-        where = _point_at({p: columns[p] for p in point}, np.shape(cells[name]), index)
-        raise InconsistencyError(f"{name} = {value!r} at {where}")
+        raise InconsistencyError(f"{name} = {value!r} at {_point_at({p: columns[p] for p in point}, shape, index)}")
+    if shape:  # a grid: every column at its shape, the narrower as views
+        values = [_full(value, shape) for value in values]
     return dict(zip(columns, values))  # the cells open with the columns
 
 
-def _masked(values, mask):
-    """values with the cells where mask holds undefined: None at a single point, else masked."""
-    if isinstance(mask, np.bool_):
+def _masked(values, mask, shape: tuple):
+    """values with the cells where mask holds undefined: None at a point (shape ()), else masked over the grid."""
+    if not shape:
         return None if mask else values
-    return np.ma.MaskedArray(values, mask=mask)
+    return np.ma.MaskedArray(_full(values, shape), mask=_full(mask, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +234,9 @@ def contangle_r_rbar(r: float) -> MeasureReport:
 
 
 def _tau_max_ar(r):
-    return _where(r == 0, np.inf, np.arcsinh(2.0 * np.cosh(r) / np.sinh(r) ** 2) ** 2)
+    shr = np.sinh(r)
+    acosh_m = np.arcsinh(2.0 * np.cosh(r) / (shr * shr))
+    return _where(r == 0, np.inf, acosh_m * acosh_m)
 
 
 def tau_max_ar(r):
@@ -300,8 +334,8 @@ def pairwise_m_double(s, l, n) -> PairwiseDoubleM:
 
 def _one_vs_rest_m_double(s, l, n):
     ch2s = np.cosh(2 * s)
-    chl2, shl2 = np.cosh(l) ** 2, np.sinh(l) ** 2
-    chn2, shn2 = np.cosh(n) ** 2, np.sinh(n) ** 2
+    chl, shl, chn, shn = np.cosh(l), np.sinh(l), np.cosh(n), np.sinh(n)
+    chl2, shl2, chn2, shn2 = chl * chl, shl * shl, chn * chn, shn * shn
     return chl2 + ch2s * shl2, shl2 + ch2s * chl2, shn2 + ch2s * chn2, chn2 + ch2s * shn2
 
 
@@ -364,7 +398,8 @@ def frequency_separability(freq_1, freq_2, acceleration):
 def _m_ln_infinite_squeezing(l, n):
     shl, shn = np.sinh(l), np.sinh(n)
     num = np.cosh(2 * l) * np.cosh(2 * n) - 4.0 * shl * shn + 3.0
-    den = 2.0 * (shl + shn) ** 2
+    sum_sh = shl + shn
+    den = 2.0 * (sum_sh * sum_sh)
     return _where(_leo_nadia_death(1.0, shl, shn)[0], 1.0, np.maximum(num / den, 1.0))  # tanh s = 1
 
 
@@ -385,7 +420,8 @@ def _a_star(s):
     ths = np.tanh(s)
 
     def dead(a):
-        return _leo_nadia_death(ths, np.sinh(a), np.sinh(a))[0]
+        sinh_a = np.sinh(a)
+        return _leo_nadia_death(ths, sinh_a, sinh_a)[0]
     a = np.arcsinh(np.sqrt(ths))  # a few ulp from the least float at which the death mask holds: step to it
     while _anywhere(step := ~dead(a)):
         a = _where(step, np.nextafter(a, np.inf), a)
@@ -471,16 +507,16 @@ def tripartite_upper_bound(s, a):
 
 
 def _mutual_info_ln_general(s, l, n):
-    chs2, ch2s = np.cosh(s) ** 2, np.cosh(2 * s)
-    chl, chn = np.cosh(l), np.cosh(n)
-    chl2, shl2 = chl ** 2, np.sinh(l) ** 2
-    chn2, shn2 = chn ** 2, np.sinh(n) ** 2
+    chs, ch2s = np.cosh(s), np.cosh(2 * s)
+    chl, shl, chn, shn = np.cosh(l), np.sinh(l), np.cosh(n), np.sinh(n)
+    chs2, chl2, shl2, chn2, shn2 = chs * chs, chl * chl, shl * shl, chn * chn, shn * shn
     a = ch2s * chl2 + shl2
     b = ch2s * chn2 + shn2
     c = np.sinh(2 * s) * chl * chn
     # a - b and a + b - 2c in factored form: no cancellation near l = n or at large s
     d = 2.0 * chs2 * np.sinh(l - n) * np.sinh(l + n)
-    a_b_2c = (ch2s * (2.0 * np.sinh(0.5 * (l + n)) * np.sinh(0.5 * (l - n))) ** 2
+    diff_ch = 2.0 * np.sinh(0.5 * (l + n)) * np.sinh(0.5 * (l - n))  # cosh l - cosh n
+    a_b_2c = (ch2s * (diff_ch * diff_ch)
               + 2.0 * np.exp(-2 * s) * chl * chn + shl2 + shn2)
     # sqrt det sigma_LN summed at scale 2^-512 and a + b + 2c at scale 1/4, so neither sum overflows before an
     # m column does; power-of-two scaling is exact, so wherever the unscaled sums are finite the bits are theirs
@@ -545,19 +581,22 @@ def single_report_columns(s, r, tol: float = RESIDUAL_TOL) -> dict:
     of :func:`_check_columns` at ``tol`` raises InconsistencyError.
     """
     _require_domain(s=s, r=r)
-    s, r = _grid(s, r)
+    (s, r), shape = _grid(s, r)
     with np.errstate(all="ignore"):
         columns = {**_single_cells(s, r), "r_star": _r_star(s), "tau_max_ar": _tau_max_ar(r)}
-    return _check_columns(columns, *_REPORT_CHECKS["single"], tol)
+    return _check_columns(columns, shape, *_REPORT_CHECKS["single"], tol)
 
 
-def _where_equal(equal, kernel, s, a):
-    """kernel(s, a), evaluated only where equal holds; nan (to be masked) elsewhere."""
-    if isinstance(equal, np.bool_):
+def _where_equal(equal, kernel, s, a, shape: tuple):
+    """kernel(s, a), evaluated only where equal holds, nan (to be masked) elsewhere, over shape (() at a point)."""
+    if not shape:
         return kernel(s, a) if equal else math.nan
-    out = np.full(equal.shape, np.nan)
-    if equal.any():
-        out[equal] = kernel(s[equal], a[equal])
+    if equal.all():
+        return kernel(s, a)
+    equal = _full(equal, shape)
+    out = np.full(shape, np.nan)
+    if equal.any():  # the cells gathered into fresh arrays: no broadcast view reaches the kernel
+        out[equal] = kernel(_full(s, shape)[equal], _full(a, shape)[equal])
     return out
 
 
@@ -571,23 +610,23 @@ def double_report_columns(s, l, n, tol: float = RESIDUAL_TOL) -> dict:
     ``tol`` raises InconsistencyError.
     """
     _require_domain(s=s, l=l, n=n)
-    s, l, n = _grid(s, l, n)
+    (s, l, n), shape = _grid(s, l, n)
     equal = np.equal(l, n)
     with np.errstate(all="ignore"):
         cells = _double_cells(s, l, n)
         mutual_info = _mutual_info_ln_general(s, l, n)
-        bound = _where_equal(equal, _tripartite_upper_bound, s, l)
-        deficit = _where_equal(equal, _mutual_info_leo_inertial, s, l) - mutual_info
+        bound = _where_equal(equal, _tripartite_upper_bound, s, l, shape)
+        deficit = _where_equal(equal, _mutual_info_leo_inertial, s, l, shape) - mutual_info
         columns = {
             **cells,
             "residual_multipartite": _residual_multipartite(cells),
-            "tripartite_upper_bound": _masked(bound, ~equal),
+            "tripartite_upper_bound": _masked(bound, ~equal, shape),
             "mutual_info_ln": mutual_info,
             "r_eff": _where(np.greater(s, 0), _r_effective(s, l, n), np.nan),
             "a_star": _a_star(s),
-            "deficit": _masked(deficit, ~equal),
+            "deficit": _masked(deficit, ~equal, shape),
         }
-    return _check_columns(columns, *_REPORT_CHECKS["double"], tol)
+    return _check_columns(columns, shape, *_REPORT_CHECKS["double"], tol)
 
 
 def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) -> dict:
@@ -605,13 +644,14 @@ def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) 
     _require_domain(positive=True, lam=lam, nu=nu, accel=accel)
     if s is not None:
         _require_domain(s=s)
-    grid = dict(zip(params, _grid(*params.values())))
+    values, shape = _grid(*params.values())
+    grid = dict(zip(params, values))
     lam, nu, accel = grid["lam"], grid["nu"], grid["accel"]
     with np.errstate(all="ignore"):
         l, n = accel_to_squeezing(accel, lam), accel_to_squeezing(accel, nu)
         if _anywhere(infinite := np.isinf(l) | np.isinf(n)):
-            where = _point_at(params, np.shape(infinite), int(np.argmax(infinite)))
-            raise ValueError(f"lam or nu / accel underflows to 0 (an infinite squeezing) at {where}")
+            raise ValueError(f"lam or nu / accel underflows to 0 (an infinite squeezing) at "
+                             f"{_first_point(params, shape, infinite)}")
         condition, margin, separable = frequency_condition(lam, nu, accel)
         both_zero = np.equal(l, 0.0) & np.equal(n, 0.0)
         m_inf = _where(both_zero, np.inf, _m_ln_infinite_squeezing(l, n))
@@ -625,7 +665,7 @@ def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) 
             columns.update(s=grid["s"], m_l_n=m_l_n, tau_l_n=_contangle(m_l_n))
     overflow = np.isinf(m_inf)  # at l = n = 0, and where 2 / (l + n)^2 passes the float range
     may_diverge = {"condition_value": True, "m_ln_infinite": overflow, "tau_ln_infinite": overflow}
-    return _check_columns(columns, tuple(params), may_diverge, {}, {}, tol)
+    return _check_columns(columns, shape, tuple(params), may_diverge, {}, {}, tol)
 
 
 class _PointReport:
@@ -640,7 +680,7 @@ class _PointReport:
 
     def validate(self, tol: float = RESIDUAL_TOL) -> None:
         """Raise InconsistencyError when an invariant of :func:`_check_columns` fails."""
-        _check_columns(vars(self), *_REPORT_CHECKS[self._scenario], tol)
+        _check_columns(vars(self), (), *_REPORT_CHECKS[self._scenario], tol)
 
 
 @dataclass(frozen=True)

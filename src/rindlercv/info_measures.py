@@ -77,7 +77,9 @@ def _anywhere(mask) -> bool:  # mask.any(), without its cost at a single point
 
 
 # g and f take numpy floats or arrays (in f, a Python float 1.0 would divide by zero);
-# the warnings of the branch a mask discards are the caller's to silence.
+# the warnings of the branch a mask discards are the caller's to silence.  Every square in
+# the kernels is a product: a scalar's ** 2 goes through pow, which can round apart from
+# an array's x * x, and a point would then differ from its sweep row.
 def _above_one(x, value):
     """value where x > 1, 0 on [1 - M_CLAMP_TOL, 1], NaN below: the floor rule of g and f.
 
@@ -89,8 +91,9 @@ def _above_one(x, value):
 
 
 def _contangle(m):
-    """g[m^2] = arccosh^2 m as (2 arcsinh sqrt((m - 1)/2))^2: no square, no cancellation, no overflow."""
-    return _above_one(m, (2.0 * np.arcsinh(np.sqrt(0.5 * (m - 1.0)))) ** 2)
+    """g[m^2] = arccosh^2 m as (2 arcsinh sqrt((m - 1)/2))^2: no square of m, no cancellation, no overflow."""
+    acosh_m = 2.0 * np.arcsinh(np.sqrt(0.5 * (m - 1.0)))
+    return _above_one(m, acosh_m * acosh_m)
 
 
 def _entropy_f(x):
@@ -107,11 +110,12 @@ def _leo_nadia_death(tanh_s, shl, shn):
 def _m_leo_nadia(s, l, n):
     """m of the thermal squeezed family in its parameters: the reports' Leo-Nadia m (m_AR at l = 0), 1 where dead."""
     shl, shn = np.sinh(l), np.sinh(n)
-    chs2, sh2s = np.cosh(s) ** 2, np.sinh(2 * s)
+    chs, sh2s = np.cosh(s), np.sinh(2 * s)
+    chs2 = chs * chs
     num = (2.0 * np.cosh(2 * l) * np.cosh(2 * n) * chs2 + 3.0 * np.cosh(2 * s)
            - 4.0 * shl * shn * sh2s - 1.0)
     # 2 cosh^2 s - 2 sinh^2 s written as 2: no cancellation at large s
-    den = 2.0 * (2.0 + 2.0 * (shl ** 2 + shn ** 2) * chs2 + 2.0 * shl * shn * sh2s)
+    den = 2.0 * (2.0 + 2.0 * (shl * shl + shn * shn) * chs2 + 2.0 * shl * shn * sh2s)
     return _where(_leo_nadia_death(np.tanh(s), shl, shn)[0], 1.0, np.maximum(num / den, 1.0))
 
 
@@ -196,7 +200,8 @@ def entropy_of_entanglement(s: float) -> float:
     _require_domain(s=s)
     if s > 20.0:
         return 2.0 * (s + math.log1p(math.exp(-2.0 * s)) - math.log(2.0)) + 1.0
-    y = math.sinh(s) ** 2
+    sh = math.sinh(s)
+    y = sh * sh
     return math.log1p(y) + y * math.log1p(1.0 / y) if y else 0.0
 
 
@@ -260,7 +265,8 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
         det_sigma = float(np.linalg.det(cov.mat))
         if not abs(det_sigma) < math.inf:
             raise ValueError(f"the determinant of the state overflows (det sigma = {det_sigma!r})")
-        family_det = np.float64(a * b - c_sq) ** 2
+        root_det = np.float64(a * b - c_sq)
+        family_det = root_det * root_det
         if not abs(family_det) < math.inf:
             raise ValueError(f"the family determinant (ab - c^2)^2 overflows (ab - c^2 = {a * b - c_sq!r})")
         if abs(det_sigma - family_det) > FAMILY_RTOL * max(1.0, det_sigma):

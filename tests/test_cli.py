@@ -948,6 +948,25 @@ class TestTableWriter:
             want = [_dump_json(row) for row in rows]
         assert stream.getvalue() == "".join(line + "\n" for line in want)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_broadcast_columns_match_their_flat_copies(self, fmt):
+        """Columns on the axes of a (4, 7) chunk, read-only broadcast views among them, give the cells of the same
+        columns copied out to flat arrays of 28 cells: masked, bool and fixed (0-d) columns included."""
+        rng = np.random.default_rng(12)
+        pool = np.array(self.SPECIAL)
+        shape = (4, 7)
+        held = np.ma.MaskedArray(np.broadcast_to(pool[rng.integers(0, len(pool), (4, 1))], shape),
+                                 mask=np.broadcast_to(rng.random(7) < 0.5, shape))
+        chunk = {"outer": pool[rng.integers(0, len(pool), (4, 1))], "inner": pool[rng.integers(0, len(pool), 7)],
+                 "full": pool[rng.integers(0, len(pool), shape)], "view": np.broadcast_to(pool[3:10], shape),
+                 "fixed": np.float64(-0.0), "flag": rng.random((1, 7)) < 0.5, "held": held,
+                 "masked": np.ma.MaskedArray(pool[rng.integers(0, len(pool), shape)], mask=rng.random(shape) < 0.3)}
+        flat = {name: np.ma.MaskedArray(np.ravel(np.broadcast_to(col.data, shape)), mask=np.ravel(col.mask))
+                if np.ma.isMaskedArray(col) else np.broadcast_to(col, shape).ravel() for name, col in chunk.items()}
+        columns = list(chunk)
+        assert cli._cells(chunk, columns, fmt) == cli._cells(flat, columns, fmt)
+        assert len(cli._cells(chunk, columns, fmt)) == 28 * len(columns)
+
     @pytest.mark.parametrize("argv", [
         "single --s 1 --r 0.5", "single --s 0 --r 0", "single --s 1 --accel 2 --freq 0.3",
         "double --s 1 --a 0.5", "double --s 1 --l 0.4 --n 1.7", "double --s 0 --l 0 --n 1",
@@ -1014,6 +1033,18 @@ class TestFigures:
         assert float(first["r"]) == 0.0
         assert float(first["m_a_vs_rest"]) == pytest.approx(math.cosh(2.0), rel=1e-12)
         assert float(first["m_rbar_vs_rest"]) == 1.0
+
+    def test_surfaces_are_built_on_their_axes(self, monkeypatch):
+        """A surface preset hands its kernel an outer column and an inner row; fig4 makes one kernel call."""
+        outer, inner = cli._surface(np.arange(3.0), np.arange(5.0))
+        assert outer.shape == (3, 1) and inner.shape == (5,)
+        calls = []
+        kernel = ea.single_report_columns
+        monkeypatch.setattr(ea, "single_report_columns", lambda *args: calls.append(args) or kernel(*args))
+        columns = FIGURE_PRESETS["fig4"].build()
+        assert [tuple(np.shape(a) for a in args) for args in calls] == [((4, 1), (61,))]
+        assert {np.shape(columns[name]) for name in FIGURE_PRESETS["fig4"].columns} == {(61,)}
+        assert np.shape(FIGURE_PRESETS["fig9"].build()["a_star"]) == (61, 61)
 
     def test_fig4_wedge_diagonal(self, tmp_path, capsys):
         run_cli(capsys, "figure", "fig4", "--out-dir", str(tmp_path))

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import pathlib
 import random
 import re
 import warnings
@@ -989,7 +991,13 @@ class TestArrayForms:
             ea.m_alice_rob(np.array([1.0, -0.5]), 0.3)
 
     def test_report_columns_match_reports(self):
+        """Every column comes back at the grid's shape; one that depends on s or r alone as a read-only broadcast
+        view of its own values (a zero stride along the other axis, no copy)."""
         cols = ea.single_report_columns(self.S[:, None], self.A[None, :])
+        assert {k: v.shape for k, v in cols.items()} == dict.fromkeys(cols, (5, 5))
+        views = {k: v.strides.index(0) for k, v in cols.items() if not v.flags.writeable}
+        assert views == {**dict.fromkeys(["s", "m_a_vs_rest", "r_star"], 1),
+                         **dict.fromkeys(["r", "m_r_rbar", "tau_r_rbar", "tau_max_ar"], 0)}
         for (i, j), _ in np.ndenumerate(cols["tau_ar"]):
             rep = ea.single_observer_report(float(self.S[i]), float(self.A[j])).to_dict()
             assert {k: v[i, j] for k, v in cols.items()} == rep
@@ -1132,3 +1140,197 @@ class TestPointCheck:
             assert list(report) == [f.name for f in dataclasses.fields(REPORT_CLASSES[kernel])]
         else:
             assert list(report) == list(ea.frequency_report_columns(*[np.array([a]) for a in args]))
+
+
+def cell_bits(value) -> Optional[bytes]:
+    """A report cell's bits; None for an undefined (masked or None) cell."""
+    return None if value is None or value is np.ma.masked else np.float64(value).tobytes()
+
+
+def point_row_grids() -> dict:
+    """Seeded flat parameters per report kernel: (s, r) on [0, 20]^2, s on [0, 20] with l and n on [0, 3], and
+    (lam, nu, accel, s) on [0.3, 5]^2 x [1, 13] x [0, 20]."""
+    rng = np.random.default_rng(64)
+    return {"single_report_columns": tuple(rng.uniform(0.0, 20.0, (2, 3000))),
+            "double_report_columns": (rng.uniform(0.0, 20.0, 3000), *rng.uniform(0.0, 3.0, (2, 3000))),
+            "frequency_report_columns": (*rng.uniform(0.3, 5.0, (2, 3000)), rng.uniform(1.0, 13.0, 3000),
+                                         rng.uniform(0.0, 20.0, 3000))}
+
+
+class TestPointIsItsRow:
+    """A point report holds, column by column, the bits of the array call's cell at that point."""
+
+    @pytest.mark.parametrize("kernel", list(point_row_grids()))
+    def test_every_point_column_is_the_array_cell_bit_for_bit(self, kernel):
+        """A scalar's ** 2 went through pow and left the array's square by an ulp at a few points in a thousand."""
+        params = point_row_grids()[kernel]
+        grid = getattr(ea, kernel)(*params)
+        differ = {}
+        for i in range(len(params[0])):
+            for name, value in getattr(ea, kernel)(*(float(p[i]) for p in params)).items():
+                if cell_bits(value) != cell_bits(grid[name][i]):
+                    differ.setdefault(name, []).append(i)
+        assert differ == {}
+
+
+class TestSquaresAreProducts:
+    def test_no_closed_form_squares_by_pow(self):
+        """A scalar's x ** 2 goes through pow, which can round apart from an array's x * x: every square in the
+        closed-form modules is a product, so a point report stays its sweep row."""
+        package = pathlib.Path(ea.__file__).parent
+        found = [(name, node.lineno) for name in ("entanglement_analysis.py", "info_measures.py")
+                 for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                 and isinstance(node.right, ast.Constant) and node.right.value == 2]
+        assert found == []
+
+
+def flat_call(fn, *params):
+    """fn at every point of the parameters' grid, given as fresh flat arrays, and the grid's shape."""
+    shape = np.broadcast_shapes(*(np.shape(p) for p in params))
+    return fn(*(np.broadcast_to(p, shape).ravel() for p in params)), shape
+
+
+def assert_same_bits(on_axes, flat, shape, name):
+    """A column of an axis-shaped call has the grid's shape and, cell by cell, the flat call's mask and bits."""
+    assert np.shape(on_axes) == shape, name
+    mask = np.ma.getmaskarray(on_axes).ravel()
+    assert mask.tolist() == np.ma.getmaskarray(flat).tolist(), name
+    data, want = np.ma.getdata(on_axes).ravel(), np.ma.getdata(flat)
+    assert data[~mask].tobytes() == want[~mask].tobytes(), name
+
+
+A5 = np.array([0.0, 0.3, 0.79, 1.5, 3.0])
+S4 = np.array([0.0, 0.5, 2.0, 12.0])
+# report kernel -> parameter layouts: the figure shapes (a column and a row), three axes, fixed (0-d) parameters,
+# and, for the double report, grids where l = n holds at some points only (masked cells elsewhere)
+AXIS_CASES = {
+    "single": ("single_report_columns", [(S4[:, None], A5), (A5[:, None], S4), (1.0, A5), (S4[:, None], 0.5)]),
+    "double-equal": ("double_report_columns", [(S4[:, None], A5, A5), (A5, A5[:, None], A5[:, None])]),
+    "double-masked": ("double_report_columns", [(S4[:, None, None], A5[:, None], A5), (S4[:, None], 0.79, A5),
+                                                (S4, 0.0, 1e-6), (S4[:, None], A5, 0.79)]),
+    "frequency": ("frequency_report_columns", [(A5[1:, None], A5[1:], 2 * math.pi), (0.7, A5[1:], S4[:, None] + 1.0),
+                                               (A5[1:, None], A5[1:], 6.0, S4[:, None, None]), (0.7, 1.3, 6.0, S4)]),
+}
+# public closed form -> its parameter count; those of POSITIVE take positive parameters only
+CLOSED_FORMS = {"m_alice_rob": 2, "tau_max_ar": 1, "r_star": 1, "one_vs_rest_m_single": 2, "residual_tripartite": 2,
+                "mutual_info_ar": 2, "m_leo_nadia": 3, "one_vs_rest_m_double": 3, "r_effective": 3,
+                "frequency_condition": 3, "m_ln_infinite_squeezing": 2, "a_star": 1, "m_ln_equal_accel": 2,
+                "residual_multipartite": 2, "tripartite_upper_bound": 2, "mutual_info_ln_general": 3,
+                "mutual_info_ln": 2, "classical_deficit": 2}
+POSITIVE = ("r_effective", "frequency_condition", "m_ln_infinite_squeezing")
+
+
+class TestAxisShapes:
+    """A call on axis-shaped parameters gives the flat call's bits, every column at the full grid shape."""
+
+    @pytest.mark.parametrize("case", list(AXIS_CASES))
+    def test_report_columns_are_the_flat_bits(self, case):
+        kernel, layouts = AXIS_CASES[case]
+        mixed = []  # whether a layout leaves some cells of the equal-only fields masked and some not
+        for params in layouts:
+            on_axes = getattr(ea, kernel)(*params)
+            flat, shape = flat_call(getattr(ea, kernel), *params)
+            assert list(on_axes) == list(flat)
+            for name, column in on_axes.items():
+                assert_same_bits(column, flat[name], shape, name)
+            mixed.append(0 < np.ma.count_masked(on_axes.get("deficit", 0.0)) < math.prod(shape))
+        assert mixed == ([True, True, False, True] if case == "double-masked" else [False] * len(layouts))
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORMS))
+    def test_closed_forms_are_the_flat_bits(self, name):
+        """Each parameter on an axis of its own, and the first one fixed (0-d) in front of the others' axes."""
+        fn, count = getattr(ea, name), CLOSED_FORMS[name]
+        first, rest = (S4[1:], A5[1:]) if name in POSITIVE else (S4, A5)
+        axes = [first[:, None, None], rest[:, None], rest][-count:]
+        for params in (axes, [1.0, *axes[1:]]) if count > 1 else ([first[:, None]],):
+            on_axes = fn(*params)
+            flat, shape = flat_call(fn, *params)
+            on_axes, flat = (v if isinstance(v, tuple) else (v,) for v in (on_axes, flat))
+            for k, (column, want) in enumerate(zip(on_axes, flat)):
+                assert_same_bits(column, want, shape, f"{name}[{k}]")
+
+    def test_pairwise_m_double_is_the_flat_bits(self):
+        params = (S4[:, None, None], A5[:, None], A5)
+        on_axes = ea.pairwise_m_double(*params)
+        flat, shape = flat_call(ea.pairwise_m_double, *params)
+        for name in ("m_l_lbar", "m_n_nbar", "m_l_n"):
+            assert_same_bits(getattr(on_axes, name), getattr(flat, name), shape, name)
+
+    def test_a_narrower_column_is_a_read_only_view(self):
+        """A column of fewer parameters than the grid's comes back broadcast, without a copy."""
+        columns = ea.double_report_columns(S4[:, None], A5, A5)
+        assert columns["a_star"].shape == (4, 5) and columns["a_star"].strides[1] == 0
+        assert not columns["a_star"].flags.writeable
+        assert columns["m_l_n"].flags.writeable  # a column of every parameter is a fresh array
+        m_a, m_r, m_rbar = ea.one_vs_rest_m_single(S4[:, None], A5)
+        assert not m_a.flags.writeable and m_a.strides[1] == 0 and m_rbar.flags.writeable
+
+    @pytest.mark.parametrize("call", [
+        lambda: ea.single_report_columns(np.zeros(2), np.zeros(3)),
+        lambda: ea.double_report_columns(np.zeros(2), np.zeros(3), 0.5),
+        lambda: ea.frequency_report_columns(np.ones(2), np.ones(3), 1.0),
+        lambda: ea.m_alice_rob(np.zeros(2), np.zeros(3)),
+    ], ids=["single", "double", "frequency", "closed-form"])
+    def test_incompatible_shapes_raise_numpys_message(self, call):
+        message = ("shape mismatch: objects cannot be broadcast to a single shape.  "
+                   "Mismatch is between arg 0 with shape (2,) and arg 1 with shape (3,).")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def axis_injections(columns: dict, tol: float, seed: int) -> list:
+    """Lists of (field, flat index, value): the first and last cell of each float column made NaN, +-inf or just
+    below its floor, then 150 seeded sets of 2 or 3 of them."""
+    bad = []
+    for name, column in columns.items():
+        if np.ma.isMaskedArray(column) or np.asarray(column).dtype == bool:
+            continue
+        below = (1.0 - 2.0 * min(tol, ea.M_CLAMP_TOL) if name.startswith("m_") else
+                 -2.0 * tol if name in ea._NONNEGATIVE else None)
+        values = [math.nan, math.inf, -math.inf] + ([] if below is None else [below])
+        bad += [(name, index, value) for index in sorted({0, np.size(column) - 1}) for value in values]
+    rng = random.Random(seed)
+    return [[cell] for cell in bad] + [rng.sample(bad, rng.choice((2, 3))) for _ in range(150)]
+
+
+def inject_on_axes(columns: dict, cells: list) -> dict:
+    """The axis-shaped columns with the cells set; a float column stays a float."""
+    out = dict(columns)
+    for name, index, value in cells:
+        if isinstance(out[name], float):
+            out[name] = np.float64(value)
+            continue
+        out[name] = np.array(out[name], dtype=float)
+        out[name].flat[index] = value
+    return out
+
+
+def inject_flat(columns: dict, axes: dict, cells: list, shape: tuple) -> dict:
+    """The flat columns with every cell set that the axis-shaped cell broadcasts to."""
+    out = dict(columns)
+    for name, index, value in cells:
+        mark = np.zeros(np.shape(axes[name]), dtype=bool)
+        mark.flat[index] = True
+        out[name] = np.array(np.broadcast_to(out[name], (math.prod(shape),)), dtype=float)
+        out[name][np.broadcast_to(mark, shape).ravel()] = value
+    return out
+
+
+class TestAxisCheck:
+    """The check of an axis-shaped call names the field, value and grid point that the flat call's check names."""
+
+    @pytest.mark.parametrize("case", list(AXIS_CASES))
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, math.inf])
+    def test_axis_check_is_the_flat_check(self, monkeypatch, case, tol):
+        kernel, layouts = AXIS_CASES[case]
+        outcomes = set()
+        for k, params in enumerate(layouts):
+            axes, axes_args = recorded_check(monkeypatch, kernel, params)
+            shape = np.broadcast_shapes(*(np.shape(p) for p in params))
+            flat, flat_args = recorded_check(monkeypatch, kernel, [np.broadcast_to(p, shape).ravel() for p in params])
+            for cells in axis_injections(axes, tol, seed=k):
+                on_axes = check_outcome(inject_on_axes(axes, cells), axes_args, tol)
+                assert on_axes == check_outcome(inject_flat(flat, axes, cells, shape), flat_args, tol), cells
+                outcomes.add(on_axes is None)
+        assert False in outcomes and (True in outcomes or tol == 0.0)  # at tol = 0 some grids fail unaltered
