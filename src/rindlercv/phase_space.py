@@ -43,8 +43,12 @@ on the vacuum (``_squeezed_vacuum``, which the scenario builders use; its
 intermediate states are not checked).  :func:`reduce` and
 :func:`partial_transpose` return exact images of a validated matrix, a
 principal submatrix and a product with a +-1 mask, which validation could
-neither reject nor change, so they skip it.  Every :class:`SympTransform` is
-validated.
+neither reject nor change, so they skip it.  Every public
+``SympTransform(...)`` runs the full product test S^T Omega S = Omega.  A
+:func:`two_mode_squeezer` is checked on its two entries instead, by the
+identity cosh^2 r - sinh^2 r = 1 that makes it symplectic, through the same
+verdict, tolerance and messages (``_symplectic_verdict``); on finite entries
+the product test could not fail, so the squeezer skips it.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -190,6 +194,21 @@ class CovMatrix:
         return self.mat[2 * i:2 * i + 2, 2 * j:2 * j + 2]
 
 
+def _symplectic_verdict(scale: float, defect: Callable[[float], float]) -> None:
+    """The verdict of every symplectic check on a matrix S with scale = max|S|: ValueError unless S is symplectic.
+
+    A scale that is not finite (NaN neither) fails first.  Then ``defect(k)``,
+    the defect of S / k relative to k^2 with k = max(1, scale), so that no
+    product overflows, must be at most ``SYMPLECTIC_ATOL`` (a NaN fails too).
+    """
+    if not scale < math.inf:
+        raise ValueError("symplectic matrix entries must be finite")
+    value = defect(max(1.0, float(scale)))
+    if not value <= SYMPLECTIC_ATOL:
+        raise ValueError(f"matrix does not preserve the symplectic form "
+                         f"(defect {value:.3e} relative to max(1, max|S|)^2)")
+
+
 @dataclass(frozen=True, eq=False)
 class SympTransform:
     """A real symplectic matrix, i.e. the phase-space image of a Gaussian unitary."""
@@ -200,16 +219,12 @@ class SympTransform:
         arr = np.asarray(self.mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 or arr.shape[0] == 0:
             raise ValueError(f"symplectic matrix must be 2Nx2N, got shape {arr.shape}")
-        scale = abs(arr).max()  # NaN propagates through max, so this also tests finiteness
-        if not scale < math.inf:
-            raise ValueError("symplectic matrix entries must be finite")
         omega = _omega(arr.shape[0] // 2)
-        k = max(1.0, float(scale))  # the defect relative to k^2, taken on arr / k so that no product overflows
-        unit = arr / k
-        defect = abs(unit.T @ omega @ unit - omega / (k * k)).max()
-        if not defect <= SYMPLECTIC_ATOL:  # a NaN defect fails too
-            raise ValueError(f"matrix does not preserve the symplectic form "
-                             f"(defect {defect:.3e} relative to max(1, max|S|)^2)")
+
+        def defect(k):
+            unit = arr / k
+            return abs(unit.T @ omega @ unit - omega / (k * k)).max()
+        _symplectic_verdict(abs(arr).max(), defect)  # NaN propagates through max, so it fails the finite test
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
@@ -252,18 +267,31 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
     On the (i, j) subspace the transform is
     ``[[cosh r, 0, sinh r, 0], [0, cosh r, 0, -sinh r],
     [sinh r, 0, cosh r, 0], [0, -sinh r, 0, cosh r]]``
-    and the identity everywhere else.  A squeezing whose entries overflow is
-    rejected with a ValueError, without a numpy warning.
+    and the identity everywhere else.
+
+    It is checked on its two entries c = cosh r and s = sinh r, not by the
+    product test of a public ``SympTransform(...)``: S^T Omega S = Omega
+    holds exactly where c^2 - s^2 = 1, which finite c and s meet to
+    rounding, so the product test cannot fail on them.  c and s must be
+    finite, and the defect |(c/k)^2 - (s/k)^2 - 1/k^2|, k = max(1, |c|, |s|),
+    at most ``SYMPLECTIC_ATOL``, with the product test's messages: a
+    squeezing whose entries overflow is rejected with a ValueError, without
+    a numpy warning.  The filled, read-only matrix is wrapped unvalidated.
     """
     check_mode_set((i, j), n_modes)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the check
-        c, s = np.cosh(r), np.sinh(r)
-        out = _identity(n_modes).copy()
-        xi, pi, xj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-        out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
-        out[xi, xj] = out[xj, xi] = s
-        out[pi, pj] = out[pj, pi] = -s
-        return SympTransform(out)
+        c, s = float(np.cosh(r)), float(np.sinh(r))
+    # max keeps its first NaN; cosh r and sinh r are NaN together
+    _symplectic_verdict(max(abs(c), abs(s)), lambda k: abs((c / k) * (c / k) - (s / k) * (s / k) - 1.0 / k / k))
+    out = _identity(n_modes).copy()
+    xi, pi, xj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+    out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
+    out[xi, xj] = out[xj, xi] = s
+    out[pi, pj] = out[pj, pi] = -s
+    out.setflags(write=False)
+    squeezer = object.__new__(SympTransform)
+    object.__setattr__(squeezer, "mat", out)
+    return squeezer
 
 
 def apply_congruence(S: SympTransform, sigma: MatrixLike) -> CovMatrix:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rindlercv import phase_space
 from rindlercv.info_measures import (
     GMEMMS_SPECTRUM_TOL,
     M_CLAMP_TOL,
@@ -621,11 +622,15 @@ class TestMemoisedState:
         route: the finished state of the squeezer chain.  Its intermediate
         states are not validated, and the reduction and the partial transpose
         are exact images of a validated matrix, so they are not validated
-        again.  The three squeezers stay validated.
+        again.  Each of the three squeezers is checked once, on its two
+        entries, through the shared symplectic verdict, and none runs the
+        generic product test of ``SympTransform.__post_init__``.
         """
         calls = []
         built = {CovMatrix: 0, SympTransform: 0}
+        verdicts = []
         cholesky = np.linalg.cholesky
+        verdict = phase_space._symplectic_verdict
 
         def counting(*args, **kwargs):
             calls.append(1)
@@ -636,10 +641,16 @@ class TestMemoisedState:
                 built[cls] += 1
                 validate(self)
             monkeypatch.setattr(cls, "__post_init__", post_init)
+
+        def counting_verdict(*args):
+            verdicts.append(1)
+            verdict(*args)
+        monkeypatch.setattr(phase_space, "_symplectic_verdict", counting_verdict)
         ln = reduce(build_double_observer_cm(s, l, n), (1, 2))
         two_mode_m(ln), mutual_information(ln, (0,)), log_negativity(ln, (0,))
         assert len(calls) == 2
-        assert built == {CovMatrix: 1, SympTransform: 3}
+        assert built == {CovMatrix: 1, SympTransform: 0}
+        assert len(verdicts) == 3
 
 
 @given(st.floats(0.05, 2.5), st.floats(0.05, 2.5))

@@ -596,6 +596,29 @@ class TestSharedConstants:
                                       apply_congruence(plain_squeezer(t, 1, 2, 3), CovMatrix(np.eye(6))))
             assert ea.tripartite_bound_ansatz_cm(s, a).mat.tobytes() == ansatz.mat.tobytes()
 
+    @pytest.mark.parametrize("i,j,n_modes", [(0, 1, 2), (1, 0, 4), (2, 3, 4)])
+    def test_squeezer_check_refuses_what_the_product_test_refuses(self, i, j, n_modes):
+        """On its two entries, the squeezer's check passes and fails with the generic product test, message and all."""
+        edges = [0.0, 1e-300, 0.5, 20.0, 400.0, 709.7, 710.5, 800.0, math.inf]
+        refused = 0
+        for r in [*edges, *(-r for r in edges), math.nan]:
+            with np.errstate(over="ignore"):
+                try:
+                    expected = plain_squeezer(r, i, j, n_modes).mat.tobytes()
+                except ValueError as exc:
+                    expected = str(exc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    out = two_mode_squeezer(r, i, j, n_modes)
+                except ValueError as exc:
+                    assert str(exc) == expected, r
+                    refused += 1
+                    continue
+            assert out.mat.tobytes() == expected, r
+            assert not out.mat.flags.writeable
+        assert refused == 7  # +-710.5, +-800, +-inf and nan: cosh r overflows or is NaN
+
     @staticmethod
     def states():
         for s, a, b in constant_points():
@@ -831,3 +854,26 @@ class TestOneGate:
                     if isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 32]
         source = (package / "phase_space.py").read_text(encoding="utf-8").splitlines()
         assert literals == [("phase_space.py", source.index("FLOOR_FACTOR = 32") + 1)]
+
+
+class TestValidationBypasses:
+    """Only the named constructors wrap a matrix without validating it; a new one fails here until it is named."""
+
+    BYPASSES = [("phase_space.py", "two_mode_squeezer"), ("phase_space.py", "_exact_cov")]
+
+    @classmethod
+    def owners(cls, node, owner=None):
+        """The innermost function around each ``__new__`` reference below node (None at module level)."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from cls.owners(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "__new__":
+                yield owner
+            yield from cls.owners(child, owner)
+
+    def test_object_new_only_in_the_named_constructors(self):
+        package = pathlib.Path(phase_space.__file__).parent
+        found = [(path.name, owner) for path in sorted(package.glob("*.py"))
+                 for owner in self.owners(ast.parse(path.read_text(encoding="utf-8")))]
+        assert found == self.BYPASSES
