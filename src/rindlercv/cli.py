@@ -13,9 +13,14 @@ two axes, the outer as a column and the inner as a row, so a kernel evaluates
 what depends on one axis once per value of it; the grid's shape is first
 materialised in the writer's gather.  The table writer reads each column
 along the axes it varies on only, formats each distinct float of a chunk
-once, in one '%' call, gathers the texts into a row-major list of cells and
-writes the chunk with one '%' of a row template; the bytes are those of
-rendering each cell on its own with ``_fmt`` (CSV) or ``_dump_json`` (JSON).
+once, gathers the texts into a row-major list of cells and writes the chunk
+with one '%' of a row template; the bytes are those of rendering each cell
+on its own with ``_fmt`` (CSV) or ``_dump_json`` (JSON).  A CSV float is
+rendered by ``_fmt17``, a numpy kernel that writes the bytes of '%.17g':
+it computes a fixed-notation text (decimal exponent -4..16, nearly every
+value of a sweep or figure) exactly from the value's 17-digit integer, and
+hands the rest (0, -0, inf, nan, exponent notation) to '%.17g' itself.  A
+JSON float goes through one '%r' call.
 
 Every output file (``--out`` tables, figure data and plot scripts) goes
 through ``_Output``, which rewrites an existing regular file in place and
@@ -187,6 +192,103 @@ class _Output:
         os.remove(os.path.realpath(self.path))
 
 
+# _fmt17's byte row of one value, 7 uint32 words: the leading digit as "000d", four groups of 4 digits (the 17
+# digits are bytes 3-19), then "-.0\0" and "\n\0\0\0"; a value left to '%.17g' has its text in bytes 0-23
+_ROW_TAIL = np.frombuffer(b"-.0\0\n\0\0\0", np.uint32)
+_NEG, _DOT, _ZERO, _NL, _NUL = 20, 21, 22, 24, 25  # byte offsets in the row
+_TEXT = 25  # bytes of the widest text and its "\n": "-0.000" and 17 digits, or a '%.17g' text of at most 24
+_GROUPS = np.array([[10 ** 16], [10 ** 12], [10 ** 8], [10 ** 4], [1]])  # n // _GROUPS % 10**4: n's 5 groups
+_GROUP_BASE = 10 ** 4 * np.arange(5)[:, None]  # where each group's part of the flat table last starts
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's factor: a double's two 26-bit halves
+_FMT17_BLOCK = 1024  # values per block: the temporary arrays, some 500 bytes a value, stay small
+
+
+@functools.cache
+def _fmt17_tables() -> tuple[np.ndarray, ...]:
+    """_fmt17's tables, built on first use: bounds, powers, quads, last and layout.
+
+    bounds[p + 4] is the least double at or above 10**p, p = -4..17, so a
+    value v has the decimal exponent x where bounds[x + 4] <= |v| < bounds[x + 5].
+    powers[:, x + 4] is 10**(16 - x), exact up to 10**20, and its two
+    Veltkamp halves.  quads[g] is the text of g in 4 digits as one uint32
+    word.  last[10**4 * j + g] is how many of the 17 digits run up to the
+    last nonzero one of group j when that group holds g (0 if g is 0).
+    Each row of layout lists the row bytes one text takes, padded with _NUL:
+    one row per (x, digits kept, sign), then the row copying a '%.17g' text.
+    """
+    # the double nearest 10**p is 10**p from p = 0 on, and lies above it for p = -4..-1
+    bounds = np.array([float(f"1e{p}") for p in range(-4, 18)])
+    scale = np.array([float(10 ** k) for k in range(20, -1, -1)])
+    high = scale * _SPLIT - (scale * _SPLIT - scale)
+    chars = np.frombuffer(b"0123456789", np.uint8)  # the 4-char texts "0000".."9999" in order, as words
+    quads = np.stack(np.meshgrid(chars, chars, chars, chars, indexing="ij"), axis=-1).view(np.uint32).ravel()
+    g = np.arange(10 ** 4)
+    digits = 4 - sum(g % 10 ** i == 0 for i in range(1, 4))  # the length of g's 4 digits, trailing 0s cut
+    last = np.where(g > 0, 4 * np.arange(5)[:, None] - 3 + digits, 0).astype(np.uint8).ravel()
+    digit = list(range(3, 20))
+    layout = []
+    for x in range(-4, 17):
+        for kept in range(1, 18):
+            if x < 0:
+                body = [_ZERO, _DOT] + [_ZERO] * (-1 - x) + digit[:kept]
+            else:
+                body = digit[:x + 1] + ([_DOT, *digit[x + 1:kept]] if kept > x + 1 else [])
+            for sign in ([], [_NEG]):
+                row = [*sign, *body, _NL]
+                layout.append(row + [_NUL] * (_TEXT - len(row)))
+    layout.append([*range(24), _NL])
+    return bounds, np.array([scale, high, scale - high]), quads, last, np.array(layout, np.int32)
+
+
+def _fmt17(values: np.ndarray) -> str:
+    """'%.17g\\n' * len(values) % tuple(values.tolist()), computed in numpy _FMT17_BLOCK values at a time.
+
+    The text of every value with a decimal exponent x of -4..16, which
+    '%.17g' writes in fixed notation, is put together from its 17-digit
+    integer n: |v| * 10**(16 - x) lies in [1e16, 1e17), 10**(16 - x) is an
+    exact double, and Dekker's product splits it into hi + lo without error.
+    hi >= 1e16 > 2**53 is an even integer, so hi + rint(lo) is the product
+    rounded to an integer, ties to even, as Python's dtoa rounds.  (No double
+    lies within half a unit of the 17th digit below a power of ten, so n
+    never carries to 10**17.)  The digits come from the 4-digit table, and one
+    flat take through the layout row of (x, digits kept after the trailing
+    zeros, sign) lays each text out in bytes, which a mask rids of their
+    padding.  Every other value (0, -0, inf, nan and exponent notation) goes
+    to '%.17g' itself, in one bulk call per block.
+    """
+    bounds, powers, quads, last, layout = _fmt17_tables()
+    out = []
+    for start in range(0, len(values), _FMT17_BLOCK):
+        v = values[start:start + _FMT17_BLOCK]
+        a = np.abs(v)
+        e = np.searchsorted(bounds, a, side="right") - 1  # x + 4, nan included in the last bound's count
+        other = (e < 0) | (e > 20)
+        if fallback := other.any():
+            a[other], e[other] = 1.0, 4  # computed without a warning; these rows are replaced below
+        scale, high, low = powers[:, e]
+        hi = a * scale
+        a_high = a * _SPLIT - (a * _SPLIT - a)
+        a_low = a - a_high
+        lo = ((a_high * high - hi) + a_high * low + a_low * high) + a_low * low
+        n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        groups = n // _GROUPS % 10 ** 4
+        words = np.empty((len(v), 7), np.uint32)
+        words[:, :5] = quads[groups.T]
+        words[:, 5:] = _ROW_TAIL
+        kept = last.take(groups + _GROUP_BASE).max(axis=0)
+        key = (e * 17 + kept - 1) * 2 + np.signbit(v)
+        if fallback:
+            rest = v[other]
+            texts = ("%.17g\n" * len(rest) % tuple(rest.tolist())).split("\n")[:-1]
+            words[other, :6] = np.array(texts, dtype="S24").view(np.uint32).reshape(-1, 6)
+            key[other] = len(layout) - 1
+        index = layout.take(key, axis=0)
+        index += 28 * np.arange(len(v), dtype=np.int32)[:, None]  # each row's first byte: 7 words of 4 bytes
+        text = words.view(np.uint8).ravel().take(index)
+        out.append(text[text != 0].tobytes())
+    return b"".join(out).decode("ascii")
+
+
 def _cells(chunk: dict, columns: list[str], fmt: str) -> list[str]:
     """The chunk's cells, row by row, as _fmt (CSV) or _dump_json (JSON) renders each on its own.
 
@@ -194,12 +296,13 @@ def _cells(chunk: dict, columns: list[str], fmt: str) -> list[str]:
     C order (a surface's outer axis major).  Each column is read only along
     the axes it varies on (nonzero strides): a broadcast axis contributes its
     first cell, which the gather repeats.  Each distinct float of the chunk,
-    over all its float columns, is formatted once, by one '%' call, and its
-    text gathered into every cell that holds it.  Floats are told apart by
-    their bits, so -0.0 and 0.0 stay distinct.  '%.17g' prints inf, -inf, nan
-    and -0 as _fmt does, and '%r' a finite float as JSON does; a non-finite
-    JSON cell is _fmt's text, quoted.  Booleans are false/true, and a masked
-    cell is empty in CSV and null in JSON.
+    over all its float columns, is formatted once, by _fmt17 (CSV) or one
+    '%r' call (JSON), and its text gathered into every cell that holds it.
+    Floats are told apart by their bits, so -0.0 and 0.0 stay distinct.
+    '%.17g', whose bytes _fmt17 writes, prints inf, -inf, nan and -0 as _fmt
+    does, and '%r' a finite float as JSON does; a non-finite JSON cell is
+    _fmt's text, quoted.  Booleans are false/true, and a masked cell is empty
+    in CSV and null in JSON.
     """
     cols = [chunk[c] for c in columns]
     shape = np.broadcast_shapes(*{np.shape(col) for col in cols})
@@ -214,7 +317,7 @@ def _cells(chunk: dict, columns: list[str], fmt: str) -> list[str]:
     values = keys.view(float)
     k = len(values)
     # the k texts, then the split's trailing "" (a masked cell), false and true
-    texts = (("%.17g\n" if fmt == "csv" else "%r\n") * k % tuple(values.tolist())).split("\n")
+    texts = (_fmt17(values) if fmt == "csv" else "%r\n" * k % tuple(values.tolist())).split("\n")
     if fmt == "json":
         for i in np.flatnonzero(~np.isfinite(values)).tolist():
             texts[i] = f'"{_fmt(values[i].item())}"'

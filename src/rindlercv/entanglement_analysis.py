@@ -445,7 +445,7 @@ def _double_cells(s, l, n) -> dict:
     """The double report's cells from s to tau_l_n, in field order: all its monogamy probes read."""
     m_l_lbar, m_n_nbar, m_l_n = _pairwise_m_double(s, l, n)
     m_lbar, m_l, m_n, m_nbar = _one_vs_rest_m_double(s, l, n)
-    ones = np.ones(np.shape(s))[()]  # an np.float64 at a point, an array of s's shape on a grid
+    ones = s * 0.0 + 1.0  # exact for finite s, -0.0 too: a float at a point, an array of s's shape on a grid
     return {"s": s, "l": l, "n": n, "m_l_nbar": ones, "m_n_lbar": ones, "m_lbar_nbar": ones,
             "m_l_lbar": m_l_lbar, "m_n_nbar": m_n_nbar, "m_l_n": m_l_n,
             "m_lbar_vs_rest": m_lbar, "m_l_vs_rest": m_l, "m_n_vs_rest": m_n, "m_nbar_vs_rest": m_nbar,

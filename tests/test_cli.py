@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import errno
 import importlib
 import io
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from hypothesis import strategies as st
 from rindlercv import cli
 from rindlercv import entanglement_analysis as ea
 from rindlercv import selftest
-from rindlercv.cli import (EXIT_INCONSISTENT, EXIT_IO, EXIT_SELFTEST, EXIT_USAGE, FIGURE_PRESETS,
-                           SweepAxis, _dump_json, _fmt, _jsonable, _write_table, main)
+from rindlercv.cli import (EXIT_INCONSISTENT, EXIT_IO, EXIT_SELFTEST, EXIT_USAGE, FIGURE_PRESETS, SWEEP_CHUNK,
+                           SweepAxis, _dump_json, _fmt, _FMT17_BLOCK, _jsonable, _write_table, main)
 
 
 def run_cli(capsys, *argv):
@@ -845,8 +847,13 @@ def one_row_chunk(report):
             for name, v in report.items()}
 
 
+# where the '%.17g' kernel hands over to '%.17g' itself: 1e-4 and 1e16 are its ends, their outer neighbours and
+# 1e17 fall back; the last is an exact tie at the 18th digit, rounded to even
+SEAMS = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+         1e17, 9.999999999999998e16, 1.0000000000000002e17, -36840961550141.9375]
+
 WRITER_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
-                   1e-310, -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+                   1e-310, -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308, *SEAMS]
 
 
 @st.composite
@@ -873,11 +880,92 @@ def writer_tables(draw):
     return columns, chunks
 
 
+def exact_ties(rng, count):
+    """count exact ties m * 2**-j in fixed notation, each with 18 significant digits, the last a 5: for a decimal
+    exponent x, j = 17 - x fractional bits give j decimals, and an odd m < 2**53 makes the last one a 5."""
+    ties = []
+    for i in range(count):
+        x = -4 + i % 20  # -4..15: past 2**53 a double has no fraction left
+        j = 17 - x
+        lo = math.ceil(Fraction(10) ** x * 2 ** j)
+        hi = min(math.ceil(Fraction(10) ** (x + 1) * 2 ** j), 2 ** 53)
+        ties.append((int(rng.integers(lo, hi - 1)) | 1) / 2 ** j)
+    return ties
+
+
+class TestFmt17:
+    """The writer's numpy kernel writes '%.17g' of every value, element by element, and raises no numpy warning."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=float)
+        got = cli._fmt17(values)
+        want = ["%.17g" % v for v in values.tolist()]
+        if got != "".join(text + "\n" for text in want):
+            texts = got.split("\n")[:-1]
+            bad = [(v.hex(), g, w) for v, g, w in zip(values.tolist(), texts, want) if g != w]
+            pytest.fail(f"{len(texts)} texts for {len(want)} values; {len(bad)} differ, the first {bad[:5]}")
+
+    def test_exponent_bounds_are_the_least_doubles_at_or_above_the_powers_of_ten(self):
+        bounds, powers = cli._fmt17_tables()[:2]
+        for p, bound in zip(range(-4, 18), bounds.tolist()):
+            assert Fraction(math.nextafter(bound, 0.0)) < Fraction(10) ** p <= Fraction(bound)
+        assert [Fraction(v) for v in powers[0].tolist()] == [Fraction(10) ** (16 - x) for x in range(-4, 17)]
+
+    def test_seeded_bits_and_magnitudes(self):
+        """Raw bit patterns, and magnitudes log-uniform from 1e-6 to 1e19, of either sign: 10**6 values."""
+        rng = np.random.default_rng(27)
+        bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 200_000, dtype=np.int64, endpoint=True)
+        magnitudes = 10.0 ** rng.uniform(-6.0, 19.0, 800_000) * rng.choice([-1.0, 1.0], 800_000)
+        self.check(np.concatenate([bits.view(float), magnitudes]))
+
+    def test_exact_ties_round_to_even(self):
+        ties = exact_ties(np.random.default_rng(28), 1000)
+        for v in ties:
+            digits = decimal.Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        assert "%.17g" % 36840961550141.9375 == "36840961550141.938"
+        self.check(ties + [-v for v in ties])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        """10**-6..10**18 and 2 ulps either side; the kernel covers decimal exponents -4..16."""
+        values = []
+        for p in range(-6, 19):
+            t = float(f"1e{p}")
+            below, above = math.nextafter(t, 0.0), math.nextafter(t, math.inf)
+            values += [math.nextafter(below, 0.0), below, t, above, math.nextafter(above, math.inf)]
+        self.check(values + [-v for v in values])
+
+    def test_nothing_rounds_up_to_a_power_of_ten(self):
+        """The 8 doubles below each power of ten keep a 17-digit text below it: n never carries to 10**17."""
+        values = []
+        for p in range(-4, 18):
+            v = float(f"1e{p}")
+            for _ in range(8):
+                v = math.nextafter(v, 0.0)
+                values.append(v)
+                assert float("%.17g" % v) < float(f"1e{p}")
+        self.check(values + [-v for v in values])
+
+    def test_special_values(self):
+        self.check([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                    1.7976931348623157e308, -1.7976931348623157e308])
+        assert np.signbit(np.array(-math.nan))  # both nan signs were checked
+
+    @pytest.mark.parametrize("size", [0, 1, _FMT17_BLOCK - 1, _FMT17_BLOCK, _FMT17_BLOCK + 1, 2 * _FMT17_BLOCK + 3,
+                                      SWEEP_CHUNK + 1])
+    def test_sizes_around_the_block(self, size):
+        """Blocks of _FMT17_BLOCK values, with values left to '%.17g' in each."""
+        values = np.random.default_rng(size).normal(size=size) * 1e3
+        values[::300] = np.resize([0.0, -0.0, 1e-300, math.inf, math.nan, -1e300], len(values[::300]))
+        self.check(values)
+
+
 class TestTableWriter:
     """The table writer renders every cell as _fmt (CSV) and _dump_json (JSON) render it alone."""
 
     SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-               1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1, 1 / 3]
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1, 1 / 3, *SEAMS]
 
     @staticmethod
     def chunks():
