@@ -23,10 +23,11 @@ hands the rest (0, -0, inf, nan, exponent notation) to '%.17g' itself.  A
 JSON float goes through one '%r' call.
 
 Every output file (``--out`` tables, figure data and plot scripts) goes
-through ``_Output``, which rewrites an existing regular file in place and
-cuts it to the written length, and removes it (through a symlink, the file
-the link resolves to) if writing fails.  Nothing is fsynced, and a run
-killed mid-write can leave the new bytes followed by the old file's tail.
+through ``_Output``, one generator context manager: it rewrites an existing
+regular file in place, cuts it to the written length, and on any failure
+removes it in one place (through a symlink, the file the link resolves to).
+Nothing is fsynced; a run killed mid-write can leave the new bytes followed
+by the old file's tail.
 
 Each verb reads only the global flags ``VERB_FLAGS`` names for it; ``main``
 refuses any other with exit 2 before any output opens.
@@ -35,6 +36,7 @@ refuses any other with exit 2 before any output opens.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -139,8 +141,9 @@ def _dump_json(obj) -> str:
     return _JSON.encode(_jsonable(obj))
 
 
-class _Output:
-    """stdout or a file opened for writing; I/O errors surface as exit code 4.
+@contextlib.contextmanager
+def _Output(path: Optional[str]):
+    """stdout, or the file at path opened for writing; I/O errors surface as exit code 4.
 
     A regular file is rewritten in place: opened without truncating, written
     from its start and, where the old file was longer, cut to the written
@@ -158,38 +161,23 @@ class _Output:
     to, and the link stays.  Anything else (a device such as /dev/null, a
     pipe) is written as opened, never cut, and left where it is.
     """
-
-    def __init__(self, path: Optional[str]):
-        self.path = path
-
-    def __enter__(self):
-        if self.path is None:
-            return sys.stdout
-        # "w" without its O_TRUNC; open owns the descriptor as soon as the opener returns it
-        self._fh = open(self.path, "w", encoding="utf-8", newline="",
-                        opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
-        info = os.fstat(self._fh.fileno())
-        self._regular, self._old_size = stat.S_ISREG(info.st_mode), info.st_size
-        return self._fh
-
-    def __exit__(self, exc_type, *exc):
-        if self.path is None:
-            return False
-        try:
-            with self._fh:  # tell() flushes; only an old file longer than what was written needs the cut
-                if exc_type is None and self._regular and (end := self._fh.tell()) < self._old_size:
-                    os.ftruncate(self._fh.fileno(), end)
-        except BaseException:
-            if self._regular:
-                self._remove()
-            raise
-        if exc_type is not None and self._regular:
-            self._remove()
-        return False
-
-    def _remove(self):
-        """Remove the file written: the one a symlink resolves to, not the link."""
-        os.remove(os.path.realpath(self.path))
+    if path is None:
+        yield sys.stdout
+        return
+    # "w" without its O_TRUNC; open owns the descriptor as soon as the opener returns it
+    fh = open(path, "w", encoding="utf-8", newline="",
+              opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
+    info = os.fstat(fh.fileno())
+    regular = stat.S_ISREG(info.st_mode)
+    try:
+        with fh:  # tell() flushes; only an old file longer than what was written needs the cut
+            yield fh
+            if regular and (end := fh.tell()) < info.st_size:
+                os.ftruncate(fh.fileno(), end)
+    except BaseException:
+        if regular:  # the file written: the one a symlink resolves to, not the link
+            os.remove(os.path.realpath(path))
+        raise
 
 
 # _fmt17's byte row of one value, 7 uint32 words: the leading digit as "000d", four groups of 4 digits (the 17
@@ -594,36 +582,31 @@ set key autotitle columnhead
 plot for [col=2:{ncols}] '{data}' using 1:col with lines
 """
 
-FIGURE_PRESETS: dict[str, FigurePreset] = {}
-
-
-def _register(preset: FigurePreset) -> None:
-    FIGURE_PRESETS[preset.preset_id] = preset
-
-
-_register(FigurePreset("fig2", "one-vs-rest m parameters vs acceleration r at s = 1",
-                       ["r", "m_a_vs_rest", "m_r_vs_rest", "m_rbar_vs_rest"], _fig2_rows,
-                       _CURVES_PLOT.replace("{ncols}", "4")))
-_register(FigurePreset("fig3", "Alice-Rob contangle surface over (r, s), raw and normalized to 4s^2",
-                       ["r", "s", "tau_ar", "tau_ar_normalized"], _fig3_rows, _SURFACE_PLOT))
-_register(FigurePreset("fig4", "sqrt contangle curves vs r for s in {0.25,0.5,1,2} plus the 2r wedge line",
-                       ["r", "sqrt_tau_ar_s0.25", "sqrt_tau_ar_s0.5", "sqrt_tau_ar_s1",
-                        "sqrt_tau_ar_s2", "sqrt_tau_r_rbar"], _fig4_rows,
-                       _CURVES_PLOT.replace("{ncols}", "6")))
-_register(FigurePreset("fig5", "residual tripartite contangle surface over (r, s)",
-                       ["r", "s", "residual_tripartite"], _fig3_rows, _SURFACE_PLOT))
-_register(FigurePreset("fig6", "frequency-domain separability condition at accel = 2pi and 10pi",
-                       ["lam", "nu", "condition_value_2pi", "separable_2pi",
-                        "condition_value_10pi", "separable_10pi"], _fig6_rows, _SURFACE_PLOT))
-_register(FigurePreset("fig7", "infinite-squeezing Leo-Nadia entanglement vs mode frequencies at accel = 2pi",
-                       ["lam", "nu", "l", "n", "m_ln_infinite", "tau_ln_infinite"], _fig7_rows,
-                       _SURFACE_PLOT.replace("1:2:3", "1:2:6")))
-_register(FigurePreset("fig8", "residual multipartite contangle surface over (s, a)",
-                       ["s", "a", "residual_multipartite"], _fig8_rows, _SURFACE_PLOT))
-_register(FigurePreset("fig9", "Leo-Nadia contangle surface over (a, s) with the a*(s) death line",
-                       ["a", "s", "tau_ln", "tau_ln_normalized", "a_star"], _fig9_rows, _SURFACE_PLOT))
-_register(FigurePreset("fig10", "classical-correlation deficit surface over (a, s)",
-                       ["a", "s", "deficit"], _fig9_rows, _SURFACE_PLOT))
+FIGURE_PRESETS: dict[str, FigurePreset] = {preset.preset_id: preset for preset in (
+    FigurePreset("fig2", "one-vs-rest m parameters vs acceleration r at s = 1",
+                 ["r", "m_a_vs_rest", "m_r_vs_rest", "m_rbar_vs_rest"], _fig2_rows,
+                 _CURVES_PLOT.replace("{ncols}", "4")),
+    FigurePreset("fig3", "Alice-Rob contangle surface over (r, s), raw and normalized to 4s^2",
+                 ["r", "s", "tau_ar", "tau_ar_normalized"], _fig3_rows, _SURFACE_PLOT),
+    FigurePreset("fig4", "sqrt contangle curves vs r for s in {0.25,0.5,1,2} plus the 2r wedge line",
+                 ["r", "sqrt_tau_ar_s0.25", "sqrt_tau_ar_s0.5", "sqrt_tau_ar_s1",
+                  "sqrt_tau_ar_s2", "sqrt_tau_r_rbar"], _fig4_rows,
+                 _CURVES_PLOT.replace("{ncols}", "6")),
+    FigurePreset("fig5", "residual tripartite contangle surface over (r, s)",
+                 ["r", "s", "residual_tripartite"], _fig3_rows, _SURFACE_PLOT),
+    FigurePreset("fig6", "frequency-domain separability condition at accel = 2pi and 10pi",
+                 ["lam", "nu", "condition_value_2pi", "separable_2pi",
+                  "condition_value_10pi", "separable_10pi"], _fig6_rows, _SURFACE_PLOT),
+    FigurePreset("fig7", "infinite-squeezing Leo-Nadia entanglement vs mode frequencies at accel = 2pi",
+                 ["lam", "nu", "l", "n", "m_ln_infinite", "tau_ln_infinite"], _fig7_rows,
+                 _SURFACE_PLOT.replace("1:2:3", "1:2:6")),
+    FigurePreset("fig8", "residual multipartite contangle surface over (s, a)",
+                 ["s", "a", "residual_multipartite"], _fig8_rows, _SURFACE_PLOT),
+    FigurePreset("fig9", "Leo-Nadia contangle surface over (a, s) with the a*(s) death line",
+                 ["a", "s", "tau_ln", "tau_ln_normalized", "a_star"], _fig9_rows, _SURFACE_PLOT),
+    FigurePreset("fig10", "classical-correlation deficit surface over (a, s)",
+                 ["a", "s", "deficit"], _fig9_rows, _SURFACE_PLOT),
+)}
 
 
 def _cmd_figure(args) -> int:
@@ -766,7 +749,7 @@ def _args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.tol is None:
-        args.tol = 1e-9
+        args.tol = ea.RESIDUAL_TOL
     args.quick = bool(args.quick)
     if args.format is None and args.verb == "sweep":
         args.format = "csv"

@@ -23,7 +23,8 @@ call's cell at that point (every square is a product: see info_measures).
 
 Each quantity has one closed form: the one-observer m's are the two-observer
 kernels with Leo inertial (l = 0), and Leo-Nadia death, tanh s - sinh l sinh n
-<= 0, is one mask that the Leo-Nadia m, r_eff and a* all read.
+<= 0, is one mask that the Leo-Nadia m, r_eff and a* all read.  At infinite s
+the frequency report reads its own ``separable`` mask as death instead.
 
 Diverging quantities (the maximal surviving contangle at zero acceleration,
 the effective single-observer acceleration past the entanglement-death
@@ -395,12 +396,15 @@ def frequency_separability(freq_1, freq_2, acceleration):
     return frequency_condition(freq_1, freq_2, acceleration)[2]
 
 
-def _m_ln_infinite_squeezing(l, n):
+def _m_ln_infinite_squeezing(l, n, dead=None):
+    """The Leo-Nadia m at infinite s, 1 where dead (by default the death mask at tanh s = 1)."""
     shl, shn = np.sinh(l), np.sinh(n)
     num = np.cosh(2 * l) * np.cosh(2 * n) - 4.0 * shl * shn + 3.0
     sum_sh = shl + shn
     den = 2.0 * (sum_sh * sum_sh)
-    return _where(_leo_nadia_death(1.0, shl, shn)[0], 1.0, np.maximum(num / den, 1.0))  # tanh s = 1
+    if dead is None:
+        dead = _leo_nadia_death(1.0, shl, shn)[0]
+    return _where(dead, 1.0, np.maximum(num / den, 1.0))
 
 
 def m_ln_infinite_squeezing(l, n):
@@ -634,11 +638,11 @@ def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) 
 
     Columns lam, nu, accel, the squeezing parameters l and n of the two
     modes, the death condition of :func:`frequency_condition` (+-inf where
-    it overflows), the infinite-squeezing Leo-Nadia m and contangle (inf
-    where l = n = 0 and wherever it overflows), and with s also s, m_l_n
-    and tau_l_n.  A cell breaking an invariant of :func:`_check_columns` at
-    ``tol`` raises InconsistencyError, an infinite squeezing l or n
-    ValueError.
+    it overflows), the infinite-squeezing Leo-Nadia m and contangle (1 and 0
+    wherever ``separable`` holds, inf where l = n = 0 and wherever m
+    overflows), and with s also s, m_l_n and tau_l_n.  A cell breaking an
+    invariant of :func:`_check_columns` at ``tol`` raises
+    InconsistencyError, an infinite squeezing l or n ValueError.
     """
     params = {"lam": lam, "nu": nu, "accel": accel} | ({} if s is None else {"s": s})
     _require_domain(positive=True, lam=lam, nu=nu, accel=accel)
@@ -654,7 +658,7 @@ def frequency_report_columns(lam, nu, accel, s=None, tol: float = RESIDUAL_TOL) 
                              f"{_first_point(params, shape, infinite)}")
         condition, margin, separable = frequency_condition(lam, nu, accel)
         both_zero = np.equal(l, 0.0) & np.equal(n, 0.0)
-        m_inf = _where(both_zero, np.inf, _m_ln_infinite_squeezing(l, n))
+        m_inf = _where(both_zero, np.inf, _m_ln_infinite_squeezing(l, n, separable))
         columns = {
             "lam": lam, "nu": nu, "accel": accel, "l": l, "n": n,
             "condition_value": condition, "separability_margin": margin, "separable": separable,

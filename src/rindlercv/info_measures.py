@@ -206,7 +206,7 @@ def entropy_of_entanglement(s: float) -> float:
 
 
 def check_monogamy(tau_one_vs_rest: float, taus_pairwise: Iterable[float]) -> float:
-    """Residual of the monogamy inequality: one-vs-rest tau minus the pairwise sum.
+    """Residual of the monogamy inequality: one-vs-rest tau minus the pairwise taus one by one, as the reports form it.
 
     A nonnegative residual (within numerical tolerance) certifies that the
     probe mode's entanglement with the rest bounds the total pairwise
@@ -215,7 +215,10 @@ def check_monogamy(tau_one_vs_rest: float, taus_pairwise: Iterable[float]) -> fl
     pairwise = list(taus_pairwise)
     if tau_one_vs_rest < -1e-12 or any(t < -1e-12 for t in pairwise):
         raise ValueError("contangles must be nonnegative")
-    return float(tau_one_vs_rest - sum(pairwise))
+    residual = tau_one_vs_rest
+    for tau in pairwise:
+        residual = residual - tau
+    return float(residual)
 
 
 Source = Literal["closed_form", "numeric_cm"]

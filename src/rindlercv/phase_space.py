@@ -48,7 +48,8 @@ neither reject nor change, so they skip it.  Every public
 :func:`two_mode_squeezer` is checked on its two entries instead, by the
 identity cosh^2 r - sinh^2 r = 1 that makes it symplectic, through the same
 verdict, tolerance and messages (``_symplectic_verdict``); on finite entries
-the product test could not fail, so the squeezer skips it.
+the product test could not fail, so the squeezer skips it.  Those three
+wrap their matrix with ``_Matrix._wrap``, the one unvalidated constructor.
 """
 
 from __future__ import annotations
@@ -157,7 +158,29 @@ def _symmetrize(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CovMatrix:
+class _Matrix:
+    """A read-only 2N x 2N matrix of N modes: what a :class:`CovMatrix` and a :class:`SympTransform` share."""
+
+    mat: np.ndarray
+
+    @property
+    def n_modes(self) -> int:
+        return self.mat.shape[0] // 2
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray):
+        """Wrap a new array, valid by construction, read-only and unvalidated: the one bypass of validation.
+
+        Validation would pass an exact image of a validated covariance matrix (a submatrix, a +-1 mask product)
+        unchanged: ``0.5 * x + 0.5 * x == x`` but for odd multiples of 2**-1074, held only where input was asymmetric.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "mat", _read_only(arr))
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class CovMatrix(_Matrix):
     """Covariance matrix of an N-mode zero-mean Gaussian state.
 
     The constructor enforces shape and symmetry (entries are symmetrized when
@@ -166,8 +189,6 @@ class CovMatrix:
     partially transposed matrices, whose symplectic spectrum may legitimately
     dip below one.  Use :func:`is_bona_fide` for the physicality check.
     """
-
-    mat: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.mat, dtype=float)
@@ -181,13 +202,7 @@ class CovMatrix:
         asym = abs(arr - arr.T).max()
         if asym > SYMMETRY_ATOL * max(1.0, scale):
             raise ValueError(f"covariance matrix not symmetric (asymmetry {asym:.3e})")
-        arr = _symmetrize(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-
-    @property
-    def n_modes(self) -> int:
-        return self.mat.shape[0] // 2
+        object.__setattr__(self, "mat", _read_only(_symmetrize(arr)))
 
     def block(self, i: int, j: int) -> np.ndarray:
         """The 2x2 block coupling quadratures of mode i with those of mode j."""
@@ -210,10 +225,8 @@ def _symplectic_verdict(scale: float, defect: Callable[[float], float]) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class SympTransform:
+class SympTransform(_Matrix):
     """A real symplectic matrix, i.e. the phase-space image of a Gaussian unitary."""
-
-    mat: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.mat, dtype=float)
@@ -225,13 +238,7 @@ class SympTransform:
             unit = arr / k
             return abs(unit.T @ omega @ unit - omega / (k * k)).max()
         _symplectic_verdict(abs(arr).max(), defect)  # NaN propagates through max, so it fails the finite test
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-
-    @property
-    def n_modes(self) -> int:
-        return self.mat.shape[0] // 2
+        object.__setattr__(self, "mat", _read_only(arr.copy()))
 
 
 MatrixLike = Union[CovMatrix, np.ndarray]
@@ -276,7 +283,7 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
     finite, and the defect |(c/k)^2 - (s/k)^2 - 1/k^2|, k = max(1, |c|, |s|),
     at most ``SYMPLECTIC_ATOL``, with the product test's messages: a
     squeezing whose entries overflow is rejected with a ValueError, without
-    a numpy warning.  The filled, read-only matrix is wrapped unvalidated.
+    a numpy warning.  The filled matrix is made read-only and wrapped by ``_wrap``, unvalidated.
     """
     check_mode_set((i, j), n_modes)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the check
@@ -288,10 +295,7 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
     out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
     out[xi, xj] = out[xj, xi] = s
     out[pi, pj] = out[pj, pi] = -s
-    out.setflags(write=False)
-    squeezer = object.__new__(SympTransform)
-    object.__setattr__(squeezer, "mat", out)
-    return squeezer
+    return SympTransform._wrap(out)
 
 
 def apply_congruence(S: SympTransform, sigma: MatrixLike) -> CovMatrix:
@@ -320,27 +324,18 @@ def _squeezed_vacuum(*transforms: SympTransform) -> CovMatrix:
     return CovMatrix(arr)
 
 
-def _exact_cov(arr: np.ndarray) -> CovMatrix:
-    """A CovMatrix of a new array that is an exact image of a validated one, made read-only, not validated again.
-
-    A principal submatrix of a validated matrix, or its product with a +-1
-    outer-product mask, is square, even-sized, finite and exactly symmetric,
-    so validation cannot raise on it, and its symmetrization returns the same
-    bits: ``0.5 * x + 0.5 * x == x`` for every float but the odd multiples of
-    2**-1074, which a validated matrix holds only where its input was
-    asymmetric.
-    """
-    arr.setflags(write=False)
-    cov = object.__new__(CovMatrix)
-    object.__setattr__(cov, "mat", arr)
-    return cov
-
-
 def reduce(sigma: MatrixLike, keep: Iterable[int]) -> CovMatrix:
     """Reduced state of the kept modes (partial trace over the others)."""
     cov = _as_cov(sigma)
     idx = _quad_indices(check_mode_set(keep, cov.n_modes))
-    return _exact_cov(cov.mat.take(idx, 0).take(idx, 1))
+    return CovMatrix._wrap(cov.mat.take(idx, 0).take(idx, 1))
+
+
+def _transposed_modes(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
+    """A mode set to transpose, validated by :func:`check_mode_set`: a proper subset of the n_modes modes."""
+    if len(modes := check_mode_set(modes, n_modes)) >= n_modes:
+        raise ValueError("cannot transpose every mode; pick a proper subset")
+    return modes
 
 
 def partial_transpose(sigma: MatrixLike, transposed: Iterable[int]) -> CovMatrix:
@@ -350,13 +345,11 @@ def partial_transpose(sigma: MatrixLike, transposed: Iterable[int]) -> CovMatrix
     returns the same (immutable) matrix, with its spectrum if one was taken.
     """
     cov = _as_cov(sigma)
-    modes = check_mode_set(transposed, cov.n_modes)
-    if len(modes) >= cov.n_modes:
-        raise ValueError("cannot transpose every mode; pick a proper subset")
+    modes = _transposed_modes(transposed, cov.n_modes)
     memo = cov.__dict__.setdefault("_transposes", {})
     out = memo.get(modes)
     if out is None:
-        out = memo.setdefault(modes, _exact_cov(_flip_mask(modes, cov.n_modes) * cov.mat))
+        out = memo.setdefault(modes, CovMatrix._wrap(_flip_mask(modes, cov.n_modes) * cov.mat))
     return out
 
 
@@ -406,8 +399,7 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
             raise _not_resolvable("symplectic spectrum", cov,
                                   f": could not pair symplectic eigenvalues {lo!r} vs {hi!r}")
         etas[k] = 0.5 * lo + 0.5 * hi  # halve first: lo + hi overflows above about 9e307
-    etas.setflags(write=False)
-    return cov.__dict__.setdefault("_spectrum", etas).copy()
+    return cov.__dict__.setdefault("_spectrum", _read_only(etas)).copy()
 
 
 def _not_resolvable(what: str, cov: CovMatrix, detail: str = "") -> ValueError:
@@ -442,9 +434,7 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
     """
     cov = _as_cov(sigma)
     if transposed is not None:
-        transposed = check_mode_set(transposed, cov.n_modes)
-        if len(transposed) >= cov.n_modes:
-            raise ValueError("cannot transpose every mode; pick a proper subset")
+        transposed = _transposed_modes(transposed, cov.n_modes)
         if len(transposed) != 1 and len(transposed) != cov.n_modes - 1:
             raise ValueError("PPT-based measures need a 1 x (N-1) bipartition")
     etas = symplectic_eigenvalues(cov).tolist()

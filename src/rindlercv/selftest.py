@@ -108,7 +108,7 @@ def _triangle_edge(singles: dict, single_columns: dict):
         yield abs(m_rbar - (m_r - m_a + 1.0)), (s, r)
 
 
-def run(tol: float = 1e-9, quick: bool = False) -> list[SuiteResult]:
+def run(tol: float = ea.RESIDUAL_TOL, quick: bool = False) -> list[SuiteResult]:
     """Run all consistency suites in order; deviations must stay below tol."""
     grid = list(QUICK_VALUES) if quick else np.arange(FULL_STEP, 3.0 + FULL_STEP / 2, FULL_STEP).tolist()
     dgrid = grid if quick else grid[1::2]

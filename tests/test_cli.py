@@ -514,11 +514,26 @@ class TestSweep:
         (("--quantities", "r"), "column 'r' requested twice"),
         (("--quantities", "tau_ar,tau_ar"), "column 'tau_ar' requested twice"),
         (("--fix", "s=2"), "parameter 's' fixed twice"),
-    ], ids=["axis-as-quantity", "quantity-twice", "fix-twice"])
+        (("--sweep", "r=0:1:2"), "axis 'r' swept twice"),
+        (("--sweep", "s=0:1:2"), "a parameter cannot be both swept and fixed"),
+    ], ids=["axis-as-quantity", "quantity-twice", "fix-twice", "sweep-twice", "swept-and-fixed"])
     def test_rejects_a_column_or_parameter_given_twice(self, capsys, tmp_path, fmt, extra, message):
         out = tmp_path / "table"
         code, stdout, err = run_cli(capsys, "--format", fmt, "sweep", "--scenario", "single",
                                     "--sweep", "r=0:1:2", "--fix", "s=1", *extra, "--out", str(out))
+        assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ("point single --s 1 --accel 2", "point single needs --accel together with --freq"),
+        ("point double --s 1", "scenario 'double' needs --l and --n (or --a for l = n = a)"),
+        ("sweep --scenario single --sweep r=0:1:2 --fix s", "bad --fix spec 's'; expected NAME=VALUE"),
+        ("sweep --sweep r=0:1:2 --fix s=1", "sweep needs --scenario {single,double,frequency}"),
+        ("sweep --scenario single --fix s=1", "sweep needs one or two --sweep axes"),
+    ], ids=["accel-without-freq", "double-without-accelerations", "fix-without-value", "no-scenario", "no-axis"])
+    def test_rejects_an_incomplete_command(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "table"
+        code, stdout, err = run_cli(capsys, *argv.split(), "--out", str(out))
         assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {message}\n")
         assert not out.exists()
 

@@ -692,6 +692,21 @@ class TestOneDeathMask:
         assert np.all(columns["m_l_n"][dead] == 1.0) and np.all(columns["tau_l_n"][dead] == 0.0)
         assert np.all(np.isfinite(columns["r_eff"][columns["m_l_n"] > 1.0]))
 
+    def test_separable_frequency_modes_are_dead(self):
+        """Infinite-squeezing death is the separable mask: a second test on sinh l sinh n read m > 1 beside it."""
+        columns = ea.frequency_report_columns(1.9413359263765853, 0.15491508864741993, 2 * math.pi)
+        assert columns["separable"] and columns["m_ln_infinite"] == 1.0 and columns["tau_ln_infinite"] == 0.0
+        rng = np.random.default_rng(28)  # nu within 1e-12 of the boundary e^{-w lam} + e^{-w nu} = 1
+        accel = np.array([1.0, 2 * math.pi, 10 * math.pi, 50.0])[:, None]
+        w = 2 * math.pi / accel
+        lam = rng.uniform(0.05, 5.0, (4, 50000)) / w
+        nu = -np.log1p(-np.exp(-w * lam)) / w * (1.0 + rng.uniform(-1e-12, 1e-12, lam.shape))
+        columns = ea.frequency_report_columns(lam, nu, accel)
+        separable = columns["separable"]
+        assert 0 < separable.sum() < separable.size
+        assert np.all(columns["m_ln_infinite"][separable] == 1.0)
+        assert np.all(columns["tau_ln_infinite"][separable] == 0.0)
+
 
 def mp_m_leo_nadia(s, l, n):
     """The Leo-Nadia m-parameter in 40-digit arithmetic, from the uncancelled closed form."""

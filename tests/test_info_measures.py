@@ -219,6 +219,10 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information(vacuum_cm(3), (0,))
 
+    def test_split_selects_one_mode(self):
+        with pytest.raises(ValueError, match="^split must select exactly one of the two modes$"):
+            mutual_information(vacuum_cm(2), (0, 1))
+
     @pytest.mark.parametrize("mat", [np.diag([-1.0, -1.0, 1.0, 1.0]), np.diag([-1.0, 1.0, 1.0, 1.0]),
                                      np.diag([0.5, 0.5, 1.0, 1.0]), -np.eye(4)],
                              ids=["diag(-1,-1,1,1)", "diag(-1,1,1,1)", "diag(0.5,0.5,1,1)", "-I"])
@@ -293,6 +297,8 @@ class TestPptAndNegativity:
             ppt_separable(sigma, (0, 1))  # 2x2 split not covered by the criterion
         with pytest.raises(ValueError):
             log_negativity(sigma, ())
+        with pytest.raises(ValueError, match="^cannot transpose every mode; pick a proper subset$"):
+            ppt_separable(vacuum_cm(2), (0, 1))
 
 
 def mp_entropy_of_entanglement(s):
@@ -352,6 +358,18 @@ class TestMonogamy:
                 tau_rest = contangle_from_m(math.cosh(2 * s))
                 residual = check_monogamy(tau_rest, [contangle_ar(s, r).contangle, 0.0])
                 assert residual >= -1e-9
+
+    @pytest.mark.parametrize("scenario,n_params,high", [("single", 2, 5.0), ("double", 3, 3.0)])
+    def test_residual_is_the_reports_bit_for_bit(self, scenario, n_params, high):
+        """The pairwise contangles are subtracted one by one, as the reports do: a sum first was an ulp off."""
+        from rindlercv import entanglement_analysis as ea
+        build = getattr(ea, f"{scenario}_observer_report")
+        for params in np.random.default_rng(5).uniform(0.0, high, (500, n_params)).tolist():
+            report = build(*params)
+            residuals = report.monogamy_residuals()
+            for probe, (m, taus) in ea.MONOGAMY_PROBES[scenario].items():
+                tau_rest = contangle_from_m(getattr(report, m))
+                assert check_monogamy(tau_rest, [getattr(report, tau) for tau in taus]) == residuals[probe], params
 
     def test_four_mode_probe_positive(self):
         from rindlercv.entanglement_analysis import residual_multipartite

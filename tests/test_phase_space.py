@@ -859,7 +859,7 @@ class TestOneGate:
 class TestValidationBypasses:
     """Only the named constructors wrap a matrix without validating it; a new one fails here until it is named."""
 
-    BYPASSES = [("phase_space.py", "two_mode_squeezer"), ("phase_space.py", "_exact_cov")]
+    BYPASSES = [("phase_space.py", "_wrap")]
 
     @classmethod
     def owners(cls, node, owner=None):

@@ -120,6 +120,9 @@ class TestAccelSpec:
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ValueError):
             AccelSpec(squeezing=0.1, acceleration=3.0, frequency=0.7)
+        spec = AccelSpec.from_physical(acceleration=3.0, frequency=0.7)
+        with pytest.raises(ValueError, match="^stored temperature inconsistent with acceleration$"):
+            AccelSpec(spec.squeezing, spec.acceleration, spec.frequency, temperature=1.0)
 
     def test_half_given_rejected(self):
         with pytest.raises(ValueError):
@@ -240,6 +243,10 @@ class TestPureOneVsRest:
         mixed = reduce(build_single_observer_cm(1.0, 1.0), (0, 1))
         with pytest.raises(ValueError):
             pure_one_vs_rest_m(mixed, 0)
+
+    def test_rejects_a_probe_out_of_range(self):
+        with pytest.raises(ValueError, match="^probe mode 5 out of range$"):
+            pure_one_vs_rest_m(build_single_observer_cm(1.0, 1.0), 5)
 
     def test_unresolvable_purity_is_named_as_such(self):
         """From s = 7 at r = 0.5 the purity check fails within the resolution eps * max|sigma|^2: the message says so.
