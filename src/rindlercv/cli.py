@@ -440,15 +440,11 @@ def _sweep_evaluator(scenario: str, params: dict, tol: float) -> dict:
 
 def _sweep_chunks(scenario: str, axes: list[SweepAxis], fixed: dict, tol: float):
     """Axis and report columns of the grid, outer axis major, SWEEP_CHUNK points at a time."""
-    inner = axes[-1].steps
-    total = math.prod(axis.steps for axis in axes)
+    shape = [axis.steps for axis in axes]
+    total = math.prod(shape)
     for start in range(0, total, SWEEP_CHUNK):
-        index = np.arange(start, min(start + SWEEP_CHUNK, total))
-        if len(axes) == 1:
-            point = {axes[0].name: axes[0].values(index)}
-        else:
-            point = {axes[0].name: axes[0].values(index // inner),
-                     axes[1].name: axes[1].values(index % inner)}
+        indices = np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)
+        point = {axis.name: axis.values(index) for axis, index in zip(axes, indices)}
         params = _kernel_args(scenario, {**point, **fixed}, "--fix {}=VALUE")
         yield {**point, **_sweep_evaluator(scenario, params, tol)}
 

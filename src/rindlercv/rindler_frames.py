@@ -13,8 +13,9 @@ return that reduction.
 
 The four-mode state is built two independent ways: numerically, by
 composing two-mode squeezers on the vacuum, and analytically, from the
-closed-form 2x2 blocks.  The test suite holds the two routes to entrywise
-agreement; each is the other's oracle.
+paper's closed-form entries, as its x-quadrature covariance X and its
+p-quadrature covariance D X D.  The test suite holds the two routes to
+entrywise agreement; each is the other's oracle.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from typing import Optional
 
 import numpy as np
 
-from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _squeezed_vacuum, _state_spectrum, reduce,
-                          two_mode_squeezer)
+from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _read_only, _squeezed_vacuum, _state_spectrum,
+                          reduce, two_mode_squeezer)
 
 ACCEL_SPEC_RTOL = 1e-10
 
-_Z2 = np.diag([1.0, -1.0])
-_I2 = np.eye(2)
+#: A symmetric 4x4 matrix from its ten distinct entries, the upper triangle row by row: X = upper[_SYMMETRIC].
+_SYMMETRIC = _read_only(np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]))
+#: D X D = X times these signs, D = diag(1, -1, 1, -1): the four-mode state's p-quadrature covariance from its x one.
+_MOMENTUM_SIGNS = _read_only(np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]))
 
 
 def _require_domain(positive: bool = False, **params) -> None:
@@ -177,41 +180,29 @@ def build_double_observer_cm(s: float, l: float, n: float) -> CovMatrix:
 
 
 def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
-    """The same four-mode state assembled from its closed-form 2x2 blocks.
+    """The same four-mode state from its ten closed-form entries.
 
-    An entry that overflows is refused as the builders refuse it, with a ValueError and no numpy warning.
+    Each 2x2 block of the paper is a multiple of I or Z = diag(1, -1), so the
+    state is its symmetric 4x4 x-quadrature covariance X, whose upper triangle
+    is written row by row, and the p-quadrature covariance D X D with
+    D = diag(1, -1, 1, -1); x-p entries are 0.  An entry that overflows is
+    refused as the builders refuse it, with a ValueError and no numpy warning.
     """
     _require_domain(s=s, l=l, n=n)
-
-    def local_bar(x):  # anti-observer marginal
-        return (math.cosh(x) ** 2 + ch2s * math.sinh(x) ** 2) * _I2
-
-    def local(x):  # observer marginal
-        return (math.cosh(x) ** 2 * ch2s + math.sinh(x) ** 2) * _I2
-
-    def wedge_pair(x):  # observer with own anti-observer
-        return (chs2 * math.sinh(2 * x)) * _Z2
-
-    def bar_cross(x, y):  # anti-observer of x with the other observer y
-        return (math.cosh(y) * sh2s * math.sinh(x)) * _I2
-
-    try:  # past the float range math.cosh, math.sinh and ** raise, and a product is inf (NaN times a 0 of I or Z)
+    try:  # past the float range math.cosh, math.sinh and ** raise; CovMatrix refuses a product that overflows
         ch2s, sh2s, chs2 = math.cosh(2 * s), math.sinh(2 * s), math.cosh(s) ** 2
-        with np.errstate(invalid="ignore"):  # a non-finite entry is refused by CovMatrix
-            bars_cross = (sh2s * math.sinh(l) * math.sinh(n)) * _Z2  # the two anti-observers
-            observers = (math.cosh(l) * math.cosh(n) * sh2s) * _Z2   # Leo with Nadia
-            blocks = {
-                (0, 0): local_bar(l), (1, 1): local(l), (2, 2): local(n), (3, 3): local_bar(n),
-                (0, 1): wedge_pair(l), (0, 2): bar_cross(l, n), (0, 3): bars_cross,
-                (1, 2): observers, (1, 3): bar_cross(n, l), (2, 3): wedge_pair(n),
-            }
+        ch_l, sh_l, ch_n, sh_n = math.cosh(l), math.sinh(l), math.cosh(n), math.sinh(n)
+        # X's upper triangle, rows anti-Leo, Leo, Nadia, anti-Nadia: each observer's own wedge pair at (0, 1), (2, 3)
+        upper = [ch_l ** 2 + ch2s * sh_l ** 2, chs2 * math.sinh(2 * l), ch_n * sh2s * sh_l, sh2s * sh_l * sh_n,
+                 ch_l ** 2 * ch2s + sh_l ** 2, ch_l * ch_n * sh2s, ch_l * sh2s * sh_n,
+                 ch_n ** 2 * ch2s + sh_n ** 2, chs2 * math.sinh(2 * n),
+                 ch_n ** 2 + ch2s * sh_n ** 2]
     except OverflowError:
         raise ValueError("covariance matrix entries must be finite") from None
+    x = np.array(upper)[_SYMMETRIC]
     out = np.zeros((8, 8))
-    for (i, j), blk in blocks.items():
-        out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk
-        if i != j:
-            out[2 * j:2 * j + 2, 2 * i:2 * i + 2] = blk.T
+    out[0::2, 0::2] = x
+    out[1::2, 1::2] = _MOMENTUM_SIGNS * x
     return CovMatrix(out)
 
 

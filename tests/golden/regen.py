@@ -10,7 +10,9 @@ To see first what a regeneration would change, without writing anything:
     PYTHONPATH=src python tests/golden/regen.py --diff
 
 which prints, per recorded output, whether its skeleton digest changed, how
-many of its sampled numbers moved and by at most how many ulps.
+many of its sampled numbers moved and by at most how many ulps, then one
+summary line, "k of N outputs changed".  It exits 1 when any output's bytes,
+or any run's exit code or stderr, differ from the recording, and 0 otherwise.
 
 Each run is an argv of ``cli.main`` run in an empty directory: the five
 sweeps of the benchmark's ``grid`` workload (four CSV, one JSON lines) at
@@ -185,31 +187,42 @@ def ulps(a: float, b: float) -> float:
     return float(abs(_ordinal(a) - _ordinal(b)))
 
 
-def _diff(path: str, argvs: list[list[str]], streams: bool) -> None:
-    """Print, per output of each argv, how a fresh recording differs from the one in path."""
+def _diff(path: str, argvs: list[list[str]], streams: bool) -> tuple[int, int]:
+    """Print, per output of each argv, how a fresh recording differs from the one in path.
+
+    Returns (changed, outputs).  An output counts as changed when its bytes differ, when it is new or
+    gone, or when its run's exit code or stderr differ; an argv with no recording counts as one.
+    """
     with open(path, encoding="utf-8") as fh:
         recorded = {json.dumps(run["argv"]): run for run in json.load(fh)["runs"]}
+    changed = outputs = 0
     for argv in argvs:
         label = f"{os.path.basename(path)} {' '.join(argv)}"
         want = recorded.get(json.dumps(argv))
         if want is None:
             print(f"{label}: not recorded")
+            changed, outputs = changed + 1, outputs + 1
             continue
         got = record(argv, streams)
-        if got["exit"] != want["exit"] or got.get("stderr") != want.get("stderr"):
+        run_moved = got["exit"] != want["exit"] or got.get("stderr") != want.get("stderr")
+        if run_moved:
             print(f"{label}: exit {want['exit']} -> {got['exit']}, "
                   f"stderr {want.get('stderr')!r} -> {got.get('stderr')!r}")
         for name in sorted(set(got["files"]) | set(want["files"])):
+            outputs += 1
             new, old = got["files"].get(name), want["files"].get(name)
             if new is None or old is None:
                 print(f"{label} {name}: {'gone' if new is None else 'new'}")
+                changed += 1
                 continue
+            changed += run_moved or new != old
             skeleton = "changed" if new["skeleton_sha256"] != old["skeleton_sha256"] else "same"
             pairs = [(float.fromhex(g), float.fromhex(w)) for g, w in zip(new["floats"], old["floats"])]
             distances = [d for d in (ulps(g, w) for g, w in pairs) if d]
             counts = "" if len(new["floats"]) == len(old["floats"]) else f" (was {len(old['floats'])})"
             print(f"{label} {name}: skeleton {skeleton}, {len(distances)} of {len(pairs)}{counts} sampled numbers "
                   f"moved, at most {max(distances, default=0.0):g} ulp; bytes {'same' if new == old else 'changed'}")
+    return changed, outputs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -217,9 +230,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--diff", action="store_true",
                         help="compare a fresh recording with the committed one and write nothing")
     args = parser.parse_args(argv)
-    for path, argvs, streams in ((GOLDEN, runs(), False), (STREAMS, stream_runs(), True)):
-        (_diff if args.diff else _write)(path, argvs, streams)
-    return 0
+    jobs = ((GOLDEN, runs(), False), (STREAMS, stream_runs(), True))
+    if not args.diff:
+        for job in jobs:
+            _write(*job)
+        return 0
+    changed, outputs = map(sum, zip(*(_diff(*job) for job in jobs)))
+    print(f"{changed} of {outputs} outputs changed")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

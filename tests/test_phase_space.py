@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rindlercv import entanglement_analysis as ea
-from rindlercv import phase_space
+from rindlercv import phase_space, rindler_frames
 from rindlercv.phase_space import (
     CovMatrix,
     SympTransform,
@@ -539,6 +539,40 @@ def plain_squeezer(r, i, j, n_modes):
     return SympTransform(out)
 
 
+def plain_double_observer_blocks(s, l, n):
+    """The four-mode closed form assembled block by block, each 2x2 block a scalar times I or Z = diag(1, -1)."""
+    i2, z2 = np.eye(2), np.diag([1.0, -1.0])
+
+    def local_bar(x):  # anti-observer marginal
+        return (math.cosh(x) ** 2 + ch2s * math.sinh(x) ** 2) * i2
+
+    def local(x):  # observer marginal
+        return (math.cosh(x) ** 2 * ch2s + math.sinh(x) ** 2) * i2
+
+    def wedge_pair(x):  # observer with own anti-observer
+        return (chs2 * math.sinh(2 * x)) * z2
+
+    def bar_cross(x, y):  # anti-observer of x with the other observer y
+        return (math.cosh(y) * sh2s * math.sinh(x)) * i2
+
+    try:
+        ch2s, sh2s, chs2 = math.cosh(2 * s), math.sinh(2 * s), math.cosh(s) ** 2
+        with np.errstate(invalid="ignore"):  # inf times a 0 of I or Z: a NaN that CovMatrix refuses
+            blocks = {
+                (0, 0): local_bar(l), (1, 1): local(l), (2, 2): local(n), (3, 3): local_bar(n),
+                (0, 1): wedge_pair(l), (0, 2): bar_cross(l, n), (0, 3): (sh2s * math.sinh(l) * math.sinh(n)) * z2,
+                (1, 2): (math.cosh(l) * math.cosh(n) * sh2s) * z2, (1, 3): bar_cross(n, l), (2, 3): wedge_pair(n),
+            }
+    except OverflowError:
+        raise ValueError("covariance matrix entries must be finite") from None
+    out = np.zeros((8, 8))
+    for (i, j), blk in blocks.items():
+        out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk
+        if i != j:
+            out[2 * j:2 * j + 2, 2 * i:2 * i + 2] = blk.T
+    return CovMatrix(out)
+
+
 def plain_quad_indices(modes):
     return np.array([q for m in sorted(modes) for q in (2 * m, 2 * m + 1)])
 
@@ -568,6 +602,10 @@ def plain_check_mode_set(modes, n_modes):
     if ordered[0] < 0 or ordered[-1] >= n_modes:
         raise ValueError(f"mode indices {out} out of range for {n_modes} modes")
     return tuple(ordered)
+
+
+# s, l and n from 0 out to 1e300, across the points where cosh, sinh and their products leave the float range
+OVERFLOW_EDGES = (0.0, 1e-300, 0.5, 20.0, 177.0, 178.0, 300.0, 355.0, 356.0, 400.0, 800.0, 1e300)
 
 
 def constant_points():
@@ -619,6 +657,29 @@ class TestSharedConstants:
             assert not out.mat.flags.writeable
         assert refused == 7  # +-710.5, +-800, +-inf and nan: cosh r overflows or is NaN
 
+    def test_blocks_match_the_per_block_assembly_bit_for_bit(self):
+        """X and D X D give the per-block assembly's bits and refusals, with x-p entries exactly 0."""
+        points = [*constant_points(), *itertools.product(OVERFLOW_EDGES, repeat=3)]
+        momentum = np.array([1.0, -1.0, 1.0, -1.0])  # the diagonal of D
+        refused = 0
+        for params in points:
+            try:
+                expected = plain_double_observer_blocks(*params).mat.tobytes()
+            except ValueError as exc:
+                expected = str(exc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    mat = double_observer_blocks(*params).mat
+                except ValueError as exc:
+                    assert str(exc) == expected, params
+                    refused += 1
+                    continue
+            assert mat.tobytes() == expected, params
+            assert not mat[0::2, 1::2].any() and not mat[1::2, 0::2].any()
+            assert mat[1::2, 1::2].tobytes() == (momentum[:, None] * mat[0::2, 0::2] * momentum).tobytes(), params
+        assert 0 < refused < len(points) - len(constant_points())
+
     @staticmethod
     def states():
         for s, a, b in constant_points():
@@ -669,6 +730,9 @@ class TestSharedConstants:
                 with pytest.raises(ValueError, match="read-only"):
                     arr.flat[-1] = 7
                 np.testing.assert_array_equal(arr, before)
+        for arr in (rindler_frames._SYMMETRIC, rindler_frames._MOMENTUM_SIGNS):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
         # what callers get is their own: a squeezer's matrix is a copy, not the shared identity
         assert not np.shares_memory(two_mode_squeezer(0.0, 0, 1, 2).mat, phase_space._identity(2))
 
@@ -808,17 +872,16 @@ class TestOverflow:
     @pytest.mark.parametrize("blocks,n_params", [(double_observer_blocks, 3), (single_observer_blocks, 2)])
     def test_blocks_over_an_overflow_grid(self, blocks, n_params):
         """The closed-form blocks give a finite state or the builders' ValueError, from 0 out to 1e300."""
-        edges = (0.0, 1e-300, 0.5, 20.0, 177.0, 178.0, 300.0, 355.0, 356.0, 400.0, 800.0, 1e300)
         refused = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for params in itertools.product(edges, repeat=n_params):
+            for params in itertools.product(OVERFLOW_EDGES, repeat=n_params):
                 try:
                     assert np.isfinite(blocks(*params).mat).all()
                 except ValueError as exc:
                     assert str(exc) == "covariance matrix entries must be finite", params
                     refused += 1
-        assert 0 < refused < len(edges) ** n_params
+        assert 0 < refused < len(OVERFLOW_EDGES) ** n_params
 
     def test_huge_spectrum_is_finite(self):
         with warnings.catch_warnings():
