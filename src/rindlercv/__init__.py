@@ -29,9 +29,6 @@ from .info_measures import (
     von_neumann_entropy,
 )
 from .rindler_frames import (
-    AccelSpec,
-    DOUBLE_LAYOUT,
-    SINGLE_LAYOUT,
     accel_to_squeezing,
     build_double_observer_cm,
     build_single_observer_cm,

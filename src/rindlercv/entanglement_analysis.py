@@ -26,8 +26,8 @@ kernels with Leo inertial (l = 0), and Leo-Nadia death, tanh s - sinh l sinh n
 <= 0, is one mask that the Leo-Nadia m, r_eff and a* all read.  At infinite s
 the frequency report reads its own ``separable`` mask as death instead.
 
-Diverging quantities (the maximal surviving contangle at zero acceleration,
-the effective single-observer acceleration past the entanglement-death
+Diverging quantities (the maximal surviving contangle at r = 0 only, the
+effective single-observer acceleration past the entanglement-death
 threshold) return ``math.inf`` rather than any sentinel value.
 """
 
@@ -236,14 +236,17 @@ def contangle_r_rbar(r: float) -> MeasureReport:
 
 def _tau_max_ar(r):
     shr = np.sinh(r)
-    acosh_m = np.arcsinh(2.0 * np.cosh(r) / (shr * shr))
-    return _where(r == 0, np.inf, acosh_m * acosh_m)
+    acosh_m = np.arcsinh(ratio := 2.0 * np.cosh(r) / (shr * shr))
+    if _anywhere(underflow := ratio == math.inf):  # sinh^2 r underflows: there arcsinh x = ln 2x and cosh r = 1
+        acosh_m = _where(underflow, math.log(4.0) - 2.0 * np.log(shr), acosh_m)  # inf at r = 0, as ln 0 = -inf
+    return acosh_m * acosh_m
 
 
 def tau_max_ar(r):
     """Largest Alice-Rob contangle any inertial entanglement can leave at acceleration r.
 
-    arcsinh^2[2 cosh r / sinh^2 r]; diverges (returns inf) at r = 0.
+    arcsinh^2[2 cosh r / sinh^2 r], as (ln 4 - 2 ln sinh r)^2 where sinh^2 r underflows (r below about 1.05e-154):
+    finite for every r > 0; diverges (returns inf) at r = 0 only.
     """
     return _evaluate(_tau_max_ar, r=r)
 
@@ -423,10 +426,22 @@ def m_ln_infinite_squeezing(l, n):
 def _a_star(s):
     ths = np.tanh(s)
 
-    def dead(a):
+    def dead(a, ths=ths):
         sinh_a = np.sinh(a)
         return _leo_nadia_death(ths, sinh_a, sinh_a)[0]
     a = np.arcsinh(np.sqrt(ths))  # a few ulp from the least float at which the death mask holds: step to it
+    if _anywhere(subnormal := (ths > 0.0) & (ths < sys.float_info.min)):
+        # so is sinh^2 a, whose steps span many ulps of a: bisect on a's bits, ordered as a, from a = 0 (alive)
+        # to 2^-511 (bits 2^61; its sinh^2 is the least normal float, so dead)
+        ths_sub = np.asarray(ths)[subnormal]
+        alive, dead_at = np.zeros(ths_sub.shape, np.int64), np.full(ths_sub.shape, 2 ** 61, np.int64)
+        while (dead_at - alive > 1).any():
+            mid = (alive + dead_at) >> 1
+            mid_dead = dead(mid.view(np.float64), ths_sub)
+            alive, dead_at = np.where(mid_dead, alive, mid), np.where(mid_dead, mid, dead_at)
+        a = np.array(a)
+        a[subnormal] = dead_at.view(np.float64)
+        a = a[()]
     while _anywhere(step := ~dead(a)):
         a = _where(step, np.nextafter(a, np.inf), a)
     while _anywhere(step := (a > 0.0) & dead(below := np.nextafter(a, 0.0))):
@@ -436,7 +451,8 @@ def _a_star(s):
 
 def a_star(s):
     """Acceleration killing the Leo-Nadia entanglement, arcsinh sqrt(tanh s): the least float a at which
-    the death mask tanh s - sinh^2 a <= 0 holds, so the Leo-Nadia m there is exactly 1 and r_eff inf."""
+    the death mask tanh s - sinh^2 a <= 0 holds, so the Leo-Nadia m there is exactly 1 and r_eff inf, at every
+    s >= 0: stepped to from arcsinh sqrt(tanh s), or bisected on a's bits where tanh s is subnormal."""
     return _evaluate(_a_star, s=s)
 
 

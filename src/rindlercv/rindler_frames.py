@@ -21,15 +21,11 @@ entrywise agreement; each is the other's oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _read_only, _squeezed_vacuum, _state_spectrum,
                           reduce, two_mode_squeezer)
-
-ACCEL_SPEC_RTOL = 1e-10
 
 #: A symmetric 4x4 matrix from its ten distinct entries, the upper triangle row by row: X = upper[_SYMMETRIC].
 _SYMMETRIC = _read_only(np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]))
@@ -86,65 +82,6 @@ def unruh_temperature(acceleration: float) -> float:
     """Temperature accel / (2 pi) perceived by the accelerated observer (k_B = c = 1)."""
     _require_domain(positive=True, acceleration=acceleration)
     return acceleration / (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class AccelSpec:
-    """An observer's acceleration data and the derived squeezing parameter.
-
-    Either built from physical data (proper acceleration and mode frequency,
-    natural units) or directly from a squeezing parameter for dimensionless
-    studies; in the latter case the physical fields stay None and
-    frequency-aware operations must not be used.
-    """
-
-    squeezing: float
-    acceleration: Optional[float] = None
-    frequency: Optional[float] = None
-    temperature: Optional[float] = None
-
-    def __post_init__(self):
-        _require_domain(squeezing=self.squeezing)
-        if (self.acceleration is None) != (self.frequency is None):
-            raise ValueError("acceleration and frequency must be given together")
-        if self.acceleration is not None:
-            r = accel_to_squeezing(self.acceleration, self.frequency)
-            if abs(r - self.squeezing) > ACCEL_SPEC_RTOL * max(1.0, abs(r)):
-                raise ValueError(
-                    f"inconsistent spec: acceleration/frequency give r={r!r}, stored {self.squeezing!r}")
-            t = unruh_temperature(self.acceleration)
-            if self.temperature is not None and abs(t - self.temperature) > ACCEL_SPEC_RTOL * t:
-                raise ValueError("stored temperature inconsistent with acceleration")
-            object.__setattr__(self, "temperature", t)
-
-    @classmethod
-    def from_physical(cls, acceleration: float, frequency: float) -> "AccelSpec":
-        return cls(squeezing=accel_to_squeezing(acceleration, frequency),
-                   acceleration=acceleration, frequency=frequency)
-
-    @classmethod
-    def from_squeezing(cls, r: float) -> "AccelSpec":
-        return cls(squeezing=r)
-
-
-@dataclass(frozen=True)
-class ScenarioLayout:
-    """Fixed assignment of observer roles to mode indices of a scenario state."""
-
-    roles: tuple[str, ...]
-
-    def index(self, role: str) -> int:
-        try:
-            return self.roles.index(role)
-        except ValueError:
-            raise KeyError(f"unknown role {role!r}; expected one of {self.roles}") from None
-
-
-#: One accelerated observer: inertial Alice, Rob (wedge I), anti-Rob (wedge II), the (L, N, Nbar) of the
-#: two-observer state with Leo inertial.
-SINGLE_LAYOUT = ScenarioLayout(("A", "R", "Rbar"))
-#: Two accelerated observers, in block order anti-Leo, Leo, Nadia, anti-Nadia.
-DOUBLE_LAYOUT = ScenarioLayout(("Lbar", "L", "N", "Nbar"))
 
 
 def build_single_observer_cm(s: float, r: float) -> CovMatrix:

@@ -34,6 +34,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(argv, timeout):
+    """``python -m rindlercv`` with the source tree on PYTHONPATH, in a subprocess killed after timeout seconds."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rindlercv", *argv], capture_output=True, env=env, timeout=timeout)
+
+
 def parse_csv(text):
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     header = lines[0].split(",")
@@ -68,11 +75,17 @@ class TestPoint:
         argv = ["point", "single", "--s", "1", "--r", "0.5"]
         code, expected, _ = run_cli(capsys, *argv)
         assert code == 0
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "rindlercv", *argv], capture_output=True, env=env, timeout=60)
+        done = run_module(argv, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == expected.encode()
+
+    @pytest.mark.parametrize("argv", ["point double --s 5e-324 --a 1", "point double --s 1e-320 --l 0.1 --n 0.2",
+                                      "sweep --scenario double --sweep s=0:1e-320:3 --fix a=1"])
+    def test_subnormal_squeezing_ends_in_a_report(self, argv):
+        """Every double report evaluates a*(s), whose search stepped one ulp at a time and ran without end where
+        tanh s is subnormal."""
+        done = run_module(argv.split(), timeout=30)
+        assert done.returncode == 0, done.stderr
 
     def test_human_output_contains_json_line(self, capsys):
         code, out, _ = run_cli(capsys, "point", "single", "--s", "1", "--r", "1")

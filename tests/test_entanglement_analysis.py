@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rindlercv import entanglement_analysis as ea
-from rindlercv.info_measures import contangle_from_m, entropy_term_f, mutual_information, two_mode_m
+from rindlercv.info_measures import _leo_nadia_death, contangle_from_m, entropy_term_f, mutual_information, two_mode_m
 from rindlercv.phase_space import is_bona_fide, is_pure, reduce
 from rindlercv.rindler_frames import build_double_observer_cm, build_single_observer_cm, pure_one_vs_rest_m
 
@@ -22,6 +22,8 @@ mp.mp.dps = 40
 
 GRID = np.arange(0.25, 3.01, 0.25)
 COARSE = np.arange(0.25, 3.01, 0.5)
+# exact zero, subnormals, squares that underflow (below 1.49e-154) and small normal values
+TINY_LADDER = [0.0, 5e-324, 1e-315, 1e-310, 1e-200, 1e-160, 1.06e-154, 1e-100, 1e-20]
 
 
 def mi_ar_expanded(s: float, r: float) -> float:
@@ -118,6 +120,17 @@ class TestTauMax:
 
     def test_matches_large_squeezing_contangle(self):
         assert ea.contangle_ar(25.0, 0.5).contangle == pytest.approx(ea.tau_max_ar(0.5), abs=1e-4)
+
+    def test_finite_where_sinh_squared_underflows(self):
+        """2 cosh r / sinh^2 r overflows below r = 1.055e-154, where the contangle is finite: 2.2e6 at the least
+        float.  There the ratio read inf and so did the contangle."""
+        r = np.array(TINY_LADDER[1:])
+        values = ea.tau_max_ar(r)
+        with mp.workdps(50):
+            for x, value in zip(r, values):
+                oracle = mp_tau_max_ar(x)
+                assert abs(value - oracle) <= 1e-15 * oracle, x
+        assert np.array([ea.tau_max_ar(float(x)) for x in r]).tobytes() == values.tobytes()
 
 
 class TestRStar:
@@ -325,6 +338,18 @@ class TestAStar:
     def test_points_give_the_bits_of_the_array(self):
         s = np.random.default_rng(24).uniform(0.0, 20.0, 500)
         assert np.array([ea.a_star(float(x)) for x in s]).tobytes() == ea.a_star(s).tobytes()
+
+    def test_least_float_at_subnormal_tanh_s(self):
+        """Where tanh s is subnormal so is sinh^2 a, whose steps span many ulps of a: stepping one ulp at a time
+        took seconds at s = 1e-314 and had no end in sight at 5e-324."""
+        s = np.geomspace(5e-324, 1e-300, 2000)
+        a = ea.a_star(s)
+
+        def dead(a):
+            sinh_a = np.sinh(a)
+            return _leo_nadia_death(np.tanh(s), sinh_a, sinh_a)[0]
+        assert dead(a).all() and not dead(np.nextafter(a, 0.0)).any()
+        assert ea.a_star(5e-324) == 1.5717277847026288e-162
 
 
 class TestMLnEqualAccel:
@@ -1186,6 +1211,31 @@ class TestPointIsItsRow:
                 if cell_bits(value) != cell_bits(grid[name][i]):
                     differ.setdefault(name, []).append(i)
         assert differ == {}
+
+
+class TestTinyParameters:
+    """Both reports over every combination of the tiny-parameter ladder, subnormal and underflowing squares
+    included: each call returns, each cell is finite but where the report says otherwise, and each point is its
+    grid row bit for bit."""
+
+    @pytest.mark.parametrize("kernel", ["single_report_columns", "double_report_columns"])
+    def test_every_cell_finite_and_every_point_its_row(self, kernel):
+        params = [p.ravel() for p in np.meshgrid(*[TINY_LADDER] * (2 if kernel.startswith("single") else 3),
+                                                 indexing="ij")]
+        grid = getattr(ea, kernel)(*params)
+        nonfinite = {name: ~np.isfinite(np.ma.filled(column, 0.0)) for name, column in grid.items()}
+        if kernel.startswith("single"):  # tau_max_ar diverges at r = 0 only
+            expected = {"tau_max_ar": params[1] == 0.0}
+            assert np.all(grid["tau_max_ar"][expected["tau_max_ar"]] == math.inf)
+        else:  # r_eff is nan at s = 0 and inf past the death threshold
+            s, l, n = params
+            expected = {"r_eff": (s == 0.0) | _leo_nadia_death(np.tanh(s), np.sinh(l), np.sinh(n))[0]}
+            assert np.array_equal(np.isnan(grid["r_eff"]), s == 0.0)
+        assert {name: mask.tolist() for name, mask in nonfinite.items() if mask.any()} == \
+            {name: mask.tolist() for name, mask in expected.items()}
+        for i in range(len(params[0])):
+            for name, value in getattr(ea, kernel)(*(float(p[i]) for p in params)).items():
+                assert cell_bits(value) == cell_bits(grid[name][i]), (name, [float(p[i]) for p in params])
 
 
 class TestSquaresAreProducts:

@@ -16,9 +16,6 @@ from rindlercv.info_measures import contangle_from_m, two_mode_m
 from rindlercv.phase_space import (CovMatrix, apply_congruence, is_bona_fide, reduce, symplectic_eigenvalues,
                                    two_mode_squeezer, vacuum_cm)
 from rindlercv.rindler_frames import (
-    DOUBLE_LAYOUT,
-    SINGLE_LAYOUT,
-    AccelSpec,
     accel_to_squeezing,
     build_double_observer_cm,
     build_single_observer_cm,
@@ -104,41 +101,6 @@ class TestUnruhMap:
 
     def test_temperature(self):
         assert unruh_temperature(2 * math.pi) == pytest.approx(1.0, rel=1e-15)
-
-
-class TestAccelSpec:
-    def test_physical_consistency(self):
-        spec = AccelSpec.from_physical(acceleration=3.0, frequency=0.7)
-        assert math.cosh(spec.squeezing) == pytest.approx(
-            (1 - math.exp(-2 * math.pi * 0.7 / 3.0)) ** -0.5, rel=1e-10)
-        assert spec.temperature == pytest.approx(3.0 / (2 * math.pi), rel=1e-12)
-
-    def test_dimensionless_spec(self):
-        spec = AccelSpec.from_squeezing(1.2)
-        assert spec.acceleration is None and spec.frequency is None
-
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            AccelSpec(squeezing=0.1, acceleration=3.0, frequency=0.7)
-        spec = AccelSpec.from_physical(acceleration=3.0, frequency=0.7)
-        with pytest.raises(ValueError, match="^stored temperature inconsistent with acceleration$"):
-            AccelSpec(spec.squeezing, spec.acceleration, spec.frequency, temperature=1.0)
-
-    def test_half_given_rejected(self):
-        with pytest.raises(ValueError):
-            AccelSpec(squeezing=0.1, acceleration=3.0)
-
-
-class TestLayouts:
-    def test_roles(self):
-        assert SINGLE_LAYOUT.index("A") == 0
-        assert SINGLE_LAYOUT.index("Rbar") == 2
-        assert DOUBLE_LAYOUT.index("Lbar") == 0
-        assert DOUBLE_LAYOUT.index("Nbar") == 3
-
-    def test_unknown_role(self):
-        with pytest.raises(KeyError):
-            SINGLE_LAYOUT.index("Bob")
 
 
 class TestSingleObserverState:
