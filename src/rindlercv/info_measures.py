@@ -45,6 +45,7 @@ from .phase_space import (
     BONA_FIDE_TOL,
     MatrixLike,
     PURITY_TOL,
+    _factor_invariants,
     _state_spectrum,
     _two_mode,
     check_mode_set,
@@ -264,11 +265,17 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     if det_eps > 0:
         raise ValueError("entangled two-mode states need det eps < 0")
     c_sq = -det_eps
+    invariants = _factor_invariants(cov)
+    if invariants is not None:  # the inversion reads the spectrum's rows: it refuses where their bound exceeds its tol
+        _state_spectrum(cov, "thermal squeezed form", FAMILY_RTOL)
     with np.errstate(all="ignore"):  # an overflow leaves det sigma or m non-finite, rejected below
-        det_sigma = float(np.linalg.det(cov.mat))
+        if invariants is None:
+            det_sigma, root_det = float(np.linalg.det(cov.mat)), np.float64(a * b - c_sq)
+        else:  # X (+) D X D: det sigma = (det X)^2, and ab - c^2 = det X, a sum of squared minors
+            root_det = np.float64(invariants[3])
+            det_sigma = float(root_det * root_det)
         if not abs(det_sigma) < math.inf:
             raise ValueError(f"the determinant of the state overflows (det sigma = {det_sigma!r})")
-        root_det = np.float64(a * b - c_sq)
         family_det = root_det * root_det
         if not abs(family_det) < math.inf:
             raise ValueError(f"the family determinant (ab - c^2)^2 overflows (ab - c^2 = {a * b - c_sq!r})")
@@ -277,7 +284,8 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
             _state_spectrum(cov, "thermal squeezed form", det_residual=abs(det_sigma - family_det))
             raise ValueError("state is not of thermal squeezed form (c+ != -c-)")
         prod = (a + 1.0) * (b + 1.0)
-        u = np.float64(prod + c_sq) / (prod - c_sq)
+        # (a + 1)(b + 1) - c^2 = (ab - c^2) + a + b + 1: no cancellation where ab - c^2 has none
+        u = np.float64(prod + c_sq) / (prod - c_sq if invariants is None else root_det + a + b + 1.0)
         p = (a - u) / (u + 1.0)
         q = (b - u) / (u + 1.0)
         if min(p, q) < -FAMILY_RTOL:

@@ -32,15 +32,26 @@ the worst a race can do is build the same constant twice and keep one of them:
 no caller can change what another one sees.  The per-mode-set caches are
 bounded.
 
+A state built by a squeezer chain on the vacuum (``_squeezer_chain``, which
+the scenario builders use) is X (+) D X D on (x, p), X = S_x S_x^T, and keeps
+its x-quadrature factor S_x; :func:`reduce` keeps its rows and
+:func:`partial_transpose` flips the signs of D.  A two-mode state that carries
+it takes its spectrum and marginals in closed form from two rows of S_x, each
+eigenvalue with a derived error bound (:func:`symplectic_eigenvalues`); every
+other matrix, public ``CovMatrix(...)`` and closed-form states and states of
+more than two modes, takes them from a Cholesky factorisation, an SVD and
+LAPACK determinants.  Neither route reads a closed-form entry of the paper.
+
 Whether a matrix is a state, and whether a value read off its spectrum is
 resolved at its squeezing, is decided in ``_state_spectrum`` alone, with one
-factor ``FLOOR_FACTOR``; every measure of the package reads spectra through it.
+factor ``FLOOR_FACTOR`` on the general route's rounding floors, and with the
+factor route's derived bounds; every measure of the package reads spectra
+through it.
 
 Each covariance matrix is validated once, where it enters: a public
 ``CovMatrix(...)``, a raw array that any function turns into one, an
 :func:`apply_congruence` result, and the finished state of a squeezer chain
-on the vacuum (``_squeezed_vacuum``, which the scenario builders use; its
-intermediate states are not checked).  :func:`reduce` and
+(its intermediate states are not checked).  :func:`reduce` and
 :func:`partial_transpose` return exact images of a validated matrix, a
 principal submatrix and a product with a +-1 mask, which validation could
 neither reject nor change, so they skip it.  Every public
@@ -71,6 +82,9 @@ PURITY_TOL = 1e-6
 #: and a 4x4 determinant by eps * max|sigma|^4.
 FLOOR_FACTOR = 32
 _EPS = float(np.finfo(float).eps)
+_U = _EPS / 2  # the unit roundoff
+#: How far, in ulps, cosh r and sinh r may be from their values; the error bounds of the factor route start here.
+_SQUEEZER_ULPS = 4
 
 #: Size of each per-mode-set cache: a library point uses about ten mode sets.
 MODE_SET_CACHE = 256
@@ -154,7 +168,8 @@ def _flip_mask(modes: ModeIndexSet, n_modes: int) -> np.ndarray:
 
 def _symmetrize(arr: np.ndarray) -> np.ndarray:
     """The mean of a square array and its transpose, as validation stores it."""
-    return 0.5 * arr + 0.5 * arr.T  # halve first: arr + arr.T overflows above about 9e307
+    half = 0.5 * arr  # halve first: arr + arr.T overflows above about 9e307
+    return half + half.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,14 +183,17 @@ class _Matrix:
         return self.mat.shape[0] // 2
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray):
+    def _wrap(cls, arr: np.ndarray, factor: Optional[tuple] = None):
         """Wrap a new array, valid by construction, read-only and unvalidated: the one bypass of validation.
 
         Validation would pass an exact image of a validated covariance matrix (a submatrix, a +-1 mask product)
         unchanged: ``0.5 * x + 0.5 * x == x`` but for odd multiples of 2**-1074, held only where input was asymmetric.
+        A state's x-quadrature factor, an :class:`_XFactor` and D's signs on its modes, is kept with it if given.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "mat", _read_only(arr))
+        if factor is not None:
+            out.__dict__["_factor"] = factor
         return out
 
 
@@ -286,16 +304,25 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
     a numpy warning.  The filled matrix is made read-only and wrapped by ``_wrap``, unvalidated.
     """
     check_mode_set((i, j), n_modes)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the check
-        c, s = float(np.cosh(r)), float(np.sinh(r))
-    # max keeps its first NaN; cosh r and sinh r are NaN together
-    _symplectic_verdict(max(abs(c), abs(s)), lambda k: abs((c / k) * (c / k) - (s / k) * (s / k) - 1.0 / k / k))
+    c, s = _squeezer_entries(r)
     out = _identity(n_modes).copy()
     xi, pi, xj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
     out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
     out[xi, xj] = out[xj, xi] = s
     out[pi, pj] = out[pj, pi] = -s
     return SympTransform._wrap(out)
+
+
+def _squeezer_entries(r: float) -> tuple[float, float]:
+    """(cosh r, sinh r) of a two-mode squeezer, checked as :func:`two_mode_squeezer` documents."""
+    if abs(r) < 710.0:  # cosh 710 = 1.1e308: no overflow
+        c, s = float(np.cosh(r)), float(np.sinh(r))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the check
+            c, s = float(np.cosh(r)), float(np.sinh(r))
+    # max keeps its first NaN; cosh r and sinh r are NaN together
+    _symplectic_verdict(max(abs(c), abs(s)), lambda k: abs((c / k) * (c / k) - (s / k) * (s / k) - 1.0 / k / k))
+    return c, s
 
 
 def apply_congruence(S: SympTransform, sigma: MatrixLike) -> CovMatrix:
@@ -306,29 +333,149 @@ def apply_congruence(S: SympTransform, sigma: MatrixLike) -> CovMatrix:
     return CovMatrix(S.mat @ cov.mat @ S.mat.T)
 
 
-def _squeezed_vacuum(*transforms: SympTransform) -> CovMatrix:
-    """The vacuum after each transform in turn, as nested :func:`apply_congruence` calls give it, bit for bit.
+@functools.cache
+def _pairs(n_modes: int) -> dict[tuple[int, int], int]:
+    """Each pair i < j of n_modes modes and its index among the 2x2 minors: the pairs in lexicographic order."""
+    return {pair: k for k, pair in enumerate((i, j) for i in range(n_modes) for j in range(i + 1, n_modes))}
 
-    Each step is their arithmetic, ``S @ sigma @ S.T`` and then the
-    symmetrization of validation; the first starts from ``S @ S.T``, since
-    ``S @ I == S`` up to the sign of zeros, which the product does not see.
-    Only the finished state is validated: an intermediate that overflows
-    leaves it non-finite too, and is rejected there, without a numpy warning.
+
+@functools.lru_cache(maxsize=MODE_SET_CACHE)
+def _compound_moves(i: int, j: int, n_modes: int) -> tuple[tuple[int, int], ...]:
+    """How the second compound of a squeezer on adjacent modes i < j mixes the 2x2 minors.
+
+    The minor on {i, j} stays (its entry is cosh^2 r - sinh^2 r, the exact 1), and so does every minor
+    without i or j; for each other mode k the minors on {i, k} and {j, k} mix as the modes i and j do,
+    with entries cosh r and sinh r.  With i and j adjacent, no k lies between them, so no entry is negative.
     """
-    first, *rest = transforms
+    pairs = _pairs(n_modes)
+    return tuple((pairs[min(i, k), max(i, k)], pairs[min(j, k), max(j, k)]) for k in range(n_modes) if k not in (i, j))
+
+
+@functools.cache
+def _momentum_signs(signs: tuple[float, ...]) -> np.ndarray:
+    """D x D = x times these signs, D = diag(signs): a p-quadrature covariance from its x one (read-only)."""
+    return _read_only(np.outer(signs, signs))
+
+
+def _xp_state(x: np.ndarray, p: np.ndarray, factor: Optional[tuple] = None) -> CovMatrix:
+    """The validated state with x-x entries x, p-p entries p and x-p entries 0, keeping factor if given."""
+    n_modes = len(x)
+    out = np.zeros((2 * n_modes, 2 * n_modes))
+    out[0::2, 0::2] = x
+    out[1::2, 1::2] = p
+    cov = CovMatrix(out)
+    if factor is not None:
+        cov.__dict__["_factor"] = factor
+    return cov
+
+
+def _chain_rtols(n_squeezers: int, n_modes: int) -> tuple[float, float]:
+    """First-order bounds on the relative errors of a, b and c, and of det X_A, in :attr:`_XFactor.invariants`.
+
+    In units of u = eps / 2: cosh r and sinh r carry e = 2 ``_SQUEEZER_ULPS`` u each, 0 and 1 none.  A row
+    entry after k blocks, each step a sum of two nonnegative products, is within k e + 2 (k - 1) u; so is a
+    minor.  a, b and c sum n_modes products of two entries, det X_A the p = n (n - 1) / 2 squared minors:
+    each adds twice the entry's error and one u per term.
+    """
+    entry = n_squeezers * 2 * _SQUEEZER_ULPS * _U + 2 * (n_squeezers - 1) * _U
+    return 2 * entry + n_modes * _U, 2 * entry + len(_pairs(n_modes)) * _U
+
+
+class _XFactor:
+    """The x-quadrature factor S_x of a squeezer chain, X = S_x S_x^T, and the chain modes a state keeps.
+
+    ``squeezers`` are the chain's checked (cosh r, sinh r, i, j) in the order applied, each on adjacent
+    modes i < j of ``n_modes``, so S_x is their x-blocks' product, the last one leftmost, and every entry
+    of it and of its second compound is a sum of nonnegative terms.  ``modes`` are kept in a state's order;
+    ``rtols`` are :func:`_chain_rtols`.  Treat it as immutable.
+    """
+
+    def __init__(self, squeezers: tuple[tuple[float, float, int, int], ...], n_modes: int, modes: ModeIndexSet,
+                 rtols: tuple[float, float]):
+        self.squeezers, self.n_modes, self.modes, self.rtols = squeezers, n_modes, modes, rtols
+
+    def kept(self, keep: ModeIndexSet) -> "_XFactor":
+        return _XFactor(self.squeezers, self.n_modes, tuple([self.modes[k] for k in keep]), self.rtols)
+
+    @functools.cached_property
+    def invariants(self) -> Optional[tuple[float, float, float, float]]:
+        """(a, b, c, det X_A) of a kept pair: |u|^2, |v|^2 and u.v of its rows u and v of S_x, and the sum of the
+        squared 2x2 minors of [u; v], the pair's row of the second compound of S_x (Cauchy-Binet).
+
+        None for any other number of modes, and where one of them overflows.
+        """
+        if len(self.modes) != 2:
+            return None
+        i, j = self.modes
+        pairs = _pairs(self.n_modes)
+        u, v, minors = [0.0] * self.n_modes, [0.0] * self.n_modes, [0.0] * len(pairs)
+        u[i] = v[j] = minors[pairs[i, j]] = 1.0
+        # a row of S_x times each x-block, the last one applied first: its entries p and q, and each pair of
+        # minors the block's compound mixes, mix as [[c, s], [s, c]]
+        for c, s, p, q in reversed(self.squeezers):
+            x, y = u[p], u[q]
+            u[p], u[q] = c * x + s * y, s * x + c * y
+            x, y = v[p], v[q]
+            v[p], v[q] = c * x + s * y, s * x + c * y
+            for k, m in _compound_moves(p, q, self.n_modes):
+                x, y = minors[k], minors[m]
+                minors[k], minors[m] = c * x + s * y, s * x + c * y
+        a, b = sum([x * x for x in u]), sum([x * x for x in v])
+        c, det = sum([x * y for x, y in zip(u, v)]), sum([x * x for x in minors])
+        return (a, b, c, det) if a < math.inf and b < math.inf and det < math.inf else None  # NaN fails too
+
+
+@functools.lru_cache(maxsize=MODE_SET_CACHE)
+def _block_codes(pairs: tuple[tuple[int, int], ...], n_modes: int) -> np.ndarray:
+    """Where 0 and 1 (codes 0 and 1) and squeezer k's cosh r and sinh r (codes 2 + 2k and 3 + 2k) sit in the
+    stack of a chain's x-blocks, squeezer k on modes pairs[k] (read-only)."""
+    codes = np.tile(np.eye(n_modes, dtype=np.intp), (len(pairs), 1, 1))
+    for k, (i, j) in enumerate(pairs):
+        codes[k, i, i] = codes[k, j, j] = 2 + 2 * k
+        codes[k, i, j] = codes[k, j, i] = 3 + 2 * k
+    return _read_only(codes)
+
+
+def _squeezer_chain(signs: tuple[float, ...], *squeezers: tuple[float, float, int, int]) -> CovMatrix:
+    """The vacuum after each squeezer, checked entries (cosh r, sinh r) on modes (i, j), in turn, with its factor.
+
+    Each squeezer acts on adjacent modes of opposite sign in D = diag(signs); its symplectic matrix is then
+    S_x (+) D S_x D on (x, p), so the state is X (+) D X D.  X is composed as nested :func:`apply_congruence`
+    calls compose the full matrices, on the x-blocks: ``S @ X @ S.T`` after the symmetrization of
+    validation, the first step ``S @ S.T``.  Only the finished state is validated: an intermediate that
+    overflows leaves it non-finite too, and is rejected there, without a numpy warning.  The state keeps the
+    chain as its x-quadrature factor (:class:`_XFactor`), with D.
+    """
+    n_modes = len(signs)
+    pairs, values = [], [0.0, 1.0]
+    for c, s, i, j in squeezers:
+        if abs(i - j) != 1 or signs[i] == signs[j]:
+            raise ValueError(f"the x-quadrature factor needs squeezers on adjacent modes of opposite sign, "
+                             f"got ({i}, {j})")
+        pairs.append((min(i, j), max(i, j)))
+        values += (c, s)
+    first, *rest = np.array(values)[_block_codes(tuple(pairs), n_modes)]
     with np.errstate(over="ignore", invalid="ignore"):
-        arr = first.mat @ first.mat.T
-        for S in rest:
-            arr = _symmetrize(arr)
-            arr = S.mat @ arr @ S.mat.T
-    return CovMatrix(arr)
+        x = first @ first.T
+        for block in rest:
+            x = _symmetrize(x)
+            x = block @ x @ block.T
+    factor = _XFactor(tuple((c, s, *pair) for (c, s, _, _), pair in zip(squeezers, pairs)), n_modes,
+                      tuple(range(n_modes)), _chain_rtols(len(squeezers), n_modes))
+    # + 0.0: the full product's zeros are +0.0 where a sign flip of X gives -0.0
+    return _xp_state(x, _momentum_signs(signs) * x + 0.0, (factor, signs))
 
 
 def reduce(sigma: MatrixLike, keep: Iterable[int]) -> CovMatrix:
     """Reduced state of the kept modes (partial trace over the others)."""
     cov = _as_cov(sigma)
-    idx = _quad_indices(check_mode_set(keep, cov.n_modes))
-    return CovMatrix._wrap(cov.mat.take(idx, 0).take(idx, 1))
+    modes = check_mode_set(keep, cov.n_modes)
+    idx = _quad_indices(modes)
+    factor = cov.__dict__.get("_factor")
+    if factor is not None:
+        rows, signs = factor
+        factor = rows.kept(modes), tuple([signs[k] for k in modes])
+    return CovMatrix._wrap(cov.mat.take(idx, 0).take(idx, 1), factor)
 
 
 def _transposed_modes(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
@@ -349,27 +496,43 @@ def partial_transpose(sigma: MatrixLike, transposed: Iterable[int]) -> CovMatrix
     memo = cov.__dict__.setdefault("_transposes", {})
     out = memo.get(modes)
     if out is None:
-        out = memo.setdefault(modes, CovMatrix._wrap(_flip_mask(modes, cov.n_modes) * cov.mat))
+        factor = cov.__dict__.get("_factor")
+        if factor is not None:
+            rows, signs = factor
+            factor = rows, tuple(-sign if k in modes else sign for k, sign in enumerate(signs))
+        out = memo.setdefault(modes, CovMatrix._wrap(_flip_mask(modes, cov.n_modes) * cov.mat, factor))
     return out
 
 
 def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     """Symplectic spectrum of a symmetric matrix, ascending.
 
-    The eigenvalues of ``Omega sigma`` come in pairs ``+/- i eta``; the
-    moduli are sorted, grouped in consecutive pairs and each pair is
-    required to agree to ``PAIRING_RTOL``.  The moduli pair exactly for any
-    symmetric sigma, so a pair that does not is rounding: it raises
-    ValueError "symplectic spectrum not resolvable at this squeezing", with
-    eps * max|sigma|^2 and the two moduli.  For positive definite input
-    (every covariance matrix and every partial transpose of one) the moduli
-    are the singular values of the exactly antisymmetric ``L^T Omega L``
-    with ``sigma = L L^T`` the Cholesky factor, since
-    ``eig(Omega L L^T) = eig(L^T Omega L)``; this keeps absolute errors
-    near machine precision even for strongly squeezed states.  Indefinite
-    symmetric input falls back to a general complex eigensolver on
-    ``Omega sigma``.  This numeric path is the oracle all closed-form
-    spectra in the package are tested against.
+    A two-mode state that a squeezer chain built (:func:`build_double_observer_cm
+    <rindlercv.rindler_frames.build_double_observer_cm>` and its reductions and partial transposes) is
+    X_A (+) D_A X_A D_A with X_A = [u; v] [u; v]^T, u and v two rows of the chain's x-quadrature factor S_x.
+    Its spectrum is |eig(X_A D_A)|, taken in closed form from a = |u|^2, b = |v|^2, c = u.v and
+    det X_A = ab - c^2, formed as the sum of the squared 2x2 minors of [u; v] (Cauchy-Binet, from the
+    squeezers' second compounds), so no difference of large numbers forms it:
+
+    * D_A's signs differ (a state): with d = |a - b|, eta+ = (d + sqrt(d^2 + 4 det X_A)) / 2 and
+      eta- = det X_A / eta+;
+    * they match (a partial transpose of one): the eigenvalues of X_A,
+      eta+ = (a + b + sqrt((a - b)^2 + 4 c^2)) / 2 and eta- = det X_A / eta+.
+
+    Each value carries a derived first-order error bound (see ``_pair_spectrum``), which
+    :func:`_state_spectrum` reads.  No Cholesky factorisation, SVD or determinant is taken.
+
+    Every other matrix (a public ``CovMatrix(...)``, the closed-form ``*_blocks`` states, and every state of
+    other than two modes) takes the general route.  The eigenvalues of ``Omega sigma`` come in pairs
+    ``+/- i eta``; the moduli are sorted, grouped in consecutive pairs and each pair is required to agree to
+    ``PAIRING_RTOL``.  The moduli pair exactly for any symmetric sigma, so a pair that does not is rounding:
+    it raises ValueError "symplectic spectrum not resolvable at this squeezing", with eps * max|sigma|^2 and
+    the two moduli.  For positive definite input (every covariance matrix and every partial transpose of one)
+    the moduli are the singular values of the exactly antisymmetric ``L^T Omega L`` with ``sigma = L L^T``
+    the Cholesky factor, since ``eig(Omega L L^T) = eig(L^T Omega L)``; this keeps absolute errors near
+    machine precision even for strongly squeezed states.  Indefinite symmetric input falls back to a general
+    complex eigensolver on ``Omega sigma``.  The two routes are the oracles all closed-form spectra in the
+    package are tested against; neither reads a closed-form entry of the paper.
 
     The spectrum of a :class:`CovMatrix` is computed once and kept on it;
     every call returns a fresh copy.  The fallback also keeps sigma's
@@ -380,6 +543,11 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     memo = cov.__dict__.get("_spectrum")
     if memo is not None:
         return memo.copy()
+    pair = _pair_spectrum(cov)
+    if pair is not None:
+        etas, bounds = pair
+        cov.__dict__.setdefault("_bounds", bounds)  # set first: seen with the spectrum
+        return cov.__dict__.setdefault("_spectrum", _read_only(np.array(etas))).copy()
     n = cov.n_modes
     omega = _omega(n)
     try:
@@ -400,6 +568,43 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
                                   f": could not pair symplectic eigenvalues {lo!r} vs {hi!r}")
         etas[k] = 0.5 * lo + 0.5 * hi  # halve first: lo + hi overflows above about 9e307
     return cov.__dict__.setdefault("_spectrum", _read_only(etas)).copy()
+
+
+def _pair_spectrum(cov: CovMatrix) -> Optional[tuple[list[float], list[float]]]:
+    """[eta-, eta+] of a two-mode state with a factor, and an absolute error bound on each; None without one.
+
+    The bounds are first order in the unit roundoff u = eps / 2.  a, b and c are each within g of their
+    value, relatively, and det X_A within r, (g, r) = ``_XFactor.rtols``: every term of every sum is
+    nonnegative.  Then:
+
+    * signs differ: d = |a - b| is within (g + u)(a + b).  q = hypot(d, 2 sqrt(det X_A)) moves with d at
+      slope d / q <= 1, and with det X_A by r det X_A / q <= r q / 4 (det X_A = eta+ eta- and
+      q = eta+ + eta-), and rounds by 3u q; with q <= 2 eta+, eta+ = (d + q) / 2 is within
+      (g + u)(a + b) + (r / 2 + 4u) eta+, and eta- = det X_A / eta+ within r + u + err(eta+) / eta+ of
+      itself.  Where eta+ is far below a + b, d cancels, and the bound says so.
+    * signs match: h = hypot(a - b, 2c) is within (2g + 3u)(a + b), since c <= (a + b) / 2 and
+      h <= a + b; with a + b <= 2 eta+, eta+ = (a + b + h) / 2 is within (3g + 7u) eta+, and eta-
+      within r + 3g + 8u of itself, both relative: no term cancels.
+    """
+    factor = cov.__dict__.get("_factor")
+    invariants = None if factor is None else factor[0].invariants
+    if invariants is None:
+        return None
+    (rows, (sign_u, sign_v)), (a, b, c, det) = factor, invariants
+    g, r = rows.rtols
+    if sign_u != sign_v:
+        d = abs(a - b)
+        plus = 0.5 * d + 0.5 * math.hypot(d, 2.0 * math.sqrt(det))
+        err_plus = (g + _U) * (a + b) + (0.5 * r + 4.0 * _U) * plus
+        err_minus = r + _U + err_plus / plus
+    else:
+        plus = 0.5 * (a + b) + 0.5 * math.hypot(a - b, 2.0 * c)
+        err_plus = (3.0 * g + 7.0 * _U) * plus
+        err_minus = r + 3.0 * g + 8.0 * _U
+    if not err_plus < math.inf:  # a + b overflows: the general route takes it
+        return None
+    minus = det / plus
+    return [minus, plus], [err_minus * minus, err_plus]
 
 
 def _not_resolvable(what: str, cov: CovMatrix, detail: str = "") -> ValueError:
@@ -431,6 +636,11 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
       f = FLOOR_FACTOR eps eta+ > tol, an eta- in [1 - tol, 1 + f] raises "separability not resolvable at
       this squeezing (...)" unless a two-mode sigma has det eps >= 0 (Simon's criterion).  An eta- that
       reads 0 refuses ``what``.
+
+    A spectrum of the factor route (see :func:`symplectic_eigenvalues`) carries a derived error bound per
+    eigenvalue, which takes the place of both floors of eta-, FLOOR_FACTOR eps eta+ and FLOOR_FACTOR eps
+    max|sigma|^2 (of every eigenvalue, for ``pure``), and of f; and a ``what`` read off the spectrum returned
+    refuses wherever a bound exceeds tol relative to its eigenvalue.
     """
     cov = _as_cov(sigma)
     if transposed is not None:
@@ -442,22 +652,38 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
     if lowest is not None and lowest < -FLOOR_FACTOR * _EPS * abs(cov.mat).max():
         raise _NotPhysical("state is not physical (covariance matrix not positive definite)")
     off = max(1.0 - etas[0], etas[-1] - 1.0) if pure else 1.0 - etas[0]
-    if off > max(tol, FLOOR_FACTOR * _EPS * etas[-1]):
-        if off <= FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 2:
+    bounds = cov.__dict__.get("_bounds")  # kept only by the factor route
+    # a derived bound: an eigenvalue off 1 by more than it is off 1 for certain
+    slack = FLOOR_FACTOR * _EPS * etas[-1] if bounds is None else max(bounds) if pure else bounds[0]
+    if off > max(tol, slack):
+        if off <= (FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 2 if bounds is None else slack):
             if what is not None and transposed is None and det_residual is None:
                 raise _not_resolvable(what, cov)
         elif not pure:
             raise _NotPhysical(f"state is not physical (min symplectic eigenvalue {etas[0]!r})")
-    if det_residual is not None and det_residual <= FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 4:
-        raise _not_resolvable(what, cov)
-    if transposed is None:
+    if det_residual is not None:
+        if det_residual <= FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 4:
+            raise _not_resolvable(what, cov)
         return etas
-    etas = symplectic_eigenvalues(partial_transpose(cov, transposed)).tolist()
-    floor = FLOOR_FACTOR * _EPS * etas[-1]
+    if transposed is None:
+        return _bounded(etas, bounds, what, tol, cov)
+    transpose = partial_transpose(cov, transposed)
+    etas = symplectic_eigenvalues(transpose).tolist()
+    bounds = transpose.__dict__.get("_bounds")
+    floor, detail = ((FLOOR_FACTOR * _EPS * etas[-1], f"{FLOOR_FACTOR} eps eta+") if bounds is None
+                     else (bounds[0], "error bound of eta-"))
     if floor > tol and 1.0 - tol <= etas[0] <= 1.0 + floor and not (
             cov.n_modes == 2 and two_mode_marginals(cov)[2] >= 0.0):
-        raise ValueError(f"separability not resolvable at this squeezing ({FLOOR_FACTOR} eps eta+ = {floor:.3g})")
+        raise ValueError(f"separability not resolvable at this squeezing ({detail} = {floor:.3g})")
     if what is not None and etas[0] <= 0.0:
+        raise _not_resolvable(what, cov)
+    return _bounded(etas, bounds, what, tol, cov)
+
+
+def _bounded(etas: list[float], bounds: Optional[list[float]], what: Optional[str], tol: float,
+             cov: CovMatrix) -> list[float]:
+    """etas, which a ``what`` read off them refuses where an error bound of the factor route exceeds tol relative."""
+    if what is not None and bounds is not None and any(bound > tol * eta for eta, bound in zip(etas, bounds)):
         raise _not_resolvable(what, cov)
     return etas
 
@@ -480,18 +706,31 @@ def is_pure(sigma: MatrixLike, tol: float = PURITY_TOL) -> bool:
 def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
     """(sqrt det sigma_1, sqrt det sigma_2, det eps) of a two-mode state, computed once and kept on it.
 
-    The 2x2 determinants come from one call on a view of sigma as its 2 x 2
-    grid of blocks (the same LAPACK routine per block, so the same bits as
-    one call per block).  A determinant that overflows raises ValueError.
+    A state with a factor (see :func:`symplectic_eigenvalues`) has sigma_1 = a I, sigma_2 = b I and
+    eps = diag(c, D_1 D_2 c), so they are a^2, b^2 and D_1 D_2 c^2.  Any other state's 2x2 determinants come
+    from one call on a view of sigma as its 2 x 2 grid of blocks (the same LAPACK routine per block, so the
+    same bits as one call per block).  A determinant that overflows raises ValueError.
     """
     cov = _two_mode(sigma, "two_mode_marginals")
     memo = cov.__dict__.get("_marginals")
     if memo is not None:
         return memo
-    blocks = cov.mat.reshape(2, 2, 2, 2).swapaxes(1, 2)  # blocks[i, j] couples mode i with mode j
+    invariants = _factor_invariants(cov)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        (det_1, det_eps), (_, det_2) = np.linalg.det(blocks).tolist()
+        if invariants is None:
+            blocks = cov.mat.reshape(2, 2, 2, 2).swapaxes(1, 2)  # blocks[i, j] couples mode i with mode j
+            (det_1, det_eps), (_, det_2) = np.linalg.det(blocks).tolist()
+        else:
+            a, b, c, _ = invariants
+            sign_1, sign_2 = cov.__dict__["_factor"][1]
+            det_1, det_2, det_eps = a * a, b * b, sign_1 * sign_2 * c * c
     if not (abs(det_1) < math.inf and abs(det_2) < math.inf and abs(det_eps) < math.inf):  # NaN fails too
         raise ValueError(f"a 2x2 block determinant overflows (det sigma_1 = {det_1!r}, "
                          f"det sigma_2 = {det_2!r}, det eps = {det_eps!r})")
     return cov.__dict__.setdefault("_marginals", (math.sqrt(det_1), math.sqrt(det_2), det_eps))
+
+
+def _factor_invariants(sigma: MatrixLike) -> Optional[tuple[float, float, float, float]]:
+    """(a, b, c, det X_A) of a two-mode state with a factor (see :func:`symplectic_eigenvalues`), else None."""
+    factor = _as_cov(sigma).__dict__.get("_factor")
+    return None if factor is None else factor[0].invariants

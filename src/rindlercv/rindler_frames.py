@@ -15,7 +15,15 @@ The four-mode state is built two independent ways: numerically, by
 composing two-mode squeezers on the vacuum, and analytically, from the
 paper's closed-form entries, as its x-quadrature covariance X and its
 p-quadrature covariance D X D.  The test suite holds the two routes to
-entrywise agreement; each is the other's oracle.
+entrywise agreement; each is the other's oracle.  Every squeezer acts on
+adjacent modes of opposite sign in D = diag(1, -1, 1, -1), so the composed
+state is X (+) D X D too: it is composed on the squeezers' 4x4 x-blocks,
+with the bits of the full 8x8 products, and keeps their product S_x,
+X = S_x S_x^T.  Its pairs, and those of the one-observer and ansatz states
+reduced from it, take their spectra from two rows of S_x (see
+``phase_space.symplectic_eigenvalues``); the closed-form states carry no
+factor and take the general Cholesky and SVD route, so each measure still
+compares two algorithms, and neither reads the other's entries.
 """
 
 from __future__ import annotations
@@ -24,13 +32,13 @@ import math
 
 import numpy as np
 
-from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _read_only, _squeezed_vacuum, _state_spectrum,
-                          reduce, two_mode_squeezer)
+from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _momentum_signs, _read_only, _squeezer_chain,
+                          _squeezer_entries, _state_spectrum, _xp_state, reduce)
 
 #: A symmetric 4x4 matrix from its ten distinct entries, the upper triangle row by row: X = upper[_SYMMETRIC].
 _SYMMETRIC = _read_only(np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]))
-#: D X D = X times these signs, D = diag(1, -1, 1, -1): the four-mode state's p-quadrature covariance from its x one.
-_MOMENTUM_SIGNS = _read_only(np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]))
+#: D = diag(1, -1, 1, -1): the four-mode state's p-quadrature covariance is D X D, X its x one.
+_SIGNS = (1.0, -1.0, 1.0, -1.0)
 
 
 def _require_domain(positive: bool = False, **params) -> None:
@@ -110,10 +118,8 @@ def build_double_observer_cm(s: float, l: float, n: float) -> CovMatrix:
     observer to the respective wedge-II partner.
     """
     _require_domain(s=s, l=l, n=n)
-    inertial = two_mode_squeezer(s, 1, 2, 4)
-    leo = two_mode_squeezer(l, 1, 0, 4)
-    nadia = two_mode_squeezer(n, 2, 3, 4)
-    return _squeezed_vacuum(inertial, nadia, leo)
+    inertial, leo, nadia = _squeezer_entries(s), _squeezer_entries(l), _squeezer_entries(n)
+    return _squeezer_chain(_SIGNS, (*inertial, 1, 2), (*nadia, 2, 3), (*leo, 1, 0))
 
 
 def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
@@ -137,10 +143,7 @@ def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
     except OverflowError:
         raise ValueError("covariance matrix entries must be finite") from None
     x = np.array(upper)[_SYMMETRIC]
-    out = np.zeros((8, 8))
-    out[0::2, 0::2] = x
-    out[1::2, 1::2] = _MOMENTUM_SIGNS * x
-    return CovMatrix(out)
+    return _xp_state(x, _momentum_signs(_SIGNS) * x)
 
 
 def pure_one_vs_rest_m(sigma: MatrixLike, probe: int) -> float:

@@ -391,34 +391,46 @@ def seeded_states(count: int = 12):
     return states
 
 
+def fresh(cov):
+    """A new state with cov's matrix and route and nothing memoised: the reduction to every mode."""
+    return reduce(cov, range(cov.n_modes))
+
+
 class TestMemo:
     """A CovMatrix computes its spectrum and each partial transpose once and reuses them."""
 
     def test_memo_matches_a_fresh_state_bit_for_bit(self):
+        """Against a fresh state of the same route; a state of more than two modes takes the public route too."""
         for cov in seeded_states():
             first = symplectic_eigenvalues(cov)
+            same_route = [fresh] + ([lambda cov: CovMatrix(cov.mat)] if cov.n_modes > 2 else [])
             for modes in [(0,), (1,)] + ([(0, 1)] if cov.n_modes > 2 else []):
                 pt = partial_transpose(cov, modes)
-                fresh_pt = partial_transpose(CovMatrix(cov.mat), modes)
-                assert pt.mat.tobytes() == fresh_pt.mat.tobytes()
-                assert symplectic_eigenvalues(pt).tobytes() == symplectic_eigenvalues(fresh_pt).tobytes()
-                assert symplectic_eigenvalues(pt).tobytes() == symplectic_eigenvalues(CovMatrix(pt.mat)).tobytes()
+                for other in same_route:
+                    fresh_pt = partial_transpose(other(cov), modes)
+                    assert pt.mat.tobytes() == fresh_pt.mat.tobytes()
+                    assert symplectic_eigenvalues(pt).tobytes() == symplectic_eigenvalues(fresh_pt).tobytes()
+                    assert symplectic_eigenvalues(pt).tobytes() == symplectic_eigenvalues(other(pt)).tobytes()
             assert symplectic_eigenvalues(cov).tobytes() == first.tobytes()
-            assert first.tobytes() == symplectic_eigenvalues(CovMatrix(cov.mat)).tobytes()
-            assert is_pure(cov) == is_pure(CovMatrix(cov.mat))
+            for other in same_route:
+                assert first.tobytes() == symplectic_eigenvalues(other(cov)).tobytes()
+                assert is_pure(cov) == is_pure(other(cov))
 
     def test_marginals_match_a_fresh_state_and_separate_determinants_bit_for_bit(self):
         for cov in seeded_states():
             for pair in ([(0, 1), (1, 2), (0, 2)] if cov.n_modes == 3 else
                          [(0, 1), (1, 2), (2, 3), (0, 3)] if cov.n_modes == 4 else [(0, 1)]):
                 red = reduce(cov, pair)
-                kept = two_mode_marginals(red)
-                assert type(kept) is tuple and all(type(v) is float for v in kept)
+                kept, public = two_mode_marginals(red), two_mode_marginals(CovMatrix(red.mat))
+                assert type(kept) is tuple and all(type(v) is float for v in kept + public)
                 assert two_mode_marginals(red) is kept
+                assert np.array(two_mode_marginals(fresh(red))).tobytes() == np.array(kept).tobytes()
                 separate = (math.sqrt(np.linalg.det(red.block(0, 0))), math.sqrt(np.linalg.det(red.block(1, 1))),
                             float(np.linalg.det(red.block(0, 1))))
-                for other in (two_mode_marginals(CovMatrix(red.mat)), two_mode_marginals(red.mat), separate):
-                    assert np.array(other).tobytes() == np.array(kept).tobytes()
+                for other in (two_mode_marginals(red.mat), separate):
+                    assert np.array(other).tobytes() == np.array(public).tobytes()
+                # the factor's a, b and D_1 D_2 c^2 against the blocks' determinants
+                np.testing.assert_allclose(kept, public, rtol=1e-13)
 
     def test_marginals_need_two_modes(self):
         with pytest.raises(ValueError, match="two-mode"):
@@ -477,8 +489,8 @@ class TestMemo:
                     t.join(timeout=10)
                     assert not t.is_alive()
                 assert len({id(pt) for pt, _ in results}) == 1
-                fresh = work(CovMatrix(cov.mat))[1]
-                assert all(values == fresh for _, values in results)
+                expected = work(fresh(cov))[1]
+                assert all(values == expected for _, values in results)
         finally:
             sys.setswitchinterval(interval)
 
@@ -704,7 +716,7 @@ class TestSharedConstants:
                 det_1, det_2, det_eps = np.linalg.det(np.stack([red.block(0, 0), red.block(1, 1),
                                                                 red.block(0, 1)])).tolist()
                 plain = (math.sqrt(det_1), math.sqrt(det_2), det_eps)
-                assert np.array(two_mode_marginals(red)).tobytes() == np.array(plain).tobytes()
+                assert np.array(two_mode_marginals(CovMatrix(red.mat))).tobytes() == np.array(plain).tobytes()
 
     def test_spectrum_matches_the_plain_skew_and_pairing_bit_for_bit(self):
         checked = 0
@@ -730,7 +742,7 @@ class TestSharedConstants:
                 with pytest.raises(ValueError, match="read-only"):
                     arr.flat[-1] = 7
                 np.testing.assert_array_equal(arr, before)
-        for arr in (rindler_frames._SYMMETRIC, rindler_frames._MOMENTUM_SIGNS):
+        for arr in (rindler_frames._SYMMETRIC, phase_space._momentum_signs(rindler_frames._SIGNS)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 7
         # what callers get is their own: a squeezer's matrix is a copy, not the shared identity
@@ -893,7 +905,7 @@ class TestOverflow:
 class TestOneGate:
     """Whether a matrix is a state, and whether a value is resolved, is decided in phase_space alone."""
 
-    FLOOR_INTERNALS = {"FLOOR_FACTOR", "_EPS", "_not_resolvable", "_NotPhysical", "_lowest_eigenvalue",
+    FLOOR_INTERNALS = {"FLOOR_FACTOR", "_EPS", "_not_resolvable", "_NotPhysical", "_lowest_eigenvalue", "_bounds",
                        "_rounding_floor", "_indefinite", "EIGEN_FLOOR_EPS"}
 
     def test_no_other_module_reads_the_floor_internals(self):

@@ -304,13 +304,13 @@ class TestOneComposition:
                         else outcome(lambda: reduce(build_double_observer_cm(t, a, 0.0), (0, 1, 2))))
             assert outcome(lambda: ea.tripartite_bound_ansatz_cm(s, a)) == expected, (s, a)
 
-    def test_squeezed_vacuum_has_one_caller(self):
+    def test_squeezer_chain_has_one_caller(self):
         """The squeezer chain on the vacuum is composed in build_double_observer_cm alone."""
         def callers(node, where):
             for child in ast.iter_child_nodes(node):
                 func = getattr(child, "func", None)
-                if isinstance(child, ast.Call) and "_squeezed_vacuum" in (getattr(func, "id", None),
-                                                                          getattr(func, "attr", None)):
+                if isinstance(child, ast.Call) and "_squeezer_chain" in (getattr(func, "id", None),
+                                                                         getattr(func, "attr", None)):
                     yield where
                 yield from callers(child, getattr(child, "name", where))
 
