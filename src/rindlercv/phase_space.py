@@ -570,6 +570,12 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     return cov.__dict__.setdefault("_spectrum", _read_only(etas)).copy()
 
 
+def _spectrum(cov: CovMatrix) -> list[float]:
+    """The spectrum kept on cov, as a list; :func:`symplectic_eigenvalues` computes it if there is none yet."""
+    memo = cov.__dict__.get("_spectrum")
+    return (symplectic_eigenvalues(cov) if memo is None else memo).tolist()
+
+
 def _pair_spectrum(cov: CovMatrix) -> Optional[tuple[list[float], list[float]]]:
     """[eta-, eta+] of a two-mode state with a factor, and an absolute error bound on each; None without one.
 
@@ -647,7 +653,7 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
         transposed = _transposed_modes(transposed, cov.n_modes)
         if len(transposed) != 1 and len(transposed) != cov.n_modes - 1:
             raise ValueError("PPT-based measures need a 1 x (N-1) bipartition")
-    etas = symplectic_eigenvalues(cov).tolist()
+    etas = _spectrum(cov)
     lowest = cov.__dict__.get("_lowest_eigenvalue")  # kept only where the Cholesky factorisation failed
     if lowest is not None and lowest < -FLOOR_FACTOR * _EPS * abs(cov.mat).max():
         raise _NotPhysical("state is not physical (covariance matrix not positive definite)")
@@ -668,7 +674,7 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
     if transposed is None:
         return _bounded(etas, bounds, what, tol, cov)
     transpose = partial_transpose(cov, transposed)
-    etas = symplectic_eigenvalues(transpose).tolist()
+    etas = _spectrum(transpose)
     bounds = transpose.__dict__.get("_bounds")
     floor, detail = ((FLOOR_FACTOR * _EPS * etas[-1], f"{FLOOR_FACTOR} eps eta+") if bounds is None
                      else (bounds[0], "error bound of eta-"))
