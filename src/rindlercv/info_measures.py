@@ -45,6 +45,7 @@ from .phase_space import (
     BONA_FIDE_TOL,
     MatrixLike,
     PURITY_TOL,
+    _UNIT_ROUNDOFF,
     _factor_invariants,
     _state_spectrum,
     _two_mode,
@@ -265,36 +266,78 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     if det_eps > 0:
         raise ValueError("entangled two-mode states need det eps < 0")
     c_sq = -det_eps
-    invariants = _factor_invariants(cov)
-    if invariants is not None:  # the inversion reads the spectrum's rows: it refuses where their bound exceeds its tol
-        _state_spectrum(cov, "thermal squeezed form", FAMILY_RTOL)
+    factor = _factor_invariants(cov)
     with np.errstate(all="ignore"):  # an overflow leaves det sigma or m non-finite, rejected below
-        if invariants is None:
-            det_sigma, root_det = float(np.linalg.det(cov.mat)), np.float64(a * b - c_sq)
-        else:  # X (+) D X D: det sigma = (det X)^2, and ab - c^2 = det X, a sum of squared minors
-            root_det = np.float64(invariants[3])
-            det_sigma = float(root_det * root_det)
-        if not abs(det_sigma) < math.inf:
-            raise ValueError(f"the determinant of the state overflows (det sigma = {det_sigma!r})")
-        family_det = root_det * root_det
-        if not abs(family_det) < math.inf:
-            raise ValueError(f"the family determinant (ab - c^2)^2 overflows (ab - c^2 = {a * b - c_sq!r})")
-        if abs(det_sigma - family_det) > FAMILY_RTOL * max(1.0, det_sigma):
-            # within the rounding of a 4x4 determinant the test cannot tell the form apart
-            _state_spectrum(cov, "thermal squeezed form", det_residual=abs(det_sigma - family_det))
-            raise ValueError("state is not of thermal squeezed form (c+ != -c-)")
-        prod = (a + 1.0) * (b + 1.0)
-        # (a + 1)(b + 1) - c^2 = (ab - c^2) + a + b + 1: no cancellation where ab - c^2 has none
-        u = np.float64(prod + c_sq) / (prod - c_sq if invariants is None else root_det + a + b + 1.0)
+        if factor is None:
+            det_sigma = float(np.linalg.det(cov.mat))
+            if not abs(det_sigma) < math.inf:
+                raise ValueError(f"the determinant of the state overflows (det sigma = {det_sigma!r})")
+            root_det = np.float64(a * b - c_sq)
+            family_det = root_det * root_det
+            if not abs(family_det) < math.inf:
+                raise ValueError(f"the family determinant (ab - c^2)^2 overflows (ab - c^2 = {a * b - c_sq!r})")
+            if abs(det_sigma - family_det) > FAMILY_RTOL * max(1.0, det_sigma):
+                # within the rounding of a 4x4 determinant the test cannot tell the form apart
+                _state_spectrum(cov, "thermal squeezed form", det_residual=abs(det_sigma - family_det))
+                raise ValueError("state is not of thermal squeezed form (c+ != -c-)")
+            prod = (a + 1.0) * (b + 1.0)
+            u = np.float64(prod + c_sq) / (prod - c_sq)
+        else:  # X (+) D X D with D's signs opposite has c+ = -c- exactly: no family test
+            (a, b, c, det_x), rtols = factor
+            prod = (a + 1.0) * (b + 1.0)
+            # (a + 1)(b + 1) - c^2 = det X + a + b + 1, with det X a sum of squared minors: no cancellation
+            u = np.float64(prod + c * c) / (det_x + a + b + 1.0)
         p = (a - u) / (u + 1.0)
         q = (b - u) / (u + 1.0)
         if min(p, q) < -FAMILY_RTOL:
             raise ValueError("invariants fall outside the thermal squeezed family")
-        m = float(_m_leo_nadia(0.5 * math.acosh(max(u, 1.0)), math.asinh(math.sqrt(max(p, 0.0))),
-                               math.asinh(math.sqrt(max(q, 0.0)))))
+        angles = 0.5 * math.acosh(max(u, 1.0)), math.asinh(math.sqrt(max(p, 0.0))), math.asinh(math.sqrt(max(q, 0.0)))
+        m = float(_m_leo_nadia(*angles))
+        # a bound that overflows is no bound: it refuses
+        error = None if factor is None else _inversion_error(a, b, float(u), float(p), float(q), m, sum(angles), *rtols)
     if not math.isfinite(m):
         raise ValueError(f"the thermal squeezed inversion overflows (u = {float(u)!r})")
+    if error is not None:
+        _state_spectrum(cov, "thermal squeezed form", FAMILY_RTOL, rel_error=error / m)
     return m
+
+
+def _inversion_error(a: float, b: float, u: float, p: float, q: float, m: float, angles: float, g: float,
+                     r: float) -> float:
+    """A bound on the absolute error of :func:`squeezed_thermal_m`'s m from a factor's invariants.
+
+    a, b and c are within g of their values, relatively, det X within r, and each rounding within the unit
+    roundoff U; the bound is first order in them but for two square roots.  u sums nonnegative terms only,
+    so it is within e = 2g + max(g, r) + 8U relatively, du = e u.  p = (a - u) / (u + 1) cancels: it is
+    within dp = (g a + du) / (u + 1) + (e + 3U) |p| absolutely, and q likewise with b.  The kernel reads
+    m = N / D at C = (u + 1) / 2 = cosh^2 s, S = sqrt(u^2 - 1) = sinh 2s and W = sqrt(p q) = sinh l sinh n:
+
+        N = 2 (1 + 2p)(1 + 2q) C + 3u - 4 W S - 1,    D = 4 + 4 (p + q) C + 4 W S.
+
+    A square root sqrt(x) of a computed x is within |x - y| / sqrt(x) of sqrt(y), and within
+    sqrt|x - y|, so S and W move by the smaller of the two, and N and D by dN and dD below; m then moves by
+    (dN + m dD) / (D - dD).  Evaluating the kernel at the rounded (s, l, n) adds at most k U (T + m D),
+    T the sum of the magnitudes of N's terms and k = 32 + 8 (s + l + n) (``angles``) for the angles'
+    conditioning, with libm's acosh, asinh, cosh and sinh within an ulp.
+    """
+    unit = _UNIT_ROUNDOFF
+    e = 2.0 * g + max(g, r) + 8.0 * unit
+    du = e * u
+    dp = (g * a + du) / (u + 1.0) + (e + 3.0 * unit) * abs(p)
+    dq = (g * b + du) / (u + 1.0) + (e + 3.0 * unit) * abs(q)
+    p, q, u = max(p, 0.0), max(q, 0.0), max(u, 1.0)
+    big_c, big_s, w, x_p, x_q = 0.5 * (u + 1.0), math.sqrt(u * u - 1.0), math.sqrt(p * q), 1.0 + 2.0 * p, 1.0 + 2.0 * q
+    dx = (2.0 * u + du) * du + 2.0 * unit * u * u  # of u^2 - 1
+    d_s = math.sqrt(dx) if big_s == 0.0 else min(math.sqrt(dx), dx / big_s)
+    dx = dp * q + dq * p + dp * dq + unit * p * q  # of p q
+    d_w = math.sqrt(dx) if w == 0.0 else min(math.sqrt(dx), dx / w)
+    d_ws = w * d_s + big_s * d_w + d_w * d_s
+    d_num = 4.0 * (dp * x_q + dq * x_p) * big_c + (x_p * x_q + 3.0) * du + 4.0 * d_ws
+    d_den = 4.0 * (dp + dq) * big_c + 2.0 * (p + q) * du + 4.0 * d_ws
+    den = 4.0 + 4.0 * (p + q) * big_c + 4.0 * w * big_s
+    terms = 2.0 * x_p * x_q * big_c + 3.0 * u + 4.0 * w * big_s + 1.0
+    kernel = 8.0 * (4.0 + angles) * unit * (terms + m * den)
+    return (d_num + m * d_den + kernel) / (den - d_den) if den > d_den else math.inf
 
 
 def two_mode_m(sigma: MatrixLike) -> float:
@@ -303,9 +346,15 @@ def two_mode_m(sigma: MatrixLike) -> float:
     A pure state (both eigenvalues within ``PURITY_TOL`` of 1) reads ``(a + b) / 2``, a saturating one
     (``eta-`` within ``GMEMMS_SPECTRUM_TOL`` of 1) 1 if it is PPT and ``(a + b) / (2 + |a - b|)`` if not,
     and any other state :func:`squeezed_thermal_m`.
+
+    A state of the factor route (see ``phase_space.symplectic_eigenvalues``) is read with derived error
+    bounds: the family refuses, "two-mode family not resolvable at this squeezing (...)", where an
+    eigenvalue's bound could carry it across ``PURITY_TOL`` or ``GMEMMS_SPECTRUM_TOL``, and the GMEMMS m
+    ("GMEMMS form ...") and the thermal one where m's bound exceeds ``FAMILY_RTOL`` relative; the pure m,
+    a sum of two squared norms, is within 1e-13 of itself.
     """
     cov = _two_mode(sigma, "two_mode_m")
-    eta_minus, eta_plus = _state_spectrum(cov)
+    eta_minus, eta_plus = _state_spectrum(cov, "two-mode family", margins=(PURITY_TOL, GMEMMS_SPECTRUM_TOL))
     if max(abs(eta_minus - 1.0), abs(eta_plus - 1.0)) <= PURITY_TOL:
         a, b, _ = two_mode_marginals(cov)
         return 0.5 * (a + b)
@@ -314,7 +363,14 @@ def two_mode_m(sigma: MatrixLike) -> float:
     if ppt_separable(cov, (0,)):
         return 1.0
     a, b, _ = two_mode_marginals(cov)
-    return (a + b) / (2.0 + abs(a - b))
+    m = (a + b) / (2.0 + abs(a - b))
+    factor = _factor_invariants(cov)
+    if factor is not None:
+        # a and b, read as sqrt(a^2) and sqrt(b^2), are within g + 2U of themselves, and |a - b| within
+        # (g + 2U)(a + b) + U |a - b|: m is within (g + 2U)(1 + m) + 4U of itself
+        g = factor[1][0] + 2.0 * _UNIT_ROUNDOFF
+        _state_spectrum(cov, "GMEMMS form", FAMILY_RTOL, rel_error=g * (1.0 + m) + 4.0 * _UNIT_ROUNDOFF)
+    return m
 
 
 def contangle_from_cm(sigma: MatrixLike) -> MeasureReport:

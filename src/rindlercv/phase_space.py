@@ -32,15 +32,16 @@ the worst a race can do is build the same constant twice and keep one of them:
 no caller can change what another one sees.  The per-mode-set caches are
 bounded.
 
-A state built by a squeezer chain on the vacuum (``_squeezer_chain``, which
-the scenario builders use) is X (+) D X D on (x, p), X = S_x S_x^T, and keeps
-its x-quadrature factor S_x; :func:`reduce` keeps its rows and
-:func:`partial_transpose` flips the signs of D.  A two-mode state that carries
-it takes its spectrum and marginals in closed form from two rows of S_x, each
-eigenvalue with a derived error bound (:func:`symplectic_eigenvalues`); every
-other matrix, public ``CovMatrix(...)`` and closed-form states and states of
-more than two modes, takes them from a Cholesky factorisation, an SVD and
-LAPACK determinants.  Neither route reads a closed-form entry of the paper.
+A state that a squeezer chain built on the vacuum
+(``rindler_frames.build_double_observer_cm``) is X (+) D X D on (x, p),
+X = S_x S_x^T, and keeps its x-quadrature factor S_x with D's signs;
+:func:`reduce` keeps the factor's rows and :func:`partial_transpose` flips the
+signs of D.  A two-mode state that carries it takes its spectrum and marginals
+in closed form from two rows of S_x, each eigenvalue with a derived error
+bound (:func:`symplectic_eigenvalues`); every other matrix, public
+``CovMatrix(...)`` and closed-form states and states of more than two modes,
+takes them from a Cholesky factorisation, an SVD and LAPACK determinants.
+Neither route reads a closed-form entry of the paper.
 
 Whether a matrix is a state, and whether a value read off its spectrum is
 resolved at its squeezing, is decided in ``_state_spectrum`` alone, with one
@@ -82,9 +83,7 @@ PURITY_TOL = 1e-6
 #: and a 4x4 determinant by eps * max|sigma|^4.
 FLOOR_FACTOR = 32
 _EPS = float(np.finfo(float).eps)
-_U = _EPS / 2  # the unit roundoff
-#: How far, in ulps, cosh r and sinh r may be from their values; the error bounds of the factor route start here.
-_SQUEEZER_ULPS = 4
+_UNIT_ROUNDOFF = _EPS / 2
 
 #: Size of each per-mode-set cache: a library point uses about ten mode sets.
 MODE_SET_CACHE = 256
@@ -168,8 +167,7 @@ def _flip_mask(modes: ModeIndexSet, n_modes: int) -> np.ndarray:
 
 def _symmetrize(arr: np.ndarray) -> np.ndarray:
     """The mean of a square array and its transpose, as validation stores it."""
-    half = 0.5 * arr  # halve first: arr + arr.T overflows above about 9e307
-    return half + half.T
+    return 0.5 * arr + 0.5 * arr.T  # halve first: arr + arr.T overflows above about 9e307
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +186,7 @@ class _Matrix:
 
         Validation would pass an exact image of a validated covariance matrix (a submatrix, a +-1 mask product)
         unchanged: ``0.5 * x + 0.5 * x == x`` but for odd multiples of 2**-1074, held only where input was asymmetric.
-        A state's x-quadrature factor, an :class:`_XFactor` and D's signs on its modes, is kept with it if given.
+        A state's x-quadrature factor and D's signs on its modes (see :func:`_xp_state`) are kept with it if given.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "mat", _read_only(arr))
@@ -304,7 +302,9 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
     a numpy warning.  The filled matrix is made read-only and wrapped by ``_wrap``, unvalidated.
     """
     check_mode_set((i, j), n_modes)
-    c, s = _squeezer_entries(r)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the check
+        c, s = float(np.cosh(r)), float(np.sinh(r))
+    _squeezer_verdict(c, s)
     out = _identity(n_modes).copy()
     xi, pi, xj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
     out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
@@ -313,16 +313,10 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
     return SympTransform._wrap(out)
 
 
-def _squeezer_entries(r: float) -> tuple[float, float]:
-    """(cosh r, sinh r) of a two-mode squeezer, checked as :func:`two_mode_squeezer` documents."""
-    if abs(r) < 710.0:  # cosh 710 = 1.1e308: no overflow
-        c, s = float(np.cosh(r)), float(np.sinh(r))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the check
-            c, s = float(np.cosh(r)), float(np.sinh(r))
+def _squeezer_verdict(c: float, s: float) -> None:
+    """The check of a two-mode squeezer on its entries c = cosh r and s = sinh r (see :func:`two_mode_squeezer`)."""
     # max keeps its first NaN; cosh r and sinh r are NaN together
     _symplectic_verdict(max(abs(c), abs(s)), lambda k: abs((c / k) * (c / k) - (s / k) * (s / k) - 1.0 / k / k))
-    return c, s
 
 
 def apply_congruence(S: SympTransform, sigma: MatrixLike) -> CovMatrix:
@@ -333,32 +327,15 @@ def apply_congruence(S: SympTransform, sigma: MatrixLike) -> CovMatrix:
     return CovMatrix(S.mat @ cov.mat @ S.mat.T)
 
 
-@functools.cache
-def _pairs(n_modes: int) -> dict[tuple[int, int], int]:
-    """Each pair i < j of n_modes modes and its index among the 2x2 minors: the pairs in lexicographic order."""
-    return {pair: k for k, pair in enumerate((i, j) for i in range(n_modes) for j in range(i + 1, n_modes))}
-
-
-@functools.lru_cache(maxsize=MODE_SET_CACHE)
-def _compound_moves(i: int, j: int, n_modes: int) -> tuple[tuple[int, int], ...]:
-    """How the second compound of a squeezer on adjacent modes i < j mixes the 2x2 minors.
-
-    The minor on {i, j} stays (its entry is cosh^2 r - sinh^2 r, the exact 1), and so does every minor
-    without i or j; for each other mode k the minors on {i, k} and {j, k} mix as the modes i and j do,
-    with entries cosh r and sinh r.  With i and j adjacent, no k lies between them, so no entry is negative.
-    """
-    pairs = _pairs(n_modes)
-    return tuple((pairs[min(i, k), max(i, k)], pairs[min(j, k), max(j, k)]) for k in range(n_modes) if k not in (i, j))
-
-
-@functools.cache
-def _momentum_signs(signs: tuple[float, ...]) -> np.ndarray:
-    """D x D = x times these signs, D = diag(signs): a p-quadrature covariance from its x one (read-only)."""
-    return _read_only(np.outer(signs, signs))
-
-
 def _xp_state(x: np.ndarray, p: np.ndarray, factor: Optional[tuple] = None) -> CovMatrix:
-    """The validated state with x-x entries x, p-p entries p and x-p entries 0, keeping factor if given."""
+    """The validated state with x-x entries x, p-p entries p and x-p entries 0, keeping factor if given.
+
+    A factor is the state's x-quadrature factor S_x, X = S_x S_x^T, and the signs of D, P = D X D, on its
+    modes.  S_x is an object whose ``kept(modes)`` is the factor of a reduction to modes, whose
+    ``invariants`` are (a, b, c, det X_A) of a kept pair (``_pair_spectrum``), or None for any other
+    number of modes or where one overflows, and whose ``rtols`` bound their relative errors: those of a,
+    b and c, and that of det X_A.
+    """
     n_modes = len(x)
     out = np.zeros((2 * n_modes, 2 * n_modes))
     out[0::2, 0::2] = x
@@ -367,103 +344,6 @@ def _xp_state(x: np.ndarray, p: np.ndarray, factor: Optional[tuple] = None) -> C
     if factor is not None:
         cov.__dict__["_factor"] = factor
     return cov
-
-
-def _chain_rtols(n_squeezers: int, n_modes: int) -> tuple[float, float]:
-    """First-order bounds on the relative errors of a, b and c, and of det X_A, in :attr:`_XFactor.invariants`.
-
-    In units of u = eps / 2: cosh r and sinh r carry e = 2 ``_SQUEEZER_ULPS`` u each, 0 and 1 none.  A row
-    entry after k blocks, each step a sum of two nonnegative products, is within k e + 2 (k - 1) u; so is a
-    minor.  a, b and c sum n_modes products of two entries, det X_A the p = n (n - 1) / 2 squared minors:
-    each adds twice the entry's error and one u per term.
-    """
-    entry = n_squeezers * 2 * _SQUEEZER_ULPS * _U + 2 * (n_squeezers - 1) * _U
-    return 2 * entry + n_modes * _U, 2 * entry + len(_pairs(n_modes)) * _U
-
-
-class _XFactor:
-    """The x-quadrature factor S_x of a squeezer chain, X = S_x S_x^T, and the chain modes a state keeps.
-
-    ``squeezers`` are the chain's checked (cosh r, sinh r, i, j) in the order applied, each on adjacent
-    modes i < j of ``n_modes``, so S_x is their x-blocks' product, the last one leftmost, and every entry
-    of it and of its second compound is a sum of nonnegative terms.  ``modes`` are kept in a state's order;
-    ``rtols`` are :func:`_chain_rtols`.  Treat it as immutable.
-    """
-
-    def __init__(self, squeezers: tuple[tuple[float, float, int, int], ...], n_modes: int, modes: ModeIndexSet,
-                 rtols: tuple[float, float]):
-        self.squeezers, self.n_modes, self.modes, self.rtols = squeezers, n_modes, modes, rtols
-
-    def kept(self, keep: ModeIndexSet) -> "_XFactor":
-        return _XFactor(self.squeezers, self.n_modes, tuple([self.modes[k] for k in keep]), self.rtols)
-
-    @functools.cached_property
-    def invariants(self) -> Optional[tuple[float, float, float, float]]:
-        """(a, b, c, det X_A) of a kept pair: |u|^2, |v|^2 and u.v of its rows u and v of S_x, and the sum of the
-        squared 2x2 minors of [u; v], the pair's row of the second compound of S_x (Cauchy-Binet).
-
-        None for any other number of modes, and where one of them overflows.
-        """
-        if len(self.modes) != 2:
-            return None
-        i, j = self.modes
-        pairs = _pairs(self.n_modes)
-        u, v, minors = [0.0] * self.n_modes, [0.0] * self.n_modes, [0.0] * len(pairs)
-        u[i] = v[j] = minors[pairs[i, j]] = 1.0
-        # a row of S_x times each x-block, the last one applied first: its entries p and q, and each pair of
-        # minors the block's compound mixes, mix as [[c, s], [s, c]]
-        for c, s, p, q in reversed(self.squeezers):
-            x, y = u[p], u[q]
-            u[p], u[q] = c * x + s * y, s * x + c * y
-            x, y = v[p], v[q]
-            v[p], v[q] = c * x + s * y, s * x + c * y
-            for k, m in _compound_moves(p, q, self.n_modes):
-                x, y = minors[k], minors[m]
-                minors[k], minors[m] = c * x + s * y, s * x + c * y
-        a, b = sum([x * x for x in u]), sum([x * x for x in v])
-        c, det = sum([x * y for x, y in zip(u, v)]), sum([x * x for x in minors])
-        return (a, b, c, det) if a < math.inf and b < math.inf and det < math.inf else None  # NaN fails too
-
-
-@functools.lru_cache(maxsize=MODE_SET_CACHE)
-def _block_codes(pairs: tuple[tuple[int, int], ...], n_modes: int) -> np.ndarray:
-    """Where 0 and 1 (codes 0 and 1) and squeezer k's cosh r and sinh r (codes 2 + 2k and 3 + 2k) sit in the
-    stack of a chain's x-blocks, squeezer k on modes pairs[k] (read-only)."""
-    codes = np.tile(np.eye(n_modes, dtype=np.intp), (len(pairs), 1, 1))
-    for k, (i, j) in enumerate(pairs):
-        codes[k, i, i] = codes[k, j, j] = 2 + 2 * k
-        codes[k, i, j] = codes[k, j, i] = 3 + 2 * k
-    return _read_only(codes)
-
-
-def _squeezer_chain(signs: tuple[float, ...], *squeezers: tuple[float, float, int, int]) -> CovMatrix:
-    """The vacuum after each squeezer, checked entries (cosh r, sinh r) on modes (i, j), in turn, with its factor.
-
-    Each squeezer acts on adjacent modes of opposite sign in D = diag(signs); its symplectic matrix is then
-    S_x (+) D S_x D on (x, p), so the state is X (+) D X D.  X is composed as nested :func:`apply_congruence`
-    calls compose the full matrices, on the x-blocks: ``S @ X @ S.T`` after the symmetrization of
-    validation, the first step ``S @ S.T``.  Only the finished state is validated: an intermediate that
-    overflows leaves it non-finite too, and is rejected there, without a numpy warning.  The state keeps the
-    chain as its x-quadrature factor (:class:`_XFactor`), with D.
-    """
-    n_modes = len(signs)
-    pairs, values = [], [0.0, 1.0]
-    for c, s, i, j in squeezers:
-        if abs(i - j) != 1 or signs[i] == signs[j]:
-            raise ValueError(f"the x-quadrature factor needs squeezers on adjacent modes of opposite sign, "
-                             f"got ({i}, {j})")
-        pairs.append((min(i, j), max(i, j)))
-        values += (c, s)
-    first, *rest = np.array(values)[_block_codes(tuple(pairs), n_modes)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = first @ first.T
-        for block in rest:
-            x = _symmetrize(x)
-            x = block @ x @ block.T
-    factor = _XFactor(tuple((c, s, *pair) for (c, s, _, _), pair in zip(squeezers, pairs)), n_modes,
-                      tuple(range(n_modes)), _chain_rtols(len(squeezers), n_modes))
-    # + 0.0: the full product's zeros are +0.0 where a sign flip of X gives -0.0
-    return _xp_state(x, _momentum_signs(signs) * x + 0.0, (factor, signs))
 
 
 def reduce(sigma: MatrixLike, keep: Iterable[int]) -> CovMatrix:
@@ -580,8 +460,7 @@ def _pair_spectrum(cov: CovMatrix) -> Optional[tuple[list[float], list[float]]]:
     """[eta-, eta+] of a two-mode state with a factor, and an absolute error bound on each; None without one.
 
     The bounds are first order in the unit roundoff u = eps / 2.  a, b and c are each within g of their
-    value, relatively, and det X_A within r, (g, r) = ``_XFactor.rtols``: every term of every sum is
-    nonnegative.  Then:
+    value, relatively, and det X_A within r, (g, r) the factor's ``rtols`` (see :func:`_xp_state`).  Then:
 
     * signs differ: d = |a - b| is within (g + u)(a + b).  q = hypot(d, 2 sqrt(det X_A)) moves with d at
       slope d / q <= 1, and with det X_A by r det X_A / q <= r q / 4 (det X_A = eta+ eta- and
@@ -601,12 +480,12 @@ def _pair_spectrum(cov: CovMatrix) -> Optional[tuple[list[float], list[float]]]:
     if sign_u != sign_v:
         d = abs(a - b)
         plus = 0.5 * d + 0.5 * math.hypot(d, 2.0 * math.sqrt(det))
-        err_plus = (g + _U) * (a + b) + (0.5 * r + 4.0 * _U) * plus
-        err_minus = r + _U + err_plus / plus
+        err_plus = (g + _UNIT_ROUNDOFF) * (a + b) + (0.5 * r + 4.0 * _UNIT_ROUNDOFF) * plus
+        err_minus = r + _UNIT_ROUNDOFF + err_plus / plus
     else:
         plus = 0.5 * (a + b) + 0.5 * math.hypot(a - b, 2.0 * c)
-        err_plus = (3.0 * g + 7.0 * _U) * plus
-        err_minus = r + 3.0 * g + 8.0 * _U
+        err_plus = (3.0 * g + 7.0 * _UNIT_ROUNDOFF) * plus
+        err_minus = r + 3.0 * g + 8.0 * _UNIT_ROUNDOFF
     if not err_plus < math.inf:  # a + b overflows: the general route takes it
         return None
     minus = det / plus
@@ -624,8 +503,8 @@ class _NotPhysical(ValueError):
 
 
 def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = BONA_FIDE_TOL, *,
-                    pure: bool = False, det_residual: Optional[float] = None,
-                    transposed: Optional[Iterable[int]] = None) -> list[float]:
+                    pure: bool = False, det_residual: Optional[float] = None, rel_error: Optional[float] = None,
+                    margins: tuple[float, ...] = (), transposed: Optional[Iterable[int]] = None) -> list[float]:
     """Ascending symplectic spectrum of a state: the numeric route's one physicality and resolution gate.
 
     Each test allows FLOOR_FACTOR rounding floors and refuses a verdict they could flip:
@@ -638,6 +517,11 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
     * ``pure`` tests every eigenvalue's distance from 1 instead, and returns a mixed spectrum to the caller.
     * ``det_residual``, by how much a 4x4 determinant of sigma missed the caller's tolerance, refuses
       ``what`` within FLOOR_FACTOR eps max|sigma|^4.
+    * ``rel_error``, a derived bound on the relative error of the caller's value of ``what``, refuses it
+      where it exceeds tol (a NaN bound too), in place of the spectrum's own bounds.
+    * ``margins``, the distances from 1 at which the caller tells eigenvalues apart: a ``what`` refuses
+      where an eigenvalue's derived bound could carry its distance across one, in place of the test against
+      tol.  Only the factor route's spectra have such bounds; a spectrum with floors is not tested.
     * ``transposed`` returns the partial transpose's spectrum across a 1 x (N-1) cut.  Where
       f = FLOOR_FACTOR eps eta+ > tol, an eta- in [1 - tol, 1 + f] raises "separability not resolvable at
       this squeezing (...)" unless a two-mode sigma has det eps >= 0 (Simon's criterion).  An eta- that
@@ -663,7 +547,7 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
     slack = FLOOR_FACTOR * _EPS * etas[-1] if bounds is None else max(bounds) if pure else bounds[0]
     if off > max(tol, slack):
         if off <= (FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 2 if bounds is None else slack):
-            if what is not None and transposed is None and det_residual is None:
+            if what is not None and transposed is None and det_residual is None and not margins:
                 raise _not_resolvable(what, cov)
         elif not pure:
             raise _NotPhysical(f"state is not physical (min symplectic eigenvalue {etas[0]!r})")
@@ -671,7 +555,18 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
         if det_residual <= FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 4:
             raise _not_resolvable(what, cov)
         return etas
+    if rel_error is not None:
+        if not rel_error <= tol:
+            raise _not_resolvable(what, cov)
+        return etas
     if transposed is None:
+        if margins:
+            for eta, bound in zip(etas, bounds or ()):
+                off = abs(eta - 1.0)
+                for margin in margins:
+                    if abs(off - margin) <= bound:
+                        raise _not_resolvable(what, cov)
+            return etas
         return _bounded(etas, bounds, what, tol, cov)
     transpose = partial_transpose(cov, transposed)
     etas = _spectrum(transpose)
@@ -721,13 +616,13 @@ def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
     memo = cov.__dict__.get("_marginals")
     if memo is not None:
         return memo
-    invariants = _factor_invariants(cov)
+    factor = _factor_invariants(cov)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        if invariants is None:
+        if factor is None:
             blocks = cov.mat.reshape(2, 2, 2, 2).swapaxes(1, 2)  # blocks[i, j] couples mode i with mode j
             (det_1, det_eps), (_, det_2) = np.linalg.det(blocks).tolist()
         else:
-            a, b, c, _ = invariants
+            (a, b, c, _), _ = factor
             sign_1, sign_2 = cov.__dict__["_factor"][1]
             det_1, det_2, det_eps = a * a, b * b, sign_1 * sign_2 * c * c
     if not (abs(det_1) < math.inf and abs(det_2) < math.inf and abs(det_eps) < math.inf):  # NaN fails too
@@ -736,7 +631,9 @@ def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
     return cov.__dict__.setdefault("_marginals", (math.sqrt(det_1), math.sqrt(det_2), det_eps))
 
 
-def _factor_invariants(sigma: MatrixLike) -> Optional[tuple[float, float, float, float]]:
-    """(a, b, c, det X_A) of a two-mode state with a factor (see :func:`symplectic_eigenvalues`), else None."""
+def _factor_invariants(sigma: MatrixLike) -> Optional[tuple[tuple[float, float, float, float], tuple[float, float]]]:
+    """(a, b, c, det X_A) of a two-mode state with a factor (see :func:`symplectic_eigenvalues`), and the
+    bounds (g, r) on their relative errors (see :func:`_xp_state`); None for any other state."""
     factor = _as_cov(sigma).__dict__.get("_factor")
-    return None if factor is None else factor[0].invariants
+    invariants = None if factor is None else factor[0].invariants
+    return None if invariants is None else (invariants, factor[0].rtols)

@@ -28,17 +28,80 @@ compares two algorithms, and neither reads the other's entries.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .phase_space import (PURITY_TOL, CovMatrix, MatrixLike, _as_cov, _momentum_signs, _read_only, _squeezer_chain,
-                          _squeezer_entries, _state_spectrum, _xp_state, reduce)
+from .phase_space import (PURITY_TOL, _UNIT_ROUNDOFF, CovMatrix, MatrixLike, _as_cov, _read_only, _squeezer_verdict,
+                          _state_spectrum, _symmetrize, _xp_state, reduce)
 
 #: A symmetric 4x4 matrix from its ten distinct entries, the upper triangle row by row: X = upper[_SYMMETRIC].
 _SYMMETRIC = _read_only(np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]))
 #: D = diag(1, -1, 1, -1): the four-mode state's p-quadrature covariance is D X D, X its x one.
 _SIGNS = (1.0, -1.0, 1.0, -1.0)
+#: D X D = X times these signs: the four-mode state's p-quadrature covariance from its x one.
+_MOMENTUM_SIGNS = _read_only(np.outer(_SIGNS, _SIGNS))
+#: The 4x4 identity on the x quadratures, which each squeezer's x-block is filled from (read-only).
+_X_IDENTITY = _read_only(np.eye(4))
+#: The 2x2 minors of two rows of a 4x4 matrix, by column pair: the order of its second compound.
+_MINORS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
+#: How far, in ulps, cosh r and sinh r may be from their values; the chain's error bounds start here.
+_SQUEEZER_ULPS = 4
+
+
+class _ChainFactor:
+    """S_x = L_x N_x I_x, the x-quadrature factor of :func:`build_double_observer_cm`'s chain (X = S_x S_x^T),
+    and the modes a state reduced from it keeps, in its order.  Treat it as immutable.
+
+    ``entries`` are the checked (cosh r, sinh r) of the inertial, Nadia and Leo squeezers, in the order
+    applied.  Each acts on two adjacent modes i, i + 1, and its second compound mixes the 2x2 minors: the
+    minor on (i, i + 1) stays (its entry is cosh^2 r - sinh^2 r, the exact 1), and so does each minor on
+    neither mode; for each other mode k the minors on {i, k} and {i + 1, k} mix as the two modes do.  With
+    the modes adjacent no k lies between them, so no entry of S_x or of its second compound is negative.
+    """
+
+    #: The pairs of minors each squeezer's compound mixes, in the order applied: the inertial one's on
+    #: modes (1, 2), Nadia's on (2, 3) and Leo's on (0, 1).
+    MOVES = (((0, 1), (4, 5)), ((1, 2), (3, 4)), ((1, 3), (2, 4)))
+    #: First-order bounds on the relative errors of a, b and c, and of det X_A, in :attr:`invariants`.  In
+    #: units of u: cosh r and sinh r carry e = 2 _SQUEEZER_ULPS u each, 0 and 1 none.  An entry of S_x is a
+    #: product of at most two of them, within 2e + u; a minor after k of the 3 compounds, each step a sum
+    #: of two nonnegative products, within k e + 2 (k - 1) u.  a, b and c sum 4 products of two entries,
+    #: det X_A the 6 squared minors: each adds twice an entry's error, at most 3e + 4u, and one u per term.
+    rtols = tuple((2 * (3 * 2 * _SQUEEZER_ULPS + 2 * 2) + terms) * _UNIT_ROUNDOFF for terms in (4, 6))
+
+    def __init__(self, entries: tuple[tuple[float, float], ...], modes: tuple[int, ...] = (0, 1, 2, 3)):
+        self.entries, self.modes = entries, modes
+
+    def kept(self, keep: tuple[int, ...]) -> "_ChainFactor":
+        return _ChainFactor(self.entries, tuple([self.modes[k] for k in keep]))
+
+    @functools.cached_property
+    def invariants(self) -> tuple[float, float, float, float] | None:
+        """(a, b, c, det X_A) of a kept pair: |u|^2, |v|^2 and u.v of its rows u and v of S_x, and the sum of
+        the squared 2x2 minors of [u; v], the pair's row of the second compound of S_x (Cauchy-Binet).
+
+        None for any other number of modes, and where one of them overflows.
+        """
+        if len(self.modes) != 2:
+            return None
+        i, j = self.modes
+        (c_s, s_s), (c_n, s_n), (c_l, s_l) = self.entries
+        rows = ((c_l, s_l * c_s, s_l * s_s, 0.0), (s_l, c_l * c_s, c_l * s_s, 0.0),
+                (0.0, c_n * s_s, c_n * c_s, s_n), (0.0, s_n * s_s, s_n * c_s, c_n))
+        u, v = rows[i], rows[j]
+        minors = [0.0] * 6
+        minors[_MINORS[min(i, j), max(i, j)]] = 1.0
+        # the pair's row of each compound in turn, the last one applied first: each pair of minors it
+        # mixes mixes as [[c, s], [s, c]]
+        for (c, s), moves in zip(reversed(self.entries), reversed(self.MOVES)):
+            for k, m in moves:
+                x, y = minors[k], minors[m]
+                minors[k], minors[m] = c * x + s * y, s * x + c * y
+        a, b = sum([x * x for x in u]), sum([x * x for x in v])
+        c, det = sum([x * y for x, y in zip(u, v)]), sum([x * x for x in minors])
+        return (a, b, c, det) if a < math.inf and b < math.inf and det < math.inf else None  # NaN fails too
 
 
 def _require_domain(positive: bool = False, **params) -> None:
@@ -118,8 +181,29 @@ def build_double_observer_cm(s: float, l: float, n: float) -> CovMatrix:
     observer to the respective wedge-II partner.
     """
     _require_domain(s=s, l=l, n=n)
-    inertial, leo, nadia = _squeezer_entries(s), _squeezer_entries(l), _squeezer_entries(n)
-    return _squeezer_chain(_SIGNS, (*inertial, 1, 2), (*nadia, 2, 3), (*leo, 1, 0))
+    # an overflow is rejected by a squeezer's check; only the finished state is validated: an intermediate
+    # that overflows leaves it non-finite too, and is rejected there, without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        (c_s, s_s), (c_l, s_l), (c_n, s_n) = entries = [(float(np.cosh(r)), float(np.sinh(r))) for r in (s, l, n)]
+        for c, sh in entries:
+            _squeezer_verdict(c, sh)
+        # the squeezers' x-blocks, each on adjacent modes of opposite sign in D: the full squeezer is
+        # S_x (+) D S_x D on (x, p), so the state is X (+) D X D
+        inertial, nadia, leo = _X_IDENTITY.copy(), _X_IDENTITY.copy(), _X_IDENTITY.copy()
+        inertial[1, 1] = inertial[2, 2] = c_s
+        inertial[1, 2] = inertial[2, 1] = s_s
+        nadia[2, 2] = nadia[3, 3] = c_n
+        nadia[2, 3] = nadia[3, 2] = s_n
+        leo[0, 0] = leo[1, 1] = c_l
+        leo[0, 1] = leo[1, 0] = s_l
+        # X as nested congruences compose the full matrices, S @ X @ S.T after the symmetrization of
+        # validation, on the x-blocks
+        x = inertial @ inertial.T
+        for block in (nadia, leo):
+            x = _symmetrize(x)
+            x = block @ x @ block.T
+    # + 0.0: the full product's zeros are +0.0 where a sign flip of X gives -0.0
+    return _xp_state(x, _MOMENTUM_SIGNS * x + 0.0, (_ChainFactor(((c_s, s_s), (c_n, s_n), (c_l, s_l))), _SIGNS))
 
 
 def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
@@ -143,7 +227,7 @@ def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
     except OverflowError:
         raise ValueError("covariance matrix entries must be finite") from None
     x = np.array(upper)[_SYMMETRIC]
-    return _xp_state(x, _momentum_signs(_SIGNS) * x)
+    return _xp_state(x, _MOMENTUM_SIGNS * x)
 
 
 def pure_one_vs_rest_m(sigma: MatrixLike, probe: int) -> float:

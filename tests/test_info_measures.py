@@ -492,13 +492,26 @@ class TestTwoModeFamilies:
                 with pytest.raises(ValueError, match="^physicality" + floor):
                     entropic()
 
-    @pytest.mark.parametrize("point, floor", [((10.0, 1e-6, 1e-6), "13.1"), ((18.0, 0.1, 0.1), "1.05e+15")])
+    @pytest.mark.parametrize("point, floor", [((10.0, 1e-6, 1e-6), "13.1"), ((12.0, 0.0, 1e-3), "3.9e+04"),
+                                              ((18.0, 0.1, 0.1), "1.05e+15"), ((9.0, 1e-6, 1e-6), "0.239"),
+                                              ((11.0, 0.5, 0.3), "1.15e+03")])
     def test_thermal_form_floor_is_named(self, point, floor):
-        """A thermal inversion whose spectrum's error bound exceeds FAMILY_RTOL names the rounding floor.
+        """A family test that fails within the rounding of a 4x4 determinant, 32 eps max|sigma|^4, names the floor.
 
-        The states are built, so the bound is the factor route's (see test_factor_route.py for the points where
-        it resolves the inversion); the general route names the same floor where its family test fails.
+        The built states' matrices, as public states, take the general route; the built states themselves
+        answer where their derived bounds allow (test_factor_route.py) and name the floor where not (below).
         """
+        red = CovMatrix(reduce(build_double_observer_cm(*point), (1, 2)).mat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^thermal squeezed form not resolvable at this squeezing "
+                                                 rf"\(eps \* max\|sigma\|\^2 = {re.escape(floor)}\)$"):
+                two_mode_m(red)
+
+    @pytest.mark.parametrize("point, floor", [((10.0, 1e-6, 1e-6), "13.1"), ((9.0, 1e-6, 1e-6), "0.239")])
+    def test_thermal_inversion_bound_is_named(self, point, floor):
+        """A built state's thermal m whose derived error bound exceeds FAMILY_RTOL names the floor: the inverted
+        sinh^2 l and sinh^2 n are near 0, so the rounding of a - u is large beside them."""
         red = reduce(build_double_observer_cm(*point), (1, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

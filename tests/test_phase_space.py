@@ -742,7 +742,7 @@ class TestSharedConstants:
                 with pytest.raises(ValueError, match="read-only"):
                     arr.flat[-1] = 7
                 np.testing.assert_array_equal(arr, before)
-        for arr in (rindler_frames._SYMMETRIC, phase_space._momentum_signs(rindler_frames._SIGNS)):
+        for arr in (rindler_frames._SYMMETRIC, rindler_frames._MOMENTUM_SIGNS):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 7
         # what callers get is their own: a squeezer's matrix is a copy, not the shared identity

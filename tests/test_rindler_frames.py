@@ -1,6 +1,4 @@
-import ast
 import math
-import pathlib
 import sys
 import warnings
 
@@ -11,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rindlercv import entanglement_analysis as ea
-from rindlercv import rindler_frames
 from rindlercv.info_measures import contangle_from_m, two_mode_m
 from rindlercv.phase_space import (CovMatrix, apply_congruence, is_bona_fide, reduce, symplectic_eigenvalues,
                                    two_mode_squeezer, vacuum_cm)
@@ -303,18 +300,3 @@ class TestOneComposition:
             expected = ((ValueError, "symplectic matrix entries must be finite") if t == math.inf
                         else outcome(lambda: reduce(build_double_observer_cm(t, a, 0.0), (0, 1, 2))))
             assert outcome(lambda: ea.tripartite_bound_ansatz_cm(s, a)) == expected, (s, a)
-
-    def test_squeezer_chain_has_one_caller(self):
-        """The squeezer chain on the vacuum is composed in build_double_observer_cm alone."""
-        def callers(node, where):
-            for child in ast.iter_child_nodes(node):
-                func = getattr(child, "func", None)
-                if isinstance(child, ast.Call) and "_squeezer_chain" in (getattr(func, "id", None),
-                                                                         getattr(func, "attr", None)):
-                    yield where
-                yield from callers(child, getattr(child, "name", where))
-
-        package = pathlib.Path(rindler_frames.__file__).parent
-        found = [(path.name, caller) for path in sorted(package.glob("*.py"))
-                 for caller in callers(ast.parse(path.read_text(encoding="utf-8")), "<module>")]
-        assert found == [("rindler_frames.py", "build_double_observer_cm")]
