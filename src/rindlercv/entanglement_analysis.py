@@ -354,7 +354,11 @@ def _r_effective(s, l, n):
     # ratio - 1 over the death margin, cosh l cosh n - 1 as a sum of squares (products: a point's pow may round apart)
     plus, minus = np.sinh(0.5 * (l + n)), np.sinh(0.5 * (l - n))
     delta = (ths * (plus * plus + minus * minus) + shl * shn) / margin
-    return _where(dead, np.inf, 2.0 * np.arcsinh(np.sqrt(0.5 * delta)))
+    root = np.sqrt(0.5 * delta)
+    if _anywhere(tiny := plus * plus < 2.0 ** -1022):  # below the normal range: sqrt(delta / 2) from roots
+        scaled = np.hypot(np.sqrt(ths / margin) * np.hypot(plus, minus), np.sqrt(shl / margin) * np.sqrt(shn))
+        root = _where(tiny, scaled / math.sqrt(2.0), root)
+    return _where(dead, np.inf, 2.0 * np.arcsinh(root))
 
 
 def r_effective(s, l, n):
@@ -363,6 +367,7 @@ def r_effective(s, l, n):
     arccosh[cosh l cosh n tanh s / (tanh s - sinh l sinh n)], inf where the death mask tanh s - sinh l sinh n <= 0
     holds (the Leo-Nadia m is 1 there), as 2 arcsinh sqrt(delta / 2) with the ratio minus 1 formed as delta = [tanh s
     (sinh^2((l+n)/2) + sinh^2((l-n)/2)) + sinh l sinh n] / (tanh s - sinh l sinh n): no digits lost at small l, n.
+    Where those squares underflow (l + n below about 3e-154), sqrt(delta / 2) is a hypot of their scaled roots.
     """
     if np.any(np.less_equal(s, 0)):
         raise ValueError("r_effective needs s > 0 (any acceleration matches at s = 0)")

@@ -14,23 +14,21 @@ module is safe to use from any number of threads.  A :class:`CovMatrix` or
 two instances built from equal matrices are not equal, and either can be a
 set member or a dict key; compare values through ``.mat``.
 
-A :class:`CovMatrix` computes its symplectic spectrum, each of its partial
-transposes and, for two modes, its marginal determinants at most once and
-reuses them: :func:`symplectic_eigenvalues`, :func:`partial_transpose` and
-:func:`two_mode_marginals` keep their results on the instance, out of sight of
+A :class:`CovMatrix` computes its symplectic spectrum and each of its partial
+transposes at most once and reuses them: :func:`symplectic_eigenvalues` and
+:func:`partial_transpose` keep their results on the instance, out of sight of
 its fields.  Those memo writes are idempotent (two threads that race store the
 same value), and callers get a fresh copy of the spectrum, so the state stays
 immutable and thread-safe.
 
 The constants the operations need are built once and shared: per number of
-modes the symplectic form, the identity that :func:`two_mode_squeezer` copies
-and the vacuum of :func:`vacuum_cm`; per validated mode set the +-1 mask of
-:func:`partial_transpose` and the quadrature indices of :func:`reduce`; and
-the mode sets :func:`check_mode_set` has validated, for tuples.  Each array is
-read-only (writing to one raises) and each cache is a ``functools`` cache, so
-the worst a race can do is build the same constant twice and keep one of them:
-no caller can change what another one sees.  The per-mode-set caches are
-bounded.
+modes the symplectic form and the vacuum of :func:`vacuum_cm`; per validated
+mode set the +-1 mask of :func:`partial_transpose` and the quadrature indices
+of :func:`reduce`; and the mode sets :func:`check_mode_set` has validated, for
+tuples.  Each array is read-only (writing to one raises) and each cache is a
+``functools`` cache, so the worst a race can do is build the same constant
+twice and keep one of them: no caller can change what another one sees.  The
+per-mode-set caches are bounded.
 
 A state that a squeezer chain built on the vacuum
 (``rindler_frames.build_double_observer_cm``) is X (+) D X D on (x, p),
@@ -51,8 +49,8 @@ through it.
 
 Each covariance matrix is validated once, where it enters: a public
 ``CovMatrix(...)``, a raw array that any function turns into one, an
-:func:`apply_congruence` result, and the finished state of a squeezer chain
-(its intermediate states are not checked).  :func:`reduce` and
+:func:`apply_congruence` result, and the state a squeezer chain built, formed
+from its x-quadrature factor.  :func:`reduce` and
 :func:`partial_transpose` return exact images of a validated matrix, a
 principal submatrix and a product with a +-1 mask, which validation could
 neither reject nor change, so they skip it.  Every public
@@ -68,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
@@ -113,14 +112,16 @@ def _omega(n_modes: int) -> np.ndarray:
     return _read_only(omega)
 
 
-@functools.cache
-def _identity(n_modes: int) -> np.ndarray:
-    """The 2N x 2N identity, built once per size and read-only."""
-    return _read_only(np.eye(2 * n_modes))
+def _mode_index(mode) -> int:
+    """A mode index as a Python int: any Python or numpy integer; ValueError naming any other entry."""
+    try:
+        return operator.index(mode)
+    except TypeError:
+        raise ValueError(f"mode indices must be integers, got {mode!r}") from None
 
 
 def _mode_set(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
-    out = tuple(map(int, modes))
+    out = tuple(map(_mode_index, modes))
     if not out:
         raise ValueError("mode index set must be nonempty")
     if len(set(out)) != len(out):
@@ -131,21 +132,25 @@ def _mode_set(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
     return tuple(ordered)
 
 
-_cached_mode_set = functools.lru_cache(maxsize=MODE_SET_CACHE)(_mode_set)
+@functools.lru_cache(maxsize=MODE_SET_CACHE, typed=True)
+def _cached_mode_set(n_modes: int, *modes) -> ModeIndexSet:
+    """:func:`_mode_set`, kept per entry types too: ``(1.0,)`` equals ``(1,)`` but is no mode set."""
+    return _mode_set(modes, n_modes)
 
 
 def check_mode_set(modes: Iterable[int], n_modes: int) -> ModeIndexSet:
     """Validate a set of mode indices: nonempty, distinct, inside [0, n_modes).
 
-    Returns them sorted, as Python ints.  A tuple's verdict is kept in a
-    bounded cache (equal tuples get equal verdicts, so ``(0,)`` and
-    ``(np.int64(0),)`` share one); errors are never kept, so a bad set
-    raises on every call.
+    Each entry must be a Python or numpy integer; any other one, even an
+    integral float, raises ValueError naming it.  Returns them sorted, as
+    Python ints.  A tuple's verdict is kept in a bounded cache, keyed on its
+    entries and their types; errors are never kept, so a bad set raises on
+    every call.
     """
     if type(modes) is tuple:
         try:
-            return _cached_mode_set(modes, n_modes)
-        except TypeError:  # an unhashable entry: validate below, which raises any other TypeError again
+            return _cached_mode_set(n_modes, *modes)
+        except TypeError:  # an unhashable entry: validate below, which names it
             pass
     return _mode_set(modes, n_modes)
 
@@ -301,11 +306,11 @@ def two_mode_squeezer(r: float, i: int, j: int, n_modes: int) -> SympTransform:
     squeezing whose entries overflow is rejected with a ValueError, without
     a numpy warning.  The filled matrix is made read-only and wrapped by ``_wrap``, unvalidated.
     """
-    check_mode_set((i, j), n_modes)
+    i, j = check_mode_set((i, j), n_modes)  # the squeezer is symmetric in i and j
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the check
         c, s = float(np.cosh(r)), float(np.sinh(r))
     _squeezer_verdict(c, s)
-    out = _identity(n_modes).copy()
+    out = np.eye(2 * n_modes)
     xi, pi, xj, pj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
     out[xi, xi] = out[pi, pi] = out[xj, xj] = out[pj, pj] = c
     out[xi, xj] = out[xj, xi] = s
@@ -605,7 +610,7 @@ def is_pure(sigma: MatrixLike, tol: float = PURITY_TOL) -> bool:
 
 
 def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
-    """(sqrt det sigma_1, sqrt det sigma_2, det eps) of a two-mode state, computed once and kept on it.
+    """(sqrt det sigma_1, sqrt det sigma_2, det eps) of a two-mode state.
 
     A state with a factor (see :func:`symplectic_eigenvalues`) has sigma_1 = a I, sigma_2 = b I and
     eps = diag(c, D_1 D_2 c), so they are a^2, b^2 and D_1 D_2 c^2.  Any other state's 2x2 determinants come
@@ -613,9 +618,6 @@ def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
     same bits as one call per block).  A determinant that overflows raises ValueError.
     """
     cov = _two_mode(sigma, "two_mode_marginals")
-    memo = cov.__dict__.get("_marginals")
-    if memo is not None:
-        return memo
     factor = _factor_invariants(cov)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         if factor is None:
@@ -628,7 +630,7 @@ def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
     if not (abs(det_1) < math.inf and abs(det_2) < math.inf and abs(det_eps) < math.inf):  # NaN fails too
         raise ValueError(f"a 2x2 block determinant overflows (det sigma_1 = {det_1!r}, "
                          f"det sigma_2 = {det_2!r}, det eps = {det_eps!r})")
-    return cov.__dict__.setdefault("_marginals", (math.sqrt(det_1), math.sqrt(det_2), det_eps))
+    return math.sqrt(det_1), math.sqrt(det_2), det_eps
 
 
 def _factor_invariants(sigma: MatrixLike) -> Optional[tuple[tuple[float, float, float, float], tuple[float, float]]]:

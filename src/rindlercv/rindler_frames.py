@@ -17,13 +17,14 @@ paper's closed-form entries, as its x-quadrature covariance X and its
 p-quadrature covariance D X D.  The test suite holds the two routes to
 entrywise agreement; each is the other's oracle.  Every squeezer acts on
 adjacent modes of opposite sign in D = diag(1, -1, 1, -1), so the composed
-state is X (+) D X D too: it is composed on the squeezers' 4x4 x-blocks,
-with the bits of the full 8x8 products, and keeps their product S_x,
-X = S_x S_x^T.  Its pairs, and those of the one-observer and ansatz states
-reduced from it, take their spectra from two rows of S_x (see
-``phase_space.symplectic_eigenvalues``); the closed-form states carry no
-factor and take the general Cholesky and SVD route, so each measure still
-compares two algorithms, and neither reads the other's entries.
+state is X (+) D X D too, with X = S_x S_x^T for the product S_x of the
+squeezers' 4x4 x-blocks: X is one 4x4 product of S_x's rows, written once
+as products of the squeezers' entries, and the state keeps S_x.  Its pairs,
+and those of the one-observer and ansatz states reduced from it, take their
+spectra from two rows of S_x (see ``phase_space.symplectic_eigenvalues``);
+the closed-form states carry no factor and take the general Cholesky and
+SVD route, so each measure still compares two algorithms, and neither reads
+the other's entries.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from .phase_space import (PURITY_TOL, _UNIT_ROUNDOFF, CovMatrix, MatrixLike, _as_cov, _read_only, _squeezer_verdict,
-                          _state_spectrum, _symmetrize, _xp_state, reduce)
+                          _state_spectrum, _xp_state, reduce)
 
 #: A symmetric 4x4 matrix from its ten distinct entries, the upper triangle row by row: X = upper[_SYMMETRIC].
 _SYMMETRIC = _read_only(np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]))
@@ -42,8 +43,6 @@ _SYMMETRIC = _read_only(np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 
 _SIGNS = (1.0, -1.0, 1.0, -1.0)
 #: D X D = X times these signs: the four-mode state's p-quadrature covariance from its x one.
 _MOMENTUM_SIGNS = _read_only(np.outer(_SIGNS, _SIGNS))
-#: The 4x4 identity on the x quadratures, which each squeezer's x-block is filled from (read-only).
-_X_IDENTITY = _read_only(np.eye(4))
 #: The 2x2 minors of two rows of a 4x4 matrix, by column pair: the order of its second compound.
 _MINORS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
 #: How far, in ulps, cosh r and sinh r may be from their values; the chain's error bounds start here.
@@ -71,11 +70,17 @@ class _ChainFactor:
     #: det X_A the 6 squared minors: each adds twice an entry's error, at most 3e + 4u, and one u per term.
     rtols = tuple((2 * (3 * 2 * _SQUEEZER_ULPS + 2 * 2) + terms) * _UNIT_ROUNDOFF for terms in (4, 6))
 
-    def __init__(self, entries: tuple[tuple[float, float], ...], modes: tuple[int, ...] = (0, 1, 2, 3)):
+    def __init__(self, entries: tuple[tuple[float, float], ...], modes: tuple[int, ...] = (0, 1, 2, 3),
+                 rows: tuple[tuple[float, ...], ...] | None = None):
         self.entries, self.modes = entries, modes
+        if rows is None:  # S_x's rows, each entry a product of at most two of the squeezers' entries
+            (c_s, s_s), (c_n, s_n), (c_l, s_l) = entries
+            rows = ((c_l, s_l * c_s, s_l * s_s, 0.0), (s_l, c_l * c_s, c_l * s_s, 0.0),
+                    (0.0, c_n * s_s, c_n * c_s, s_n), (0.0, s_n * s_s, s_n * c_s, c_n))
+        self.rows = rows
 
     def kept(self, keep: tuple[int, ...]) -> "_ChainFactor":
-        return _ChainFactor(self.entries, tuple([self.modes[k] for k in keep]))
+        return _ChainFactor(self.entries, tuple([self.modes[k] for k in keep]), self.rows)
 
     @functools.cached_property
     def invariants(self) -> tuple[float, float, float, float] | None:
@@ -87,10 +92,7 @@ class _ChainFactor:
         if len(self.modes) != 2:
             return None
         i, j = self.modes
-        (c_s, s_s), (c_n, s_n), (c_l, s_l) = self.entries
-        rows = ((c_l, s_l * c_s, s_l * s_s, 0.0), (s_l, c_l * c_s, c_l * s_s, 0.0),
-                (0.0, c_n * s_s, c_n * c_s, s_n), (0.0, s_n * s_s, s_n * c_s, c_n))
-        u, v = rows[i], rows[j]
+        u, v = self.rows[i], self.rows[j]
         minors = [0.0] * 6
         minors[_MINORS[min(i, j), max(i, j)]] = 1.0
         # the pair's row of each compound in turn, the last one applied first: each pair of minors it
@@ -181,29 +183,16 @@ def build_double_observer_cm(s: float, l: float, n: float) -> CovMatrix:
     observer to the respective wedge-II partner.
     """
     _require_domain(s=s, l=l, n=n)
-    # an overflow is rejected by a squeezer's check; only the finished state is validated: an intermediate
-    # that overflows leaves it non-finite too, and is rejected there, without a numpy warning
+    # an overflow is rejected by a squeezer's check; only the finished state is validated: a product that
+    # overflows leaves it non-finite too, and is rejected there, without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        (c_s, s_s), (c_l, s_l), (c_n, s_n) = entries = [(float(np.cosh(r)), float(np.sinh(r))) for r in (s, l, n)]
+        inertial, leo, nadia = entries = [(float(np.cosh(r)), float(np.sinh(r))) for r in (s, l, n)]
         for c, sh in entries:
             _squeezer_verdict(c, sh)
-        # the squeezers' x-blocks, each on adjacent modes of opposite sign in D: the full squeezer is
-        # S_x (+) D S_x D on (x, p), so the state is X (+) D X D
-        inertial, nadia, leo = _X_IDENTITY.copy(), _X_IDENTITY.copy(), _X_IDENTITY.copy()
-        inertial[1, 1] = inertial[2, 2] = c_s
-        inertial[1, 2] = inertial[2, 1] = s_s
-        nadia[2, 2] = nadia[3, 3] = c_n
-        nadia[2, 3] = nadia[3, 2] = s_n
-        leo[0, 0] = leo[1, 1] = c_l
-        leo[0, 1] = leo[1, 0] = s_l
-        # X as nested congruences compose the full matrices, S @ X @ S.T after the symmetrization of
-        # validation, on the x-blocks
-        x = inertial @ inertial.T
-        for block in (nadia, leo):
-            x = _symmetrize(x)
-            x = block @ x @ block.T
-    # + 0.0: the full product's zeros are +0.0 where a sign flip of X gives -0.0
-    return _xp_state(x, _MOMENTUM_SIGNS * x + 0.0, (_ChainFactor(((c_s, s_s), (c_n, s_n), (c_l, s_l))), _SIGNS))
+        factor = _ChainFactor((inertial, nadia, leo))
+        s_x = np.array(factor.rows)
+        x = s_x @ s_x.T
+    return _xp_state(x, _MOMENTUM_SIGNS * x, (factor, _SIGNS))
 
 
 def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:

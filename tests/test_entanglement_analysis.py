@@ -244,6 +244,20 @@ class TestREffective:
         with pytest.raises(ValueError):
             ea.r_effective(0.0, 0.1, 0.1)
 
+    def test_tiny_accelerations_keep_their_digits(self):
+        """r_effective(1, x, x), x = 1e-150 ... 1e-300, where the squares of the delta form underflow, within 4 ulps
+        of the same form at 60 digits: 2 arcsinh sqrt(delta / 2), delta = [tanh s (sinh^2((l+n)/2) +
+        sinh^2((l-n)/2)) + sinh l sinh n] / (tanh s - sinh l sinh n)."""
+        with mp.workdps(60):
+            for k in range(150, 301):
+                x = 10.0 ** -k
+                ths, l = mp.tanh(1), mp.mpf(x)
+                plus, minus, shl = mp.sinh((l + l) / 2), mp.sinh((l - l) / 2), mp.sinh(l)
+                delta = (ths * (plus * plus + minus * minus) + shl * shl) / (ths - shl * shl)
+                exact = 2 * mp.asinh(mp.sqrt(delta / 2))
+                r_eff = ea.r_effective(1.0, x, x)
+                assert abs(mp.mpf(r_eff) - exact) <= 4 * math.ulp(float(exact)), (x, r_eff, float(exact))
+
 
 class TestFrequencySeparability:
     def test_threshold_at_log_two(self):

@@ -492,6 +492,9 @@ class TestTwoModeFamilies:
                 with pytest.raises(ValueError, match="^physicality" + floor):
                     entropic()
 
+    #: Where the general route refuses before its family test: the moduli of the spectrum do not pair.
+    UNPAIRED = {(18.0, 0.1, 0.1): ("symplectic spectrum", ": could not pair symplectic eigenvalues ")}
+
     @pytest.mark.parametrize("point, floor", [((10.0, 1e-6, 1e-6), "13.1"), ((12.0, 0.0, 1e-3), "3.9e+04"),
                                               ((18.0, 0.1, 0.1), "1.05e+15"), ((9.0, 1e-6, 1e-6), "0.239"),
                                               ((11.0, 0.5, 0.3), "1.15e+03")])
@@ -500,12 +503,14 @@ class TestTwoModeFamilies:
 
         The built states' matrices, as public states, take the general route; the built states themselves
         answer where their derived bounds allow (test_factor_route.py) and name the floor where not (below).
+        At (18, 0.1, 0.1) the general route refuses earlier, at the same floor, in ``UNPAIRED``.
         """
+        what, detail = self.UNPAIRED.get(point, ("thermal squeezed form", "$"))
         red = CovMatrix(reduce(build_double_observer_cm(*point), (1, 2)).mat)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^thermal squeezed form not resolvable at this squeezing "
-                                                 rf"\(eps \* max\|sigma\|\^2 = {re.escape(floor)}\)$"):
+            with pytest.raises(ValueError, match=f"^{what} not resolvable at this squeezing "
+                                                 rf"\(eps \* max\|sigma\|\^2 = {re.escape(floor)}\){detail}"):
                 two_mode_m(red)
 
     @pytest.mark.parametrize("point, floor", [((10.0, 1e-6, 1e-6), "13.1"), ((9.0, 1e-6, 1e-6), "0.239")])
