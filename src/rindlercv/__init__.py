@@ -44,14 +44,12 @@ from .entanglement_analysis import (
     a_star,
     classical_deficit,
     contangle_ar,
-    contangle_r_rbar,
     double_observer_report,
     frequency_separability,
     m_ln_equal_accel,
     m_ln_infinite_squeezing,
     mutual_info_ar,
     mutual_info_ln,
-    pairwise_m_double,
     r_effective,
     r_star,
     residual_multipartite,

@@ -218,20 +218,9 @@ def _masked(values, mask, shape: tuple):
 # One accelerated observer (Alice inertial, Rob accelerated).
 # ---------------------------------------------------------------------------
 
-def m_alice_rob(s, r):
-    """m between Alice and Rob: the Leo-Nadia m with Leo inertial, m_leo_nadia(s, 0, r)."""
-    return _evaluate(lambda s, r: _pairwise_m_double(s, 0.0, r)[2], "m_alice_rob", s=s, r=r)
-
-
 def contangle_ar(s: float, r: float) -> MeasureReport:
-    """Contangle between Alice and the accelerated Rob (closed form)."""
-    return MeasureReport.from_m(m_alice_rob(s, r), source="closed_form")
-
-
-def contangle_r_rbar(r: float) -> MeasureReport:
-    """Contangle between the two Rindler wedges: m = cosh 2r, independent of s."""
-    _require_domain(r=r)
-    return MeasureReport.from_m(float(np.cosh(2 * r)), source="closed_form")  # the kernels' cosh
+    """Contangle between Alice and the accelerated Rob: its m is m_leo_nadia(s, 0, r), the single report's m_ar."""
+    return MeasureReport.from_m(_evaluate(lambda s, r: _m_leo_nadia(s, 0.0, r), "m_ar", s=s, r=r), source="closed_form")
 
 
 def _tau_max_ar(r):
@@ -305,18 +294,6 @@ def mutual_info_ar(s, r):
 # Two accelerated observers (Leo and Nadia).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairwiseDoubleM:
-    """The six pairwise m-parameters of the four-mode scenario."""
-
-    m_l_nbar: float
-    m_n_lbar: float
-    m_lbar_nbar: float
-    m_l_lbar: float
-    m_n_nbar: float
-    m_l_n: float
-
-
 def m_leo_nadia(s, l, n):
     """m between Leo and Nadia; exactly 1 once tanh s <= sinh l sinh n."""
     return _evaluate(_m_leo_nadia, s=s, l=l, n=n)
@@ -327,25 +304,11 @@ def _pairwise_m_double(s, l, n):
     return np.cosh(2 * l), np.cosh(2 * n), _m_leo_nadia(s, l, n)
 
 
-def pairwise_m_double(s, l, n) -> PairwiseDoubleM:
-    """All pairwise m values: three crossed pairs are always separable (m = 1),
-    each observer with its own wedge partner has m = cosh 2x, and Leo-Nadia
-    follows the piecewise closed form."""
-    m_l_lbar, m_n_nbar, m_l_n = _evaluate(_pairwise_m_double, s=s, l=l, n=n)
-    return PairwiseDoubleM(m_l_nbar=1.0, m_n_lbar=1.0, m_lbar_nbar=1.0,
-                           m_l_lbar=m_l_lbar, m_n_nbar=m_n_nbar, m_l_n=m_l_n)
-
-
 def _one_vs_rest_m_double(s, l, n):
     ch2s = np.cosh(2 * s)
     chl, shl, chn, shn = np.cosh(l), np.sinh(l), np.cosh(n), np.sinh(n)
     chl2, shl2, chn2, shn2 = chl * chl, shl * shl, chn * chn, shn * shn
     return chl2 + ch2s * shl2, shl2 + ch2s * chl2, shn2 + ch2s * chn2, chn2 + ch2s * shn2
-
-
-def one_vs_rest_m_double(s, l, n):
-    """Closed-form one-vs-rest m for probes (anti-Leo, Leo, Nadia, anti-Nadia)."""
-    return _evaluate(_one_vs_rest_m_double, s=s, l=l, n=n)
 
 
 def _r_effective(s, l, n):
@@ -582,17 +545,14 @@ def _mutual_info_leo_inertial(s, a):
     return _mutual_info_ar(*_one_vs_rest_m_double(s, 0.0, a)[1:])
 
 
-def _classical_deficit(a, s):
-    return _mutual_info_leo_inertial(s, a) - _mutual_info_ln_general(s, a, a)
-
-
 def classical_deficit(a, s):
     """Mutual-information deficit of two accelerated observers versus one.
 
     I(Alice|Rob) at r = a minus I(Leo|Nadia); nonnegative, bounded and
     saturating at exactly 1 (natural-log units) as s -> inf for any a > 0.
     """
-    return _evaluate(_classical_deficit, a=a, s=s)
+    return _evaluate(lambda a, s: _mutual_info_leo_inertial(s, a) - _mutual_info_ln_general(s, a, a),
+                     "classical_deficit", a=a, s=s)
 
 
 # ---------------------------------------------------------------------------

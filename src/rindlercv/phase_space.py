@@ -420,9 +420,9 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
     package are tested against; neither reads a closed-form entry of the paper.
 
     The spectrum of a :class:`CovMatrix` is computed once and kept on it;
-    every call returns a fresh copy.  The fallback also keeps sigma's
-    smallest eigenvalue, from which :func:`_state_spectrum` decides whether
-    sigma is positive definite.
+    every call returns a fresh copy.  The fallback keeps sigma's smallest
+    eigenvalue before it pairs the moduli, so :func:`_state_spectrum` decides
+    whether sigma is positive definite even where they do not pair.
     """
     cov = _as_cov(sigma)
     memo = cov.__dict__.get("_spectrum")
@@ -450,7 +450,7 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
         lo, hi = mags[2 * k], mags[2 * k + 1]
         if hi - lo > PAIRING_RTOL * max(scale, hi):
             raise _not_resolvable("symplectic spectrum", cov,
-                                  f": could not pair symplectic eigenvalues {lo!r} vs {hi!r}")
+                                  f": could not pair symplectic eigenvalues {lo!r} vs {hi!r}", _Unpaired)
         etas[k] = 0.5 * lo + 0.5 * hi  # halve first: lo + hi overflows above about 9e307
     return cov.__dict__.setdefault("_spectrum", _read_only(etas)).copy()
 
@@ -497,14 +497,18 @@ def _pair_spectrum(cov: CovMatrix) -> Optional[tuple[list[float], list[float]]]:
     return [minus, plus], [err_minus * minus, err_plus]
 
 
-def _not_resolvable(what: str, cov: CovMatrix, detail: str = "") -> ValueError:
+def _not_resolvable(what: str, cov: CovMatrix, detail: str = "", error: type = ValueError) -> ValueError:
     """The error of a quantity that rounding swallows, with the floor eps * max|sigma|^2 of the state."""
     floor = _EPS * abs(cov.mat).max() ** 2  # about how far rounding moves a symplectic eigenvalue
-    return ValueError(f"{what} not resolvable at this squeezing (eps * max|sigma|^2 = {floor:.3g}){detail}")
+    return error(f"{what} not resolvable at this squeezing (eps * max|sigma|^2 = {floor:.3g}){detail}")
 
 
 class _NotPhysical(ValueError):
     """sigma is no state: raised by :func:`_state_spectrum`, False to :func:`is_bona_fide` and :func:`is_pure`."""
+
+
+class _Unpaired(ValueError):
+    """The moduli of Omega sigma did not pair, which only rounding does: raised by :func:`symplectic_eigenvalues`."""
 
 
 def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = BONA_FIDE_TOL, *,
@@ -542,10 +546,12 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
         transposed = _transposed_modes(transposed, cov.n_modes)
         if len(transposed) != 1 and len(transposed) != cov.n_modes - 1:
             raise ValueError("PPT-based measures need a 1 x (N-1) bipartition")
-    etas = _spectrum(cov)
-    lowest = cov.__dict__.get("_lowest_eigenvalue")  # kept only where the Cholesky factorisation failed
-    if lowest is not None and lowest < -FLOOR_FACTOR * _EPS * abs(cov.mat).max():
-        raise _NotPhysical("state is not physical (covariance matrix not positive definite)")
+    try:
+        etas = _spectrum(cov)
+    finally:  # decided even where the moduli did not pair: the eigenvalue is kept before they are paired
+        lowest = cov.__dict__.get("_lowest_eigenvalue")  # kept only where the Cholesky factorisation failed
+        if lowest is not None and lowest < -FLOOR_FACTOR * _EPS * abs(cov.mat).max():
+            raise _NotPhysical("state is not physical (covariance matrix not positive definite)")
     off = max(1.0 - etas[0], etas[-1] - 1.0) if pure else 1.0 - etas[0]
     bounds = cov.__dict__.get("_bounds")  # kept only by the factor route
     # a derived bound: an eigenvalue off 1 by more than it is off 1 for certain
@@ -595,16 +601,22 @@ def _bounded(etas: list[float], bounds: Optional[list[float]], what: Optional[st
 
 
 def is_bona_fide(sigma: MatrixLike, tol: float = BONA_FIDE_TOL) -> bool:
-    """Whether sigma is a state to float resolution: :func:`_state_spectrum` at tol does not refuse it."""
+    """Whether sigma is a state to float resolution: :func:`_state_spectrum` at tol does not refuse it, also where
+    rounding keeps its moduli from pairing, if the floor FLOOR_FACTOR eps max|sigma|^2 is at least 1 (else raises)."""
+    cov = _as_cov(sigma)
     try:
-        _state_spectrum(sigma, tol=tol)
+        _state_spectrum(cov, tol=tol)  # decides positive definiteness first, whether or not the moduli pair
     except _NotPhysical:
         return False
+    except _Unpaired:  # 1 - eta- <= 1 for every eta- >= 0: within a floor of 1, no eta- could show sigma no state
+        if FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 2 < 1.0:
+            raise
     return True
 
 
 def is_pure(sigma: MatrixLike, tol: float = PURITY_TOL) -> bool:
-    """Whether sigma describes a pure state: :func:`is_bona_fide`, and every symplectic eigenvalue == 1 within tol."""
+    """Whether sigma describes a pure state: :func:`is_bona_fide`, and every symplectic eigenvalue == 1 within tol.
+    Where the moduli do not pair, purity is not resolvable: the spectrum's ValueError "... not resolvable" is raised."""
     cov = _as_cov(sigma)
     return is_bona_fide(cov) and bool(np.max(np.abs(symplectic_eigenvalues(cov) - 1.0)) <= tol)
 

@@ -60,7 +60,7 @@ class TestContangleAR:
     def test_epr_limit(self):
         r = 0.8
         limit = 1 + 2 / math.sinh(r) ** 2
-        assert ea.m_alice_rob(25.0, r) == pytest.approx(limit, rel=1e-9)
+        assert ea.m_leo_nadia(25.0, 0.0, r) == pytest.approx(limit, rel=1e-9)
 
     def test_asymptotically_separable(self):
         rep = ea.contangle_ar(1.0, 25.0)
@@ -85,24 +85,24 @@ class TestContangleAR:
 
 class TestContangleWedge:
     def test_zero_acceleration(self):
-        assert ea.contangle_r_rbar(0.0).contangle == 0.0
+        assert ea.single_observer_report(1.0, 0.0).tau_r_rbar == 0.0
 
     def test_half_unit(self):
-        assert ea.contangle_r_rbar(0.5).contangle == pytest.approx(1.0, abs=1e-12)
+        assert ea.single_observer_report(1.0, 0.5).tau_r_rbar == pytest.approx(1.0, abs=1e-12)
 
     def test_cm_route_agreement(self):
         sigma = build_single_observer_cm(2.0, 0.5)
         assert two_mode_m(reduce(sigma, (1, 2))) == pytest.approx(math.cosh(1.0), rel=1e-9)
 
     def test_is_the_report_cell_bit_for_bit(self):
-        """m = cosh 2r through the kernels' np.cosh: the single report's and the double report's wedge pair."""
+        """m = cosh 2r, whatever s: the single report's wedge pair, the double report's at l = r, and m's contangle."""
         rng = np.random.default_rng(2)
         for r, s, n in rng.uniform(0.0, 3.0, (2000, 3)).tolist():
-            rep, single = ea.contangle_r_rbar(r), ea.single_observer_report(s, r)
-            assert (rep.m, rep.contangle) == (single.m_r_rbar, single.tau_r_rbar)
-            assert rep.m == ea.pairwise_m_double(s, r, n).m_l_lbar
-        rep = ea.contangle_r_rbar(1.5338241641058254)  # where math.cosh gave ...658, one ulp above the report
-        assert rep.m == ea.single_observer_report(1, 1.5338241641058254).m_r_rbar == 10.768916580714656
+            single, m = ea.single_observer_report(s, r), float(np.cosh(2 * r))
+            assert (single.m_r_rbar, single.tau_r_rbar) == (m, contangle_from_m(m))
+            assert single.m_r_rbar == ea.double_observer_report(s, r, n).m_l_lbar
+        # where math.cosh gives ...658, one ulp above the kernels' np.cosh
+        assert ea.single_observer_report(1, 1.5338241641058254).m_r_rbar == 10.768916580714656
 
 
 class TestTauMax:
@@ -196,21 +196,21 @@ class TestMutualInfoAR:
 class TestPairwiseDouble:
     def test_crossed_pairs_always_separable(self):
         for args in ((0.5, 0.5, 0.5), (2.0, 1.0, 0.2), (3.0, 0.0, 2.0)):
-            pw = ea.pairwise_m_double(*args)
+            pw = ea.double_observer_report(*args)
             assert pw.m_l_nbar == pw.m_n_lbar == pw.m_lbar_nbar == 1.0
 
     def test_wedge_pairs(self):
-        pw = ea.pairwise_m_double(1.0, 0.4, 0.9)
+        pw = ea.double_observer_report(1.0, 0.4, 0.9)
         assert pw.m_l_lbar == pytest.approx(math.cosh(0.8), rel=1e-12)
         assert pw.m_n_nbar == pytest.approx(math.cosh(1.8), rel=1e-12)
 
     def test_death_region(self):
         # tanh 2 < sinh^2 1, so l = n = 1 kills the Leo-Nadia entanglement at s = 2
         assert math.tanh(2.0) < math.sinh(1.0) ** 2
-        assert ea.pairwise_m_double(2.0, 1.0, 1.0).m_l_n == 1.0
+        assert ea.double_observer_report(2.0, 1.0, 1.0).m_l_n == 1.0
 
     def test_inertial_reduction(self):
-        assert ea.pairwise_m_double(1.1, 0.0, 0.0).m_l_n == pytest.approx(math.cosh(2.2), rel=1e-12)
+        assert ea.double_observer_report(1.1, 0.0, 0.0).m_l_n == pytest.approx(math.cosh(2.2), rel=1e-12)
 
     @pytest.mark.parametrize("s,l", [(0.5, 0.3), (1.0, 0.8), (2.0, 0.6)])
     def test_branch_boundary_is_exact(self, s, l):
@@ -294,7 +294,7 @@ class TestFrequencySeparability:
         from rindlercv.rindler_frames import accel_to_squeezing
         for lam in (0.4, 0.69, 0.7, 1.2):
             l = accel_to_squeezing(accel, lam)
-            separable = ea.pairwise_m_double(30.0, l, l).m_l_n == 1.0
+            separable = ea.m_leo_nadia(30.0, l, l) == 1.0
             assert separable == ea.frequency_separability(lam, lam, accel)
 
 
@@ -403,7 +403,8 @@ class TestResidualMultipartite:
     def test_anti_observer_probe_is_minimal(self):
         for s in GRID:
             for a in GRID:
-                m_lbar, m_l, _, _ = ea.one_vs_rest_m_double(s, a, a)
+                report = ea.double_observer_report(s, a, a)
+                m_lbar, m_l = report.m_lbar_vs_rest, report.m_l_vs_rest
                 probe_lbar = contangle_from_m(m_lbar) - 4 * a * a
                 probe_l = (contangle_from_m(m_l) - 4 * a * a
                            - contangle_from_m(ea.m_ln_equal_accel(s, a)))
@@ -647,7 +648,7 @@ class TestClosedFormNumericDuality:
         for s in GRID:
             for r in GRID:
                 sigma = build_single_observer_cm(s, r)
-                worst = max(worst, abs(ea.m_alice_rob(s, r) - two_mode_m(reduce(sigma, (0, 1)))))
+                worst = max(worst, abs(ea.m_leo_nadia(s, 0.0, r) - two_mode_m(reduce(sigma, (0, 1)))))
                 worst = max(worst, abs(math.cosh(2 * r) - two_mode_m(reduce(sigma, (1, 2)))))
                 for probe, closed in zip(range(3), ea.one_vs_rest_m_single(s, r)):
                     worst = max(worst, abs(closed - pure_one_vs_rest_m(sigma, probe)))
@@ -659,11 +660,12 @@ class TestClosedFormNumericDuality:
             for l in COARSE:
                 for n in COARSE:
                     sigma = build_double_observer_cm(s, l, n)
-                    pw = ea.pairwise_m_double(s, l, n)
+                    pw = ea.double_observer_report(s, l, n)
                     worst = max(worst, abs(pw.m_l_n - two_mode_m(reduce(sigma, (1, 2)))))
                     worst = max(worst, abs(pw.m_l_lbar - two_mode_m(reduce(sigma, (0, 1)))))
                     worst = max(worst, abs(pw.m_n_nbar - two_mode_m(reduce(sigma, (2, 3)))))
-                    for probe, closed in zip(range(4), ea.one_vs_rest_m_double(s, l, n)):
+                    one_vs_rest = (pw.m_lbar_vs_rest, pw.m_l_vs_rest, pw.m_n_vs_rest, pw.m_nbar_vs_rest)
+                    for probe, closed in enumerate(one_vs_rest):
                         worst = max(worst, abs(closed - pure_one_vs_rest_m(sigma, probe)))
         assert worst < 1e-8
 
@@ -707,6 +709,56 @@ class TestOneObserverIsLeoInertial:
         at_rest = ea.double_report_columns(s, 0.0, a)["mutual_info_ln"]
         equal = ea.double_report_columns(s, a, a)["mutual_info_ln"]
         np.testing.assert_allclose(ea.classical_deficit(a, s), at_rest - equal, rtol=0.0, atol=1e-13)
+
+
+class TestPublicNamesAreColumns:
+    """Each public closed form, called at a point, returns the bits of its report column's cell there."""
+
+    EDGES = np.array([0.0, 1e-300, 1e-6])
+
+    @classmethod
+    def points(cls, *highs: float):
+        """3000 seeded points, each parameter uniform in [0, its high], then every combination of EDGES."""
+        rng = np.random.default_rng(33)
+        seeded = np.array([rng.uniform(0.0, high, 3000) for high in highs])
+        edges = np.array(np.meshgrid(*[cls.EDGES] * len(highs), indexing="ij")).reshape(len(highs), -1)
+        return np.hstack([seeded, edges])
+
+    @staticmethod
+    def assert_bits(name, fn, column, *params):
+        values = np.array([fn(*point) for point in zip(*(p.tolist() for p in params))])
+        assert values.tobytes() == np.ascontiguousarray(column).tobytes(), name
+
+    def test_single_report(self):
+        s, r = self.points(20.0, 20.0)
+        columns = ea.single_report_columns(s, r)
+        self.assert_bits("tau_max_ar", ea.tau_max_ar, columns["tau_max_ar"], r)
+        self.assert_bits("r_star", ea.r_star, columns["r_star"], s)
+        self.assert_bits("residual_tripartite", ea.residual_tripartite, columns["residual_tripartite"], s, r)
+        self.assert_bits("mutual_info_ar", ea.mutual_info_ar, columns["mutual_info_ar"], s, r)
+        one_vs_rest = np.stack([columns["m_a_vs_rest"], columns["m_r_vs_rest"], columns["m_rbar_vs_rest"]], axis=-1)
+        self.assert_bits("one_vs_rest_m_single", ea.one_vs_rest_m_single, one_vs_rest, s, r)
+        self.assert_bits("contangle_ar.m", lambda s, r: ea.contangle_ar(s, r).m, columns["m_ar"], s, r)
+        self.assert_bits("contangle_ar.contangle", lambda s, r: ea.contangle_ar(s, r).contangle, columns["tau_ar"],
+                         s, r)
+
+    def test_double_report(self):
+        s, l, n = self.points(20.0, 3.0, 3.0)
+        columns = ea.double_report_columns(s, l, n)
+        self.assert_bits("m_leo_nadia", ea.m_leo_nadia, columns["m_l_n"], s, l, n)
+        self.assert_bits("mutual_info_ln_general", ea.mutual_info_ln_general, columns["mutual_info_ln"], s, l, n)
+        self.assert_bits("a_star", ea.a_star, columns["a_star"], s)
+        alive = s > 0.0  # r_eff is undefined at s = 0
+        self.assert_bits("r_effective", ea.r_effective, columns["r_eff"][alive], s[alive], l[alive], n[alive])
+
+    def test_double_report_at_equal_accelerations(self):
+        s, a = self.points(20.0, 3.0)
+        columns = ea.double_report_columns(s, a, a)
+        self.assert_bits("m_ln_equal_accel", ea.m_ln_equal_accel, columns["m_l_n"], s, a)
+        self.assert_bits("residual_multipartite", ea.residual_multipartite, columns["residual_multipartite"], s, a)
+        self.assert_bits("tripartite_upper_bound", ea.tripartite_upper_bound, columns["tripartite_upper_bound"], s, a)
+        self.assert_bits("mutual_info_ln", ea.mutual_info_ln, columns["mutual_info_ln"], s, a)
+        self.assert_bits("classical_deficit", lambda s, a: ea.classical_deficit(a, s), columns["deficit"], s, a)
 
 
 def near_death_threshold(equal: bool, count: int = 200_000):
@@ -866,7 +918,7 @@ ORACLE_S = np.linspace(0.0, 20.0, 41).tolist()
 ORACLE_S_ACCEL = [(s, a) for s in ORACLE_S for a in ORACLE_ACCELS]
 ORACLE_FORMS = [  # name, oracle, points
     ("r_effective", mp_r_effective, [(s, l, n) for s in ORACLE_S[1:] for l, n in ORACLE_PAIRS]),  # undefined at s = 0
-    ("m_alice_rob", mp_m_alice_rob, ORACLE_S_ACCEL), ("mutual_info_ar", mp_mutual_info_ar, ORACLE_S_ACCEL),
+    ("mutual_info_ar", mp_mutual_info_ar, ORACLE_S_ACCEL),
     ("residual_tripartite", mp_residual_tripartite, ORACLE_S_ACCEL),
     ("tau_max_ar", mp_tau_max_ar, [(a,) for a in ORACLE_ACCELS]),
     ("tripartite_upper_bound", mp_tripartite_upper_bound, ORACLE_S_ACCEL),
@@ -886,6 +938,11 @@ class TestLargeSqueezing:
     @pytest.mark.parametrize("name,oracle,points", ORACLE_FORMS, ids=[form[0] for form in ORACLE_FORMS])
     def test_mpmath_oracle_grid(self, name, oracle, points):
         worst = worst_oracle_error(getattr(ea, name), oracle, points)
+        assert worst[0] <= 1e-13, worst
+
+    def test_m_ar_mpmath_oracle_grid(self):
+        """m_ar, the Leo-Nadia m with Leo inertial, against the one-observer oracle (not the Leo-Nadia one)."""
+        worst = worst_oracle_error(lambda s, r: ea.m_leo_nadia(s, 0.0, r), mp_m_alice_rob, ORACLE_S_ACCEL)
         assert worst[0] <= 1e-13, worst
 
     @pytest.mark.parametrize("s,l,n", [(200.0, 0.5, 0.6), (300.0, 0.0, 1e-6), (349.0, 4.0, 4.0), (340.0, 8.0, 8.0),
@@ -959,7 +1016,6 @@ class TestOneContangle:
 
     def test_wedge_contangle_past_overflow(self):
         """m = cosh 400: (m - 1)(m + 1) overflows, (2 arcsinh sqrt((m - 1)/2))^2 does not."""
-        assert ea.contangle_r_rbar(200.0).contangle == 160000.0
         assert ea.single_observer_report(1.0, 200.0).tau_r_rbar == 160000.0
 
 
@@ -999,7 +1055,7 @@ class TestArrayForms:
     A = np.array([0.0, 0.2, 0.79, 1.5, 4.0])
 
     TWO_PARAMETER_FORMS = [
-        ("m_alice_rob", None), ("residual_tripartite", None), ("mutual_info_ar", None),
+        ("residual_tripartite", None), ("mutual_info_ar", None),
         ("m_ln_equal_accel", "m_l_n"), ("residual_multipartite", "residual_multipartite"),
         ("tripartite_upper_bound", "tripartite_upper_bound"), ("mutual_info_ln", "mutual_info_ln"),
         ("classical_deficit", "deficit")]
@@ -1015,6 +1071,13 @@ class TestArrayForms:
         assert fn(s, a).tolist() == expected
         if column is not None:
             assert ea.double_report_columns(s, a, a)[column].tolist() == expected
+
+    def test_m_ar_is_m_leo_nadia_with_leo_inertial(self):
+        """m_leo_nadia(s, 0, r) on the mesh, and the single report's m_ar there, hold the bits of the point calls."""
+        s, a = np.meshgrid(self.S, self.A, indexing="ij")
+        expected = [[ea.m_leo_nadia(float(x), 0.0, float(y)) for y in self.A] for x in self.S]
+        assert ea.m_leo_nadia(s, 0.0, a).tolist() == expected
+        assert ea.single_report_columns(s, a)["m_ar"].tolist() == expected
 
     @pytest.mark.parametrize("name", ["m_leo_nadia", "mutual_info_ln_general", "r_effective"])
     def test_three_parameter_forms(self, name):
@@ -1042,7 +1105,7 @@ class TestArrayForms:
 
     def test_negative_element_named(self):
         with pytest.raises(ValueError, match="-0.5"):
-            ea.m_alice_rob(np.array([1.0, -0.5]), 0.3)
+            ea.m_leo_nadia(np.array([1.0, -0.5]), 0.0, 0.3)
 
     def test_report_columns_match_reports(self):
         """Every column comes back at the grid's shape; one that depends on s or r alone as a read-only broadcast
@@ -1063,7 +1126,7 @@ class TestArrayForms:
     @pytest.mark.parametrize("name,args,message", [
         ("m_leo_nadia", (400.0, 0.0, 0.0), "m_leo_nadia undefined at s=400.0, l=0.0, n=0.0"),
         ("residual_multipartite", (400.0, 0.5), "residual_multipartite undefined at s=400.0, a=0.5"),
-        ("m_alice_rob", (400.0, 0.0), "m_alice_rob undefined at s=400.0, r=0.0"),
+        ("contangle_ar", (400.0, 0.0), "m_ar undefined at s=400.0, r=0.0"),
     ])
     def test_overflowing_closed_forms_raise_without_a_warning(self, name, args, message):
         with warnings.catch_warnings():
@@ -1292,8 +1355,8 @@ AXIS_CASES = {
                                                (A5[1:, None], A5[1:], 6.0, S4[:, None, None]), (0.7, 1.3, 6.0, S4)]),
 }
 # public closed form -> its parameter count; those of POSITIVE take positive parameters only
-CLOSED_FORMS = {"m_alice_rob": 2, "tau_max_ar": 1, "r_star": 1, "one_vs_rest_m_single": 2, "residual_tripartite": 2,
-                "mutual_info_ar": 2, "m_leo_nadia": 3, "one_vs_rest_m_double": 3, "r_effective": 3,
+CLOSED_FORMS = {"tau_max_ar": 1, "r_star": 1, "one_vs_rest_m_single": 2, "residual_tripartite": 2,
+                "mutual_info_ar": 2, "m_leo_nadia": 3, "r_effective": 3,
                 "frequency_condition": 3, "m_ln_infinite_squeezing": 2, "a_star": 1, "m_ln_equal_accel": 2,
                 "residual_multipartite": 2, "tripartite_upper_bound": 2, "mutual_info_ln_general": 3,
                 "mutual_info_ln": 2, "classical_deficit": 2}
@@ -1329,13 +1392,6 @@ class TestAxisShapes:
             for k, (column, want) in enumerate(zip(on_axes, flat)):
                 assert_same_bits(column, want, shape, f"{name}[{k}]")
 
-    def test_pairwise_m_double_is_the_flat_bits(self):
-        params = (S4[:, None, None], A5[:, None], A5)
-        on_axes = ea.pairwise_m_double(*params)
-        flat, shape = flat_call(ea.pairwise_m_double, *params)
-        for name in ("m_l_lbar", "m_n_nbar", "m_l_n"):
-            assert_same_bits(getattr(on_axes, name), getattr(flat, name), shape, name)
-
     def test_a_narrower_column_is_a_read_only_view(self):
         """A column of fewer parameters than the grid's comes back broadcast, without a copy."""
         columns = ea.double_report_columns(S4[:, None], A5, A5)
@@ -1349,7 +1405,7 @@ class TestAxisShapes:
         lambda: ea.single_report_columns(np.zeros(2), np.zeros(3)),
         lambda: ea.double_report_columns(np.zeros(2), np.zeros(3), 0.5),
         lambda: ea.frequency_report_columns(np.ones(2), np.ones(3), 1.0),
-        lambda: ea.m_alice_rob(np.zeros(2), np.zeros(3)),
+        lambda: ea.one_vs_rest_m_single(np.zeros(2), np.zeros(3)),
     ], ids=["single", "double", "frequency", "closed-form"])
     def test_incompatible_shapes_raise_numpys_message(self, call):
         message = ("shape mismatch: objects cannot be broadcast to a single shape.  "

@@ -395,10 +395,10 @@ class TestTwoModeFamilies:
         assert two_mode_m(tms_cm(1.0)) == pytest.approx(math.cosh(2.0), rel=1e-12)
 
     def test_gmemms_reductions(self):
-        from rindlercv.entanglement_analysis import m_alice_rob
+        from rindlercv.entanglement_analysis import m_leo_nadia
         sigma = build_single_observer_cm(2.0, 0.5)
         assert two_mode_m(reduce(sigma, (1, 2))) == pytest.approx(math.cosh(1.0), rel=1e-10)
-        assert two_mode_m(reduce(sigma, (0, 1))) == pytest.approx(m_alice_rob(2.0, 0.5), rel=1e-10)
+        assert two_mode_m(reduce(sigma, (0, 1))) == pytest.approx(m_leo_nadia(2.0, 0.0, 0.5), rel=1e-10)
 
     def test_dispatch_is_the_branch_formulas_over_seeded_reductions(self):
         """two_mode_m is its branch formulas bit for bit on every two-mode reduction of both scenarios.

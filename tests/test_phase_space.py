@@ -270,7 +270,7 @@ class TestBonaFide:
     def test_every_pure_built_state_is_bona_fide(self):
         """420 built states: single (s, r) and double (s, l, n) over the squeezings below, l and n in {0, 0.5, 1, 3}.
 
-        A few deep ones have a spectrum that cannot be paired; both predicates raise on those.
+        A few deep ones have a spectrum that cannot be paired; is_pure raises on those.
         """
         squeezings = [0, 0.25, 0.5, 1, 1.5, 2, 2.5, 3, 4, 5, 6, 8, 10, 20]
         states = [build_single_observer_cm(s, r) for s in squeezings for r in squeezings]
@@ -311,6 +311,35 @@ class TestBonaFide:
             np.linalg.cholesky(sigma.mat)
         assert np.linalg.eigvalsh(sigma.mat)[0] < 0.0
         assert is_bona_fide(sigma)
+
+    def test_unpaired_deep_states_are_bona_fide(self):
+        """Over s in {10, ..., 20} x r in {0.5, 1}, rounding keeps the moduli of some built states from pairing (8 of
+        22 with numpy 2.4); their floors eps max|sigma|^2 (74 to 1.7e19) hide any eta-, so each is a state, and
+        is_pure, which needs the spectrum, raises."""
+        unpaired = 0
+        for s in range(10, 21):
+            for r in (0.5, 1.0):
+                sigma = build_single_observer_cm(float(s), r)
+                assert is_bona_fide(sigma), (s, r)
+                try:
+                    symplectic_eigenvalues(sigma)
+                except ValueError:
+                    unpaired += 1
+                    with pytest.raises(ValueError, match=r"^symplectic spectrum not resolvable .*could not pair"):
+                        is_pure(sigma)
+        assert unpaired > 0
+
+    def test_unpaired_moduli_answer_only_past_a_unit_floor(self, monkeypatch):
+        """With no pairing tolerance, rounding leaves moduli unpaired at floors far below 1: a positive definite
+        sigma then raises, as its eta- could still show it no state, and one that is not positive definite is none."""
+        monkeypatch.setattr(phase_space, "PAIRING_RTOL", 0.0)
+        a = np.random.default_rng(1).normal(size=(4, 4))
+        with pytest.raises(ValueError, match=r"\(eps \* max\|sigma\|\^2 = \d.*e-1\d\): could not pair"):
+            is_bona_fide(CovMatrix(a @ a.T + 3.0 * np.eye(4)))
+        indefinite = CovMatrix(a @ a.T - 3.0 * np.eye(4))
+        with pytest.raises(ValueError, match="could not pair"):
+            symplectic_eigenvalues(indefinite)
+        assert not is_bona_fide(indefinite) and not is_pure(indefinite)
 
     def test_determinant_at_least_one(self, rng):
         for _ in range(40):
@@ -919,8 +948,8 @@ class TestOverflow:
 class TestOneGate:
     """Whether a matrix is a state, and whether a value is resolved, is decided in phase_space alone."""
 
-    FLOOR_INTERNALS = {"FLOOR_FACTOR", "_EPS", "_not_resolvable", "_NotPhysical", "_lowest_eigenvalue", "_bounds",
-                       "_rounding_floor", "_indefinite", "EIGEN_FLOOR_EPS"}
+    FLOOR_INTERNALS = {"FLOOR_FACTOR", "_EPS", "_not_resolvable", "_NotPhysical", "_Unpaired", "_lowest_eigenvalue",
+                       "_bounds", "_rounding_floor", "_indefinite", "EIGEN_FLOOR_EPS"}
 
     def test_no_other_module_reads_the_floor_internals(self):
         """No import, attribute or name of the gate's floor internals, nor the string of its memo key, outside it."""
