@@ -114,14 +114,12 @@ def _kernel_args(scenario: str, given: dict, flag: str) -> dict:
 
 
 def _fmt(value) -> str:
-    """Render one cell: booleans as true/false, floats with 17 significant digits."""
+    """Render one cell, a float, a bool or None: floats with 17 significant digits, booleans as true/false."""
     if isinstance(value, float):  # '.17g' also prints inf, -inf, nan (of either sign) and -0
         return f"{value:.17g}"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if value is None:
         return ""
-    return str(value)
+    return "true" if value else "false"
 
 
 def _jsonable(value):

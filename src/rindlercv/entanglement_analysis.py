@@ -143,8 +143,11 @@ def _floors(names: tuple[str, ...], tol: float) -> tuple[float, ...]:
 
     1 - min(tol, M_CLAMP_TOL) for an m-parameter, -tol for a residual, the
     tripartite bound and a monogamy residual, and the least finite float for
-    any other field, which has no floor.
+    any other field, which has no floor.  A tol that is negative or NaN
+    raises ValueError naming it; inf passes.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     m_floor = 1.0 - min(tol, M_CLAMP_TOL)
     return tuple(m_floor if name.startswith("m_") else -tol if name in _NONNEGATIVE or name.startswith("monogamy")
                  else _LEAST_FLOAT for name in names)

@@ -46,7 +46,7 @@ from .phase_space import (
     MatrixLike,
     PURITY_TOL,
     _UNIT_ROUNDOFF,
-    _factor_invariants,
+    _pair_factor,
     _state_spectrum,
     _two_mode,
     check_mode_set,
@@ -228,7 +228,10 @@ Source = Literal["closed_form", "numeric_cm"]
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """One bipartition's entanglement summary: m-parameter, contangle, provenance."""
+    """One bipartition's entanglement summary: m-parameter, contangle, provenance.
+
+    Floats and a bool at a point; arrays of m's shape, element by element, for an array m.
+    """
 
     m: float
     contangle: float
@@ -236,9 +239,9 @@ class MeasureReport:
     source: Source
 
     @classmethod
-    def from_m(cls, m: float, source: Source) -> "MeasureReport":
+    def from_m(cls, m, source: Source) -> "MeasureReport":
         tau = contangle_from_m(m)
-        return cls(m=max(m, 1.0), contangle=tau, separable=(tau == 0.0), source=source)
+        return cls(m=_where(m > 1.0, m, 1.0), contangle=tau, separable=tau == 0.0, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +269,9 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
     if det_eps > 0:
         raise ValueError("entangled two-mode states need det eps < 0")
     c_sq = -det_eps
-    factor = _factor_invariants(cov)
+    pair = _pair_factor(cov)
     with np.errstate(all="ignore"):  # an overflow leaves det sigma or m non-finite, rejected below
-        if factor is None:
+        if pair is None:
             det_sigma = float(np.linalg.det(cov.mat))
             if not abs(det_sigma) < math.inf:
                 raise ValueError(f"the determinant of the state overflows (det sigma = {det_sigma!r})")
@@ -283,7 +286,7 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
             prod = (a + 1.0) * (b + 1.0)
             u = np.float64(prod + c_sq) / (prod - c_sq)
         else:  # X (+) D X D with D's signs opposite has c+ = -c- exactly: no family test
-            (a, b, c, det_x), rtols = factor
+            (a, b, c, det_x), _, rtols = pair
             prod = (a + 1.0) * (b + 1.0)
             # (a + 1)(b + 1) - c^2 = det X + a + b + 1, with det X a sum of squared minors: no cancellation
             u = np.float64(prod + c * c) / (det_x + a + b + 1.0)
@@ -294,7 +297,7 @@ def squeezed_thermal_m(sigma: MatrixLike) -> float:
         angles = 0.5 * math.acosh(max(u, 1.0)), math.asinh(math.sqrt(max(p, 0.0))), math.asinh(math.sqrt(max(q, 0.0)))
         m = float(_m_leo_nadia(*angles))
         # a bound that overflows is no bound: it refuses
-        error = None if factor is None else _inversion_error(a, b, float(u), float(p), float(q), m, sum(angles), *rtols)
+        error = None if pair is None else _inversion_error(a, b, float(u), float(p), float(q), m, sum(angles), *rtols)
     if not math.isfinite(m):
         raise ValueError(f"the thermal squeezed inversion overflows (u = {float(u)!r})")
     if error is not None:
@@ -364,11 +367,11 @@ def two_mode_m(sigma: MatrixLike) -> float:
         return 1.0
     a, b, _ = two_mode_marginals(cov)
     m = (a + b) / (2.0 + abs(a - b))
-    factor = _factor_invariants(cov)
-    if factor is not None:
+    pair = _pair_factor(cov)
+    if pair is not None:
         # a and b, read as sqrt(a^2) and sqrt(b^2), are within g + 2U of themselves, and |a - b| within
         # (g + 2U)(a + b) + U |a - b|: m is within (g + 2U)(1 + m) + 4U of itself
-        g = factor[1][0] + 2.0 * _UNIT_ROUNDOFF
+        g = pair[2][0] + 2.0 * _UNIT_ROUNDOFF
         _state_spectrum(cov, "GMEMMS form", FAMILY_RTOL, rel_error=g * (1.0 + m) + 4.0 * _UNIT_ROUNDOFF)
     return m
 

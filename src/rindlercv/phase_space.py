@@ -36,7 +36,7 @@ X = S_x S_x^T, and keeps its x-quadrature factor S_x with D's signs;
 :func:`reduce` keeps the factor's rows and :func:`partial_transpose` flips the
 signs of D.  A two-mode state that carries it takes its spectrum and marginals
 in closed form from two rows of S_x, each eigenvalue with a derived error
-bound (:func:`symplectic_eigenvalues`); every other matrix, public
+bound, or refuses them (:func:`symplectic_eigenvalues`); every other matrix, public
 ``CovMatrix(...)`` and closed-form states and states of more than two modes,
 takes them from a Cholesky factorisation, an SVD and LAPACK determinants.
 Neither route reads a closed-form entry of the paper.
@@ -226,7 +226,8 @@ class CovMatrix(_Matrix):
         object.__setattr__(self, "mat", _read_only(_symmetrize(arr)))
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """The 2x2 block coupling quadratures of mode i with those of mode j."""
+        """The 2x2 block coupling mode i's quadratures with mode j's, each index as :func:`check_mode_set` takes it."""
+        (i,), (j,) = check_mode_set((i,), self.n_modes), check_mode_set((j,), self.n_modes)
         return self.mat[2 * i:2 * i + 2, 2 * j:2 * j + 2]
 
 
@@ -337,9 +338,8 @@ def _xp_state(x: np.ndarray, p: np.ndarray, factor: Optional[tuple] = None) -> C
 
     A factor is the state's x-quadrature factor S_x, X = S_x S_x^T, and the signs of D, P = D X D, on its
     modes.  S_x is an object whose ``kept(modes)`` is the factor of a reduction to modes, whose
-    ``invariants`` are (a, b, c, det X_A) of a kept pair (``_pair_spectrum``), or None for any other
-    number of modes or where one overflows, and whose ``rtols`` bound their relative errors: those of a,
-    b and c, and that of det X_A.
+    ``invariants`` are (a, b, c, det X_A) of a kept pair, and whose ``rtols`` bound their relative errors:
+    those of a, b and c, and that of det X_A.  :func:`_pair_factor` alone reads them.
     """
     n_modes = len(x)
     out = np.zeros((2 * n_modes, 2 * n_modes))
@@ -405,7 +405,8 @@ def symplectic_eigenvalues(sigma: MatrixLike) -> np.ndarray:
       eta+ = (a + b + sqrt((a - b)^2 + 4 c^2)) / 2 and eta- = det X_A / eta+.
 
     Each value carries a derived first-order error bound (see ``_pair_spectrum``), which
-    :func:`_state_spectrum` reads.  No Cholesky factorisation, SVD or determinant is taken.
+    :func:`_state_spectrum` reads; where an invariant or eta- overflows it raises "symplectic spectrum not
+    resolvable at this squeezing".  No Cholesky factorisation, SVD or determinant is taken.
 
     Every other matrix (a public ``CovMatrix(...)``, the closed-form ``*_blocks`` states, and every state of
     other than two modes) takes the general route.  The eigenvalues of ``Omega sigma`` come in pairs
@@ -461,8 +462,19 @@ def _spectrum(cov: CovMatrix) -> list[float]:
     return (symplectic_eigenvalues(cov) if memo is None else memo).tolist()
 
 
+def _pair_factor(cov: CovMatrix) -> Optional[tuple]:
+    """((a, b, c, det X_A), D's signs (D_1, D_2), the rtols (g, r)) of a two-mode state with a factor (see
+    :func:`_xp_state`), None for any other state: the one reader of a factor's layout."""
+    factor = cov.__dict__.get("_factor")
+    if factor is None or cov.n_modes != 2:
+        return None
+    return factor[0].invariants, factor[1], factor[0].rtols
+
+
 def _pair_spectrum(cov: CovMatrix) -> Optional[tuple[list[float], list[float]]]:
-    """[eta-, eta+] of a two-mode state with a factor, and an absolute error bound on each; None without one.
+    """[eta-, eta+] of a two-mode state with a factor, and an absolute error bound on each; None for any other state.
+
+    Such a pair never takes the general route: where a + b, det X_A or eta- overflows, it raises ``_Unpaired``.
 
     The bounds are first order in the unit roundoff u = eps / 2.  a, b and c are each within g of their
     value, relatively, and det X_A within r, (g, r) the factor's ``rtols`` (see :func:`_xp_state`).  Then:
@@ -476,12 +488,10 @@ def _pair_spectrum(cov: CovMatrix) -> Optional[tuple[list[float], list[float]]]:
       h <= a + b; with a + b <= 2 eta+, eta+ = (a + b + h) / 2 is within (3g + 7u) eta+, and eta-
       within r + 3g + 8u of itself, both relative: no term cancels.
     """
-    factor = cov.__dict__.get("_factor")
-    invariants = None if factor is None else factor[0].invariants
-    if invariants is None:
+    pair = _pair_factor(cov)
+    if pair is None:
         return None
-    (rows, (sign_u, sign_v)), (a, b, c, det) = factor, invariants
-    g, r = rows.rtols
+    (a, b, c, det), (sign_u, sign_v), (g, r) = pair
     if sign_u != sign_v:
         d = abs(a - b)
         plus = 0.5 * d + 0.5 * math.hypot(d, 2.0 * math.sqrt(det))
@@ -491,15 +501,15 @@ def _pair_spectrum(cov: CovMatrix) -> Optional[tuple[list[float], list[float]]]:
         plus = 0.5 * (a + b) + 0.5 * math.hypot(a - b, 2.0 * c)
         err_plus = (3.0 * g + 7.0 * _UNIT_ROUNDOFF) * plus
         err_minus = r + 3.0 * g + 8.0 * _UNIT_ROUNDOFF
-    if not err_plus < math.inf:  # a + b overflows: the general route takes it
-        return None
     minus = det / plus
+    if not (err_plus < math.inf and minus < math.inf):  # NaN fails too
+        raise _not_resolvable("symplectic spectrum", cov, error=_Unpaired)
     return [minus, plus], [err_minus * minus, err_plus]
 
 
 def _not_resolvable(what: str, cov: CovMatrix, detail: str = "", error: type = ValueError) -> ValueError:
     """The error of a quantity that rounding swallows, with the floor eps * max|sigma|^2 of the state."""
-    floor = _EPS * abs(cov.mat).max() ** 2  # about how far rounding moves a symplectic eigenvalue
+    floor = _EPS * (scale := float(abs(cov.mat).max())) * scale  # about how far rounding moves an eta; no warning
     return error(f"{what} not resolvable at this squeezing (eps * max|sigma|^2 = {floor:.3g}){detail}")
 
 
@@ -508,7 +518,7 @@ class _NotPhysical(ValueError):
 
 
 class _Unpaired(ValueError):
-    """The moduli of Omega sigma did not pair, which only rounding does: raised by :func:`symplectic_eigenvalues`."""
+    """Rounding lost the spectrum (unpaired moduli, or a built pair's overflow): raised by symplectic_eigenvalues."""
 
 
 def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = BONA_FIDE_TOL, *,
@@ -523,7 +533,7 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
       1 - max(tol, FLOOR_FACTOR eps eta+) by more than FLOOR_FACTOR eps max|sigma|^2.  Within that it is a
       state to float resolution, which a ``what`` read off this spectrum refuses: "<what> not resolvable
       at this squeezing (eps * max|sigma|^2 = ...)".
-    * ``pure`` tests every eigenvalue's distance from 1 instead, and returns a mixed spectrum to the caller.
+    * ``pure`` tests every eigenvalue's distance from 1 instead, and returns a surely mixed spectrum unrefused.
     * ``det_residual``, by how much a 4x4 determinant of sigma missed the caller's tolerance, refuses
       ``what`` within FLOOR_FACTOR eps max|sigma|^4.
     * ``rel_error``, a derived bound on the relative error of the caller's value of ``what``, refuses it
@@ -562,6 +572,8 @@ def _state_spectrum(sigma: MatrixLike, what: Optional[str] = None, tol: float = 
                 raise _not_resolvable(what, cov)
         elif not pure:
             raise _NotPhysical(f"state is not physical (min symplectic eigenvalue {etas[0]!r})")
+        else:  # mixed for certain: a verdict that reads no eigenvalue's value, so no bound refuses it
+            return etas
     if det_residual is not None:
         if det_residual <= FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 4:
             raise _not_resolvable(what, cov)
@@ -609,16 +621,16 @@ def is_bona_fide(sigma: MatrixLike, tol: float = BONA_FIDE_TOL) -> bool:
     except _NotPhysical:
         return False
     except _Unpaired:  # 1 - eta- <= 1 for every eta- >= 0: within a floor of 1, no eta- could show sigma no state
-        if FLOOR_FACTOR * _EPS * abs(cov.mat).max() ** 2 < 1.0:
+        if FLOOR_FACTOR * _EPS * (scale := float(abs(cov.mat).max())) * scale < 1.0:  # a float overflows unwarned
             raise
     return True
 
 
 def is_pure(sigma: MatrixLike, tol: float = PURITY_TOL) -> bool:
-    """Whether sigma describes a pure state: :func:`is_bona_fide`, and every symplectic eigenvalue == 1 within tol.
-    Where the moduli do not pair, purity is not resolvable: the spectrum's ValueError "... not resolvable" is raised."""
+    """Whether sigma describes a pure state: :func:`is_bona_fide`, and every symplectic eigenvalue == 1 within tol,
+    as :func:`_state_spectrum` decides; where rounding could carry one across tol it raises "... not resolvable"."""
     cov = _as_cov(sigma)
-    return is_bona_fide(cov) and bool(np.max(np.abs(symplectic_eigenvalues(cov) - 1.0)) <= tol)
+    return is_bona_fide(cov) and max(abs(eta - 1.0) for eta in _state_spectrum(cov, "purity", tol, pure=True)) <= tol
 
 
 def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
@@ -630,24 +642,15 @@ def two_mode_marginals(sigma: MatrixLike) -> tuple[float, float, float]:
     same bits as one call per block).  A determinant that overflows raises ValueError.
     """
     cov = _two_mode(sigma, "two_mode_marginals")
-    factor = _factor_invariants(cov)
+    pair = _pair_factor(cov)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        if factor is None:
+        if pair is None:
             blocks = cov.mat.reshape(2, 2, 2, 2).swapaxes(1, 2)  # blocks[i, j] couples mode i with mode j
             (det_1, det_eps), (_, det_2) = np.linalg.det(blocks).tolist()
         else:
-            (a, b, c, _), _ = factor
-            sign_1, sign_2 = cov.__dict__["_factor"][1]
+            (a, b, c, _), (sign_1, sign_2), _ = pair
             det_1, det_2, det_eps = a * a, b * b, sign_1 * sign_2 * c * c
     if not (abs(det_1) < math.inf and abs(det_2) < math.inf and abs(det_eps) < math.inf):  # NaN fails too
         raise ValueError(f"a 2x2 block determinant overflows (det sigma_1 = {det_1!r}, "
                          f"det sigma_2 = {det_2!r}, det eps = {det_eps!r})")
     return math.sqrt(det_1), math.sqrt(det_2), det_eps
-
-
-def _factor_invariants(sigma: MatrixLike) -> Optional[tuple[tuple[float, float, float, float], tuple[float, float]]]:
-    """(a, b, c, det X_A) of a two-mode state with a factor (see :func:`symplectic_eigenvalues`), and the
-    bounds (g, r) on their relative errors (see :func:`_xp_state`); None for any other state."""
-    factor = _as_cov(sigma).__dict__.get("_factor")
-    invariants = None if factor is None else factor[0].invariants
-    return None if invariants is None else (invariants, factor[0].rtols)

@@ -34,8 +34,8 @@ import math
 
 import numpy as np
 
-from .phase_space import (PURITY_TOL, _UNIT_ROUNDOFF, CovMatrix, MatrixLike, _as_cov, _read_only, _squeezer_verdict,
-                          _state_spectrum, _xp_state, reduce)
+from .phase_space import (_UNIT_ROUNDOFF, CovMatrix, MatrixLike, _as_cov, _read_only, _squeezer_verdict, _xp_state,
+                          is_pure, reduce)
 
 #: A symmetric 4x4 matrix from its ten distinct entries, the upper triangle row by row: X = upper[_SYMMETRIC].
 _SYMMETRIC = _read_only(np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]))
@@ -83,14 +83,12 @@ class _ChainFactor:
         return _ChainFactor(self.entries, tuple([self.modes[k] for k in keep]), self.rows)
 
     @functools.cached_property
-    def invariants(self) -> tuple[float, float, float, float] | None:
+    def invariants(self) -> tuple[float, float, float, float]:
         """(a, b, c, det X_A) of a kept pair: |u|^2, |v|^2 and u.v of its rows u and v of S_x, and the sum of
         the squared 2x2 minors of [u; v], the pair's row of the second compound of S_x (Cauchy-Binet).
 
-        None for any other number of modes, and where one of them overflows.
+        A value that overflows is returned as inf: ``phase_space._pair_spectrum`` refuses the pair's spectrum.
         """
-        if len(self.modes) != 2:
-            return None
         i, j = self.modes
         u, v = self.rows[i], self.rows[j]
         minors = [0.0] * 6
@@ -103,7 +101,7 @@ class _ChainFactor:
                 minors[k], minors[m] = c * x + s * y, s * x + c * y
         a, b = sum([x * x for x in u]), sum([x * x for x in v])
         c, det = sum([x * y for x, y in zip(u, v)]), sum([x * x for x in minors])
-        return (a, b, c, det) if a < math.inf and b < math.inf and det < math.inf else None  # NaN fails too
+        return a, b, c, det
 
 
 def _require_domain(positive: bool = False, **params) -> None:
@@ -222,12 +220,10 @@ def double_observer_blocks(s: float, l: float, n: float) -> CovMatrix:
 def pure_one_vs_rest_m(sigma: MatrixLike, probe: int) -> float:
     """One-vs-rest m-parameter of a pure state: sqrt det of the probe's reduction.
 
-    It takes the states ``is_pure`` takes; a spectrum off 1 within rounding raises "purity not resolvable".
+    The probe is a mode index as ``CovMatrix.block`` takes it; the state is pure, mixed or refused as ``is_pure`` says.
     """
     cov = _as_cov(sigma)
-    if probe < 0 or probe >= cov.n_modes:
-        raise ValueError(f"probe mode {probe} out of range")
-    _state_spectrum(cov)  # a matrix that is no state is refused as such
-    if max(abs(eta - 1.0) for eta in _state_spectrum(cov, "purity", PURITY_TOL, pure=True)) > PURITY_TOL:
+    block = cov.block(probe, probe)
+    if not is_pure(cov):
         raise ValueError("global state must be pure for the one-vs-rest determinant rule")
-    return float(math.sqrt(np.linalg.det(cov.block(probe, probe))))
+    return float(math.sqrt(np.linalg.det(block)))

@@ -623,6 +623,19 @@ class TestReports:
             with pytest.raises(ea.InconsistencyError, match=r"probe R = -3\.5\d*e-15 at s=0\.0, r=1\.55"):
                 check()
 
+    @pytest.mark.parametrize("check", [lambda tol: ea.single_report_columns(1.0, 0.5, tol=tol),
+                                       lambda tol: ea.double_report_columns(1.0, 0.4, 1.7, tol=tol),
+                                       lambda tol: ea.frequency_report_columns(1.0, 2.0, 1.0, 1.0, tol=tol),
+                                       lambda tol: ea.single_observer_report(1.0, 0.5).validate(tol)],
+                             ids=["single", "double", "frequency", "validate"])
+    def test_a_bad_tolerance_is_named(self, check):
+        """A negative or NaN tol is refused as such, not blamed on a correct cell; inf passes, as selftest uses it."""
+        for tol in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=f"^tol must be nonnegative, got {tol!r}$") as raised:
+                check(tol)
+            assert raised.type is ValueError
+        check(math.inf)
+
     def test_report_dict_round_trip(self):
         d = ea.single_observer_report(1.0, 0.5).to_dict()
         assert d["s"] == 1.0 and "tau_ar" in d
@@ -1099,6 +1112,18 @@ class TestArrayForms:
         assert np.stack([condition, margin], axis=-1).tolist() == [[list(c[:2]) for c in row] for row in expected]
         assert separable.tolist() == [[c[2] for c in row] for row in expected]
         assert ea.frequency_separability(0.7, 1.3, 2 * math.pi) is point[2]
+
+    def test_contangle_ar(self):
+        """Arrays give a report of arrays whose m, contangle and separable hold the point calls' bits, which are
+        floats and a bool."""
+        s, r = np.meshgrid(self.S, self.A, indexing="ij")
+        report = ea.contangle_ar(s, r)
+        points = [ea.contangle_ar(float(x), float(y)) for x, y in zip(s.ravel().tolist(), r.ravel().tolist())]
+        for field, kind in (("m", float), ("contangle", float), ("separable", bool)):
+            values = [getattr(point, field) for point in points]
+            assert {type(value) for value in values} == {kind}
+            assert getattr(report, field).tobytes() == np.array(values).reshape(s.shape).tobytes(), field
+        assert report.separable.any() and not report.separable.all()
 
     def test_deficit_argument_order(self):
         assert ea.classical_deficit(self.A, 1.5).tolist() == [ea.classical_deficit(a, 1.5) for a in self.A]

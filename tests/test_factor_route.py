@@ -15,8 +15,10 @@ import pytest
 
 from rindlercv import entanglement_analysis as ea
 from rindlercv import info_measures
-from rindlercv.info_measures import FAMILY_RTOL, log_negativity, mutual_information, ppt_separable, two_mode_m
-from rindlercv.phase_space import CovMatrix, partial_transpose, reduce, symplectic_eigenvalues
+from rindlercv.info_measures import (FAMILY_RTOL, log_negativity, mutual_information, ppt_separable, two_mode_m,
+                                    von_neumann_entropy)
+from rindlercv.phase_space import (CovMatrix, is_bona_fide, is_pure, partial_transpose, reduce,
+                                   symplectic_eigenvalues)
 from rindlercv.rindler_frames import build_double_observer_cm, build_single_observer_cm, double_observer_blocks
 
 ORACLE_S = [0.5 * k for k in range(41)]
@@ -278,6 +280,26 @@ class TestRoutes:
         calls = self.counted(monkeypatch)
         red = reduce(build_single_observer_cm(1.3, 0.7), (0, 1))
         two_mode_m(red), mutual_information(red, (0,)), log_negativity(red, (1,))
+        assert calls == []
+
+    @pytest.mark.parametrize("point, pair", [((354.9, 0.0, 0.0), (1, 2)), ((0.0, 200.0, 200.0), (0, 3))],
+                             ids=["a + b overflows", "det X_A overflows"])
+    def test_a_built_pair_past_the_float_range_refuses(self, monkeypatch, point, pair):
+        """A built pair never takes the general route, which here would read only rounding (at the pure (354.9, 0, 0)
+        Leo-Nadia pair, log negativity 0 for 709.8 and entropy 1382.8 for 0): each measure refuses, as does the
+        partial transpose's spectrum, and is_bona_fide answers, as where moduli do not pair."""
+        red = reduce(build_double_observer_cm(*point), pair)
+        calls = self.counted(monkeypatch)
+        measures = [symplectic_eigenvalues, lambda cov: log_negativity(cov, (0,)), von_neumann_entropy, is_pure,
+                    lambda cov: mutual_information(cov, (0,)), two_mode_m,
+                    lambda cov: symplectic_eigenvalues(partial_transpose(cov, (0,)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for measure in measures:
+                with pytest.raises(ValueError, match=r"^symplectic spectrum not resolvable at this squeezing "
+                                                     r"\(eps \* max\|sigma\|\^2 = inf\)$"):
+                    measure(red)
+            assert is_bona_fide(red)
         assert calls == []
 
     @pytest.mark.parametrize("state", [lambda: CovMatrix(reduce(build_double_observer_cm(1.2, 0.6, 0.9), (1, 2)).mat),

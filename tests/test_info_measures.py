@@ -30,8 +30,9 @@ from rindlercv.info_measures import (
     _contangle,
     _entropy_f,
 )
-from rindlercv.phase_space import (PURITY_TOL, CovMatrix, SympTransform, apply_congruence, partial_transpose,
-                                   reduce, symplectic_eigenvalues, two_mode_marginals, two_mode_squeezer, vacuum_cm)
+from rindlercv.phase_space import (PURITY_TOL, CovMatrix, SympTransform, apply_congruence, is_bona_fide,
+                                   partial_transpose, reduce, symplectic_eigenvalues, two_mode_marginals,
+                                   two_mode_squeezer, vacuum_cm)
 from rindlercv.rindler_frames import build_double_observer_cm, build_single_observer_cm, double_observer_blocks
 
 from conftest import single_mode_rotation, single_mode_squeeze
@@ -569,6 +570,32 @@ class TestTwoModeFamilies:
     def test_thermal_rejects_positive_correlations(self):
         red = reduce(build_single_observer_cm(1.0, 1.0), (0, 2))  # separable, det eps > 0
         assert squeezed_thermal_m(red) == 1.0  # resolved by the PPT gate first
+
+    def test_thermal_refuses_positive_correlations_read_entangled(self):
+        """x-x correlation c_x and p-p correlation 1 put eta- at 0.99989, below 1 but within the floor
+        32 eps max|sigma|^2 = 7e-3, so the gate passes it as a state to float resolution.  Its partial transpose
+        reads entangled, though det eps > 0 would make a state separable (Simon): the family refuses it."""
+        a = 1e6
+        c_x = a - (1.0 - 1e-4) ** 2 / a  # eta-^2 = a (a - c_x) = (1 - 1e-4)^2 where the p-p correlation is 0
+        mat = np.diag([a, a, a, a])
+        mat[0, 2] = mat[2, 0] = c_x
+        mat[1, 3] = mat[3, 1] = 1.0
+        cov = CovMatrix(mat)
+        assert is_bona_fide(cov) and not ppt_separable(cov, (0,)) and two_mode_marginals(cov)[2] > 0.0
+        with pytest.raises(ValueError, match=r"^entangled two-mode states need det eps < 0$"):
+            squeezed_thermal_m(cov)
+
+    def test_thermal_refuses_invariants_outside_the_family(self):
+        """Every state with blocks a I, b I and c Z has (a - 1)(b + 1) >= c^2, which keeps sinh^2 l >= 0; here c^2
+        exceeds it by 100, which puts eta- at 0.9999, within the floor 32 eps max|sigma|^2 = 7e-3 of 1."""
+        a, b = 1e4, 1e6
+        c = math.sqrt((a - 1.0) * (b + 1.0) + 100.0)
+        z = np.diag([1.0, -1.0])
+        cov = CovMatrix(np.block([[a * np.eye(2), c * z], [c * z, b * np.eye(2)]]))
+        assert is_bona_fide(cov) and symplectic_eigenvalues(cov)[0] < 1.0 - 1e-5
+        for measure in (squeezed_thermal_m, two_mode_m):
+            with pytest.raises(ValueError, match=r"^invariants fall outside the thermal squeezed family$"):
+                measure(cov)
 
     def test_dispatch_routes(self):
         assert two_mode_m(tms_cm(0.7)) == pytest.approx(math.cosh(1.4), rel=1e-10)

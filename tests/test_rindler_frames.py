@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import sys
 import warnings
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from rindlercv import entanglement_analysis as ea
 from rindlercv.info_measures import contangle_from_m, two_mode_m
-from rindlercv.phase_space import (CovMatrix, apply_congruence, is_bona_fide, reduce, symplectic_eigenvalues,
+from rindlercv.phase_space import (CovMatrix, apply_congruence, is_bona_fide, is_pure, reduce, symplectic_eigenvalues,
                                    two_mode_squeezer, vacuum_cm)
 from rindlercv.rindler_frames import (
     accel_to_squeezing,
@@ -204,8 +206,42 @@ class TestPureOneVsRest:
             pure_one_vs_rest_m(mixed, 0)
 
     def test_rejects_a_probe_out_of_range(self):
-        with pytest.raises(ValueError, match="^probe mode 5 out of range$"):
-            pure_one_vs_rest_m(build_single_observer_cm(1.0, 1.0), 5)
+        """A probe is a mode index as check_mode_set takes it, with its messages; so is each index of a block."""
+        sigma = build_single_observer_cm(1.0, 1.0)
+        for probe, message in [(5, r"^mode indices \(5,\) out of range for 3 modes$"),
+                               (-1, r"^mode indices \(-1,\) out of range for 3 modes$"),
+                               (1.0, r"^mode indices must be integers, got 1\.0$")]:
+            with pytest.raises(ValueError, match=message):
+                pure_one_vs_rest_m(sigma, probe)
+        pair = reduce(sigma, (1, 2))
+        with pytest.raises(ValueError, match=r"^mode indices \(5,\) out of range for 2 modes$"):
+            pair.block(5, 5)
+        with pytest.raises(ValueError, match=r"^mode indices must be integers, got 1\.0$"):
+            pair.block(0, 1.0)
+        assert pair.block(np.int64(1), 0).tolist() == pair.mat[2:4, 0:2].tolist()
+
+    def test_one_purity_rule(self):
+        """On 451 built states, s in {0, 0.5, ..., 20} with single r in {0.5, 1} and double l, n in {0, 0.5, 1},
+        is_pure answers True exactly where the one-vs-rest m answers, and where either refuses both raise the
+        same "... not resolvable at this squeezing"; no state, pure by construction, reads mixed."""
+        states = [build(s, *accelerations) for s in np.arange(0.0, 20.25, 0.5).tolist()
+                  for build, grid in ((build_single_observer_cm, [(0.5,), (1.0,)]),
+                                      (build_double_observer_cm, itertools.product((0.0, 0.5, 1.0), repeat=2)))
+                  for accelerations in grid]
+        assert len(states) == 451
+        refused = 0
+        for sigma in states:
+            try:
+                pure = is_pure(sigma)
+            except ValueError as error:
+                assert "not resolvable at this squeezing" in str(error)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                    pure_one_vs_rest_m(sigma, 0)
+                refused += 1
+                continue
+            assert pure
+            assert pure_one_vs_rest_m(sigma, 0) >= 1.0
+        assert 0 < refused < len(states)
 
     def test_unresolvable_purity_is_named_as_such(self):
         """From s = 7 at r = 0.5 the purity check fails within the resolution eps * max|sigma|^2: the message says so.
